@@ -60,6 +60,7 @@ from .errors import (
     EmptyAnsatz,
     ExponentError,
     ExprSyntaxError,
+    FuelExhausted,
     MagriError,
     NoSolution,
     NotClosed,

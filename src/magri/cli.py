@@ -7,6 +7,7 @@ the searched space, 4 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -329,9 +330,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _shared_parser():
+    # parse_args leaves the parser unchanged, so one serves every call;
+    # building it costs about as much as a small query.
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ExprSyntaxError as exc:

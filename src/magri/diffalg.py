@@ -12,9 +12,13 @@ treat it as a function of v.
 
 A monomial is a tuple of (variable, order, exponent) triples sorted by
 (variable, order).  A :class:`DiffFunction` is a tuple of (monomial,
-coefficient) pairs sorted by monomial, with exact ``Fraction``
-coefficients and no zero entries, so equal functions are equal tuples.
+coefficient) pairs sorted by monomial, with no zero entries, so equal
+functions are equal tuples.  A coefficient is an ``int`` when it is
+integral and otherwise a ``Fraction`` with denominator > 1; it is never
+a float or a bool.  Most coefficients are integers, and plain ``int``
+arithmetic is several times faster than ``Fraction`` arithmetic.
 Values are immutable and every operation returns a canonical form;
+every division of coefficients goes through :func:`coeff_div`, so
 nothing here touches floating point.
 
 The total derivative acts by u_i^(n) -> u_i^(n+1) extended as a
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MagriError
+from .errors import FuelExhausted, MagriError
 
 U, V, LOG_VAR = 0, 1, 2
 VAR_NAMES = ("u", "v", "log")
@@ -40,13 +44,23 @@ EMPTY_MONO = ()
 
 
 def _as_coeff(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+    """An exact coefficient in canonical form: int if integral, else Fraction."""
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)  # also turns a bool into a plain int
     raise TypeError(f"not an exact coefficient: {c!r}")
+
+
+def coeff_div(a, b):
+    """The exact quotient a / b of two coefficients, in canonical form.
+
+    The one place coefficients are divided, so that int / int never
+    gives a float.  Raises ZeroDivisionError when b is zero.
+    """
+    return _as_coeff(Fraction(a, b))
 
 
 def mono_mul(m1, m2):
@@ -136,7 +150,16 @@ class DiffFunction:
 
     @staticmethod
     def from_dict(d):
-        items = [(m, c) for m, c in d.items() if c]
+        """Build from {monomial: coefficient}, dropping zeros.
+
+        Sums and products of coefficients become canonical here: an
+        integral Fraction is stored as an int.
+        """
+        items = [
+            (m, c if type(c) is int or c.denominator != 1 else c.numerator)
+            for m, c in d.items()
+            if c
+        ]
         items.sort(key=lambda t: t[0])
         return DiffFunction(items)
 
@@ -154,7 +177,7 @@ class DiffFunction:
             for var, order, exp in m:
                 mono = mono_mul(mono, ((var, order, exp),))
             _check_mono(mono)
-            acc[mono] = acc.get(mono, QQ(0)) + c
+            acc[mono] = acc.get(mono, 0) + c
         return DiffFunction.from_dict(acc)
 
     @property
@@ -165,12 +188,12 @@ class DiffFunction:
         for m, c in self._t:
             if m == mono:
                 return c
-        return QQ(0)
+        return 0
 
     def constant_term(self):
         if self._t and self._t[0][0] == EMPTY_MONO:
             return self._t[0][1]
-        return QQ(0)
+        return 0
 
     def __bool__(self):
         return bool(self._t)
@@ -194,7 +217,7 @@ class DiffFunction:
             return NotImplemented
         d = dict(self._t)
         for m, c in other._t:
-            s = d.get(m, QQ(0)) + c
+            s = d.get(m, 0) + c
             if s:
                 d[m] = s
             else:
@@ -221,14 +244,14 @@ class DiffFunction:
             k = _as_coeff(other)
             if not k:
                 return ZERO
-            return DiffFunction([(m, c * k) for m, c in self._t])
+            return DiffFunction([(m, _as_coeff(c * k)) for m, c in self._t])
         if not isinstance(other, DiffFunction):
             return NotImplemented
         acc = {}
         for m1, c1 in self._t:
             for m2, c2 in other._t:
                 m = mono_mul(m1, m2)
-                s = acc.get(m, QQ(0)) + c1 * c2
+                s = acc.get(m, 0) + c1 * c2
                 if s:
                     acc[m] = s
                 else:
@@ -239,7 +262,7 @@ class DiffFunction:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (QQ(1) / _as_coeff(other))
+            return self * coeff_div(1, other)
         return NotImplemented
 
     def __pow__(self, n):
@@ -259,7 +282,7 @@ class DiffFunction:
 
 
 ZERO = DiffFunction()
-ONE = DiffFunction([(EMPTY_MONO, QQ(1))])
+ONE = DiffFunction([(EMPTY_MONO, 1)])
 
 
 def const(q):
@@ -274,7 +297,7 @@ def jet(var, order, exp=1):
     if exp == 0:
         return ONE
     m = _check_mono(((var, order, exp),))
-    return DiffFunction([(m, QQ(1))])
+    return DiffFunction([(m, 1)])
 
 
 def u_jet(n=0):
@@ -329,7 +352,7 @@ def _dx_mono(m):
         acc = ZERO
         for i, (var, order, exp) in enumerate(m):
             rest = _mono_shift(m, var, order, -1)
-            acc = acc + _dx_generator(var, order) * DiffFunction([(rest, QQ(exp))])
+            acc = acc + _dx_generator(var, order) * DiffFunction([(rest, exp)])
         _DX_MONO[m] = f = acc
     return f
 
@@ -340,7 +363,7 @@ def total_derivative(f, n=1):
         acc = {}
         for m, c in f.terms:
             for dm, dc in _dx_mono(m).terms:
-                s = acc.get(dm, QQ(0)) + c * dc
+                s = acc.get(dm, 0) + c * dc
                 if s:
                     acc[dm] = s
                 else:
@@ -359,13 +382,13 @@ def _pd_mono(m, var, order):
         acc = {}
         e = mono_exp(m, var, order)
         if e:
-            acc[_mono_shift(m, var, order, -1)] = QQ(e)
+            acc[_mono_shift(m, var, order, -1)] = e
         if var == V and order == 0:
             # log v depends on v: d(log v)/dv = 1/v.
             j = mono_exp(m, LOG_VAR, 0)
             if j:
                 m2 = _mono_shift(_mono_shift(m, LOG_VAR, 0, -1), V, 0, -1)
-                acc[m2] = acc.get(m2, QQ(0)) + QQ(j)
+                acc[m2] = acc.get(m2, 0) + j
         f = DiffFunction.from_dict(acc)
         _PD_MONO[key] = f
     return f
@@ -385,7 +408,7 @@ def partial_derivative(f, gen):
     acc = {}
     for m, c in f.terms:
         for dm, dc in _pd_mono(m, var, order).terms:
-            s = acc.get(dm, QQ(0)) + c * dc
+            s = acc.get(dm, 0) + c * dc
             if s:
                 acc[dm] = s
             else:
@@ -580,11 +603,11 @@ def _integrate_v_monomial(k, j):
     if j < 0:
         raise MagriError("negative log exponent")
     if k == -1:
-        return DiffFunction.from_terms([(QQ(1, j + 1), ((LOG_VAR, 0, j + 1),))])
-    lead = [(QQ(1, k + 1), ((V, 0, k + 1),) + (((LOG_VAR, 0, j),) if j else ()))]
+        return DiffFunction.from_terms([(coeff_div(1, j + 1), ((LOG_VAR, 0, j + 1),))])
+    lead = [(coeff_div(1, k + 1), ((V, 0, k + 1),) + (((LOG_VAR, 0, j),) if j else ()))]
     out = DiffFunction.from_terms(lead)
     if j:
-        out = out - _integrate_v_monomial(k, j - 1) * QQ(j, k + 1)
+        out = out - _integrate_v_monomial(k, j - 1) * coeff_div(j, k + 1)
     return out
 
 
@@ -610,7 +633,7 @@ def _integrate_in_generator(b, var, order):
         return acc
     for m, c in b.terms:
         e = mono_exp(m, var, order)
-        acc = acc + DiffFunction([(_mono_shift(m, var, order, 1), c / (e + 1))])
+        acc = acc + DiffFunction([(_mono_shift(m, var, order, 1), coeff_div(c, e + 1))])
     return acc
 
 
@@ -633,6 +656,10 @@ def _mono_in_minus_affine(m):
     return ve == 1 and all(g[0] == V and g[1] == 0 for g in m)
 
 
+# Rounds of top-order integration antiderivative may take before it gives up.
+_ANTIDERIVATIVE_FUEL = 100000
+
+
 def antiderivative(f, tag=None):
     """A primitive g with total_derivative(g) == f, or None.
 
@@ -641,7 +668,8 @@ def antiderivative(f, tag=None):
     it by the structure of the derivative image (v-positive input gives
     a v-positive primitive; input in v^-k times the nonpositive part
     gives a primitive there up to one affine power of v), otherwise
-    None is returned.
+    None is returned.  Raises FuelExhausted if the integration takes
+    more than ``_ANTIDERIVATIVE_FUEL`` rounds.
     """
     if not is_total_derivative(f):
         return None
@@ -650,8 +678,10 @@ def antiderivative(f, tag=None):
     fuel = 0
     while work:
         fuel += 1
-        if fuel > 100000:
-            return None
+        if fuel > _ANTIDERIVATIVE_FUEL:
+            raise FuelExhausted(
+                f"antiderivative gave up after {_ANTIDERIVATIVE_FUEL} rounds"
+            )
         n = differential_order(work)
         if n is None or n == 0:
             # a nonzero remainder in v and log v alone is never exact
@@ -716,7 +746,14 @@ class LocalFunctional:
         return (du, dv)
 
     def is_zero(self):
-        du, dv, c = self._invariant()
+        if self._key is None:
+            c = self.rep.constant_term()
+            du = euler_derivative(self.rep, U)
+            if c or du:
+                # settled without the Euler derivative in v
+                return False
+            self._key = (du, euler_derivative(self.rep, V), c)
+        du, dv, c = self._key
         return not du and not dv and not c
 
     def __eq__(self, other):

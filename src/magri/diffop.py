@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from . import diffalg as da
-from .diffalg import QQ, ZERO, ONE, DiffFunction
+from .diffalg import ZERO, ONE, DiffFunction
 from .errors import DimensionMismatch, MagriError
 
 
@@ -152,7 +152,7 @@ def adjoint_scalar(a):
     """Formal adjoint: (a*d^k)* = (-d)^k . a."""
     acc = {}
     for k, ak in a.terms:
-        sign = QQ(-1) ** k
+        sign = (-1) ** k
         g = ak
         for m in range(k + 1):
             piece = g * (sign * comb(k, m))

@@ -21,6 +21,10 @@ class NoSolution(MagriError):
     """A linear problem (integration, recursion step) has no solution."""
 
 
+class FuelExhausted(MagriError):
+    """A bounded computation ran out of rounds before it finished."""
+
+
 class EmptyAnsatz(MagriError):
     """A candidate monomial space came out empty."""
 

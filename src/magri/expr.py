@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import diffalg as da
 from . import diffop as dop
-from .diffalg import DiffFunction, QQ, U, V
+from .diffalg import DiffFunction, U, V
 from .errors import ExponentError, ExprSyntaxError
 
 
@@ -241,7 +241,7 @@ class _Parser:
         if any(g[0] != V or g[1] != 0 for g in mono):
             self.fail("only rationals and powers of v can be inverted", tok)
         e = da.mono_exp(mono, V, 0)
-        return da.v_pow(-e) * (QQ(1) / c)
+        return da.v_pow(-e) * da.coeff_div(1, c)
 
     def _invert_pow(self, val, e, tok):
         if isinstance(val, dop.ScalarDiffOp):

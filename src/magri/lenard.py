@@ -177,7 +177,7 @@ def _v_exp_range(tag, v_floor, weight):
 
 
 def _tag_allows(tag, mono):
-    return da.subalgebra_member(DiffFunction([(mono, QQ(1))]), tag)
+    return da.subalgebra_member(DiffFunction([(mono, 1)]), tag)
 
 
 # -- the recursion step ------------------------------------------------------
@@ -204,7 +204,7 @@ def _normalize_kernel(eps, vec):
         i, m, kc = _marker(ker)
         c = out[i].coeff(m)
         if c:
-            s = c / kc
+            s = da.coeff_div(c, kc)
             out = [a - s * b for a, b in zip(out, ker)]
     return tuple(out)
 
@@ -275,7 +275,7 @@ def _step_ansatz(eps, b, order_bounds, v_floor, widen_cap):
                 continue
             for m in space.monomials:
                 vec = [ZERO, ZERO]
-                vec[comp] = DiffFunction([(m, QQ(1))])
+                vec[comp] = DiffFunction([(m, 1)])
                 col = dop.apply(h, vec)
                 entries = {}
                 for ci, f in enumerate(col):
@@ -363,8 +363,11 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, wi
     variational gradient xi_n, and flows P_n = H_{1-eps} xi_n (each also
     equal to H_eps xi_{n+1}, which lm_step verifies).  Runtime checks
     record closedness, subspace memberships, density consistency and
-    Casimir conservation for the alpha = 1 chains.
+    Casimir conservation for the alpha = 1 chains.  Raises MagriError
+    for a negative ``steps``.
     """
+    if steps < 0:
+        raise MagriError(f"steps must be nonnegative, got {steps}")
     s = seed(eps, alpha)
     gradients = [s.gradient]
     densities = [s.density] if with_densities else []

@@ -1,28 +1,28 @@
 """Sparse exact linear solving over the rationals.
 
 Columns are given as sparse dicts mapping opaque hashable row keys to
-Fractions.  Internally every equation is scaled to a primitive integer
-row (denominators cleared, content divided out) and eliminated by
-integer cross-multiplication, so no rational arithmetic happens until
-back substitution.  The particular solution returned pins every free
-variable to zero, in the column order given by the caller, making the
-answer deterministic.
+exact rationals (int or Fraction).  Internally every equation is scaled
+to a primitive integer row (denominators cleared, content divided out)
+and eliminated by integer cross-multiplication, so no rational
+arithmetic happens until back substitution.  The particular solution
+returned pins every free variable to zero, in the column order given by
+the caller, making the answer deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-QQ = Fraction
+from .diffalg import coeff_div
 
 
 def solve(columns, rhs):
     """Solve sum_j x_j * columns[j] = rhs for x, or return None.
 
-    ``columns`` is a sequence of dicts {row_key: Fraction}; ``rhs`` is a
-    dict of the same shape.  Returns a list of Fractions (free
-    variables zero) or None when the system is inconsistent.
+    ``columns`` is a sequence of dicts {row_key: int or Fraction};
+    ``rhs`` is a dict of the same shape.  Returns a list of exact
+    values, each an int when integral and otherwise a Fraction (free
+    variables zero), or None when the system is inconsistent.
     """
     rows = {}
     for j, col in enumerate(columns):
@@ -44,16 +44,16 @@ def solve(columns, rhs):
             continue
         pivots[lead] = row
 
-    xs = [QQ(0)] * len(columns)
+    xs = [0] * len(columns)
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
-        acc = QQ(row.get(-1, 0))
+        acc = row.get(-1, 0)
         for c, v in row.items():
             if c in (-1, lead):
                 continue
             if xs[c]:
                 acc -= v * xs[c]
-        xs[lead] = acc / row[lead]
+        xs[lead] = coeff_div(acc, row[lead])
 
     # free variables are zero; verify (cheap relative to elimination)
     check = {}
@@ -61,13 +61,13 @@ def solve(columns, rhs):
         if not x:
             continue
         for key, val in columns[j].items():
-            s = check.get(key, QQ(0)) + x * val
+            s = check.get(key, 0) + x * val
             if s:
                 check[key] = s
             else:
                 check.pop(key, None)
     for key, val in rhs.items():
-        if check.get(key, QQ(0)) != val:
+        if check.get(key, 0) != val:
             return None
         check.pop(key, None)
     if any(check.values()):

@@ -20,7 +20,7 @@ in the differential ring, never numerical.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import diffalg as da
 from . import diffop as dop
@@ -321,10 +321,27 @@ def jacobiator(h, i, j, k):
     return LambdaMuPoly.from_dict(acc)
 
 
+def _integral_multiple(h):
+    """h times the lcm of its coefficient denominators, so integral."""
+    den = 1
+    for row in h.entries:
+        for op in row:
+            for _k, f in op.terms:
+                for _m, c in f.terms:
+                    den = lcm(den, c.denominator)
+    return h if den == 1 else h * den
+
+
 def is_poisson(h):
-    """Exact Jacobi identity over every generator triple."""
+    """Exact Jacobi identity over every generator triple.
+
+    Every jacobiator is quadratic in h, so h is Poisson exactly when a
+    nonzero multiple of it is; the check runs on the integral multiple,
+    whose arithmetic stays in plain ints.
+    """
     h = _as_matrix(h)
     _require_skew(h)
+    h = _integral_multiple(h)
     n, _ = h.shape
     for i in range(1, n + 1):
         for j in range(1, n + 1):

@@ -12,20 +12,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-
 from . import diffalg as da
 from . import diffop as dop
 from . import linsolve
 from .diffalg import (
     DiffFunction,
     LocalFunctional,
-    QQ,
     ZERO,
     EMPTY_MONO,
     LOG_VAR,
     U,
     V,
+    coeff_div,
     mono_exp,
 )
 from .errors import NoSolution, NotClosed
@@ -111,7 +109,7 @@ def _poly_homotopy(vec):
     for i, fi in enumerate(vec):
         for m, c in fi.terms:
             deg = sum(e for _v, _n, e in m)
-            h = h + gens[i] * DiffFunction([(m, c / (deg + 1))])
+            h = h + gens[i] * DiffFunction([(m, coeff_div(c, deg + 1))])
     return h
 
 
@@ -120,7 +118,7 @@ def _u_homotopy(f):
     h = ZERO
     uu = da.u_jet(0)
     for m, c in f.terms:
-        h = h + uu * DiffFunction([(m, c / (_u_degree(m) + 1))])
+        h = h + uu * DiffFunction([(m, coeff_div(c, _u_degree(m) + 1))])
     return h
 
 
@@ -204,7 +202,7 @@ def _euler_mono(m, var):
     key = (m, var)
     out = _EULER_MONO.get(key)
     if out is None:
-        f = DiffFunction([(m, QQ(1))])
+        f = DiffFunction([(m, 1)])
         acc = ZERO
         top = da.max_order(f, var)
         if top is not None:
@@ -231,7 +229,16 @@ def _solve_v_density(g, widen_cap):
     if not g:
         return ZERO
     wt = da.weight(g)
-    assert wt is not da.INHOMOGENEOUS
+    if wt is da.INHOMOGENEOUS:
+        raise NoSolution("the v-only part is not weight-homogeneous")
+    for m, _ in g.terms:
+        # A candidate is free of log v, or is log(v) times a monomial with
+        # no power of v (jets v', v'', ... allowed), and the terms in log v
+        # of its Euler derivative have that shape too; so no widening round
+        # reaches a term in log(v)^2, or in log(v) times a power of v.
+        j = mono_exp(m, LOG_VAR, 0)
+        if j > 1 or (j == 1 and mono_exp(m, V, 0) != 0):
+            raise NoSolution("no density found for the v-only part within the widening cap")
     base_order = da.max_order(g, V) or 0
     order_bound = max(1, (base_order + 1) // 2 + 1)
     v_floor = min(da.min_v_exponent(g) + 1, 0)

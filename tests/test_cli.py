@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -284,3 +285,49 @@ def test_fmt_latex_fragment(capsys):
     code, out, _ = _run(capsys, "fmt", "--latex", "v''/v^3 - u/v^2 - 3*(v')^2/(2*v^4)")
     assert code == 0
     assert out.strip() == r"-\frac{u}{v^2} - \frac{3 (v')^2}{2 v^4} + \frac{v''}{v^3}"
+
+
+def test_negative_steps_exit_four(capsys):
+    code, out, err = _run(
+        capsys, "hierarchy", "--eps", "1", "--alpha", "0", "--steps", "-1"
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("INPUT_ERROR")
+
+
+def _three_calls(capsys, path):
+    seen = []
+    for argv in (
+        ["hierarchy", "--eps", "1", "--alpha", "0", "--steps", "1", "--out", str(path)],
+        ["fmt", "--json", "v*u + u'/2"],
+        ["fmt", "u^"],
+    ):
+        seen.append(_run(capsys, *argv))
+    return seen, path.read_text()
+
+
+def test_main_reuses_one_parser_with_unchanged_results(capsys, tmp_path, monkeypatch):
+    shared = _three_calls(capsys, tmp_path / "a.json")
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = _three_calls(capsys, tmp_path / "b.json")
+    assert shared == fresh
+    assert [code for code, _o, _e in shared[0]] == [0, 0, 4]
+
+
+# SHA-256 of the stdout of `magri hierarchy --eps 1 --alpha 1 --steps 2`,
+# without and with --latex; any change to the canonical forms, the term
+# order or the number formatting changes them.
+GOLDEN_SHA256 = {
+    "json": "479db5d65fa2c200fa9476334ea47f2a5d646b4ea823c57439473f7becc1203f",
+    "latex": "42ad0da3d77de18b7dbda88e6067b91983f3a3fc9db7581bc4db34f463bebce3",
+}
+
+
+def test_hierarchy_output_is_pinned(capsys):
+    for kind, extra in (("json", ()), ("latex", ("--latex",))):
+        code, out, _ = _run(
+            capsys, "hierarchy", "--eps", "1", "--alpha", "1", "--steps", "2", *extra
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[kind], kind

@@ -193,9 +193,90 @@ def test_functional_arithmetic_and_hash():
     assert (a - b).is_zero()
 
 
+def test_is_zero_agrees_with_the_full_invariant():
+    rng = random.Random(7)
+    vp, lg = da.v_jet(1), da.log_v()
+    cases = [da.u_jet(0), da.const(2), vp * vp * lg, da.total_derivative(da.v_jet(2) * lg)]
+    cases += [helpers.rand_function(rng) for _ in range(30)]
+    cases += [da.total_derivative(helpers.rand_function(rng)) for _ in range(10)]
+    for f in cases:
+        du, dv, c = LocalFunctional(f)._invariant()
+        want = not du and not dv and not c
+        lf = LocalFunctional(f)
+        assert lf.is_zero() == want
+        # whether or not is_zero stopped early, equality and hashing still hold
+        assert lf == LocalFunctional(f)
+        assert hash(lf) == hash(LocalFunctional(f))
+    # a function of v alone is settled by its Euler derivative in v
+    assert not LocalFunctional(vp * vp * lg).is_zero()
+
+
 def test_to_text_canonical_forms():
     f = da.u_jet(0) * da.v_pow(-1) - da.v_pow(-3) * da.v_jet(1) ** 2 / 2
     assert da.to_text(f) == "u*v^-1 - v^-3*(v')^2/2"
     assert da.to_text(da.u_jet(5)) == "u^(5)"
     assert da.to_text(da.log_v() * 2) == "2*log(v)"
     assert da.to_text(ZERO) == "0"
+
+
+def _canonical_coeffs(f):
+    return all(
+        type(c) is int or (type(c) is QQ and c.denominator != 1) for _m, c in f.terms
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fn_strategy(max_order=2, max_exp=2),
+    fn_strategy(max_order=2, max_exp=2),
+    st.integers(min_value=-6, max_value=6).filter(bool),
+)
+def test_coefficients_are_int_or_proper_fraction(a, b, k):
+    from magri import varcalc as vc
+    from magri.errors import NoSolution
+
+    outs = [a + b, a - b, a * b, a * k, a / k, a / QQ(k, 3), -a]
+    outs.append(da.total_derivative(a, 2))
+    for gen in ((U, 0), (U, 1), (V, 0), (V, 2), (LOG_VAR, 0)):
+        outs.append(da.partial_derivative(a, gen))
+    outs += [da.euler_derivative(a, U), da.euler_derivative(a, V)]
+    outs.append(da.antiderivative(da.total_derivative(a * k)))
+    try:
+        outs.append(vc.integrate_exact(vc.variational_derivative(a)).rep)
+    except NoSolution:
+        pass  # a known gap of the v-only solver on some log inputs
+    for f in outs:
+        assert _canonical_coeffs(f), f.terms
+
+
+def test_coefficient_entry_and_division_are_exact():
+    u = da.u_jet(0)
+    assert (u / 2).terms == ((((U, 0, 1),), QQ(1, 2)),)
+    assert type((u / 2).terms[0][1]) is QQ
+    assert type((2 * u / 2).terms[0][1]) is int
+    assert type((u * QQ(4, 2)).terms[0][1]) is int
+    assert type((u * True).terms[0][1]) is int
+    assert type(da.const(QQ(6, 3)).constant_term()) is int
+    assert type(da.normalize([("3/1", ())]).constant_term()) is int
+    with pytest.raises(TypeError):
+        da.const(0.5)
+
+
+def test_integration_in_one_generator_divides_exactly():
+    # the primitive of u' in u' is (u')^2/2
+    got = da._integrate_in_generator(da.u_jet(1), U, 1)
+    assert got == da.u_jet(1) ** 2 / 2
+    assert type(got.terms[0][1]) is QQ
+
+
+def test_antiderivative_fuel_limit_raises(monkeypatch):
+    from magri.errors import FuelExhausted
+
+    # (u')^2 + u^3 is recovered in two rounds: order 2, then order 1
+    f = da.total_derivative(da.u_jet(1) ** 2 + da.u_jet(0) ** 3)
+    monkeypatch.setattr(da, "_ANTIDERIVATIVE_FUEL", 1)
+    with pytest.raises(FuelExhausted):
+        da.antiderivative(f)
+    monkeypatch.setattr(da, "_ANTIDERIVATIVE_FUEL", 2)
+    assert da.total_derivative(da.antiderivative(f)) == f
+    assert da.antiderivative(da.u_jet(0)) is None

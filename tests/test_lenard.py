@@ -153,3 +153,17 @@ def test_ansatz_space_empty():
 def test_run_rejects_bad_args():
     with pytest.raises(MagriError):
         lenard.run_hierarchy(0, 2, 1)
+    with pytest.raises(MagriError, match="nonnegative"):
+        lenard.run_hierarchy(1, 0, -1)
+
+
+def test_normalize_kernel_divides_exactly():
+    # the (1,1) kernel marker is u^2 with coefficient 4, so a unit u^2
+    # coefficient is removed with the non-integral factor 1/4
+    u = da.u_jet(0)
+    got = lenard._normalize_kernel(1, (u * u, ZERO))
+    xi11 = lenard.seed(1, 1).gradient
+    assert got == (u * u - xi11[0] / 4, -xi11[1] / 4)
+    assert got[1].terms == ((((da.V, 0, 2),), QQ(-1, 8)),)
+    assert type(got[1].terms[0][1]) is QQ
+

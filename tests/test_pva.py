@@ -7,6 +7,7 @@ import random
 import pytest
 
 import helpers
+import magri
 import oracle
 from magri import diffalg as da
 from magri import diffop as dop
@@ -110,6 +111,25 @@ def test_incompatible_pair_detected():
     assert pva.is_poisson(m1)
     assert pva.is_poisson(m2)
     assert not pva.is_compatible(m1, m2)
+
+
+def test_is_poisson_ignores_rational_scaling():
+    # every jacobiator is quadratic in H, so the check may run on an
+    # integral multiple of H without changing the verdict
+    h0, h1 = magri.builtin_pair()
+    assert pva.is_poisson(h0 * QQ(3, 4))
+    assert pva.is_poisson(h0 + h1 * QQ(-7, 3))
+    zero = dop.ScalarDiffOp()
+    vir = dop.ScalarDiffOp([(0, da.u_jet(1)), (1, da.u_jet(0) * 2)])
+    m1 = dop.MatrixDiffOp([[vir, zero], [zero, dop.D]])
+    m2 = dop.MatrixDiffOp([[zero, dop.D], [dop.D, zero]])
+    assert not pva.is_poisson(m1 + m2 * QQ(1, 2))
+    h = h0 * QQ(1, 4) + h1 * QQ(5, 6)
+    scaled = pva._integral_multiple(h)
+    assert scaled == h * 12
+    coeffs = [c for row in scaled.entries for op in row for _k, f in op.terms for _m, c in f.terms]
+    assert all(type(c) is int for c in coeffs)
+    assert pva._integral_multiple(h0) is h0
 
 
 def test_poisson_bracket_antisymmetry():

@@ -136,3 +136,43 @@ def test_default_widen_cap_env(monkeypatch):
     assert vc.default_widen_cap() == 2
     monkeypatch.setenv("LENARD_WIDEN_CAP", "5")
     assert vc.default_widen_cap() == 5
+
+
+def test_homotopies_divide_exactly():
+    u, v = da.u_jet(0), da.v_jet(0)
+    got = vc._u_homotopy(u * u)
+    assert got == u ** 3 / 3
+    assert type(got.terms[0][1]) is QQ
+    got = vc._poly_homotopy((u, v * v))
+    assert got == u * u / 2 + v ** 3 / 3
+    assert all(type(c) is QQ for _m, c in got.terms)
+
+
+def test_inhomogeneous_v_problem_has_no_solution():
+    from magri.errors import NoSolution
+
+    vp = da.v_jet(1)
+    with pytest.raises(NoSolution, match="weight"):
+        vc._solve_v_density(vp + vp * vp, 2)
+
+
+def test_v_problem_out_of_reach_in_log_has_no_solution():
+    from magri.errors import NoSolution
+
+    # a candidate is free of log v, or is log(v) times a monomial with no
+    # power of v, and the terms in log v of its Euler derivative keep that
+    # shape ...
+    for wt in (4, 6, 8):
+        for m in vc._v_candidates(wt, 5, -4, include_log=True):
+            for mm, _c in vc._euler_mono(m, V).terms:
+                j = da.mono_exp(mm, da.LOG_VAR, 0)
+                assert j == 0 or (j == 1 and da.mono_exp(mm, V, 0) == 0)
+    # ... so a right side with any other term in log v is out of reach of
+    # every widening round
+    v, vp, vpp, lg = da.v_jet(0), da.v_jet(1), da.v_jet(2), da.log_v()
+    for g in (vp * vp * lg * lg * da.v_pow(-1), vpp * vpp * v * lg):
+        with pytest.raises(NoSolution, match="widening cap"):
+            vc._solve_v_density(g, 2)
+    for h in (vp * vp * lg * lg, vpp ** 4 * v * v * lg):
+        with pytest.raises(NoSolution, match="widening cap"):
+            vc.integrate_exact(vc.variational_derivative(h))
