@@ -21,6 +21,12 @@ Values are immutable and every operation returns a canonical form;
 every division of coefficients goes through :func:`coeff_div`, so
 nothing here touches floating point.
 
+A sum of products is built in one pass: :func:`addmul_into` adds each
+product into a plain ``{monomial: coefficient}`` dict, and
+:meth:`DiffFunction.from_dict` turns the dict into a canonical value
+once at the end.  Summing with ``acc = acc + a * b`` instead would copy
+and re-sort the whole partial sum on every step.
+
 The total derivative acts by u_i^(n) -> u_i^(n+1) extended as a
 derivation, with d(v^-1) = -v'*v^-2 and d(log v) = v'/v.  Partial
 derivatives satisfy the shift relation [d/du_i^(n), d] = d/du_i^(n-1).
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import FuelExhausted, MagriError
 
@@ -90,6 +97,40 @@ def mono_mul(m1, m2):
     out.extend(m1[i:])
     out.extend(m2[j:])
     return tuple(out)
+
+
+def addmul_into(acc, f, g, k=1):
+    """Add k*f*g into ``acc``, a {monomial: coefficient} dict.
+
+    Terms that cancel stay in the dict with coefficient 0, and sums of
+    coefficients are left as they come; :meth:`DiffFunction.from_dict`
+    drops the zeros and makes the rest canonical.
+    """
+    get = acc.get
+    gt = g._t
+    for m1, c1 in f._t:
+        if k != 1:
+            c1 = c1 * k
+        for m2, c2 in gt:
+            m = mono_mul(m1, m2)
+            acc[m] = get(m, 0) + c1 * c2
+
+
+def dot(a, b):
+    """The sum of the products a_i * b_i of two vectors of functions."""
+    acc = {}
+    for x, y in zip(a, b):
+        addmul_into(acc, x, y)
+    return DiffFunction.from_dict(acc)
+
+
+def common_denominator(fs):
+    """The lcm of the coefficient denominators of the functions ``fs``."""
+    den = 1
+    for f in fs:
+        for _m, c in f._t:
+            den = lcm(den, c.denominator)
+    return den
 
 
 def mono_exp(m, var, order):
@@ -248,14 +289,7 @@ class DiffFunction:
         if not isinstance(other, DiffFunction):
             return NotImplemented
         acc = {}
-        for m1, c1 in self._t:
-            for m2, c2 in other._t:
-                m = mono_mul(m1, m2)
-                s = acc.get(m, 0) + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
+        addmul_into(acc, self, other)
         return DiffFunction.from_dict(acc)
 
     __rmul__ = __mul__
@@ -327,33 +361,42 @@ def normalize(raw):
 
 # -- derivations -------------------------------------------------------------
 
-_DX_GEN = {}
+_DX_SHIFT = {}
 
 
-def _dx_generator(var, order):
-    """Total derivative of a single generator, as a DiffFunction."""
+def _dx_shift(var, order):
+    """The monomial g'/g for the generator g = (var, order).
+
+    For a jet x^(n) that is x^(n+1)/x^(n); for log v it is v'/(v log v).
+    One tuple per generator, so that the memo entries of _dx_mono share
+    the factors they gain.
+    """
     key = (var, order)
-    f = _DX_GEN.get(key)
-    if f is None:
+    shift = _DX_SHIFT.get(key)
+    if shift is None:
         if var == LOG_VAR:
-            f = DiffFunction.from_terms([(1, ((V, 0, -1), (V, 1, 1)))])
+            shift = ((V, 0, -1), (V, 1, 1), (LOG_VAR, 0, -1))
         else:
-            f = jet(var, order + 1)
-        _DX_GEN[key] = f
-    return f
+            shift = ((var, order, -1), (var, order + 1, 1))
+        _DX_SHIFT[key] = shift
+    return shift
 
 
 _DX_MONO = {}
 
 
 def _dx_mono(m):
+    """Total derivative of a monomial by the product rule.
+
+    A factor g^e of m contributes e * m * g'/g.
+    """
     f = _DX_MONO.get(m)
     if f is None:
-        acc = ZERO
-        for i, (var, order, exp) in enumerate(m):
-            rest = _mono_shift(m, var, order, -1)
-            acc = acc + _dx_generator(var, order) * DiffFunction([(rest, exp)])
-        _DX_MONO[m] = f = acc
+        acc = {}
+        for var, order, exp in m:
+            dm = mono_mul(m, _dx_shift(var, order))
+            acc[dm] = acc.get(dm, 0) + exp
+        _DX_MONO[m] = f = DiffFunction.from_dict(acc)
     return f
 
 
@@ -618,8 +661,8 @@ def _integrate_in_generator(b, var, order):
     integral in v; every other generator is an ordinary polynomial
     variable.
     """
-    acc = ZERO
     if var == V and order == 0:
+        acc = {}
         for m, c in b.terms:
             k = mono_exp(m, V, 0)
             j = mono_exp(m, LOG_VAR, 0)
@@ -628,13 +671,16 @@ def _integrate_in_generator(b, var, order):
                 rest = _mono_shift(rest, V, 0, -k)
             if j:
                 rest = _mono_shift(rest, LOG_VAR, 0, -j)
-            part = _integrate_v_monomial(k, j) * DiffFunction([(rest, c)])
-            acc = acc + part
-        return acc
-    for m, c in b.terms:
-        e = mono_exp(m, var, order)
-        acc = acc + DiffFunction([(_mono_shift(m, var, order, 1), coeff_div(c, e + 1))])
-    return acc
+            addmul_into(acc, _integrate_v_monomial(k, j), DiffFunction([(rest, 1)]), c)
+        return DiffFunction.from_dict(acc)
+    # raising the exponent of one generator maps distinct monomials to
+    # distinct monomials, so no two terms merge
+    return DiffFunction.from_dict(
+        {
+            _mono_shift(m, var, order, 1): coeff_div(c, mono_exp(m, var, order) + 1)
+            for m, c in b.terms
+        }
+    )
 
 
 _TAG_RESULT = {

@@ -130,22 +130,16 @@ D = ScalarDiffOp([(1, ONE)])
 
 def compose(a, b):
     """Left-normal form of the composition a . b."""
-    acc = {}
+    acc = {}  # power of d -> {monomial: coefficient}
     for k, ak in a.terms:
         for j, bj in b.terms:
             g = bj
             for m in range(k + 1):
                 # d^k . b = sum_m C(k, m) b^(m) d^(k-m)
-                piece = ak * g * comb(k, m)
-                deg = k - m + j
-                s = acc.get(deg, ZERO) + piece
-                if s:
-                    acc[deg] = s
-                else:
-                    acc.pop(deg, None)
+                da.addmul_into(acc.setdefault(k - m + j, {}), ak, g, comb(k, m))
                 if m < k:
                     g = da.total_derivative(g)
-    return ScalarDiffOp.from_dict(acc)
+    return ScalarDiffOp.from_dict({deg: DiffFunction.from_dict(d) for deg, d in acc.items()})
 
 
 def adjoint_scalar(a):
@@ -167,19 +161,20 @@ def adjoint_scalar(a):
     return ScalarDiffOp.from_dict(acc)
 
 
-def apply_scalar(a, f):
-    acc = ZERO
-    powers = {0: f}
-    top = a.degree()
-    if top is None:
-        return ZERO
-    g = f
-    for k in range(1, top + 1):
-        g = da.total_derivative(g)
-        powers[k] = g
+def _apply_into(acc, a, f):
+    """Add a(f) = sum_k a_k * d^k f into acc, a {monomial: coefficient} dict."""
+    g, n = f, 0
     for k, ak in a.terms:
-        acc = acc + ak * powers[k]
-    return acc
+        while n < k:
+            g = da.total_derivative(g)
+            n += 1
+        da.addmul_into(acc, ak, g)
+
+
+def apply_scalar(a, f):
+    acc = {}
+    _apply_into(acc, a, f)
+    return DiffFunction.from_dict(acc)
 
 
 class MatrixDiffOp:
@@ -278,11 +273,11 @@ def apply(h, vec):
     if len(vec) != m:
         raise DimensionMismatch(f"operator takes {m} components, got {len(vec)}")
     out = []
-    for i in range(n):
-        acc = ZERO
-        for j in range(m):
-            acc = acc + apply_scalar(h.entries[i][j], vec[j])
-        out.append(acc)
+    for row in h.entries:
+        acc = {}
+        for a, f in zip(row, vec):
+            _apply_into(acc, a, f)
+        out.append(DiffFunction.from_dict(acc))
     return tuple(out)
 
 

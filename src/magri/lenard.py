@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from . import diffalg as da
 from . import diffop as dop
 from . import linsolve
-from . import pva
 from . import varcalc as vc
 from .diffalg import DiffFunction, LocalFunctional, QQ, ZERO, ONE, U, V, LOG_VAR
 from .errors import EmptyAnsatz, MagriError, NoSolution, NotClosed
@@ -305,16 +304,15 @@ def lm_step(eps, grad, method="recursion", order_bounds=None, v_floor=None, wide
 
     The input must be a variational gradient (closed); the output is
     normalized against the kernel of H_eps and verified exactly before
-    being returned.
+    being returned.  A negative ``widen_cap`` raises MagriError.
     """
     grad = tuple(grad)
     if len(grad) != 2:
         raise MagriError("gradients here have two components")
+    widen_cap = vc.resolve_widen_cap(widen_cap)
     rep = vc.is_closed(grad)
     if not rep:
         raise NotClosed(f"gradient input is not closed; entry {rep.witness}")
-    if widen_cap is None:
-        widen_cap = vc.default_widen_cap()
     b = dop.apply(structure(1 - eps), grad)
     if not any(b):
         return (ZERO, ZERO)
@@ -349,13 +347,6 @@ class HierarchyRun:
     checks: dict
 
 
-def _dot(a, b):
-    acc = ZERO
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
-
-
 def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, widen_cap=None):
     """Iterate the recursion from a seed and package the verified chain.
 
@@ -364,10 +355,11 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, wi
     equal to H_eps xi_{n+1}, which lm_step verifies).  Runtime checks
     record closedness, subspace memberships, density consistency and
     Casimir conservation for the alpha = 1 chains.  Raises MagriError
-    for a negative ``steps``.
+    for a negative ``steps`` or ``widen_cap``.
     """
     if steps < 0:
         raise MagriError(f"steps must be nonnegative, got {steps}")
+    widen_cap = vc.resolve_widen_cap(widen_cap)
     s = seed(eps, alpha)
     gradients = [s.gradient]
     densities = [s.density] if with_densities else []
@@ -397,7 +389,7 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, wi
     if alpha == 1:
         other = seed(eps, 0).gradient
         for p in flows:
-            paired = LocalFunctional(_dot(other, p))
+            paired = LocalFunctional(da.dot(other, p))
             checks["casimir_pairing"] = checks["casimir_pairing"] and paired.is_zero()
     orders = [
         (da.differential_order(g[0]), da.differential_order(g[1])) for g in gradients
@@ -428,12 +420,28 @@ class InvolutivityReport:
     all_ok: bool
 
 
+def _integral_multiple(vec):
+    """vec times the lcm of its coefficient denominators, so integral."""
+    den = da.common_denominator(vec)
+    return tuple(vec) if den == 1 else tuple(f * den for f in vec)
+
+
 def involutivity_report(runs, include_flows=True):
     """Check that all densities of the given runs are in involution.
 
     Every pair of densities is bracketed under both built-in structures
     and every pair of flows is commutated; the report carries the full
     boolean matrices and the conjunction.
+
+    Work shared between pairs is done once per report: the gradient
+    grad h of each density, H grad h for each structure H, and each
+    flow's Frechet derivative and derivative tower (a
+    :class:`varcalc.FlowData`, released after the flow's last pair).
+    The bracket of h_i and h_j is the integral of grad h_j . H grad h_i.
+    Every zero test runs on integral multiples of the gradients and
+    flows: the bracket and the commutator are bilinear, so scaling an
+    argument by a nonzero rational scales the result and keeps it zero
+    or nonzero, while the arithmetic stays in plain ints.
     """
     labels = []
     densities = []
@@ -444,19 +452,26 @@ def involutivity_report(runs, include_flows=True):
             densities.append(dens)
             flows.append(run.flows[n] if n < len(run.flows) else None)
     m = len(densities)
+    grads = [_integral_multiple(vc.variational_derivative(d)) for d in densities]
+    hgrads = [[dop.apply(h, x) for x in grads] for h in (H0, H1)]
+    flow_data = [
+        vc.FlowData(_integral_multiple(p)) if include_flows and p is not None else None
+        for p in flows
+    ]
     b0 = [[True] * m for _ in range(m)]
     b1 = [[True] * m for _ in range(m)]
     fc = [[True] * m for _ in range(m)]
     ok = True
     for i in range(m):
         for j in range(i, m):
-            for mat, h in ((b0, H0), (b1, H1)):
-                val = pva.poisson_bracket(densities[i], densities[j], h).is_zero()
+            for mat, hg in zip((b0, b1), hgrads):
+                val = LocalFunctional(da.dot(grads[j], hg[i])).is_zero()
                 mat[i][j] = mat[j][i] = val
                 ok = ok and val
-            if include_flows and flows[i] is not None and flows[j] is not None:
-                comm = vc.evolutionary_commutator(flows[i], flows[j])
+            if flow_data[i] is not None and flow_data[j] is not None:
+                comm = vc.evolutionary_commutator(flow_data[i], flow_data[j])
                 val = not any(comm)
                 fc[i][j] = fc[j][i] = val
                 ok = ok and val
+        flow_data[i] = None  # pairs (i, j) with j >= i were its last
     return InvolutivityReport(labels, b0, b1, fc, ok)

@@ -20,7 +20,7 @@ in the differential ring, never numerical.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import diffalg as da
 from . import diffop as dop
@@ -144,6 +144,16 @@ class LambdaMuPoly:
         return f"LambdaMuPoly({[(ab, da.to_text(f)) for ab, f in self._t]})"
 
 
+def _addmul_poly_into(acc, c, lp, k=1):
+    """Add k*c*lp into acc, a {power of lambda: {monomial: coefficient}} dict."""
+    for s, f in lp.terms:
+        da.addmul_into(acc.setdefault(s, {}), c, f, k)
+
+
+def _poly_from_acc(acc):
+    return LambdaPoly.from_dict({s: DiffFunction.from_dict(d) for s, d in acc.items()})
+
+
 def _shift_once(lp):
     """(lambda + d) applied to a lambda polynomial."""
     d = {}
@@ -155,21 +165,17 @@ def _shift_once(lp):
     return LambdaPoly.from_dict(d)
 
 
-def _op_shift_apply(op, lp):
-    """A(lambda + d) applied to a lambda polynomial, A a scalar operator."""
-    if not op or not lp:
-        return LambdaPoly()
-    out = LambdaPoly()
-    powers = lp
-    top = op.degree()
-    by_deg = dict(op.terms)
-    for k in range(top + 1):
-        c = by_deg.get(k)
-        if c:
-            out = out + powers.scale(c)
-        if k < top:
+def _op_shift_apply_into(acc, op, lp, k=1):
+    """Add k * A(lambda + d) applied to a lambda polynomial into acc.
+
+    A is a scalar operator and acc a dict as in :func:`_addmul_poly_into`.
+    """
+    powers, n = lp, 0
+    for deg, c in op.terms:
+        while n < deg:
             powers = _shift_once(powers)
-    return out
+            n += 1
+        _addmul_poly_into(acc, c, powers, k)
 
 
 def _require_skew(h):
@@ -196,7 +202,7 @@ def generator_bracket(h, i, j):
 def _bracket_gen_fun(h, i, g):
     """{u_i lambda g} by the master formula (no skew re-check)."""
     n, _ = h.shape
-    out = LambdaPoly()
+    acc = {}
     for j in range(n):
         col = LambdaPoly(list(h.entries[j][i - 1].terms))
         if not col:
@@ -208,10 +214,10 @@ def _bracket_gen_fun(h, i, g):
         for order in range(top + 1):
             c = da.partial_derivative(g, (j, order))
             if c:
-                out = out + shifted.scale(c)
+                _addmul_poly_into(acc, c, shifted)
             if order < top:
                 shifted = _shift_once(shifted)
-    return out
+    return _poly_from_acc(acc)
 
 
 def bracket_with_function(h, i, g):
@@ -226,7 +232,7 @@ def lambda_bracket(h, f, g):
     h = _as_matrix(h)
     _require_skew(h)
     n, _ = h.shape
-    out = LambdaPoly()
+    acc = {}
     for k in range(1, n + 1):
         p = _bracket_fun_gen(h, f, k)
         if not p:
@@ -238,16 +244,16 @@ def lambda_bracket(h, f, g):
         for order in range(top + 1):
             c = da.partial_derivative(g, (k - 1, order))
             if c:
-                out = out + shifted.scale(c)
+                _addmul_poly_into(acc, c, shifted)
             if order < top:
                 shifted = _shift_once(shifted)
-    return out
+    return _poly_from_acc(acc)
 
 
 def _bracket_fun_gen(h, g, k):
     """{g nu u_k} as a polynomial in nu = lambda + mu."""
     n, _ = h.shape
-    out = LambdaPoly()
+    acc = {}
     for m in range(n):
         op = h.entries[k - 1][m]
         if not op:
@@ -255,7 +261,7 @@ def _bracket_fun_gen(h, g, k):
         top = da.max_order(g, m)
         if top is None:
             continue
-        # inner = (-nu - d)^order dg/du_m^(order), built iteratively
+        # (-nu - d)^order dg/du_m^(order) = (-1)^order (nu + d)^order dg/du_m^(order)
         for order in range(top + 1):
             c = da.partial_derivative(g, (m, order))
             if not c:
@@ -263,10 +269,8 @@ def _bracket_fun_gen(h, g, k):
             inner = LambdaPoly([(0, c)])
             for _ in range(order):
                 inner = _shift_once(inner)
-            if order % 2:
-                inner = -inner
-            out = out + _op_shift_apply(op, inner)
-    return out
+            _op_shift_apply_into(acc, op, inner, -1 if order % 2 else 1)
+    return _poly_from_acc(acc)
 
 
 def _subst_sum(nu_poly):
@@ -323,12 +327,7 @@ def jacobiator(h, i, j, k):
 
 def _integral_multiple(h):
     """h times the lcm of its coefficient denominators, so integral."""
-    den = 1
-    for row in h.entries:
-        for op in row:
-            for _k, f in op.terms:
-                for _m, c in f.terms:
-                    den = lcm(den, c.denominator)
+    den = da.common_denominator(f for row in h.entries for op in row for _k, f in op.terms)
     return h if den == 1 else h * den
 
 
@@ -376,11 +375,7 @@ def poisson_bracket(f, g, h):
     n, _ = h.shape
     xf = vc.variational_derivative(f, n)
     xg = vc.variational_derivative(g, n)
-    flow = dop.apply(h, xf)
-    acc = ZERO
-    for gi, pi in zip(xg, flow):
-        acc = acc + gi * pi
-    return LocalFunctional(acc)
+    return LocalFunctional(da.dot(xg, dop.apply(h, xf)))
 
 
 def hamiltonian_flow(h, f):

@@ -26,7 +26,7 @@ from .diffalg import (
     coeff_div,
     mono_exp,
 )
-from .errors import NoSolution, NotClosed
+from .errors import DimensionMismatch, MagriError, NoSolution, NotClosed
 
 
 def variational_derivative(f, nvars=2):
@@ -83,12 +83,51 @@ def is_closed(vec):
     return ClosednessReport(True)
 
 
+class FlowData:
+    """An evolutionary vector field with the data its commutators reuse.
+
+    Holds the Frechet derivative of the field and, per component P_j,
+    the tower P_j, d P_j, d^2 P_j, ..., extended on demand, so that a
+    field commutated with many others differentiates each component
+    once.
+    """
+
+    __slots__ = ("components", "frechet", "_towers")
+
+    def __init__(self, vec):
+        self.components = tuple(vec)
+        self.frechet = frechet(self.components)
+        self._towers = [[c] for c in self.components]
+
+    def derivative(self, j, n):
+        """d^n of component j."""
+        tower = self._towers[j]
+        while len(tower) <= n:
+            tower.append(da.total_derivative(tower[-1]))
+        return tower[n]
+
+
 def evolutionary_commutator(p, q):
-    """Commutator of evolutionary vector fields: D_Q(P) - D_P(Q)."""
-    p, q = tuple(p), tuple(q)
-    a = dop.apply(frechet(q), p)
-    b = dop.apply(frechet(p), q)
-    return tuple(x - y for x, y in zip(a, b))
+    """Commutator of evolutionary vector fields: D_Q(P) - D_P(Q).
+
+    Each argument is a vector or a :class:`FlowData`, whose Frechet
+    derivative and derivative tower are reused.
+    """
+    p = p if isinstance(p, FlowData) else FlowData(p)
+    q = q if isinstance(q, FlowData) else FlowData(q)
+    if len(p.components) != len(q.components):
+        raise DimensionMismatch("commutated fields have different numbers of components")
+    out = []
+    for dq_row, dp_row in zip(q.frechet.entries, p.frechet.entries):
+        acc = {}
+        for j, (dq, dp) in enumerate(zip(dq_row, dp_row)):
+            # entry (i, j) of a Frechet derivative is sum_n dF_i/du_j^(n) d^n
+            for n, c in dq.terms:
+                da.addmul_into(acc, c, p.derivative(j, n))
+            for n, c in dp.terms:
+                da.addmul_into(acc, c, q.derivative(j, n), -1)
+        out.append(DiffFunction.from_dict(acc))
+    return tuple(out)
 
 
 # -- integration of exact vectors -------------------------------------------
@@ -104,22 +143,21 @@ def _poly_homotopy(vec):
     Valid when every component stays polynomial (no negative v powers,
     no log); each monomial m of F_i contributes x_i * m / (deg m + 1).
     """
-    h = ZERO
+    acc = {}
     gens = (da.u_jet(0), da.v_jet(0))
     for i, fi in enumerate(vec):
-        for m, c in fi.terms:
-            deg = sum(e for _v, _n, e in m)
-            h = h + gens[i] * DiffFunction([(m, coeff_div(c, deg + 1))])
-    return h
+        scaled = DiffFunction(
+            [(m, coeff_div(c, sum(e for _v, _n, e in m) + 1)) for m, c in fi.terms]
+        )
+        da.addmul_into(acc, gens[i], scaled)
+    return DiffFunction.from_dict(acc)
 
 
 def _u_homotopy(f):
     """u-dependent density part: u * f with each monomial scaled by 1/(deg_u + 1)."""
-    h = ZERO
-    uu = da.u_jet(0)
-    for m, c in f.terms:
-        h = h + uu * DiffFunction([(m, coeff_div(c, _u_degree(m) + 1))])
-    return h
+    return da.u_jet(0) * DiffFunction(
+        [(m, coeff_div(c, _u_degree(m) + 1)) for m, c in f.terms]
+    )
 
 
 def _v_only(f):
@@ -192,6 +230,15 @@ def default_widen_cap():
         return max(0, int(os.environ.get("LENARD_WIDEN_CAP", "2")))
     except ValueError:
         return 2
+
+
+def resolve_widen_cap(widen_cap):
+    """The widening cap to use: the default for None; raises MagriError if negative."""
+    if widen_cap is None:
+        return default_widen_cap()
+    if widen_cap < 0:
+        raise MagriError(f"widen_cap must be nonnegative, got {widen_cap}")
+    return widen_cap
 
 
 _EULER_MONO = {}
@@ -280,14 +327,14 @@ def integrate_exact(vec, widen_cap=None):
     variables alone (u enters polynomially always) and the remaining
     v-only problem is solved against a weight-homogeneous candidate
     space, widened at most ``widen_cap`` times (order bound +2, Laurent
-    floor -2 per round).  Raises NotClosed or NoSolution.
+    floor -2 per round).  Raises NotClosed or NoSolution, and MagriError
+    for a negative ``widen_cap``.
     """
     vec = tuple(vec)
+    widen_cap = resolve_widen_cap(widen_cap)
     rep = is_closed(vec)
     if not rep:
         raise NotClosed(f"vector is not a variational gradient; entry {rep.witness}")
-    if widen_cap is None:
-        widen_cap = default_widen_cap()
     if all(da.subalgebra_member(f, da.V_PLUS) for f in vec):
         h = _poly_homotopy(vec)
     else:

@@ -296,6 +296,15 @@ def test_negative_steps_exit_four(capsys):
     assert err.startswith("INPUT_ERROR")
 
 
+def test_negative_widen_cap_exits_four(capsys):
+    code, out, err = _run(
+        capsys, "hierarchy", "--eps", "0", "--alpha", "1", "--steps", "1", "--widen-cap", "-1"
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("INPUT_ERROR") and "widen_cap" in err
+
+
 def _three_calls(capsys, path):
     seen = []
     for argv in (
@@ -323,6 +332,11 @@ GOLDEN_SHA256 = {
     "latex": "42ad0da3d77de18b7dbda88e6067b91983f3a3fc9db7581bc4db34f463bebce3",
 }
 
+# SHA-256 of the JSON stdout of `magri hierarchy --eps 0 --alpha 0 --steps 1`:
+# the eps = 0 chain runs through negative powers of v, the antiderivative
+# and the Laurent branch of exact integration.
+GOLDEN_SHA256_E0A0 = "fdc5b31f558527acf2dadb4d24eb2b7e46d56f0470c4a05486bbdfb77b489ee6"
+
 
 def test_hierarchy_output_is_pinned(capsys):
     for kind, extra in (("json", ()), ("latex", ("--latex",))):
@@ -331,3 +345,9 @@ def test_hierarchy_output_is_pinned(capsys):
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[kind], kind
+
+
+def test_eps0_hierarchy_output_is_pinned(capsys):
+    code, out, _ = _run(capsys, "hierarchy", "--eps", "0", "--alpha", "0", "--steps", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_E0A0

@@ -280,3 +280,59 @@ def test_antiderivative_fuel_limit_raises(monkeypatch):
     monkeypatch.setattr(da, "_ANTIDERIVATIVE_FUEL", 2)
     assert da.total_derivative(da.antiderivative(f)) == f
     assert da.antiderivative(da.u_jet(0)) is None
+
+
+def test_addmul_into_matches_the_naive_sum():
+    rng = random.Random(61)
+    for _ in range(40):
+        acc = {}
+        want = ZERO
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            f, g = helpers.rand_function(rng), helpers.rand_function(rng)
+            k = rng.choice((1, -1, 3, QQ(2, 3), QQ(-5, 4)))
+            da.addmul_into(acc, f, g, k)
+            want = want + f * g * k
+            # the same product, monomial by monomial, without addmul_into
+            pairs += [
+                (k * c1 * c2, m1 + m2) for m1, c1 in f.terms for m2, c2 in g.terms
+            ]
+        got = da.DiffFunction.from_dict(acc)
+        assert got == want == da.normalize(pairs)
+        assert _canonical_coeffs(got), got.terms
+    # products that cancel leave zeros behind, and from_dict drops them
+    f, g = helpers.rand_function(rng), helpers.rand_function(rng)
+    acc = {}
+    da.addmul_into(acc, f, g)
+    da.addmul_into(acc, g, f, -1)
+    assert da.DiffFunction.from_dict(acc) == ZERO
+
+
+def _dx_mono_by_factors(m):
+    """The total derivative of a monomial, one DiffFunction mul and add per factor."""
+    acc = ZERO
+    for var, order, exp in m:
+        if var == LOG_VAR:
+            d_gen = da.v_jet(1) * da.v_pow(-1)
+        else:
+            d_gen = da.jet(var, order + 1)
+        rest = da._mono_shift(m, var, order, -1)
+        acc = acc + d_gen * da.DiffFunction([(rest, exp)])
+    return acc
+
+
+def test_dx_mono_is_the_product_rule():
+    monos = [
+        ((V, 0, -3),),
+        ((V, 0, -1), (LOG_VAR, 0, 2)),
+        ((V, 0, 1), (LOG_VAR, 0, 1)),
+        ((U, 1, 2), (V, 0, -2), (V, 1, 1), (LOG_VAR, 0, 3)),
+        ((V, 0, -1), (V, 1, 1)),
+    ]
+    rng = random.Random(67)
+    for _ in range(200):
+        monos += [m for m, _c in helpers.rand_function(rng, terms=4).terms]
+    assert any(da.mono_exp(m, V, 0) < 0 for m in monos)
+    assert any(da.mono_exp(m, LOG_VAR, 0) > 1 for m in monos)
+    for m in monos:
+        assert da._dx_mono(m) == _dx_mono_by_factors(m), m

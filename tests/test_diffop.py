@@ -140,3 +140,22 @@ def test_apply_matches_rows():
             m.entries[i][1], vec[1]
         )
         assert out[i] == want
+
+
+def test_apply_is_the_sum_of_coefficients_times_derivatives():
+    # Laurent and log inputs; the reference sums a_k * d^k f term by term
+    def by_terms(a, f):
+        acc = da.ZERO
+        for k, ak in a.terms:
+            acc = acc + ak * da.total_derivative(f, k)
+        return acc
+
+    rng = random.Random(71)
+    for _ in range(20):
+        m = helpers.rand_matrix_op(rng, terms=2, max_order=2, max_exp=2)
+        vec = helpers.rand_vector(rng, terms=3, max_order=2, max_exp=2)
+        out = dop.apply(m, vec)
+        for i in range(2):
+            assert dop.apply_scalar(m.entries[i][0], vec[0]) == by_terms(m.entries[i][0], vec[0])
+            assert out[i] == by_terms(m.entries[i][0], vec[0]) + by_terms(m.entries[i][1], vec[1])
+    assert dop.apply_scalar(dop.ScalarDiffOp(), da.u_jet(0)) == da.ZERO

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import lenard
+from magri import pva
 from magri import varcalc as vc
-from magri.diffalg import QQ, ZERO
+from magri.diffalg import QQ, ZERO, LocalFunctional
 from magri.errors import EmptyAnsatz, MagriError
 
 
@@ -155,6 +158,18 @@ def test_run_rejects_bad_args():
         lenard.run_hierarchy(0, 2, 1)
     with pytest.raises(MagriError, match="nonnegative"):
         lenard.run_hierarchy(1, 0, -1)
+    for steps in (0, 1):
+        with pytest.raises(MagriError, match="widen_cap must be nonnegative"):
+            lenard.run_hierarchy(0, 1, steps, widen_cap=-1)
+
+
+def test_negative_widen_cap_is_rejected():
+    s = lenard.seed(0, 1)
+    with pytest.raises(MagriError, match="widen_cap must be nonnegative"):
+        lenard.lm_step(0, s.gradient, method="ansatz", widen_cap=-1)
+    with pytest.raises(MagriError, match="widen_cap must be nonnegative"):
+        vc.integrate_exact(s.gradient, widen_cap=-1)
+    assert vc.integrate_exact(s.gradient, widen_cap=0) == s.density
 
 
 def test_normalize_kernel_divides_exactly():
@@ -167,3 +182,34 @@ def test_normalize_kernel_divides_exactly():
     assert got[1].terms == ((((da.V, 0, 2),), QQ(-1, 8)),)
     assert type(got[1].terms[0][1]) is QQ
 
+
+
+def test_involutivity_report_shows_each_failing_pair():
+    # (1, 0) chain densities u and h_1 plus a foreign density q; flows: a
+    # foreign field, P_1 and the translation P_0.  Only h_1 and q fail to
+    # commute under H0, and only the foreign field and P_1 fail to commute;
+    # the foreign data have fractional coefficients, so the report's
+    # integral scaling and its per-report caches are both on the path.
+    run = lenard.run_hierarchy(1, 0, 1)
+    u, v = da.u_jet(0), da.v_jet(0)
+    q = LocalFunctional(u * u * v * QQ(1, 2))
+    foreign = (u * da.u_jet(1) * QQ(1, 3), da.v_jet(1) * QQ(2, 5))
+    dens = [run.densities[0], run.densities[1], q]
+    flows = [foreign, run.flows[1], run.flows[0]]
+    report = lenard.involutivity_report([dataclasses.replace(run, densities=dens, flows=flows)])
+
+    def only(i, j):
+        return [[{a, b} != {i, j} for b in range(3)] for a in range(3)]
+
+    assert report.bracket_h0 == only(1, 2)
+    assert report.bracket_h1 == [[True] * 3 for _ in range(3)]
+    assert report.flows_commute == only(0, 1)
+    assert report.all_ok is False
+    # the same verdicts, pair by pair, from the unscaled and uncached routines
+    for a in range(3):
+        for b in range(3):
+            for mat, h in ((report.bracket_h0, lenard.H0), (report.bracket_h1, lenard.H1)):
+                assert mat[a][b] == pva.poisson_bracket(dens[a], dens[b], h).is_zero()
+            assert report.flows_commute[a][b] == (
+                not any(vc.evolutionary_commutator(flows[a], flows[b]))
+            )

@@ -13,7 +13,7 @@ from magri import diffalg as da
 from magri import diffop as dop
 from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, U, V, ZERO
-from magri.errors import NotClosed
+from magri.errors import DimensionMismatch, NotClosed
 
 
 def test_variational_derivative_components():
@@ -176,3 +176,23 @@ def test_v_problem_out_of_reach_in_log_has_no_solution():
     for h in (vp * vp * lg * lg, vpp ** 4 * v * v * lg):
         with pytest.raises(NoSolution, match="widening cap"):
             vc.integrate_exact(vc.variational_derivative(h))
+
+
+def test_commutator_on_flow_data_matches_tuples():
+    # Laurent and log inputs; one FlowData serves several commutators, its
+    # derivative tower growing and then being reused
+    rng = random.Random(73)
+    vecs = [helpers.rand_vector(rng, terms=2, max_order=3, max_exp=2) for _ in range(6)]
+    data = [vc.FlowData(p) for p in vecs]
+    for i, p in enumerate(vecs):
+        for j, q in enumerate(vecs):
+            want = tuple(
+                x - y
+                for x, y in zip(dop.apply(vc.frechet(q), p), dop.apply(vc.frechet(p), q))
+            )
+            assert vc.evolutionary_commutator(p, q) == want
+            assert vc.evolutionary_commutator(data[i], data[j]) == want
+            assert vc.evolutionary_commutator(data[i], q) == want
+    assert data[0].derivative(1, 2) == da.total_derivative(vecs[0][1], 2)
+    with pytest.raises(DimensionMismatch):
+        vc.evolutionary_commutator(data[0], vecs[1] + (ZERO,))
