@@ -3,26 +3,60 @@
 Ring conventions
 ----------------
 Generators are the jet variables u, u', u'', ... and v, v', v'', ...,
-encoded as pairs (variable, order) with u = 0 and v = 1.  The zeroth v
+written as pairs (variable, order) with u = 0 and v = 1.  The zeroth v
 generator is a Laurent variable: negative powers of v are allowed, every
 other generator carries nonnegative exponents.  One extra generator
 ``log v`` (code 2, order 0) makes the ring closed under integration of
 total derivatives; its total derivative is v'/v and partial derivatives
 treat it as a function of v.
 
-A monomial is a tuple of (variable, order, exponent) triples sorted by
-(variable, order).  A :class:`DiffFunction` is a tuple of (monomial,
-coefficient) pairs sorted by monomial, with no zero entries, so equal
-functions are equal tuples.  A coefficient is an ``int`` when it is
-integral and otherwise a ``Fraction`` with denominator > 1; it is never
-a float or a bool.  Most coefficients are integers, and plain ``int``
-arithmetic is several times faster than ``Fraction`` arithmetic.
-Values are immutable and every operation returns a canonical form;
-every division of coefficients goes through :func:`coeff_div`, so
-nothing here touches floating point.
+Packed monomials
+----------------
+Inside this module a monomial is one Python ``int``, its packed
+exponent vector (Monagan and Pearce, CASC 2007): the sum of
+e_g * 2^(W * slot(g)) over its factors g^e, with W = ``EXP_BITS``.
+Slot 0 holds v, slot 1 log v, and the jets follow interleaved by order:
+u in slot 2, and for n >= 1 v^(n) in slot 2n + 1 and u^(n) in slot
+2n + 2.  The encoding is linear, so the product of two monomials is the
+sum of their ints, the factor g'/g of the total derivative is one
+integer per generator, and an exponent is read with one shift and one
+mask.  Jet orders are unbounded because Python ints are.
+
+The v field, in slot 0, is the only signed one; a negative exponent
+borrows from the fields above it, which is why v sits in the lowest
+slot: adding ``_OFF`` = 2^(W-2) to a monomial makes every field
+nonnegative, and then each field is a plain W-bit group.  Exponents
+must stay in range: 0 <= e <= ``MAX_EXP`` = 2^(W-1) - 1 for every field
+but v, and ``MIN_V_EXP`` <= e <= ``MAX_V_EXP`` (+-2^(W-2)) for v.  The
+sum of two in-range monomials, or a monomial shifted by one g'/g,
+stays exact, and an exponent out of range sets the top bit of a field
+once ``_OFF`` is added (or makes the sum negative).  So the range is
+checked once per distinct result monomial, where a sum of products is
+made canonical (:meth:`DiffFunction.from_dict`), never per product; an
+exponent out of range raises :class:`~magri.errors.ExponentOverflow`, a
+``MagriError``, and never yields a wrong monomial.
+
+A :class:`DiffFunction` is a tuple of (packed monomial, coefficient)
+pairs sorted by the int, with no zero entries, so equal functions are
+equal tuples.  A coefficient is an ``int`` when it is integral and
+otherwise a ``Fraction`` with denominator > 1; it is never a float or a
+bool.  Most coefficients are integers, and plain ``int`` arithmetic is
+several times faster than ``Fraction`` arithmetic.  Values are
+immutable and every operation returns a canonical form; every division
+of coefficients goes through :func:`coeff_div`, so nothing here touches
+floating point.
+
+The public face speaks tuples: a monomial outside this module is a
+tuple of (variable, order, exponent) triples sorted by (variable,
+order), as taken by ``DiffFunction(terms)``, :meth:`~DiffFunction.from_terms`,
+:func:`normalize` and :func:`jet`.  :attr:`DiffFunction.terms` decodes
+the pairs once per value, sorts them by the tuple monomial and caches
+the result, so the plain-text, JSON and LaTeX forms, the row keys of
+the linear solver and the kernel markers of the recursion see the same
+terms in the same order as when monomials were tuples inside too.
 
 A sum of products is built in one pass: :func:`addmul_into` adds each
-product into a plain ``{monomial: coefficient}`` dict, and
+product into a plain ``{packed monomial: coefficient}`` dict, and
 :meth:`DiffFunction.from_dict` turns the dict into a canonical value
 once at the end.  Summing with ``acc = acc + a * b`` instead would copy
 and re-sort the whole partial sum on every step.
@@ -38,16 +72,119 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import lcm
+from operator import itemgetter, or_
 
-from .errors import FuelExhausted, MagriError
+from .errors import ExponentOverflow, FuelExhausted, MagriError
 
 U, V, LOG_VAR = 0, 1, 2
 VAR_NAMES = ("u", "v", "log")
 
 QQ = Fraction
 
-EMPTY_MONO = ()
+# -- packed monomials --------------------------------------------------------
+
+EXP_BITS = 16
+_MASK = (1 << EXP_BITS) - 1
+_OFF = 1 << (EXP_BITS - 2)
+MAX_EXP = (1 << (EXP_BITS - 1)) - 1
+MIN_V_EXP, MAX_V_EXP = -_OFF, _OFF - 1
+_LOG = 1 << EXP_BITS  # log v to the first power
+
+# Memo tables (_DX_MONO here, varcalc._EULER_MONO) are cleared when they
+# reach this many entries; the hierarchy benchmark fills about 40k.
+MEMO_CAP = 1 << 18
+
+_first = itemgetter(0)
+
+
+def memo_put(table, key, value):
+    """Store value in a memo table, clearing the table first if it is full."""
+    if len(table) >= MEMO_CAP:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _slot(var, order):
+    """The field that holds the generator (var, order)."""
+    if var == U:
+        return 2 * order + 2
+    if var == V:
+        return 2 * order + 1 if order else 0
+    return 1
+
+
+@lru_cache(maxsize=64)
+def _guard(nfields):
+    """The mask of the top bit of each of the lowest ``nfields`` fields."""
+    return ((1 << EXP_BITS * nfields) - 1) // _MASK << (EXP_BITS - 1)
+
+
+def pack_mono(mono):
+    """The packed int of a monomial given as (var, order, exp) triples.
+
+    The triples may come in any order, and exponents of a repeated
+    generator add up.  Raises MagriError for an unknown generator or a
+    negative exponent on a generator other than v, and ExponentOverflow
+    for an exponent out of range.
+    """
+    exps = {}
+    for g in mono:
+        if len(g) != 3:
+            raise MagriError(f"bad generator triple {g!r}")
+        var, order, exp = g
+        if var not in (U, V, LOG_VAR):
+            raise MagriError(f"unknown variable code {var!r}")
+        if order < 0:
+            raise MagriError("negative jet order")
+        if var == LOG_VAR and order != 0:
+            raise MagriError("log generator has no jets")
+        exps[var, order] = exps.get((var, order), 0) + exp
+    m = 0
+    for (var, order), e in sorted(exps.items()):
+        if (var, order) != (V, 0):
+            if e < 0:
+                raise MagriError(f"negative exponent on {VAR_NAMES[var]}^({order})")
+            if e > MAX_EXP:
+                raise ExponentOverflow(f"exponent {e} is above {MAX_EXP}")
+        elif not MIN_V_EXP <= e <= MAX_V_EXP:
+            raise ExponentOverflow(f"power {e} of v is outside [{MIN_V_EXP}, {MAX_V_EXP}]")
+        m += e << (EXP_BITS * _slot(var, order))
+    return m
+
+
+def unpack_mono(m):
+    """The tuple form of a packed monomial: (var, order, exp) triples sorted by (var, order)."""
+    x = m + _OFF
+    e = (x & _MASK) - _OFF
+    us, vs = [], [(V, 0, e)] if e else []
+    x >>= EXP_BITS
+    log = x & _MASK
+    x >>= EXP_BITS
+    n = 0
+    while x:  # u^(n) in slot 2n + 2, then v^(n + 1) in slot 2n + 3
+        e = x & _MASK
+        if e:
+            us.append((U, n, e))
+        x >>= EXP_BITS
+        n += 1
+        e = x & _MASK
+        if e:
+            vs.append((V, n, e))
+        x >>= EXP_BITS
+    if log:
+        vs.append((LOG_VAR, 0, log))
+    return tuple(us + vs)
+
+
+def mono_exp(m, var, order):
+    """The exponent of the generator (var, order) in the packed monomial m."""
+    s = _slot(var, order)
+    if s:
+        return ((m + _OFF) >> (EXP_BITS * s)) & _MASK
+    return ((m + _OFF) & _MASK) - _OFF
 
 
 def _as_coeff(c):
@@ -70,41 +207,12 @@ def coeff_div(a, b):
     return _as_coeff(Fraction(a, b))
 
 
-def mono_mul(m1, m2):
-    """Merge two sorted monomials, adding exponents."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        a, b = m1[i], m2[j]
-        ka, kb = (a[0], a[1]), (b[0], b[1])
-        if ka < kb:
-            out.append(a)
-            i += 1
-        elif kb < ka:
-            out.append(b)
-            j += 1
-        else:
-            e = a[2] + b[2]
-            if e:
-                out.append((a[0], a[1], e))
-            i += 1
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
 def addmul_into(acc, f, g, k=1):
-    """Add k*f*g into ``acc``, a {monomial: coefficient} dict.
+    """Add k*f*g into ``acc``, a {packed monomial: coefficient} dict.
 
     Terms that cancel stay in the dict with coefficient 0, and sums of
     coefficients are left as they come; :meth:`DiffFunction.from_dict`
-    drops the zeros and makes the rest canonical.
+    drops the zeros, makes the rest canonical and checks the exponents.
     """
     get = acc.get
     gt = g._t
@@ -112,7 +220,7 @@ def addmul_into(acc, f, g, k=1):
         if k != 1:
             c1 = c1 * k
         for m2, c2 in gt:
-            m = mono_mul(m1, m2)
+            m = m1 + m2
             acc[m] = get(m, 0) + c1 * c2
 
 
@@ -133,107 +241,90 @@ def common_denominator(fs):
     return den
 
 
-def mono_exp(m, var, order):
-    for g in m:
-        if g[0] == var and g[1] == order:
-            return g[2]
-    return 0
+_new = object.__new__
 
 
-def _mono_shift(m, var, order, delta):
-    """Return m with the exponent of (var, order) changed by delta."""
-    out = []
-    hit = False
-    for g in m:
-        if g[0] == var and g[1] == order:
-            hit = True
-            e = g[2] + delta
-            if e:
-                out.append((var, order, e))
-        else:
-            out.append(g)
-    if not hit:
-        out.append((var, order, delta))
-        out.sort(key=lambda g: (g[0], g[1]))
-    return tuple(out)
-
-
-def _check_mono(m):
-    last = None
-    for g in m:
-        if len(g) != 3:
-            raise MagriError(f"bad generator triple {g!r}")
-        var, order, exp = g
-        if var not in (U, V, LOG_VAR):
-            raise MagriError(f"unknown variable code {var!r}")
-        if order < 0:
-            raise MagriError("negative jet order")
-        if var == LOG_VAR and order != 0:
-            raise MagriError("log generator has no jets")
-        if exp < 0 and not (var == V and order == 0):
-            raise MagriError(f"negative exponent on {VAR_NAMES[var]}^({order})")
-        key = (var, order)
-        if last is not None and key <= last:
-            raise MagriError("monomial not sorted")
-        last = key
-    return m
+def _df(pairs):
+    """A DiffFunction of a tuple of canonical (packed monomial, coefficient) pairs."""
+    f = _new(DiffFunction)
+    f._t = pairs
+    f._hash = None
+    f._terms = None
+    return f
 
 
 class DiffFunction:
     """A differential function in canonical sparse form."""
 
-    __slots__ = ("_t", "_hash")
+    __slots__ = ("_t", "_hash", "_terms")
 
     def __init__(self, terms=()):
-        # terms must already be canonical; use from_dict / from_terms.
-        self._t = tuple(terms)
+        """Build from (monomial, coefficient) pairs with distinct tuple
+        monomials and nonzero canonical coefficients; :meth:`from_terms`
+        takes any other input."""
+        self._t = tuple(sorted(((pack_mono(m), c) for m, c in terms), key=_first))
         self._hash = None
+        self._terms = None
 
     @staticmethod
     def from_dict(d):
-        """Build from {monomial: coefficient}, dropping zeros.
+        """Build from {packed monomial: coefficient}, dropping zeros.
 
         Sums and products of coefficients become canonical here: an
-        integral Fraction is stored as an int.
+        integral Fraction is stored as an int.  Every monomial of ``d``
+        is checked to be in range (see the module docstring).
         """
+        # an exponent out of range sets the top bit of a field of m + _OFF,
+        # or makes m + _OFF negative (see the module docstring)
+        bits = reduce(or_, map(_OFF.__add__, d), 0)
+        if bits < 0 or bits & _guard(-(-bits.bit_length() // EXP_BITS)):
+            raise ExponentOverflow(
+                f"an exponent left its range: at most {MAX_EXP}, "
+                f"or [{MIN_V_EXP}, {MAX_V_EXP}] for the power of v"
+            )
         items = [
             (m, c if type(c) is int or c.denominator != 1 else c.numerator)
             for m, c in d.items()
             if c
         ]
-        items.sort(key=lambda t: t[0])
-        return DiffFunction(items)
+        items.sort(key=_first)
+        return _df(tuple(items))
 
     @staticmethod
     def from_terms(pairs):
         """Build from (coefficient, monomial) pairs, merging duplicates.
 
-        Monomials may be given unsorted; exponents of repeated generators
-        are added up.
+        Monomials are tuples of (var, order, exp) triples, in any order;
+        exponents of repeated generators are added up.
         """
         acc = {}
         for c, m in pairs:
-            c = _as_coeff(c)
-            mono = EMPTY_MONO
-            for var, order, exp in m:
-                mono = mono_mul(mono, ((var, order, exp),))
-            _check_mono(mono)
-            acc[mono] = acc.get(mono, 0) + c
+            m = pack_mono(m)
+            acc[m] = acc.get(m, 0) + _as_coeff(c)
         return DiffFunction.from_dict(acc)
 
     @property
     def terms(self):
-        return self._t
+        """The (monomial, coefficient) pairs with tuple monomials, sorted by monomial."""
+        t = self._terms
+        if t is None:
+            t = self._terms = tuple(
+                sorted(((unpack_mono(m), c) for m, c in self._t), key=_first)
+            )
+        return t
 
     def coeff(self, mono):
-        for m, c in self._t:
-            if m == mono:
+        m = pack_mono(mono)
+        for mm, c in self._t:
+            if mm == m:
                 return c
         return 0
 
     def constant_term(self):
-        if self._t and self._t[0][0] == EMPTY_MONO:
-            return self._t[0][1]
+        # only pure negative powers of v sort before the empty monomial 0
+        for m, c in self._t:
+            if m >= 0:
+                return c if m == 0 else 0
         return 0
 
     def __bool__(self):
@@ -257,18 +348,15 @@ class DiffFunction:
         if not isinstance(other, DiffFunction):
             return NotImplemented
         d = dict(self._t)
+        get = d.get
         for m, c in other._t:
-            s = d.get(m, 0) + c
-            if s:
-                d[m] = s
-            else:
-                d.pop(m, None)
+            d[m] = get(m, 0) + c
         return DiffFunction.from_dict(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffFunction([(m, -c) for m, c in self._t])
+        return _df(tuple([(m, -c) for m, c in self._t]))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -285,7 +373,7 @@ class DiffFunction:
             k = _as_coeff(other)
             if not k:
                 return ZERO
-            return DiffFunction([(m, _as_coeff(c * k)) for m, c in self._t])
+            return _df(tuple([(m, _as_coeff(c * k)) for m, c in self._t]))
         if not isinstance(other, DiffFunction):
             return NotImplemented
         acc = {}
@@ -315,23 +403,22 @@ class DiffFunction:
         return f"DiffFunction({to_text(self)!r})"
 
 
-ZERO = DiffFunction()
-ONE = DiffFunction([(EMPTY_MONO, 1)])
+ZERO = _df(())
+ONE = _df(((0, 1),))
 
 
 def const(q):
     q = _as_coeff(q)
     if not q:
         return ZERO
-    return DiffFunction([(EMPTY_MONO, q)])
+    return _df(((0, q),))
 
 
 def jet(var, order, exp=1):
     """The generator (var, order) raised to ``exp``."""
     if exp == 0:
         return ONE
-    m = _check_mono(((var, order, exp),))
-    return DiffFunction([(m, 1)])
+    return _df(((pack_mono(((var, order, exp),)), 1),))
 
 
 def u_jet(n=0):
@@ -361,79 +448,59 @@ def normalize(raw):
 
 # -- derivations -------------------------------------------------------------
 
-_DX_SHIFT = {}
 
-
-def _dx_shift(var, order):
-    """The monomial g'/g for the generator g = (var, order).
-
-    For a jet x^(n) that is x^(n+1)/x^(n); for log v it is v'/(v log v).
-    One tuple per generator, so that the memo entries of _dx_mono share
-    the factors they gain.
-    """
-    key = (var, order)
-    shift = _DX_SHIFT.get(key)
-    if shift is None:
-        if var == LOG_VAR:
-            shift = ((V, 0, -1), (V, 1, 1), (LOG_VAR, 0, -1))
-        else:
-            shift = ((var, order, -1), (var, order + 1, 1))
-        _DX_SHIFT[key] = shift
-    return shift
-
+# g'/g packed: v'/v for v, v'/(v log v) for log v, and x^(n+1)/x^(n) for a
+# jet in slot s >= 2, which is _DX_STEP times the unit of slot s
+_DX_V = (1 << 3 * EXP_BITS) - 1
+_DX_LOG = _DX_V - _LOG
+_DX_STEP = (1 << 2 * EXP_BITS) - 1
 
 _DX_MONO = {}
 
 
 def _dx_mono(m):
-    """Total derivative of a monomial by the product rule.
+    """Total derivative of a packed monomial by the product rule.
 
-    A factor g^e of m contributes e * m * g'/g.
+    A factor g^e of m contributes e * m * g'/g.  Returns the sorted
+    tuple of (packed monomial, coefficient) pairs, all distinct: the
+    g'/g grow with the slot of g, except that log v's is below v's.
     """
-    f = _DX_MONO.get(m)
-    if f is None:
-        acc = {}
-        for var, order, exp in m:
-            dm = mono_mul(m, _dx_shift(var, order))
-            acc[dm] = acc.get(dm, 0) + exp
-        _DX_MONO[m] = f = DiffFunction.from_dict(acc)
-    return f
+    t = _DX_MONO.get(m)
+    if t is None:
+        t = []
+        x = m + _OFF
+        e = (x & _MASK) - _OFF
+        x >>= EXP_BITS
+        if x & _MASK:
+            t.append((m + _DX_LOG, x & _MASK))
+        if e:
+            t.append((m + _DX_V, e))
+        x >>= EXP_BITS
+        step = _DX_STEP << 2 * EXP_BITS
+        while x:
+            e = x & _MASK
+            if e:
+                t.append((m + step, e))
+            x >>= EXP_BITS
+            step <<= EXP_BITS
+        t = tuple(t)  # total_derivative checks the exponents
+        memo_put(_DX_MONO, m, t)
+    return t
 
 
 def total_derivative(f, n=1):
     """Apply the total derivative ``n`` times."""
+    memo = _DX_MONO
     for _ in range(n):
         acc = {}
-        for m, c in f.terms:
-            for dm, dc in _dx_mono(m).terms:
-                s = acc.get(dm, 0) + c * dc
-                if s:
-                    acc[dm] = s
-                else:
-                    acc.pop(dm, None)
+        get = acc.get
+        for m, c in f._t:
+            t = memo.get(m)
+            if t is None:
+                t = _dx_mono(m)
+            for dm, e in t:
+                acc[dm] = get(dm, 0) + c * e
         f = DiffFunction.from_dict(acc)
-    return f
-
-
-_PD_MONO = {}
-
-
-def _pd_mono(m, var, order):
-    key = (m, var, order)
-    f = _PD_MONO.get(key)
-    if f is None:
-        acc = {}
-        e = mono_exp(m, var, order)
-        if e:
-            acc[_mono_shift(m, var, order, -1)] = e
-        if var == V and order == 0:
-            # log v depends on v: d(log v)/dv = 1/v.
-            j = mono_exp(m, LOG_VAR, 0)
-            if j:
-                m2 = _mono_shift(_mono_shift(m, LOG_VAR, 0, -1), V, 0, -1)
-                acc[m2] = acc.get(m2, 0) + j
-        f = DiffFunction.from_dict(acc)
-        _PD_MONO[key] = f
     return f
 
 
@@ -448,15 +515,34 @@ def partial_derivative(f, gen):
     var, order = gen
     if isinstance(var, str):
         var = VAR_NAMES.index(var)
-    acc = {}
-    for m, c in f.terms:
-        for dm, dc in _pd_mono(m, var, order).terms:
-            s = acc.get(dm, 0) + c * dc
-            if s:
-                acc[dm] = s
-            else:
-                acc.pop(dm, None)
-    return DiffFunction.from_dict(acc)
+    if var not in (U, V, LOG_VAR) or order < 0 or (var == LOG_VAR and order):
+        return ZERO
+    s = _slot(var, order)
+    if s == 0:
+        # log v depends on v: d(log v)/dv = 1/v.
+        acc = {}
+        get = acc.get
+        for m, c in f._t:
+            x = m + _OFF
+            e = (x & _MASK) - _OFF
+            if e:
+                acc[m - 1] = get(m - 1, 0) + c * e
+            j = (x >> EXP_BITS) & _MASK
+            if j:
+                m2 = m - _LOG - 1
+                acc[m2] = get(m2, 0) + c * j
+        return DiffFunction.from_dict(acc)
+    # lowering one positive exponent keeps the monomials distinct, in
+    # range and in the same order
+    shift = EXP_BITS * s
+    unit = 1 << shift
+    out = []
+    for m, c in f._t:
+        e = ((m + _OFF) >> shift) & _MASK
+        if e:
+            c = c * e
+            out.append((m - unit, c if type(c) is int or c.denominator != 1 else c.numerator))
+    return _df(tuple(out))
 
 
 def max_order(f, var=None):
@@ -465,17 +551,28 @@ def max_order(f, var=None):
     v^0 counts as order 0, and log v counts as the order-0 v generator
     since it depends on v.
     """
-    best = None
-    for m, _ in f.terms:
-        for gvar, order, _exp in m:
-            evar, eorder = (V, 0) if gvar == LOG_VAR else (gvar, order)
-            if var is not None and evar != var:
-                continue
-            if best is None or eorder > best:
-                best = eorder
-    return best
-
-
+    has_v = False
+    bits = 0  # the fields from slot 1 up, or-ed over all monomials
+    for m, _ in f._t:
+        x = (m + _OFF) >> EXP_BITS
+        bits |= x
+        if m != x << EXP_BITS:
+            has_v = True
+    if var is None:
+        if bits:
+            return (bits.bit_length() - 1) // EXP_BITS // 2
+        return 0 if has_v else None
+    if var not in (U, V):
+        return None
+    # field i of bits is slot i + 1: v jets (and log v) in odd slots, u in even ones
+    i = (bits.bit_length() - 1) // EXP_BITS
+    if (i + 1) % 2 != (var == V):
+        i -= 1
+    while i >= 0:
+        if (bits >> (EXP_BITS * i)) & _MASK:
+            return i // 2
+        i -= 2
+    return 0 if var == V and has_v else None
 def differential_order(f):
     """Max jet order with a nonvanishing partial derivative.
 
@@ -505,11 +602,15 @@ INHOMOGENEOUS = _Inhomogeneous()
 
 
 def mono_weight(m):
-    w = 0
-    for var, order, exp in m:
-        if var == LOG_VAR:
-            continue
-        w += exp * (order + 2)
+    """Weight of a packed monomial: order + 2 per jet factor, 0 for log v."""
+    x = m + _OFF
+    w = 2 * ((x & _MASK) - _OFF)
+    x >>= 2 * EXP_BITS  # log v weighs 0
+    s = 2
+    while x:  # slots 2, 3, 4, 5, ... hold u, v', u', v'', ... of weight 2, 3, 3, 4, ...
+        w += (x & _MASK) * ((s + 1) // 2 + 1)
+        x >>= EXP_BITS
+        s += 1
     return w
 
 
@@ -520,7 +621,7 @@ def weight(f):
     zero function counts as homogeneous of weight 0.
     """
     w = None
-    for m, _ in f.terms:
+    for m, _ in f._t:
         mw = mono_weight(m)
         if w is None:
             w = mw
@@ -532,8 +633,8 @@ def weight(f):
 def min_v_exponent(f):
     """Smallest exponent of v^0 over all monomials (0 for zero/absent)."""
     best = 0
-    for m, _ in f.terms:
-        e = mono_exp(m, V, 0)
+    for m, _ in f._t:
+        e = ((m + _OFF) & _MASK) - _OFF
         if e < best:
             best = e
     return best
@@ -541,8 +642,8 @@ def min_v_exponent(f):
 
 def max_v_exponent(f):
     best = 0
-    for m, _ in f.terms:
-        e = mono_exp(m, V, 0)
+    for m, _ in f._t:
+        e = ((m + _OFF) & _MASK) - _OFF
         if e > best:
             best = e
     return best
@@ -604,14 +705,13 @@ def _mono_in_tag(m, tag):
         if ve <= -tag.power:
             return True
         # the affine part: a pure power c * v^(1-k)
-        want = 1 - tag.power
-        return ve == want and all(g[0] == V and g[1] == 0 for g in m)
+        return m == ve == 1 - tag.power
     raise MagriError(f"unknown subalgebra tag {tag!r}")
 
 
 def subalgebra_member(f, tag):
     """Exact membership test for the tagged subspace."""
-    return all(_mono_in_tag(m, tag) for m, _ in f.terms)
+    return all(_mono_in_tag(m, tag) for m, _ in f._t)
 
 
 # -- integration -------------------------------------------------------------
@@ -646,9 +746,8 @@ def _integrate_v_monomial(k, j):
     if j < 0:
         raise MagriError("negative log exponent")
     if k == -1:
-        return DiffFunction.from_terms([(coeff_div(1, j + 1), ((LOG_VAR, 0, j + 1),))])
-    lead = [(coeff_div(1, k + 1), ((V, 0, k + 1),) + (((LOG_VAR, 0, j),) if j else ()))]
-    out = DiffFunction.from_terms(lead)
+        return DiffFunction.from_dict({(j + 1) * _LOG: coeff_div(1, j + 1)})
+    out = DiffFunction.from_dict({k + 1 + j * _LOG: coeff_div(1, k + 1)})
     if j:
         out = out - _integrate_v_monomial(k, j - 1) * coeff_div(j, k + 1)
     return out
@@ -663,23 +762,17 @@ def _integrate_in_generator(b, var, order):
     """
     if var == V and order == 0:
         acc = {}
-        for m, c in b.terms:
+        for m, c in b._t:
             k = mono_exp(m, V, 0)
             j = mono_exp(m, LOG_VAR, 0)
-            rest = m
-            if k:
-                rest = _mono_shift(rest, V, 0, -k)
-            if j:
-                rest = _mono_shift(rest, LOG_VAR, 0, -j)
-            addmul_into(acc, _integrate_v_monomial(k, j), DiffFunction([(rest, 1)]), c)
+            rest = _df(((m - k - j * _LOG, 1),))
+            addmul_into(acc, _integrate_v_monomial(k, j), rest, c)
         return DiffFunction.from_dict(acc)
     # raising the exponent of one generator maps distinct monomials to
     # distinct monomials, so no two terms merge
+    unit = 1 << EXP_BITS * _slot(var, order)
     return DiffFunction.from_dict(
-        {
-            _mono_shift(m, var, order, 1): coeff_div(c, mono_exp(m, var, order) + 1)
-            for m, c in b.terms
-        }
+        {m + unit: coeff_div(c, mono_exp(m, var, order) + 1) for m, c in b._t}
     )
 
 
@@ -696,10 +789,7 @@ def _mono_in_minus_affine(m):
     # F*v + V_MINUS: the integrated image of V_MINUS
     if mono_exp(m, LOG_VAR, 0):
         return False
-    ve = mono_exp(m, V, 0)
-    if ve <= 0:
-        return True
-    return ve == 1 and all(g[0] == V and g[1] == 0 for g in m)
+    return mono_exp(m, V, 0) <= 0 or m == 1
 
 
 # Rounds of top-order integration antiderivative may take before it gives up.
@@ -732,7 +822,7 @@ def antiderivative(f, tag=None):
         if n is None or n == 0:
             # a nonzero remainder in v and log v alone is never exact
             return None
-        var = V if any(mono_exp(m, V, n) for m, _ in work.terms) else U
+        var = V if any(mono_exp(m, V, n) for m, _ in work._t) else U
         top = partial_derivative(work, (var, n))
         if partial_derivative(top, (var, n)):
             return None
@@ -744,7 +834,7 @@ def antiderivative(f, tag=None):
         work = work - total_derivative(p)
     if tag is not None:
         if tag.kind == "minus":
-            ok = all(_mono_in_minus_affine(m) for m, _ in g.terms)
+            ok = all(_mono_in_minus_affine(m) for m, _ in g._t)
         else:
             paired = _TAG_RESULT.get(tag.kind)
             if paired is None:

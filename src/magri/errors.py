@@ -25,6 +25,10 @@ class FuelExhausted(MagriError):
     """A bounded computation ran out of rounds before it finished."""
 
 
+class ExponentOverflow(MagriError):
+    """An exponent left the range a packed monomial can hold."""
+
+
 class EmptyAnsatz(MagriError):
     """A candidate monomial space came out empty."""
 

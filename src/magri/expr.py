@@ -240,7 +240,7 @@ class _Parser:
         mono, c = val.terms[0]
         if any(g[0] != V or g[1] != 0 for g in mono):
             self.fail("only rationals and powers of v can be inverted", tok)
-        e = da.mono_exp(mono, V, 0)
+        e = mono[0][2] if mono else 0
         return da.v_pow(-e) * da.coeff_div(1, c)
 
     def _invert_pow(self, val, e, tok):

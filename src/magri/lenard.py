@@ -148,7 +148,7 @@ def ansatz_space(weight, order_bound, membership, include_log=False, v_floor=Non
         extra = [
             tuple(sorted(m + (log_g,), key=lambda g: (g[0], g[1])))
             for m in out
-            if da.mono_exp(m, V, 0) == 0
+            if not any(g[0] == V and g[1] == 0 for g in m)
         ]
         out = sorted(set(out) | set(extra))
     if not out:
@@ -289,11 +289,10 @@ def _step_ansatz(eps, b, order_bounds, v_floor, widen_cap):
                 rhs[(ci, mm)] = cc
         xs = linsolve.solve(cols, rhs) if cols else None
         if xs is not None:
-            comps = [dict(), dict()]
+            comps = [[], []]
             for (comp, m), x in zip(labels, xs):
-                if x:
-                    comps[comp][m] = x
-            return tuple(DiffFunction.from_dict(c) for c in comps)
+                comps[comp].append((x, m))
+            return tuple(DiffFunction.from_terms(c) for c in comps)
         order_bounds = tuple(x + 2 for x in order_bounds)
         v_floor -= 2
     raise NoSolution("no gradient found in the candidate spaces within the widening cap")
@@ -382,7 +381,7 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, wi
             okd = vc.variational_derivative(dens) == nxt
             if eps == 0:
                 okd = okd and not any(
-                    da.mono_exp(m, LOG_VAR, 0) for m, _ in dens.rep.terms
+                    g[0] == LOG_VAR for m, _ in dens.rep.terms for g in m
                 )
             checks["densities"] = checks["densities"] and okd
     flows.append(dop.apply(structure(1 - eps), gradients[-1]))

@@ -25,7 +25,7 @@ from math import comb
 from . import diffalg as da
 from . import diffop as dop
 from . import varcalc as vc
-from .diffalg import DiffFunction, LocalFunctional, QQ, ZERO
+from .diffalg import DiffFunction, LocalFunctional, ONE, QQ, ZERO
 from .errors import DimensionMismatch, NotSkewAdjoint
 
 
@@ -156,13 +156,11 @@ def _poly_from_acc(acc):
 
 def _shift_once(lp):
     """(lambda + d) applied to a lambda polynomial."""
-    d = {}
+    acc = {}
     for s, f in lp.terms:
-        d[s + 1] = d.get(s + 1, ZERO) + f
-        df = da.total_derivative(f)
-        if df:
-            d[s] = d.get(s, ZERO) + df
-    return LambdaPoly.from_dict(d)
+        da.addmul_into(acc.setdefault(s + 1, {}), f, ONE)
+        da.addmul_into(acc.setdefault(s, {}), da.total_derivative(f), ONE)
+    return _poly_from_acc(acc)
 
 
 def _op_shift_apply_into(acc, op, lp, k=1):
@@ -273,21 +271,6 @@ def _bracket_fun_gen(h, g, k):
     return _poly_from_acc(acc)
 
 
-def _subst_sum(nu_poly):
-    """Replace nu by lambda + mu, producing a two-variable polynomial."""
-    d = {}
-    for s, f in nu_poly.terms:
-        for p in range(s + 1):
-            key = (p, s - p)
-            add = f * comb(s, p)
-            cur = d.get(key, ZERO) + add
-            if cur:
-                d[key] = cur
-            else:
-                d.pop(key, None)
-    return LambdaMuPoly.from_dict(d)
-
-
 def jacobiator(h, i, j, k):
     """The PVA Jacobi defect of three generators, as a lambda-mu polynomial."""
     h = _as_matrix(h)
@@ -297,32 +280,29 @@ def jacobiator(h, i, j, k):
         if not 1 <= idx <= n:
             raise DimensionMismatch("generator index out of range")
 
-    acc = {}
+    acc = {}  # {(power of lambda, power of mu): {monomial: coefficient}}
 
-    def put(a, b, f):
-        cur = acc.get((a, b), ZERO) + f
-        if cur:
-            acc[(a, b)] = cur
-        else:
-            acc.pop((a, b), None)
+    def put(a, b, f, k):
+        da.addmul_into(acc.setdefault((a, b), {}), f, ONE, k)
 
     # {u_i lambda {u_j mu u_k}}
     for s, a in h.entries[k - 1][j - 1].terms:
         part = _bracket_gen_fun(h, i, a)
         for t, f in part.terms:
-            put(t, s, f)
+            put(t, s, f, 1)
     # - {u_j mu {u_i lambda u_k}}
     for t, b in h.entries[k - 1][i - 1].terms:
         part = _bracket_gen_fun(h, j, b)
         for s, f in part.terms:
-            put(t, s, -f)
-    # - {{u_i lambda u_j} lambda+mu u_k}, lambda acting as a coefficient
+            put(t, s, f, -1)
+    # - {{u_i lambda u_j} lambda+mu u_k}, lambda acting as a coefficient:
+    # nu^s becomes (lambda + mu)^s
     for t, c in h.entries[j - 1][i - 1].terms:
-        part = _subst_sum(_bracket_fun_gen(h, c, k))
-        for (a, b), f in part.terms:
-            put(a + t, b, -f)
+        for s, f in _bracket_fun_gen(h, c, k).terms:
+            for p in range(s + 1):
+                put(p + t, s - p, f, -comb(s, p))
 
-    return LambdaMuPoly.from_dict(acc)
+    return LambdaMuPoly.from_dict({ab: DiffFunction.from_dict(d) for ab, d in acc.items()})
 
 
 def _integral_multiple(h):

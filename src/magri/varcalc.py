@@ -19,12 +19,10 @@ from .diffalg import (
     DiffFunction,
     LocalFunctional,
     ZERO,
-    EMPTY_MONO,
     LOG_VAR,
     U,
     V,
     coeff_div,
-    mono_exp,
 )
 from .errors import DimensionMismatch, MagriError, NoSolution, NotClosed
 
@@ -200,7 +198,7 @@ def _v_candidates(wt, order_bound, v_floor, include_log):
     if include_log:
         log_g = (LOG_VAR, 0, 1)
         for m in list(cands):
-            if mono_exp(m, V, 0) == 0:
+            if not any(g[0] == V and g[1] == 0 for g in m):
                 cands.append(tuple(sorted(m + (log_g,), key=lambda g: (g[0], g[1]))))
     cands = sorted(set(cands))
     return cands
@@ -210,15 +208,15 @@ def _split_by_weight(vec):
     buckets = {}
     for i, f in enumerate(vec):
         for m, c in f.terms:
-            w = da.mono_weight(m)
+            w = da.mono_weight(da.pack_mono(m))
             buckets.setdefault(w, {})[(i, m)] = c
     out = {}
     for w, terms in buckets.items():
         comps = []
         for i in range(len(vec)):
             comps.append(
-                DiffFunction.from_dict(
-                    {m: c for (j, m), c in terms.items() if j == i}
+                DiffFunction.from_terms(
+                    [(c, m) for (j, m), c in terms.items() if j == i]
                 )
             )
         out[w] = tuple(comps)
@@ -226,10 +224,19 @@ def _split_by_weight(vec):
 
 
 def default_widen_cap():
+    """The widening cap from LENARD_WIDEN_CAP, 2 when it is unset.
+
+    Raises MagriError, naming the variable, when it is not a
+    nonnegative integer.
+    """
+    raw = os.environ.get("LENARD_WIDEN_CAP", "2")
     try:
-        return max(0, int(os.environ.get("LENARD_WIDEN_CAP", "2")))
+        cap = int(raw)
     except ValueError:
-        return 2
+        raise MagriError(f"LENARD_WIDEN_CAP must be an integer, got {raw!r}") from None
+    if cap < 0:
+        raise MagriError(f"LENARD_WIDEN_CAP must be nonnegative, got {cap}")
+    return cap
 
 
 def resolve_widen_cap(widen_cap):
@@ -258,7 +265,7 @@ def _euler_mono(m, var):
                 if p:
                     p = da.total_derivative(p, n)
                     acc = acc - p if n % 2 else acc + p
-        _EULER_MONO[key] = out = acc
+        out = da.memo_put(_EULER_MONO, key, acc)
     return out
 
 
@@ -283,8 +290,8 @@ def _solve_v_density(g, widen_cap):
         # no power of v (jets v', v'', ... allowed), and the terms in log v
         # of its Euler derivative have that shape too; so no widening round
         # reaches a term in log(v)^2, or in log(v) times a power of v.
-        j = mono_exp(m, LOG_VAR, 0)
-        if j > 1 or (j == 1 and mono_exp(m, V, 0) != 0):
+        j = sum(e for var, _n, e in m if var == LOG_VAR)
+        if j > 1 or (j == 1 and any(g[0] == V and g[1] == 0 for g in m)):
             raise NoSolution("no density found for the v-only part within the widening cap")
     base_order = da.max_order(g, V) or 0
     order_bound = max(1, (base_order + 1) // 2 + 1)
@@ -299,7 +306,7 @@ def _solve_v_density(g, widen_cap):
         rhs_by_deg = {}
         for m, c in g.terms:
             rhs_by_deg.setdefault(_v_degree(m) + 1, {})[m] = c
-        parts = {}
+        parts = []
         failed = False
         for deg, rhs in sorted(rhs_by_deg.items()):
             block = by_deg.get(deg, [])
@@ -308,11 +315,9 @@ def _solve_v_density(g, widen_cap):
             if xs is None:
                 failed = True
                 break
-            for (m, _e), x in zip(block, xs):
-                if x:
-                    parts[m] = x
+            parts += [(x, m) for (m, _e), x in zip(block, xs)]
         if not failed:
-            return DiffFunction.from_dict(parts)
+            return DiffFunction.from_terms(parts)
         order_bound += 2
         v_floor -= 2
     raise NoSolution("no density found for the v-only part within the widening cap")

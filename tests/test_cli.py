@@ -305,6 +305,26 @@ def test_negative_widen_cap_exits_four(capsys):
     assert err.startswith("INPUT_ERROR") and "widen_cap" in err
 
 
+def test_exponent_out_of_range_exits_four(capsys):
+    for text in ("u^40000", "v^-20000", "u^20000*u^20000"):
+        code, out, err = _run(capsys, "fmt", text)
+        assert code == 4, text
+        assert out == ""
+        assert err.startswith("INPUT_ERROR")
+        assert "exponent" in err or "power of v" in err
+    code, out, _ = _run(capsys, "fmt", "u^32767*v^-16384")
+    assert (code, out) == (0, "u^32767*v^-16384\n")
+
+
+def test_bad_widen_cap_env_exits_four(capsys, monkeypatch):
+    for raw in ("-3", "2.5"):
+        monkeypatch.setenv("LENARD_WIDEN_CAP", raw)
+        code, out, err = _run(capsys, "hierarchy", "--eps", "1", "--alpha", "0", "--steps", "1")
+        assert code == 4, raw
+        assert out == ""
+        assert err.startswith("INPUT_ERROR") and "LENARD_WIDEN_CAP" in err
+
+
 def _three_calls(capsys, path):
     seen = []
     for argv in (
@@ -351,3 +371,77 @@ def test_eps0_hierarchy_output_is_pinned(capsys):
     code, out, _ = _run(capsys, "hierarchy", "--eps", "0", "--alpha", "0", "--steps", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_E0A0
+
+
+# Laurent and log inputs for the pinned one-shot commands; each has order
+# at most 2, so a bracket or a flow of them stays fast.
+PINNED_EXPRS = [
+    "u*v^-1",
+    "v^-2*(v')^2",
+    "log(v)",
+    "u*log(v)",
+    "(log(v))^2*v'",
+    "u^2*v^-1 + v^-3*(v')^2/2",
+    "u'*v^-1 - 2*u*v'*v^-2",
+    "3/4*v^-1*u''",
+    "log(v)*v^-1*v'",
+    "u^3/3 - u*(v')^2*v^-4",
+    "v^2*log(v) - u'",
+    "(u')^2*v^-2 + u*v''*v^-1",
+    "v'*v^-1 + u*(log(v))^2",
+    "u*v + v^-1",
+    "2*u'*log(v) - v^-2",
+    "-5/2*u^2*v'' + v^-1*(u')^2",
+    "v^3 - u*v^-2*v'",
+    "(v')^2*v^-5 - 1/3*u",
+    "u''*v^-1*log(v)",
+    "7 - u*v^-1*(log(v))^2",
+]
+
+
+def _pinned_argvs(command, e, g):
+    return {
+        "fmt": ["fmt", e],
+        "varder": ["varder", e],
+        "frechet": ["frechet", f"--vec={e}; {g}"],
+        "reduce": ["reduce", e],
+        "bracket": ["bracket", f"--f={e}", f"--g={g}", "--builtin", "h1"],
+        "flow": ["flow", f"--density={e}", "--builtin", "h0"],
+    }[command]
+
+
+# SHA-256 over the exit codes and stdout of each command and output form,
+# run on every input of PINNED_EXPRS (the second operand is the next input);
+# `reduce` has no LaTeX form.
+GOLDEN_CLI_SHA256 = {
+    ("fmt", "plain"): "7b6ef0c09c5722dc17497b4917471009e893334f13d64333f3e86def2bcd4851",
+    ("fmt", "json"): "e4905459e96dd3a8fafcfc443b238a2bfedca03e4bd706ff917d6f0f820276fd",
+    ("fmt", "latex"): "98b282a4926f3a00e1c97375ec04bf357ff82fd60d8cb0639f021a753cce2cf4",
+    ("varder", "plain"): "d992c94ed065859b27149774c3565b1bed6b8f0e24d3524263177524bd44cecf",
+    ("varder", "json"): "c924c8eb39b11a6f328e9c87561375c117dd9693bfa860d444a073481faf5eb0",
+    ("varder", "latex"): "48cd3bbcbd18f9fcfe0918e753bef8e0a5c4e62221ba0d5d573f9bffbf73f353",
+    ("frechet", "plain"): "8d386cca7d035ddec89e053395c96296c36d609f1c50109d7d2e3e8cc3b41596",
+    ("frechet", "json"): "a3337733645fcd6e3266bdd929d84216a82825c6db55db7f763b3ddf98ce55c7",
+    ("frechet", "latex"): "f934d8c4dff6aa99d4bb972be6a29aa375cc4e4dfa354a3aee26a9cf57f1ea03",
+    ("reduce", "plain"): "99773d71d650fddae62bace2865812cbcef71931a11e7b72e3cfecf52057c01f",
+    ("reduce", "json"): "7da7a8f1931caaf228780c42b72e276e9835afdfdc48e4c18dfb103dfcd92bb1",
+    ("bracket", "plain"): "f91e7a49b3ee9e37701ebcb221b17088f2071d298d19a7555f8d3d312deae2f0",
+    ("bracket", "json"): "b37751cb1d3791bd871824586ada424563b0f42bcceda8fc5c8171140490fb50",
+    ("bracket", "latex"): "098c47bfec669907e3280a6d81ee200a91d09db901bf66e50744221d8bc72a11",
+    ("flow", "plain"): "15c4c4cf8214682c981f8da4062d2159317b7108526134b8ba0b5e3b7389f47d",
+    ("flow", "json"): "3f0065c8ef67cbb6955c75bffa7de3c3ba34fa2da10abbe8424a5de98aa0a228",
+    ("flow", "latex"): "bb0adc9b8cc0507ae13b7e9c533c431c89a432651fdc50a69b637613b1083d61",
+}
+
+
+def test_one_shot_cli_output_is_pinned(capsys):
+    got = {}
+    for command, form in GOLDEN_CLI_SHA256:
+        h = hashlib.sha256()
+        for i, e in enumerate(PINNED_EXPRS):
+            g = PINNED_EXPRS[(i + 1) % len(PINNED_EXPRS)]
+            argv = _pinned_argvs(command, e, g) + ([] if form == "plain" else [f"--{form}"])
+            code, out, _ = _run(capsys, *argv)
+            h.update(f"{code}\n{out}\0".encode())
+        got[command, form] = h.hexdigest()
+    assert got == GOLDEN_CLI_SHA256

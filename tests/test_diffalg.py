@@ -309,15 +309,15 @@ def test_addmul_into_matches_the_naive_sum():
 
 
 def _dx_mono_by_factors(m):
-    """The total derivative of a monomial, one DiffFunction mul and add per factor."""
+    """The total derivative of a tuple monomial, one DiffFunction mul and add per factor."""
     acc = ZERO
     for var, order, exp in m:
         if var == LOG_VAR:
             d_gen = da.v_jet(1) * da.v_pow(-1)
         else:
             d_gen = da.jet(var, order + 1)
-        rest = da._mono_shift(m, var, order, -1)
-        acc = acc + d_gen * da.DiffFunction([(rest, exp)])
+        rest = da.normalize([(exp, m + ((var, order, -1),))])
+        acc = acc + d_gen * rest
     return acc
 
 
@@ -332,7 +332,147 @@ def test_dx_mono_is_the_product_rule():
     rng = random.Random(67)
     for _ in range(200):
         monos += [m for m, _c in helpers.rand_function(rng, terms=4).terms]
-    assert any(da.mono_exp(m, V, 0) < 0 for m in monos)
-    assert any(da.mono_exp(m, LOG_VAR, 0) > 1 for m in monos)
+    assert any(da.mono_exp(da.pack_mono(m), V, 0) < 0 for m in monos)
+    assert any(da.mono_exp(da.pack_mono(m), LOG_VAR, 0) > 1 for m in monos)
     for m in monos:
-        assert da._dx_mono(m) == _dx_mono_by_factors(m), m
+        assert da._dx_mono(da.pack_mono(m)) == _dx_mono_by_factors(m)._t, m
+
+
+# -- packed monomials against a tuple-monomial reference ----------------------
+#
+# A reference function is a {tuple monomial: coefficient} dict; a tuple
+# monomial is built from a {(var, order): exponent} dict.
+
+
+def _ref_mono(exps):
+    return tuple(sorted((var, order, e) for (var, order), e in exps.items() if e))
+
+
+def _ref_add(out, exps, c):
+    m = _ref_mono(exps)
+    out[m] = out.get(m, 0) + c
+
+
+def _ref_exps(m):
+    return {(var, order): e for var, order, e in m}
+
+
+def _ref_clean(out):
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            exps = _ref_exps(m1)
+            for var, order, e in m2:
+                exps[var, order] = exps.get((var, order), 0) + e
+            _ref_add(out, exps, c1 * c2)
+    return _ref_clean(out)
+
+
+def _ref_dx(a):
+    out = {}
+    for m, c in a.items():
+        for var, order, e in m:
+            exps = _ref_exps(m)
+            exps[var, order] -= 1
+            if var == LOG_VAR:  # d log v = v' / v
+                exps[V, 0] = exps.get((V, 0), 0) - 1
+                exps[V, 1] = exps.get((V, 1), 0) + 1
+            else:
+                exps[var, order + 1] = exps.get((var, order + 1), 0) + 1
+            _ref_add(out, exps, c * e)
+    return _ref_clean(out)
+
+
+def _ref_partial(a, var, order):
+    out = {}
+    for m, c in a.items():
+        exps = _ref_exps(m)
+        e = exps.get((var, order), 0)
+        if e:
+            exps[var, order] -= 1
+            _ref_add(out, exps, c * e)
+        j = _ref_exps(m).get((LOG_VAR, 0), 0)
+        if (var, order) == (V, 0) and j:  # d(log v)/dv = 1/v
+            exps = _ref_exps(m)
+            exps[LOG_VAR, 0] -= 1
+            exps[V, 0] = exps.get((V, 0), 0) - 1
+            _ref_add(out, exps, c * j)
+    return _ref_clean(out)
+
+
+def _same_as_ref(f, ref):
+    """f has exactly the terms of ref, in the sorted order of tuple monomials."""
+    return list(f.terms) == sorted(ref.items()) and _canonical_coeffs(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fn_strategy(terms=4), fn_strategy(terms=4))
+def test_packed_monomials_match_a_tuple_reference(f, g):
+    # Laurent and log inputs: rand_function draws v^-k and log(v)^j factors
+    for h in (f, g):
+        assert [pm for pm, _c in h._t] == sorted(da.pack_mono(m) for m, _c in h.terms)
+        for m, _c in h.terms:
+            assert da.unpack_mono(da.pack_mono(m)) == m
+            weight = sum(e * (order + 2) for var, order, e in m if var != LOG_VAR)
+            assert da.mono_weight(da.pack_mono(m)) == weight
+        assert list(h.terms) == sorted(h.terms)
+    rf, rg = dict(f.terms), dict(g.terms)
+    assert _same_as_ref(f * g, _ref_mul(rf, rg))
+    want = rf
+    for n in range(1, 4):
+        want = _ref_dx(want)
+        assert _same_as_ref(da.total_derivative(f, n), want), n
+    for var, order in ((U, 0), (U, 1), (U, 3), (V, 0), (V, 1), (V, 2), (LOG_VAR, 0)):
+        got = da.partial_derivative(f * g, (var, order))
+        assert _same_as_ref(got, _ref_partial(_ref_mul(rf, rg), var, order)), (var, order)
+
+
+def test_packed_monomial_edges_round_trip():
+    for m in (
+        (),
+        ((V, 0, da.MIN_V_EXP),),
+        ((V, 0, da.MAX_V_EXP), (LOG_VAR, 0, da.MAX_EXP)),
+        ((U, 0, da.MAX_EXP), (U, 40, 1), (V, 0, -1), (V, 40, da.MAX_EXP)),
+    ):
+        pm = da.pack_mono(m)
+        assert da.unpack_mono(pm) == m
+        assert da.DiffFunction([(m, 1)]).terms == ((m, 1),)
+    assert da.max_order(da.u_jet(40) * da.v_pow(-1), U) == 40
+    assert da.max_order(da.u_jet(40) * da.v_pow(-1), V) == 0
+
+
+def test_exponent_overflow_raises():
+    from magri.errors import ExponentOverflow
+
+    u = da.u_jet(0)
+    f = u
+    for _ in range(da.EXP_BITS - 2):
+        f = f * f
+    assert f.terms == ((((U, 0, 2 ** (da.EXP_BITS - 2)),), 1),)
+    with pytest.raises(ExponentOverflow):
+        f * f  # u^(2^(EXP_BITS - 1)) has no field
+    assert (u ** da.MAX_EXP).terms == ((((U, 0, da.MAX_EXP),), 1),)
+    with pytest.raises(ExponentOverflow):
+        u ** da.MAX_EXP * u
+    # each total derivative lowers the power of v by one
+    f = da.v_pow(-1) ** (-da.MIN_V_EXP - 2)
+    low = da.total_derivative(f, 2)
+    assert da.min_v_exponent(low) == da.MIN_V_EXP
+    with pytest.raises(ExponentOverflow):
+        da.total_derivative(f, 3)
+    with pytest.raises(ExponentOverflow):
+        da.total_derivative(da.v_pow(da.MIN_V_EXP) * da.log_v())
+    with pytest.raises(ExponentOverflow):
+        da.partial_derivative(da.v_pow(da.MIN_V_EXP), (V, 0))
+    with pytest.raises(ExponentOverflow):
+        da.total_derivative(da.v_jet(0) * da.v_jet(1) ** da.MAX_EXP)  # v' * (v')^MAX_EXP
+    with pytest.raises(ExponentOverflow):
+        da.v_pow(da.MIN_V_EXP - 1)
+    with pytest.raises(ExponentOverflow):
+        da.jet(U, 2, da.MAX_EXP + 1)
+    with pytest.raises(ExponentOverflow):
+        da.antiderivative(da.v_pow(da.MAX_V_EXP) * da.v_jet(1))

@@ -145,7 +145,7 @@ def test_ansatz_space_contents():
     assert ((da.U, 2, 1),) in monos  # weight 4
     assert ((da.V, 0, 1), (da.V, 1, 1)) not in monos  # weight 5... wrong weight
     for m in monos:
-        assert da.mono_weight(m) == 4
+        assert da.mono_weight(da.pack_mono(m)) == 4
 
 
 def test_ansatz_space_empty():

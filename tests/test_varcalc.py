@@ -13,7 +13,7 @@ from magri import diffalg as da
 from magri import diffop as dop
 from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, U, V, ZERO
-from magri.errors import DimensionMismatch, NotClosed
+from magri.errors import DimensionMismatch, MagriError, NotClosed
 
 
 def test_variational_derivative_components():
@@ -138,6 +138,19 @@ def test_default_widen_cap_env(monkeypatch):
     assert vc.default_widen_cap() == 5
 
 
+def test_negative_widen_cap_env_is_rejected(monkeypatch):
+    monkeypatch.setenv("LENARD_WIDEN_CAP", "-3")
+    with pytest.raises(MagriError, match="LENARD_WIDEN_CAP"):
+        vc.default_widen_cap()
+
+
+def test_non_integer_widen_cap_env_is_rejected(monkeypatch):
+    for raw in ("2.5", "two", ""):
+        monkeypatch.setenv("LENARD_WIDEN_CAP", raw)
+        with pytest.raises(MagriError, match="LENARD_WIDEN_CAP"):
+            vc.default_widen_cap()
+
+
 def test_homotopies_divide_exactly():
     u, v = da.u_jet(0), da.v_jet(0)
     got = vc._u_homotopy(u * u)
@@ -165,6 +178,7 @@ def test_v_problem_out_of_reach_in_log_has_no_solution():
     for wt in (4, 6, 8):
         for m in vc._v_candidates(wt, 5, -4, include_log=True):
             for mm, _c in vc._euler_mono(m, V).terms:
+                mm = da.pack_mono(mm)
                 j = da.mono_exp(mm, da.LOG_VAR, 0)
                 assert j == 0 or (j == 1 and da.mono_exp(mm, V, 0) == 0)
     # ... so a right side with any other term in log v is out of reach of
@@ -196,3 +210,27 @@ def test_commutator_on_flow_data_matches_tuples():
     assert data[0].derivative(1, 2) == da.total_derivative(vecs[0][1], 2)
     with pytest.raises(DimensionMismatch):
         vc.evolutionary_commutator(data[0], vecs[1] + (ZERO,))
+
+
+def test_memo_tables_stay_under_the_cap(monkeypatch):
+    rng = random.Random(71)
+    fs = [helpers.rand_function(rng, terms=4) for _ in range(12)]
+    cands = vc._v_candidates(6, 3, -2, include_log=True)
+
+    def compute():
+        got = []
+        for f in fs:
+            got.append(da.total_derivative(f, 2))
+            got.extend(vc.variational_derivative(f))
+            assert len(da._DX_MONO) <= da.MEMO_CAP
+        for m in cands:
+            got.append(vc._euler_mono(m, V))
+            assert len(vc._EULER_MONO) <= da.MEMO_CAP
+        return got
+
+    want = compute()
+    monkeypatch.setattr(da, "MEMO_CAP", 5)
+    monkeypatch.setattr(da, "_DX_MONO", {})
+    monkeypatch.setattr(vc, "_EULER_MONO", {})
+    assert compute() == want
+    assert 0 < len(da._DX_MONO) <= 5 and 0 < len(vc._EULER_MONO) <= 5
