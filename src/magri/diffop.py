@@ -1,10 +1,22 @@
 """Matrix differential operators with differential-function coefficients.
 
-A scalar operator is kept in left normal form sum_k a_k * d^k with the
-coefficients a_k written to the left of the powers of the total
-derivative d.  Composition uses d^k . b = sum_m binom(k, m) b^(m)
-d^(k-m); the formal adjoint of a*d^k is (-d)^k . a.  Matrix operators
-are rectangular grids of scalar ones, with the adjoint given by the
+One container, :class:`SparsePoly`, holds every polynomial with
+differential-function coefficients: a sorted tuple of (key, coefficient)
+pairs with distinct keys and nonzero coefficients.  Its keys come in two
+shapes:
+
+- an int k, the power of d in a scalar operator sum_k a_k * d^k kept in
+  left normal form (coefficients to the left of the powers of the total
+  derivative d), or the power of lambda in a lambda polynomial, which is
+  the same thing: sum_s f_s lambda^s is the symbol of sum_s f_s d^s, and
+  (lambda + d) applied to it is composition with d on the left;
+- a pair (a, b), the powers of lambda and mu in a two-variable
+  polynomial such as a jacobiator.
+
+:class:`ScalarDiffOp` adds only the operator algebra to the int-keyed
+container.  Composition uses d^k . b = sum_m binom(k, m) b^(m) d^(k-m);
+the formal adjoint of a*d^k is (-d)^k . a.  Matrix operators are
+rectangular grids of scalar ones, with the adjoint given by the
 transpose of entrywise adjoints.
 """
 
@@ -12,45 +24,71 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
 from . import diffalg as da
 from .diffalg import ZERO, ONE, DiffFunction
 from .errors import DimensionMismatch, MagriError
 
+_first = itemgetter(0)
+_new = object.__new__
 
-class ScalarDiffOp:
-    """One differential operator in left normal form."""
+
+def _power_text(key):
+    """d^k for an int key; L^a*M^b (powers of lambda and mu) for a pair."""
+    powers = zip("LM", key) if isinstance(key, tuple) else (("d", key),)
+    return "*".join(x if e == 1 else f"{x}^{e}" for x, e in powers if e)
+
+
+class SparsePoly:
+    """A polynomial sum_key f_key * x^key with DiffFunction coefficients.
+
+    The constructor takes (key, coefficient) pairs in any order: it sums
+    the coefficients of equal keys, drops zeros and sorts by key, so two
+    polynomials are equal exactly when their ``terms`` are.
+    """
 
     __slots__ = ("_t",)
 
     def __init__(self, terms=()):
-        self._t = tuple(terms)
+        d = {}
+        for key, f in terms:
+            d[key] = d[key] + f if key in d else f
+        self._t = tuple(sorted([(k, f) for k, f in d.items() if f], key=_first))
 
-    @staticmethod
-    def from_dict(d):
-        items = [(k, f) for k, f in d.items() if f]
-        items.sort()
-        return ScalarDiffOp(items)
+    @classmethod
+    def _of(cls, pairs):
+        """A polynomial of an already canonical tuple of pairs."""
+        p = _new(cls)
+        p._t = pairs
+        return p
+
+    @classmethod
+    def from_dict(cls, d):
+        """Build from {key: DiffFunction}, dropping zero coefficients."""
+        return cls(d.items())
+
+    @classmethod
+    def from_acc(cls, acc):
+        """Build from {key: {packed monomial: coefficient}}, as filled by
+        :func:`diffalg.addmul_into` and :func:`compose_into`."""
+        return cls.from_dict({key: DiffFunction.from_dict(m) for key, m in acc.items()})
 
     @property
     def terms(self):
         return self._t
 
-    def coeff(self, k):
-        for deg, f in self._t:
-            if deg == k:
+    def coeff(self, key):
+        for k, f in self._t:
+            if k == key:
                 return f
         return ZERO
-
-    def degree(self):
-        """Largest power of d present, or None for the zero operator."""
-        return self._t[-1][0] if self._t else None
 
     def __bool__(self):
         return bool(self._t)
 
     def __eq__(self, other):
-        if isinstance(other, ScalarDiffOp):
+        if isinstance(other, SparsePoly):
             return self._t == other._t
         return NotImplemented
 
@@ -58,43 +96,60 @@ class ScalarDiffOp:
         return hash(self._t)
 
     def __add__(self, other):
-        if not isinstance(other, ScalarDiffOp):
+        if not isinstance(other, SparsePoly):
             return NotImplemented
-        d = dict(self._t)
-        for k, f in other._t:
-            s = d.get(k, ZERO) + f
-            if s:
-                d[k] = s
-            else:
-                d.pop(k, None)
-        return ScalarDiffOp.from_dict(d)
+        return type(self)(self._t + other._t)
 
     def __neg__(self):
-        return ScalarDiffOp([(k, -f) for k, f in self._t])
+        return self._of(tuple([(k, -f) for k, f in self._t]))
 
     def __sub__(self, other):
-        if not isinstance(other, ScalarDiffOp):
+        if not isinstance(other, SparsePoly):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
+        """Scaling by a rational."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return self._of(())
+        return self._of(tuple([(k, f * other) for k, f in self._t]))
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        bits = []
+        for key, f in self._t:
+            head = da.to_text(f)
+            if len(f.terms) > 1:
+                head = f"({head})"
+            power = _power_text(key)
+            bits.append(f"{head}*{power}" if power else head)
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
+
+class ScalarDiffOp(SparsePoly):
+    """One differential operator in left normal form."""
+
+    __slots__ = ()
+
+    def degree(self):
+        """Largest power of d present, or None for the zero operator."""
+        return self._t[-1][0] if self._t else None
+
+    def __mul__(self, other):
         """Composition, or scaling by a rational."""
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return ScalarDiffOp()
-            return ScalarDiffOp([(k, f * other) for k, f in self._t])
         if isinstance(other, DiffFunction):
             other = multiplication(other)
         if not isinstance(other, ScalarDiffOp):
-            return NotImplemented
+            return super().__mul__(other)
         return compose(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         if isinstance(other, DiffFunction):
             return compose(multiplication(other), self)
-        return NotImplemented
+        return super().__mul__(other)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -104,61 +159,51 @@ class ScalarDiffOp:
             out = compose(out, self)
         return out
 
-    def __repr__(self):
-        if not self._t:
-            return "ScalarDiffOp(0)"
-        bits = []
-        for k, f in self._t:
-            head = da.to_text(f)
-            if len(f.terms) > 1:
-                head = f"({head})"
-            bits.append(head if k == 0 else f"{head}*d^{k}" if k > 1 else f"{head}*d")
-        return "ScalarDiffOp(" + " + ".join(bits) + ")"
-
 
 def multiplication(f):
     """The order-zero operator of multiplication by f."""
     if isinstance(f, (int, Fraction)):
         f = da.const(f)
-    if not f:
-        return ScalarDiffOp()
     return ScalarDiffOp([(0, f)])
 
 
 D = ScalarDiffOp([(1, ONE)])
 
 
+def compose_into(acc, a, b):
+    """Add a . b into acc, a {power of d: {packed monomial: coefficient}} dict.
+
+    d^n . b_j = sum_m C(n, m) b_j^(m) d^(n-m), so each b_j's derivative
+    tower is built once, up to the degree of a.
+    """
+    top = a.degree()
+    if top is None:
+        return acc
+    for j, bj in b.terms:
+        tower = [bj]
+        for _ in range(top):
+            tower.append(da.total_derivative(tower[-1]))
+        for n, an in a.terms:
+            for m in range(n + 1):
+                da.addmul_into(acc.setdefault(n - m + j, {}), an, tower[m], comb(n, m))
+    return acc
+
+
 def compose(a, b):
     """Left-normal form of the composition a . b."""
-    acc = {}  # power of d -> {monomial: coefficient}
-    for k, ak in a.terms:
-        for j, bj in b.terms:
-            g = bj
-            for m in range(k + 1):
-                # d^k . b = sum_m C(k, m) b^(m) d^(k-m)
-                da.addmul_into(acc.setdefault(k - m + j, {}), ak, g, comb(k, m))
-                if m < k:
-                    g = da.total_derivative(g)
-    return ScalarDiffOp.from_dict({deg: DiffFunction.from_dict(d) for deg, d in acc.items()})
+    return ScalarDiffOp.from_acc(compose_into({}, a, b))
 
 
 def adjoint_scalar(a):
     """Formal adjoint: (a*d^k)* = (-d)^k . a."""
     acc = {}
     for k, ak in a.terms:
-        sign = (-1) ** k
         g = ak
         for m in range(k + 1):
-            piece = g * (sign * comb(k, m))
-            deg = k - m
-            s = acc.get(deg, ZERO) + piece
-            if s:
-                acc[deg] = s
-            else:
-                acc.pop(deg, None)
+            da.addmul_into(acc.setdefault(k - m, {}), g, ONE, (-1) ** k * comb(k, m))
             if m < k:
                 g = da.total_derivative(g)
-    return ScalarDiffOp.from_dict(acc)
+    return ScalarDiffOp.from_acc(acc)
 
 
 def _apply_into(acc, a, f):
@@ -232,18 +277,16 @@ class MatrixDiffOp:
         if isinstance(other, (int, Fraction)):
             return MatrixDiffOp([[e * other for e in row] for row in self.entries])
         if isinstance(other, MatrixDiffOp):
-            n, k = self.shape
-            k2, m = other.shape
-            if k != k2:
+            if self.shape[1] != other.shape[0]:
                 raise DimensionMismatch("operator shapes do not compose")
             out = []
-            for i in range(n):
+            for arow in self.entries:
                 row = []
-                for j in range(m):
-                    acc = ScalarDiffOp()
-                    for t in range(k):
-                        acc = acc + compose(self.entries[i][t], other.entries[t][j])
-                    row.append(acc)
+                for j in range(other.shape[1]):
+                    acc = {}
+                    for a, brow in zip(arow, other.entries):
+                        compose_into(acc, a, brow[j])
+                    row.append(ScalarDiffOp.from_acc(acc))
                 out.append(row)
             return MatrixDiffOp(out)
         return NotImplemented

@@ -1,179 +1,37 @@
 """Lambda-bracket calculus for matrix differential operators.
 
-A skew-adjoint matrix operator H defines a bracket on generators by
-{u_i  u_j} = H_ji(lambda); the bracket extends to arbitrary
-differential functions by the master formula
+A lambda polynomial sum_s f_s lambda^s is the symbol of the operator
+sum_s f_s d^s, and is kept as that :class:`diffop.ScalarDiffOp`: (lambda
++ d) applied to a polynomial is composition with d on the left.  A
+skew-adjoint matrix operator H defines a bracket on generators by
+{u_i lambda u_j} = H_ji(lambda), the symbol of H_ji.  With the rows of
+Frechet operators D_{g,j} = sum_n dg/du_j^(n) d^n, the master formula of
+Barakat, De Sole and Kac is a composition of symbols:
 
-    {u_i  g}  = sum_{j,n} dg/du_j^(n) (lambda + d)^n H_ji(lambda)
-    {g  u_k}  = sum_{m,n} H_km(nu + d) (-nu - d)^n dg/du_m^(n),
+    {u_i lambda g}  = sum_j D_{g,j} . H_ji
+    {g nu u_k}      = sum_m H_km . D_{g,m}*
+    {f lambda g}    = sum_k D_{g,k} . {f lambda u_k}
 
-with d acting on everything to its right and nu standing for lambda + mu.
-The jacobiator of a triple of generators collects
+where D* is the formal adjoint and nu stands for lambda + mu.  The
+jacobiator of a triple of generators collects
 
-    {u_i  {u_j  u_k}} - {u_j  {u_i  u_k}} - {{u_i  u_j}  u_k}
+    {u_i lambda {u_j mu u_k}} - {u_j mu {u_i lambda u_k}} - {{u_i lambda u_j} lambda+mu u_k}
 
-as a polynomial in lambda and mu; H is a Poisson structure exactly when
-every jacobiator vanishes.  All verifications here are exact identities
-in the differential ring, never numerical.
+as a polynomial in lambda and mu, a :class:`diffop.SparsePoly` keyed by
+(power of lambda, power of mu) pairs; H is a Poisson structure exactly
+when every jacobiator vanishes.  All verifications here are exact
+identities in the differential ring, never numerical.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from . import diffalg as da
 from . import diffop as dop
 from . import varcalc as vc
-from .diffalg import DiffFunction, LocalFunctional, ONE, QQ, ZERO
+from .diffalg import LocalFunctional, ONE
 from .errors import DimensionMismatch, NotSkewAdjoint
-
-
-class LambdaPoly:
-    """Polynomial in lambda with differential-function coefficients."""
-
-    __slots__ = ("_t",)
-
-    def __init__(self, terms=()):
-        self._t = tuple(terms)
-
-    @staticmethod
-    def from_dict(d):
-        items = [(s, f) for s, f in d.items() if f]
-        items.sort()
-        return LambdaPoly(items)
-
-    @property
-    def terms(self):
-        return self._t
-
-    def coeff(self, s):
-        for deg, f in self._t:
-            if deg == s:
-                return f
-        return ZERO
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def __eq__(self, other):
-        if isinstance(other, LambdaPoly):
-            return self._t == other._t
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._t)
-
-    def __add__(self, other):
-        d = dict(self._t)
-        for s, f in other._t:
-            g = d.get(s, ZERO) + f
-            if g:
-                d[s] = g
-            else:
-                d.pop(s, None)
-        return LambdaPoly.from_dict(d)
-
-    def __neg__(self):
-        return LambdaPoly([(s, -f) for s, f in self._t])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, f):
-        """Multiply every coefficient by a differential function."""
-        if isinstance(f, (int, Fraction)):
-            f = da.const(f)
-        return LambdaPoly.from_dict({s: f * g for s, g in self._t})
-
-    def __repr__(self):
-        if not self._t:
-            return "LambdaPoly(0)"
-        bits = []
-        for s, f in self._t:
-            body = da.to_text(f)
-            if len(f.terms) > 1:
-                body = f"({body})"
-            bits.append(body if s == 0 else f"{body}*L^{s}" if s > 1 else f"{body}*L")
-        return "LambdaPoly(" + " + ".join(bits) + ")"
-
-
-class LambdaMuPoly:
-    """Polynomial in lambda and mu with differential-function coefficients."""
-
-    __slots__ = ("_t",)
-
-    def __init__(self, terms=()):
-        self._t = tuple(terms)
-
-    @staticmethod
-    def from_dict(d):
-        items = [(ab, f) for ab, f in d.items() if f]
-        items.sort()
-        return LambdaMuPoly(items)
-
-    @property
-    def terms(self):
-        return self._t
-
-    def __bool__(self):
-        return bool(self._t)
-
-    def __eq__(self, other):
-        if isinstance(other, LambdaMuPoly):
-            return self._t == other._t
-        return NotImplemented
-
-    def __add__(self, other):
-        d = dict(self._t)
-        for ab, f in other._t:
-            g = d.get(ab, ZERO) + f
-            if g:
-                d[ab] = g
-            else:
-                d.pop(ab, None)
-        return LambdaMuPoly.from_dict(d)
-
-    def __neg__(self):
-        return LambdaMuPoly([(ab, -f) for ab, f in self._t])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __repr__(self):
-        return f"LambdaMuPoly({[(ab, da.to_text(f)) for ab, f in self._t]})"
-
-
-def _addmul_poly_into(acc, c, lp, k=1):
-    """Add k*c*lp into acc, a {power of lambda: {monomial: coefficient}} dict."""
-    for s, f in lp.terms:
-        da.addmul_into(acc.setdefault(s, {}), c, f, k)
-
-
-def _poly_from_acc(acc):
-    return LambdaPoly.from_dict({s: DiffFunction.from_dict(d) for s, d in acc.items()})
-
-
-def _shift_once(lp):
-    """(lambda + d) applied to a lambda polynomial."""
-    acc = {}
-    for s, f in lp.terms:
-        da.addmul_into(acc.setdefault(s + 1, {}), f, ONE)
-        da.addmul_into(acc.setdefault(s, {}), da.total_derivative(f), ONE)
-    return _poly_from_acc(acc)
-
-
-def _op_shift_apply_into(acc, op, lp, k=1):
-    """Add k * A(lambda + d) applied to a lambda polynomial into acc.
-
-    A is a scalar operator and acc a dict as in :func:`_addmul_poly_into`.
-    """
-    powers, n = lp, 0
-    for deg, c in op.terms:
-        while n < deg:
-            powers = _shift_once(powers)
-            n += 1
-        _addmul_poly_into(acc, c, powers, k)
 
 
 def _require_skew(h):
@@ -188,34 +46,22 @@ def _as_matrix(h):
 
 
 def generator_bracket(h, i, j):
-    """{u_i lambda u_j} for 1-based generator indices: H_ji as a lambda polynomial."""
+    """{u_i lambda u_j} for 1-based generator indices: the operator H_ji as its symbol."""
     h = _as_matrix(h)
     _require_skew(h)
     n, _ = h.shape
     if not (1 <= i <= n and 1 <= j <= n):
         raise DimensionMismatch("generator index out of range")
-    return LambdaPoly(list(h.entries[j - 1][i - 1].terms))
+    return h.entries[j - 1][i - 1]
 
 
 def _bracket_gen_fun(h, i, g):
-    """{u_i lambda g} by the master formula (no skew re-check)."""
+    """{u_i lambda g} = sum_j D_{g,j} . H_ji (no skew re-check)."""
     n, _ = h.shape
     acc = {}
-    for j in range(n):
-        col = LambdaPoly(list(h.entries[j][i - 1].terms))
-        if not col:
-            continue
-        top = da.max_order(g, j)
-        if top is None:
-            continue
-        shifted = col
-        for order in range(top + 1):
-            c = da.partial_derivative(g, (j, order))
-            if c:
-                _addmul_poly_into(acc, c, shifted)
-            if order < top:
-                shifted = _shift_once(shifted)
-    return _poly_from_acc(acc)
+    for j, dg in enumerate(vc.frechet_row(g, n)):
+        dop.compose_into(acc, dg, h.entries[j][i - 1])
+    return dop.ScalarDiffOp.from_acc(acc)
 
 
 def bracket_with_function(h, i, g):
@@ -226,49 +72,25 @@ def bracket_with_function(h, i, g):
 
 
 def lambda_bracket(h, f, g):
-    """{f lambda g} for two differential functions, by the master formula."""
+    """{f lambda g} = sum_k D_{g,k} . {f lambda u_k}, by the master formula."""
     h = _as_matrix(h)
     _require_skew(h)
     n, _ = h.shape
     acc = {}
-    for k in range(1, n + 1):
-        p = _bracket_fun_gen(h, f, k)
-        if not p:
-            continue
-        top = da.max_order(g, k - 1)
-        if top is None:
-            continue
-        shifted = p
-        for order in range(top + 1):
-            c = da.partial_derivative(g, (k - 1, order))
-            if c:
-                _addmul_poly_into(acc, c, shifted)
-            if order < top:
-                shifted = _shift_once(shifted)
-    return _poly_from_acc(acc)
+    for k, dg in enumerate(vc.frechet_row(g, n)):
+        if dg:
+            dop.compose_into(acc, dg, _bracket_fun_gen(h, f, k + 1))
+    return dop.ScalarDiffOp.from_acc(acc)
 
 
 def _bracket_fun_gen(h, g, k):
-    """{g nu u_k} as a polynomial in nu = lambda + mu."""
+    """{g nu u_k} = sum_m H_km . D_{g,m}*, as a polynomial in nu = lambda + mu."""
     n, _ = h.shape
     acc = {}
-    for m in range(n):
-        op = h.entries[k - 1][m]
-        if not op:
-            continue
-        top = da.max_order(g, m)
-        if top is None:
-            continue
-        # (-nu - d)^order dg/du_m^(order) = (-1)^order (nu + d)^order dg/du_m^(order)
-        for order in range(top + 1):
-            c = da.partial_derivative(g, (m, order))
-            if not c:
-                continue
-            inner = LambdaPoly([(0, c)])
-            for _ in range(order):
-                inner = _shift_once(inner)
-            _op_shift_apply_into(acc, op, inner, -1 if order % 2 else 1)
-    return _poly_from_acc(acc)
+    for op, dg in zip(h.entries[k - 1], vc.frechet_row(g, n)):
+        if op and dg:
+            dop.compose_into(acc, op, dop.adjoint_scalar(dg))
+    return dop.ScalarDiffOp.from_acc(acc)
 
 
 def jacobiator(h, i, j, k):
@@ -302,7 +124,7 @@ def jacobiator(h, i, j, k):
             for p in range(s + 1):
                 put(p + t, s - p, f, -comb(s, p))
 
-    return LambdaMuPoly.from_dict({ab: DiffFunction.from_dict(d) for ab, d in acc.items()})
+    return dop.SparsePoly.from_acc(acc)
 
 
 def _integral_multiple(h):

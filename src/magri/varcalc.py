@@ -38,24 +38,21 @@ def variational_derivative(f, nvars=2):
     return tuple(da.euler_derivative(f, var) for var in range(nvars))
 
 
+def frechet_row(f, nvars=2):
+    """The operators D_{f,j} = sum_n df/du_j^(n) d^n for j < nvars."""
+    row = []
+    for var in range(nvars):
+        top = da.max_order(f, var)
+        orders = () if top is None else range(top + 1)
+        terms = {n: da.partial_derivative(f, (var, n)) for n in orders}
+        row.append(dop.ScalarDiffOp.from_dict(terms))
+    return row
+
+
 def frechet(vec):
     """Frechet derivative of a vector: entry (i, j) is sum_n dF_i/du_j^(n) d^n."""
     vec = tuple(vec)
-    nvars = len(vec)
-    rows = []
-    for fi in vec:
-        row = []
-        for var in range(nvars):
-            top = da.max_order(fi, var)
-            terms = {}
-            if top is not None:
-                for n in range(top + 1):
-                    c = da.partial_derivative(fi, (var, n))
-                    if c:
-                        terms[n] = c
-            row.append(dop.ScalarDiffOp.from_dict(terms))
-        rows.append(row)
-    return dop.MatrixDiffOp(rows)
+    return dop.MatrixDiffOp([frechet_row(fi, len(vec)) for fi in vec])
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,22 @@ def test_operator_file_loading(capsys, tmp_path):
     assert out.strip() == "POISSON"
 
 
+def test_operator_json_in_any_term_order_is_canonical(capsys, tmp_path):
+    blob = render.operator_to_json(lenard.structure(0))
+    reversed_terms = [[entry[::-1] for entry in row] for row in blob]
+    assert reversed_terms != blob
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps(reversed_terms))
+    code, out, _ = _run(capsys, "verify-poisson", "--op", str(path))
+    assert (code, out.strip()) == (0, "POISSON")
+    assert render.operator_from_json(reversed_terms) == lenard.structure(0)
+    # equal orders are summed and a zero sum is dropped
+    one = {"c": "1", "m": []}
+    cancel = render.scalar_op_from_json([{"k": 1, "c": [one]}, {"k": 1, "c": [dict(one, c="-1")]}])
+    assert cancel == dop.ScalarDiffOp()
+    assert render.op_text(cancel) == "0"
+
+
 def test_casimir_check_passes(capsys):
     code, out, _ = _run(capsys, "casimir-check")
     assert code == 0

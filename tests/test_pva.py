@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from magri import diffop as dop
 from magri import pva
 from magri.diffalg import LocalFunctional, QQ, ZERO
 from magri.errors import NotSkewAdjoint
-from magri.pva import LambdaPoly, _shift_once
 
 
 H0, H1 = dop.builtin_pair()
@@ -47,9 +47,9 @@ def test_sesquilinearity():
         g = helpers.rand_function(rng, terms=2, max_order=2, max_exp=2)
         r = pva.lambda_bracket(H0, f, g)
         left = pva.lambda_bracket(H0, da.total_derivative(f), g)
-        assert left == LambdaPoly.from_dict({s + 1: -c for s, c in r.terms})
+        assert left == dop.ScalarDiffOp.from_dict({s + 1: -c for s, c in r.terms})
         right = pva.lambda_bracket(H0, f, da.total_derivative(g))
-        assert right == _shift_once(r)
+        assert right == dop.compose(dop.D, r)
 
 
 def test_leibniz_rule():
@@ -59,7 +59,10 @@ def test_leibniz_rule():
         g = helpers.rand_function(rng, terms=2, max_order=2, max_exp=2)
         h = helpers.rand_function(rng, terms=2, max_order=2, max_exp=2)
         lhs = pva.lambda_bracket(H0, f, g * h)
-        rhs = pva.lambda_bracket(H0, f, g).scale(h) + pva.lambda_bracket(H0, f, h).scale(g)
+        rhs = (
+            dop.multiplication(h) * pva.lambda_bracket(H0, f, g)
+            + dop.multiplication(g) * pva.lambda_bracket(H0, f, h)
+        )
         assert lhs == rhs
 
 
@@ -72,6 +75,34 @@ def test_lambda_bracket_matches_sympy_oracle():
         eng = oracle.lam_poly_to_sympy(pva.lambda_bracket(H0, f, g))
         ora = oracle.bracket_sym(hs, oracle.to_sympy(f), oracle.to_sympy(g), oracle.lam)
         assert oracle.sym_equal(eng, ora)
+
+
+def _laurent_log_sample(rng, count):
+    """Random functions of jet order at most 1, covering v^-k and log v."""
+    fs = [helpers.rand_function(rng, terms=2, max_order=1, max_exp=2) for _ in range(count)]
+    text = " ".join(da.to_text(f) for f in fs)
+    assert "v^-" in text and "log(v)" in text
+    return fs
+
+
+def test_lambda_bracket_under_h1_matches_sympy_oracle():
+    f, g = _laurent_log_sample(random.Random(41), 2)
+    eng = oracle.lam_poly_to_sympy(pva.lambda_bracket(H1, f, g))
+    ora = oracle.bracket_sym(
+        oracle.matrix_op_to_sym(H1), oracle.to_sympy(f), oracle.to_sympy(g), oracle.lam
+    )
+    assert oracle.sym_equal(eng, ora)
+
+
+def test_bracket_with_function_matches_sympy_oracle():
+    gs = _laurent_log_sample(random.Random(45), 2)
+    for h in (H0, H1):
+        hs = oracle.matrix_op_to_sym(h)
+        for i, ui in ((1, oracle.u_fn), (2, oracle.v_fn)):
+            for g in gs:
+                eng = oracle.lam_poly_to_sympy(pva.bracket_with_function(h, i, g))
+                ora = oracle.bracket_sym(hs, ui, oracle.to_sympy(g), oracle.lam)
+                assert oracle.sym_equal(eng, ora)
 
 
 def test_jacobiator_zero_on_builtin_triples():
@@ -93,6 +124,23 @@ def test_jacobiator_nonzero_witness_matches_oracle():
     jo = oracle.jacobi_sym(hs, oracle.u_fn, oracle.u_fn, oracle.u_fn)
     assert oracle.sym_equal(oracle.lammu_poly_to_sympy(j), jo)
     assert not pva.is_poisson(k2)
+
+
+def test_laurent_jacobiator_matches_oracle():
+    # [[w d + d w, d], [d, 0]] with w = u/v is skew but fails Jacobi
+    w = dop.multiplication(da.u_jet(0) * da.v_pow(-1))
+    k2 = dop.MatrixDiffOp([[w * dop.D + dop.D * w, dop.D], [dop.D, dop.ScalarDiffOp()]])
+    assert dop.is_skew_adjoint(k2)
+    assert not pva.is_poisson(k2)
+    hs = oracle.matrix_op_to_sym(k2)
+    fields = (oracle.u_fn, oracle.v_fn)
+    nonzero = 0
+    for i, j, k in itertools.product((1, 2), repeat=3):
+        jac = pva.jacobiator(k2, i, j, k)
+        nonzero += bool(jac)
+        jo = oracle.jacobi_sym(hs, fields[i - 1], fields[j - 1], fields[k - 1])
+        assert oracle.sym_equal(oracle.lammu_poly_to_sympy(jac), jo)
+    assert nonzero
 
 
 def test_is_poisson_small_constant_operator():
