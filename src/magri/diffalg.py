@@ -488,18 +488,23 @@ def _dx_mono(m):
     return t
 
 
+def _dx_into(acc, f):
+    """Add the total derivative of f into ``acc``, as addmul_into adds a product."""
+    memo = _DX_MONO
+    get = acc.get
+    for m, c in f._t:
+        t = memo.get(m)
+        if t is None:
+            t = _dx_mono(m)
+        for dm, e in t:
+            acc[dm] = get(dm, 0) + c * e
+
+
 def total_derivative(f, n=1):
     """Apply the total derivative ``n`` times."""
-    memo = _DX_MONO
     for _ in range(n):
         acc = {}
-        get = acc.get
-        for m, c in f._t:
-            t = memo.get(m)
-            if t is None:
-                t = _dx_mono(m)
-            for dm, e in t:
-                acc[dm] = get(dm, 0) + c * e
+        _dx_into(acc, f)
         f = DiffFunction.from_dict(acc)
     return f
 
@@ -718,13 +723,20 @@ def subalgebra_member(f, tag):
 
 
 def euler_derivative(f, var):
-    """Variational derivative in one variable: sum (-d)^n df/dx^(n)."""
+    """Variational derivative in one variable: sum (-d)^n df/dx^(n).
+
+    Evaluated in Horner form, acc <- df/dx^(k) - d(acc) for k = n-1 .. 0,
+    so it takes n total derivatives, each subtracted straight into the
+    dict of the next partial derivative.
+    """
     n = max_order(f, var)
     if n is None:
         return ZERO
     acc = partial_derivative(f, (var, n))
     for k in range(n - 1, -1, -1):
-        acc = partial_derivative(f, (var, k)) - total_derivative(acc)
+        d = dict(partial_derivative(f, (var, k))._t)
+        _dx_into(d, -acc)
+        acc = DiffFunction.from_dict(d)
     return acc
 
 
@@ -809,7 +821,7 @@ def antiderivative(f, tag=None):
     """
     if not is_total_derivative(f):
         return None
-    g = ZERO
+    g = {}  # the primitive so far, {packed monomial: coefficient}
     work = f
     fuel = 0
     while work:
@@ -830,8 +842,12 @@ def antiderivative(f, tag=None):
         if t_ord is not None and t_ord >= n:
             return None
         p = _integrate_in_generator(top, var, n - 1)
-        g = g + p
-        work = work - total_derivative(p)
+        for m, c in p._t:
+            g[m] = g.get(m, 0) + c
+        d = dict(work._t)
+        _dx_into(d, -p)
+        work = DiffFunction.from_dict(d)
+    g = DiffFunction.from_dict(g)
     if tag is not None:
         if tag.kind == "minus":
             ok = all(_mono_in_minus_affine(m) for m, _ in g._t)
@@ -875,6 +891,16 @@ class LocalFunctional:
                 self.rep.constant_term(),
             )
         return self._key
+
+    @classmethod
+    def _of_gradient(cls, rep, grad):
+        """The functional of ``rep``, given its Euler derivatives (d/du, d/dv).
+
+        ``grad`` is taken as it is, so the caller must have checked it.
+        """
+        lf = cls(rep)
+        lf._key = (grad[0], grad[1], rep.constant_term())
+        return lf
 
     def variational_gradient(self):
         """The pair of Euler derivatives (d/du, d/dv)."""

@@ -305,6 +305,11 @@ def lm_step(eps, grad, method="recursion", order_bounds=None, v_floor=None, wide
     normalized against the kernel of H_eps and verified exactly before
     being returned.  A negative ``widen_cap`` raises MagriError.
     """
+    return _lm_step(eps, grad, method, order_bounds, v_floor, widen_cap)[0]
+
+
+def _lm_step(eps, grad, method, order_bounds, v_floor, widen_cap):
+    """:func:`lm_step`'s next gradient xi', with the flow b = H_{1-eps} xi it solved for."""
     grad = tuple(grad)
     if len(grad) != 2:
         raise MagriError("gradients here have two components")
@@ -314,7 +319,7 @@ def lm_step(eps, grad, method="recursion", order_bounds=None, v_floor=None, wide
         raise NotClosed(f"gradient input is not closed; entry {rep.witness}")
     b = dop.apply(structure(1 - eps), grad)
     if not any(b):
-        return (ZERO, ZERO)
+        return (ZERO, ZERO), b
     if method == "recursion":
         nxt = _step_recursion(eps, b)
     elif method == "ansatz":
@@ -324,7 +329,7 @@ def lm_step(eps, grad, method="recursion", order_bounds=None, v_floor=None, wide
     nxt = _normalize_kernel(eps, nxt)
     if dop.apply(structure(eps), nxt) != b:
         raise NoSolution("candidate gradient fails the defining relation")
-    return nxt
+    return nxt, b
 
 
 # -- whole hierarchies -------------------------------------------------------
@@ -365,8 +370,8 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, wi
     flows = []
     checks = {"memberships": True, "densities": True, "casimir_pairing": True}
     for n in range(1, steps + 1):
-        nxt = lm_step(eps, gradients[-1], method=method, widen_cap=widen_cap)
-        flows.append(dop.apply(structure(1 - eps), gradients[-1]))
+        nxt, flow = _lm_step(eps, gradients[-1], method, None, None, widen_cap)
+        flows.append(flow)
         gradients.append(nxt)
         if eps == 0:
             ok = da.subalgebra_member(nxt[0], da.scaled_v_minus(1)) and da.subalgebra_member(
@@ -378,7 +383,8 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, wi
         if with_densities:
             dens = vc.integrate_exact(nxt, widen_cap=widen_cap)
             densities.append(dens)
-            okd = vc.variational_derivative(dens) == nxt
+            # integrate_exact checked this gradient and kept it in dens
+            okd = dens.variational_gradient() == nxt
             if eps == 0:
                 okd = okd and not any(
                     g[0] == LOG_VAR for m, _ in dens.rep.terms for g in m

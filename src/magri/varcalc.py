@@ -253,16 +253,7 @@ def _euler_mono(m, var):
     key = (m, var)
     out = _EULER_MONO.get(key)
     if out is None:
-        f = DiffFunction([(m, 1)])
-        acc = ZERO
-        top = da.max_order(f, var)
-        if top is not None:
-            for n in range(top + 1):
-                p = da.partial_derivative(f, (var, n))
-                if p:
-                    p = da.total_derivative(p, n)
-                    acc = acc - p if n % 2 else acc + p
-        out = da.memo_put(_EULER_MONO, key, acc)
+        out = da.memo_put(_EULER_MONO, key, da.euler_derivative(DiffFunction([(m, 1)]), var))
     return out
 
 
@@ -275,7 +266,9 @@ def _solve_v_density(g, widen_cap):
 
     The Euler operator in v lowers the total v degree of a v-only
     monomial by exactly one, so the linear system splits into
-    independent blocks indexed by v degree.
+    independent blocks indexed by v degree.  Only the blocks the right
+    side reaches are solved, so only the candidates of their degrees
+    are differentiated; the unknowns of every other block are zero.
     """
     if not g:
         return ZERO
@@ -293,63 +286,82 @@ def _solve_v_density(g, widen_cap):
     base_order = da.max_order(g, V) or 0
     order_bound = max(1, (base_order + 1) // 2 + 1)
     v_floor = min(da.min_v_exponent(g) + 1, 0)
+    rhs_by_deg = {}
+    for m, c in g.terms:
+        rhs_by_deg.setdefault(_v_degree(m) + 1, {})[m] = c
     for _round in range(widen_cap + 1):
-        cands = _v_candidates(wt + 2, order_bound, v_floor, include_log=True)
-        by_deg = {}
-        for m in cands:
-            e = _euler_mono(m, V)
-            if e:
-                by_deg.setdefault(_v_degree(m), []).append((m, e))
-        rhs_by_deg = {}
-        for m, c in g.terms:
-            rhs_by_deg.setdefault(_v_degree(m) + 1, {})[m] = c
+        by_deg = {deg: [] for deg in rhs_by_deg}
+        for m in _v_candidates(wt + 2, order_bound, v_floor, include_log=True):
+            block = by_deg.get(_v_degree(m))
+            if block is not None:
+                e = _euler_mono(m, V)
+                if e:
+                    block.append((m, e))
         parts = []
-        failed = False
         for deg, rhs in sorted(rhs_by_deg.items()):
-            block = by_deg.get(deg, [])
-            cols = [{mm: cc for mm, cc in e.terms} for _m, e in block]
-            xs = linsolve.solve(cols, rhs)
+            block = by_deg[deg]
+            xs = linsolve.solve([dict(e.terms) for _m, e in block], rhs)
             if xs is None:
-                failed = True
                 break
             parts += [(x, m) for (m, _e), x in zip(block, xs)]
-        if not failed:
+        else:
             return DiffFunction.from_terms(parts)
         order_bound += 2
         v_floor -= 2
     raise NoSolution("no density found for the v-only part within the widening cap")
 
 
+def _integrate(vec, widen_cap):
+    """A candidate density for ``vec``, not yet checked."""
+    if not 1 <= len(vec) <= 2:
+        raise DimensionMismatch("a gradient here has one or two components, for u and v")
+    if all(da.subalgebra_member(f, da.V_PLUS) for f in vec):
+        return _poly_homotopy(vec)
+    if len(vec) != 2:
+        raise NoSolution("Laurent integration works on (u, v) vectors")
+    h = ZERO
+    for _w, (fw, gw) in sorted(_split_by_weight(vec).items()):
+        hu = _u_homotopy(fw)
+        gtil = gw - da.euler_derivative(hu, V)
+        if not _v_only(gtil):
+            raise NoSolution("residual v-problem still involves u")
+        h = h + hu + _solve_v_density(gtil, widen_cap)
+    return h
+
+
 def integrate_exact(vec, widen_cap=None):
     """A density h with variational_derivative(h) == vec, exactly.
 
-    Requires the vector to be closed (self-adjoint Frechet derivative).
     Purely polynomial vectors integrate by the full homotopy formula;
     otherwise the u-dependence is integrated by a homotopy in the u
     variables alone (u enters polynomially always) and the remaining
     v-only problem is solved against a weight-homogeneous candidate
     space, widened at most ``widen_cap`` times (order bound +2, Laurent
-    floor -2 per round).  Raises NotClosed or NoSolution, and MagriError
-    for a negative ``widen_cap``.
+    floor -2 per round).
+
+    The closing check variational_derivative(h) == vec also proves that
+    vec is closed (self-adjoint Frechet derivative), since every
+    variational gradient is; so closedness is tested only when the
+    integration fails, to tell a vector that is not a gradient
+    (NotClosed, with the witness entry) from one outside the reach of
+    the candidate spaces (NoSolution).  Raises MagriError for a negative
+    ``widen_cap``.  The returned functional already holds the gradient
+    it was checked against.
     """
     vec = tuple(vec)
     widen_cap = resolve_widen_cap(widen_cap)
-    rep = is_closed(vec)
-    if not rep:
-        raise NotClosed(f"vector is not a variational gradient; entry {rep.witness}")
-    if all(da.subalgebra_member(f, da.V_PLUS) for f in vec):
-        h = _poly_homotopy(vec)
-    else:
-        if len(vec) != 2:
-            raise NoSolution("Laurent integration works on (u, v) vectors")
-        h = ZERO
-        for _w, (fw, gw) in sorted(_split_by_weight(vec).items()):
-            hu = _u_homotopy(fw)
-            gtil = gw - da.euler_derivative(hu, V)
-            if not _v_only(gtil):
-                raise NoSolution("residual v-problem still involves u")
-            h = h + hu + _solve_v_density(gtil, widen_cap)
-    got = variational_derivative(h, len(vec))
-    if tuple(got) != vec:
-        raise NoSolution("reconstructed density fails to reproduce the gradient")
+    try:
+        h = _integrate(vec, widen_cap)
+        got = variational_derivative(h, len(vec))
+        if got != vec:
+            raise NoSolution("reconstructed density fails to reproduce the gradient")
+    except MagriError:
+        rep = is_closed(vec)
+        if not rep:
+            raise NotClosed(
+                f"vector is not a variational gradient; entry {rep.witness}"
+            ) from None
+        raise
+    if len(vec) == 2:
+        return LocalFunctional._of_gradient(h, got)
     return LocalFunctional(h)

@@ -7,6 +7,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from magri import cli, expr, lenard, pva, render
@@ -374,6 +375,14 @@ GOLDEN_SHA256 = {
 GOLDEN_SHA256_E0A0 = "fdc5b31f558527acf2dadb4d24eb2b7e46d56f0470c4a05486bbdfb77b489ee6"
 
 
+# SHA-256 of the JSON stdout of `magri hierarchy --eps 0 --alpha 1 --steps 2`:
+# its densities come from the v-only candidate solver, block by block.
+GOLDEN_SHA256_E0A1_2 = "12b0e2c5e36e69b6ea49616a27371acaa94a527e3534656ed10ab0b8ae238412"
+
+# SHA-256 of the JSON stdout of `magri hierarchy --eps 0 --alpha 0 --steps 3`.
+GOLDEN_SHA256_E0A0_3 = "deba9c466a67d0fc04997dc073fe3d82d2406da8d4b2632ca92605cb85c19b49"
+
+
 def test_hierarchy_output_is_pinned(capsys):
     for kind, extra in (("json", ()), ("latex", ("--latex",))):
         code, out, _ = _run(
@@ -387,6 +396,47 @@ def test_eps0_hierarchy_output_is_pinned(capsys):
     code, out, _ = _run(capsys, "hierarchy", "--eps", "0", "--alpha", "0", "--steps", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_E0A0
+
+
+def test_eps0_alpha1_depth2_hierarchy_output_is_pinned(capsys):
+    code, out, _ = _run(capsys, "hierarchy", "--eps", "0", "--alpha", "1", "--steps", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_E0A1_2
+
+
+def test_depth3_eps0_chain_keeps_its_checks_and_order_law():
+    # the v-only solver differentiates only the candidates of the blocks it
+    # solves; differentiating all of them made this chain take minutes
+    run = lenard.run_hierarchy(0, 0, 3)
+    assert run.checks == {"memberships": True, "densities": True, "casimir_pairing": True}
+    assert [run.orders[n] for n in (1, 2, 3)] == [(6 * n - 2, 6 * n) for n in (1, 2, 3)]
+    assert run.flow_orders == [6 * n + 5 for n in range(4)]
+    out = cli._json_text(render.run_to_json(run)) + "\n"  # what `magri hierarchy` prints
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_E0A0_3
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "\u00e9\u2028\U0001f600", "\ud800"]
+)
+_JSON_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | _JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_json_writer_matches_the_json_module(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+def test_json_writer_rejects_other_types():
+    for bad in (1.5, da.QQ(1, 2), {1, 2}, b"x", object(), {1: "a"}, ["a", [None, 2.0]]):
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
 
 
 # Laurent and log inputs for the pinned one-shot commands; each has order

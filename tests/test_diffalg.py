@@ -142,6 +142,19 @@ def test_euler_matches_sympy(f):
 
 
 @settings(max_examples=60, deadline=None)
+@given(fn_strategy(max_order=4))
+def test_euler_derivative_matches_the_sum_of_signed_derivatives(f):
+    # euler_derivative runs in Horner form; the definition sums
+    # (-d)^n of each partial derivative separately
+    for var in (U, V):
+        want = ZERO
+        top = da.max_order(f, var)
+        for n in range(top + 1 if top is not None else 0):
+            want = want + (-1) ** n * da.total_derivative(da.partial_derivative(f, (var, n)), n)
+        assert da.euler_derivative(f, var) == want
+
+
+@settings(max_examples=60, deadline=None)
 @given(fn_strategy())
 def test_antiderivative_roundtrip(f):
     g = da.total_derivative(f)

@@ -11,9 +11,10 @@ import helpers
 import oracle
 from magri import diffalg as da
 from magri import diffop as dop
+from magri import linsolve
 from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, U, V, ZERO
-from magri.errors import DimensionMismatch, MagriError, NotClosed
+from magri.errors import DimensionMismatch, MagriError, NoSolution, NotClosed
 
 
 def test_variational_derivative_components():
@@ -116,8 +117,37 @@ def test_integrate_exact_reproduces_seed_densities():
 
 
 def test_integrate_exact_rejects_non_closed():
-    with pytest.raises(NotClosed):
-        vc.integrate_exact((da.u_jet(1), ZERO))
+    # closedness is tested only once the integration fails, and still
+    # names the first entry where the Frechet derivative is not self-adjoint
+    u, v, up, vp, lg = da.u_jet(0), da.v_jet(0), da.u_jet(1), da.v_jet(1), da.log_v()
+    cases = [
+        ((up, ZERO), "(1, 1)"),
+        ((u * da.v_pow(-1), vp * da.v_pow(-2)), "(1, 2)"),
+        ((lg, u * vp), "(1, 2)"),
+        ((u * u * lg, v * up), "(1, 2)"),
+        ((up * da.v_pow(-3),), "(1, 1)"),
+        ((u, v, u), "(1, 3)"),
+    ]
+    for vec, entry in cases:
+        with pytest.raises(NotClosed) as info:
+            vc.integrate_exact(vec)
+        assert str(info.value) == f"vector is not a variational gradient; entry {entry}"
+    # a closed vector with a third component is out of reach, not an IndexError
+    for vec in ((da.ONE, ZERO, ZERO), ()):
+        with pytest.raises(DimensionMismatch):
+            vc.integrate_exact(vec)
+
+
+def test_integrate_exact_keeps_the_gradient_it_checked():
+    rng = random.Random(29)
+    for _ in range(20):
+        h = helpers.rand_function(rng, terms=3, max_order=2, max_exp=2, log_ok=False)
+        xi = vc.variational_derivative(h)
+        if not any(xi):
+            continue
+        got = vc.integrate_exact(xi)
+        assert got.variational_gradient() == xi
+        assert got._invariant() == LocalFunctional(got.rep)._invariant()
 
 
 def test_integrate_exact_mixed_weights():
@@ -190,6 +220,106 @@ def test_v_problem_out_of_reach_in_log_has_no_solution():
     for h in (vp * vp * lg * lg, vpp ** 4 * v * v * lg):
         with pytest.raises(NoSolution, match="widening cap"):
             vc.integrate_exact(vc.variational_derivative(h))
+
+
+def _euler_mono_by_sum(m, var):
+    # sum over n of (-d)^n d/dx^(n), as _euler_mono computed it before it
+    # delegated to euler_derivative
+    f = da.DiffFunction([(m, 1)])
+    acc = ZERO
+    top = da.max_order(f, var)
+    for n in range(top + 1 if top is not None else 0):
+        p = da.partial_derivative(f, (var, n))
+        if p:
+            p = da.total_derivative(p, n)
+            acc = acc - p if n % 2 else acc + p
+    return acc
+
+
+def _solve_v_density_all_blocks(g, widen_cap):
+    # _solve_v_density as it was when it differentiated every candidate,
+    # including those of v degrees the right side never reaches
+    if not g:
+        return ZERO
+    wt = da.weight(g)
+    if wt is da.INHOMOGENEOUS:
+        raise NoSolution("the v-only part is not weight-homogeneous")
+    for m, _ in g.terms:
+        j = sum(e for var, _n, e in m if var == da.LOG_VAR)
+        if j > 1 or (j == 1 and any(g[0] == V and g[1] == 0 for g in m)):
+            raise NoSolution("no density found for the v-only part within the widening cap")
+    base_order = da.max_order(g, V) or 0
+    order_bound = max(1, (base_order + 1) // 2 + 1)
+    v_floor = min(da.min_v_exponent(g) + 1, 0)
+    for _round in range(widen_cap + 1):
+        cands = vc._v_candidates(wt + 2, order_bound, v_floor, include_log=True)
+        by_deg = {}
+        for m in cands:
+            e = _euler_mono_by_sum(m, V)
+            if e:
+                by_deg.setdefault(vc._v_degree(m), []).append((m, e))
+        rhs_by_deg = {}
+        for m, c in g.terms:
+            rhs_by_deg.setdefault(vc._v_degree(m) + 1, {})[m] = c
+        parts = []
+        failed = False
+        for deg, rhs in sorted(rhs_by_deg.items()):
+            block = by_deg.get(deg, [])
+            cols = [{mm: cc for mm, cc in e.terms} for _m, e in block]
+            xs = linsolve.solve(cols, rhs)
+            if xs is None:
+                failed = True
+                break
+            parts += [(x, m) for (m, _e), x in zip(block, xs)]
+        if not failed:
+            return da.DiffFunction.from_terms(parts)
+        order_bound += 2
+        v_floor -= 2
+    raise NoSolution("no density found for the v-only part within the widening cap")
+
+
+def _outcome(solve, g, widen_cap):
+    try:
+        return solve(g, widen_cap)
+    except NoSolution as exc:
+        return str(exc)
+
+
+def test_v_density_solves_only_the_blocks_the_right_side_reaches(monkeypatch):
+    # seeded v-only right sides over several v degrees, Laurent and log
+    # included: Euler derivatives of random candidate combinations (exact)
+    # and random combinations of one weight (mostly out of reach)
+    rng = random.Random(83)
+    seen = []
+    euler_mono = vc._euler_mono
+
+    def recording(m, var):
+        seen.append(m)
+        return euler_mono(m, var)
+
+    monkeypatch.setattr(vc, "_euler_mono", recording)
+    degrees_spanned = set()
+    outcomes = set()
+    laurent = log = False
+    for trial in range(30):
+        wt = rng.choice((2, 4, 6, 8))
+        cands = vc._v_candidates(wt, 4, -4, include_log=True)
+        picked = rng.sample(cands, min(len(cands), rng.randint(1, 4)))
+        f = da.DiffFunction.from_terms([(helpers.rand_coeff(rng), m) for m in picked])
+        g = da.euler_derivative(f, V) if trial % 3 else f
+        if not g:
+            continue
+        reached = {vc._v_degree(m) + 1 for m, _c in g.terms}
+        degrees_spanned |= reached
+        laurent = laurent or da.min_v_exponent(g) < 0
+        log = log or any(m[-1][0] == da.LOG_VAR for m, _c in g.terms)
+        seen.clear()
+        got = _outcome(vc._solve_v_density, g, 1)
+        assert got == _outcome(_solve_v_density_all_blocks, g, 1), g
+        assert {vc._v_degree(m) for m in seen} <= reached
+        outcomes.add(type(got))
+    assert len(degrees_spanned) >= 4
+    assert outcomes == {da.DiffFunction, str} and laurent and log
 
 
 def test_commutator_on_flow_data_matches_tuples():
