@@ -66,11 +66,26 @@ derivation, with d(v^-1) = -v'*v^-2 and d(log v) = v'/v.  Partial
 derivatives satisfy the shift relation [d/du_i^(n), d] = d/du_i^(n-1).
 Grading: a jet of order n has weight n + 2, v^-1 has weight -2 and
 log v has weight 0.
+
+Subalgebras
+-----------
+A :class:`SubalgebraTag` names a v-power interval: the monomials free
+of log v whose power e of v has lo <= e <= hi, plus at most the one
+pure power v^affine; ``tag.bounds`` is (lo, hi, affine), with None for
+a missing bound, read from one table keyed by the tag's kind.  A tagged
+:func:`antiderivative` must land in the tag's target space: a tag with
+no lower bound targets its interval plus the pure power v^(hi + 1), so
+V_MINUS targets affine_scaled(0) and scaled_v_minus(k) targets
+affine_scaled(k); every other tag is its own target, except
+scaled_plus, which has none.  :func:`monomials` enumerates the
+monomials of one weight within a v-power interval; the ansatz spaces of
+the recursion and the v-only candidates of exact integration both come
+from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
@@ -656,13 +671,38 @@ def max_v_exponent(f):
 
 # -- subalgebras -------------------------------------------------------------
 
+# kind -> the v-power interval (lo, hi, affine) of a tag of power k
+_TAG_BOUNDS = {
+    "plus": lambda k: (0, None, None),
+    "minus": lambda k: (None, 0, None),
+    "zero": lambda k: (0, 0, None),
+    "scaled_plus": lambda k: (k, None, None),
+    "scaled_minus": lambda k: (None, -k, None),
+    "affine_scaled": lambda k: (None, -k, 1 - k),
+}
+
 
 @dataclass(frozen=True)
 class SubalgebraTag:
-    """Names a subspace of the ring that exact integration can respect."""
+    """Names a subspace of the ring that exact integration can respect.
+
+    ``bounds`` is its (lo, hi, affine) v-power interval; an unknown
+    ``kind`` or a ``power`` that is not a nonnegative int raises
+    MagriError.
+    """
 
     kind: str
     power: int = 0
+    bounds: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in _TAG_BOUNDS:
+            raise MagriError(f"unknown subalgebra tag kind {self.kind!r}")
+        if type(self.power) is not int or self.power < 0:
+            raise MagriError(
+                f"subalgebra tag power must be a nonnegative int, got {self.power!r}"
+            )
+        object.__setattr__(self, "bounds", _TAG_BOUNDS[self.kind](self.power))
 
 
 V_PLUS = SubalgebraTag("plus")
@@ -691,32 +731,58 @@ def affine_scaled(k):
     return SubalgebraTag("affine_scaled", k)
 
 
-def _mono_in_tag(m, tag):
-    has_log = mono_exp(m, LOG_VAR, 0) != 0
-    ve = mono_exp(m, V, 0)
-    if tag.kind == "plus":
-        return not has_log and ve >= 0
-    if tag.kind == "minus":
-        return not has_log and ve <= 0
-    if tag.kind == "zero":
-        return not has_log and ve == 0
-    if tag.kind == "scaled_minus":
-        return not has_log and ve <= -tag.power
-    if tag.kind == "scaled_plus":
-        return not has_log and ve >= tag.power
-    if tag.kind == "affine_scaled":
-        if has_log:
-            return False
-        if ve <= -tag.power:
-            return True
-        # the affine part: a pure power c * v^(1-k)
-        return m == ve == 1 - tag.power
-    raise MagriError(f"unknown subalgebra tag {tag!r}")
+def _mono_in(m, lo, hi, affine):
+    """Whether a packed monomial lies in the interval (lo, hi, affine)."""
+    if m == affine:  # a pure power v^e packs to the int e
+        return True
+    if mono_exp(m, LOG_VAR, 0):
+        return False
+    e = mono_exp(m, V, 0)
+    return (lo is None or lo <= e) and (hi is None or e <= hi)
 
 
 def subalgebra_member(f, tag):
     """Exact membership test for the tagged subspace."""
-    return all(_mono_in_tag(m, tag) for m, _ in f._t)
+    bounds = tag.bounds
+    return all(_mono_in(m, *bounds) for m, _ in f._t)
+
+
+def monomials(weight, order_bound, lo, hi=None, fields=(U, V), include_log=False):
+    """All monomials of one weight, as tuple monomials in sorted order.
+
+    A monomial is a product of jets of ``fields`` of order 1 .. order_bound
+    (u from order 0) times one power v^e with lo <= e <= hi (``hi`` None:
+    no upper bound), which takes up the rest of the weight.  With
+    ``include_log``, log(v) * m is added for every m with no power of v.
+    """
+    gens = [
+        (var, n)
+        for var in sorted(fields)
+        for n in range(1 if var == V else 0, order_bound + 1)
+    ]
+    out = []
+    stack = [(0, weight, ())]  # (next generator, weight left, factors so far)
+    while stack:
+        idx, rest, acc = stack.pop()
+        if idx == len(gens):
+            e, odd = divmod(rest, 2)  # v^e weighs 2e
+            if not odd and lo <= e and (hi is None or e <= hi):
+                out.append(tuple(sorted(acc + ((V, 0, e),))) if e else acc)
+            continue
+        var, n = gens[idx]
+        e = 0
+        # jets only add weight, so v must absorb what is left: 2 * lo <= rest
+        while rest - e * (n + 2) >= 2 * lo:
+            factors = acc + ((var, n, e),) if e else acc
+            stack.append((idx + 1, rest - e * (n + 2), factors))
+            e += 1
+    if include_log:
+        out += [
+            tuple(sorted(m + ((LOG_VAR, 0, 1),)))
+            for m in out
+            if not any(g[0] == V and g[1] == 0 for g in m)
+        ]
+    return tuple(sorted(out))  # distinct by construction
 
 
 # -- integration -------------------------------------------------------------
@@ -788,22 +854,6 @@ def _integrate_in_generator(b, var, order):
     )
 
 
-_TAG_RESULT = {
-    "plus": lambda tag: V_PLUS,
-    "minus": lambda tag: SubalgebraTag("affine_scaled", 0),
-    "scaled_minus": lambda tag: affine_scaled(tag.power),
-    "affine_scaled": lambda tag: tag,
-    "zero": lambda tag: tag,
-}
-
-
-def _mono_in_minus_affine(m):
-    # F*v + V_MINUS: the integrated image of V_MINUS
-    if mono_exp(m, LOG_VAR, 0):
-        return False
-    return mono_exp(m, V, 0) <= 0 or m == 1
-
-
 # Rounds of top-order integration antiderivative may take before it gives up.
 _ANTIDERIVATIVE_FUEL = 100000
 
@@ -812,11 +862,12 @@ def antiderivative(f, tag=None):
     """A primitive g with total_derivative(g) == f, or None.
 
     The result is normalized to have zero constant term.  When ``tag``
-    names a subspace, the primitive must land in the subspace paired to
-    it by the structure of the derivative image (v-positive input gives
-    a v-positive primitive; input in v^-k times the nonpositive part
-    gives a primitive there up to one affine power of v), otherwise
-    None is returned.  Raises FuelExhausted if the integration takes
+    names a subspace, the primitive must land in its target space,
+    otherwise None is returned: a tag with no lower bound on the power
+    of v gains the one pure power v^(hi + 1) (input in v^-k times the
+    nonpositive part has a primitive there up to c * v^(1-k)), and
+    every other tag is its own target; scaled_plus has no target and
+    raises MagriError.  Raises FuelExhausted if the integration takes
     more than ``_ANTIDERIVATIVE_FUEL`` rounds.
     """
     if not is_total_derivative(f):
@@ -849,14 +900,12 @@ def antiderivative(f, tag=None):
         work = DiffFunction.from_dict(d)
     g = DiffFunction.from_dict(g)
     if tag is not None:
-        if tag.kind == "minus":
-            ok = all(_mono_in_minus_affine(m) for m, _ in g._t)
-        else:
-            paired = _TAG_RESULT.get(tag.kind)
-            if paired is None:
-                raise MagriError(f"no antiderivative target space for tag {tag.kind!r}")
-            ok = subalgebra_member(g, paired(tag))
-        if not ok:
+        if tag.kind == "scaled_plus":
+            raise MagriError(f"no antiderivative target space for tag {tag.kind!r}")
+        lo, hi, affine = tag.bounds
+        if lo is None:
+            affine = hi + 1  # the primitive may carry one pure power v^(hi+1)
+        if not all(_mono_in(m, lo, hi, affine) for m, _ in g._t):
             return None
     return g
 

@@ -21,13 +21,19 @@ from . import diffalg as da
 from . import diffop as dop
 from . import linsolve
 from . import varcalc as vc
-from .diffalg import DiffFunction, LocalFunctional, QQ, ZERO, ONE, U, V, LOG_VAR
+from .diffalg import DiffFunction, LocalFunctional, QQ, ZERO, ONE, LOG_VAR
 from .errors import EmptyAnsatz, MagriError, NoSolution, NotClosed
 
 H0, H1 = dop.builtin_pair()
 
 scaled_v_plus = da.scaled_v_plus
-_member = da.subalgebra_member
+
+# The subspaces the two components of every gradient of the eps chains lie
+# in: the ansatz stepper searches them and run_hierarchy checks them.
+_GRADIENT_TAGS = {
+    0: (da.scaled_v_minus(1), da.affine_scaled(1)),
+    1: (da.V_PLUS, scaled_v_plus(2)),
+}
 
 
 @dataclass(frozen=True)
@@ -106,76 +112,30 @@ def ansatz_space(weight, order_bound, membership, include_log=False, v_floor=Non
     Order runs over all jets up to order_bound; the zeroth v power is
     constrained by the tag, bounded below by ``v_floor`` for the
     v-negative tags (default: weight//2 - order_bound - 2, deep enough
-    for the gradients this package produces).  Raises EmptyAnsatz when
-    nothing qualifies.
+    for the gradients this package produces).  With ``include_log``,
+    log(v) * m joins every m in the space with no power of v.  Raises
+    EmptyAnsatz when nothing qualifies.
     """
     tag = membership
+    lo, hi, affine = tag.bounds
     if v_floor is None:
-        if tag.kind in ("minus", "scaled_minus", "affine_scaled", "zero"):
-            v_floor = weight // 2 - order_bound - 2
-        else:
-            v_floor = 0
-    lo, hi = _v_exp_range(tag, v_floor, weight)
-    gens = [(U, n) for n in range(order_bound + 1)] + [
-        (V, n) for n in range(1, order_bound + 1)
-    ]
-    found = []
-
-    def rec(idx, remaining, acc):
-        if idx == len(gens):
-            if remaining % 2:
-                return
-            e = remaining // 2
-            if lo <= e <= hi if hi is not None else lo <= e:
-                if e:
-                    mono = tuple(sorted(acc + [(V, 0, e)], key=lambda g: (g[0], g[1])))
-                else:
-                    mono = tuple(acc)
-                if _tag_allows(tag, mono):
-                    found.append(mono)
-            return
-        var, n = gens[idx]
-        w = n + 2
-        e = 0
-        while remaining - e * w >= 2 * lo:
-            rec(idx + 1, remaining - e * w, acc + ([(var, n, e)] if e else []))
-            e += 1
-
-    rec(0, weight, [])
-    out = sorted(set(found))
-    if include_log:
-        log_g = (LOG_VAR, 0, 1)
-        extra = [
-            tuple(sorted(m + (log_g,), key=lambda g: (g[0], g[1])))
-            for m in out
-            if not any(g[0] == V and g[1] == 0 for g in m)
-        ]
-        out = sorted(set(out) | set(extra))
+        v_floor = weight // 2 - order_bound - 2 if hi is not None else 0
+    if affine is not None:
+        hi = max(hi, affine)  # the tag test below drops the gap between them
+    cands = da.monomials(
+        weight, order_bound, v_floor if lo is None else lo, hi, include_log=include_log
+    )
+    out = tuple(m for m in cands if _tag_allows(tag, m))
     if not out:
         raise EmptyAnsatz(
             f"no monomials of weight {weight} under {tag.kind} with order <= {order_bound}"
         )
-    return AnsatzSpace(weight, order_bound, tag, include_log, v_floor, tuple(out))
-
-
-def _v_exp_range(tag, v_floor, weight):
-    if tag.kind == "plus":
-        return 0, None
-    if tag.kind == "scaled_plus":
-        return tag.power, None
-    if tag.kind == "zero":
-        return 0, 0
-    if tag.kind == "minus":
-        return v_floor, 0
-    if tag.kind == "scaled_minus":
-        return v_floor, -tag.power
-    if tag.kind == "affine_scaled":
-        # scaled part plus the affine power; _tag_allows filters the gap
-        return v_floor, max(-tag.power, 1 - tag.power)
-    raise MagriError(f"unknown subalgebra tag {tag!r}")
+    return AnsatzSpace(weight, order_bound, tag, include_log, v_floor, out)
 
 
 def _tag_allows(tag, mono):
+    # log(v) * m is a candidate exactly when m is
+    mono = tuple(g for g in mono if g[0] != LOG_VAR)
     return da.subalgebra_member(DiffFunction([(mono, 1)]), tag)
 
 
@@ -260,10 +220,7 @@ def _step_ansatz(eps, b, order_bounds, v_floor, widen_cap):
         order_bounds = (b_ord + 3, b_ord + 3)
     if v_floor is None:
         v_floor = min(da.min_v_exponent(b[0]), da.min_v_exponent(b[1]), 0) - 2
-    if eps == 0:
-        tags = (da.scaled_v_minus(1), da.affine_scaled(1))
-    else:
-        tags = (da.V_PLUS, scaled_v_plus(2))
+    tags = _GRADIENT_TAGS[eps]
     for _ in range(widen_cap + 1):
         cols = []
         labels = []
@@ -373,12 +330,7 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, wi
         nxt, flow = _lm_step(eps, gradients[-1], method, None, None, widen_cap)
         flows.append(flow)
         gradients.append(nxt)
-        if eps == 0:
-            ok = da.subalgebra_member(nxt[0], da.scaled_v_minus(1)) and da.subalgebra_member(
-                nxt[1], da.affine_scaled(1)
-            )
-        else:
-            ok = _member(nxt[0], da.V_PLUS) and _member(nxt[1], scaled_v_plus(2))
+        ok = all(map(da.subalgebra_member, nxt, _GRADIENT_TAGS[eps]))
         checks["memberships"] = checks["memberships"] and ok
         if with_densities:
             dens = vc.integrate_exact(nxt, widen_cap=widen_cap)

@@ -159,48 +159,6 @@ def _v_only(f):
     return all(var != U for m, _ in f.terms for var, _n, _e in m)
 
 
-def _v_candidates(wt, order_bound, v_floor, include_log):
-    """Monomials in v jets only: weight wt, order <= order_bound, v-exp >= v_floor.
-
-    Positive jets v', v'', ... carry nonnegative exponents; v itself may
-    go down to v_floor and up as far as the weight allows.  With
-    include_log, log-linear candidates log(v)*m are added.
-    """
-    out = []
-    jets = list(range(1, max(order_bound, 0) + 1))
-
-    def rec(idx, remaining, acc):
-        if idx == len(jets):
-            # close with a v power: exponent e contributes 2e
-            if remaining % 2 == 0:
-                e = remaining // 2
-                if e >= v_floor:
-                    m = tuple(acc) if not e else tuple(sorted(acc + [(V, 0, e)]))
-                    out.append(tuple(sorted(m, key=lambda g: (g[0], g[1]))))
-            return
-        n = jets[idx]
-        w = n + 2
-        e = 0
-        while True:
-            used = e * w
-            # remaining weight can always be absorbed by a low v power,
-            # but never raised: positive-weight generators only add
-            if v_floor * 2 > remaining - used:
-                break
-            rec(idx + 1, remaining - used, acc + ([(V, n, e)] if e else []))
-            e += 1
-
-    rec(0, wt, [])
-    cands = [m for m in out]
-    if include_log:
-        log_g = (LOG_VAR, 0, 1)
-        for m in list(cands):
-            if not any(g[0] == V and g[1] == 0 for g in m):
-                cands.append(tuple(sorted(m + (log_g,), key=lambda g: (g[0], g[1]))))
-    cands = sorted(set(cands))
-    return cands
-
-
 def _split_by_weight(vec):
     buckets = {}
     for i, f in enumerate(vec):
@@ -291,7 +249,10 @@ def _solve_v_density(g, widen_cap):
         rhs_by_deg.setdefault(_v_degree(m) + 1, {})[m] = c
     for _round in range(widen_cap + 1):
         by_deg = {deg: [] for deg in rhs_by_deg}
-        for m in _v_candidates(wt + 2, order_bound, v_floor, include_log=True):
+        cands = da.monomials(
+            wt + 2, order_bound, v_floor, fields=(V,), include_log=True
+        )
+        for m in cands:
             block = by_deg.get(_v_degree(m))
             if block is not None:
                 e = _euler_mono(m, V)

@@ -489,3 +489,161 @@ def test_exponent_overflow_raises():
         da.jet(U, 2, da.MAX_EXP + 1)
     with pytest.raises(ExponentOverflow):
         da.antiderivative(da.v_pow(da.MAX_V_EXP) * da.v_jet(1))
+
+
+def test_subalgebra_tag_rejects_bad_kind_and_power():
+    from magri.errors import MagriError
+
+    for kind, power in (("bogus", 0), ("scaled_plus", -2), ("minus", -1), ("plus", 1.0)):
+        with pytest.raises(MagriError):
+            da.SubalgebraTag(kind, power)
+    with pytest.raises(MagriError):
+        da.SubalgebraTag("affine_scaled", True)
+    # the v-nonpositive image of integration: v^1 plus the v^0 scaled space
+    tag = da.SubalgebraTag("affine_scaled", 0)
+    assert tag.bounds == (None, 0, 1)
+    assert da.subalgebra_member(da.v_jet(0) + da.u_jet(0), tag)
+    assert not da.subalgebra_member(da.v_jet(0) * da.u_jet(0), tag)
+
+
+# -- references: the subalgebra tests as string dispatches on the tag kind ----
+
+
+def _ref_mono_in_tag(m, tag):
+    has_log = da.mono_exp(m, LOG_VAR, 0) != 0
+    ve = da.mono_exp(m, V, 0)
+    if tag.kind == "plus":
+        return not has_log and ve >= 0
+    if tag.kind == "minus":
+        return not has_log and ve <= 0
+    if tag.kind == "zero":
+        return not has_log and ve == 0
+    if tag.kind == "scaled_minus":
+        return not has_log and ve <= -tag.power
+    if tag.kind == "scaled_plus":
+        return not has_log and ve >= tag.power
+    if tag.kind == "affine_scaled":
+        if has_log:
+            return False
+        if ve <= -tag.power:
+            return True
+        return m == ve == 1 - tag.power
+    raise AssertionError(tag)
+
+
+def _ref_member(f, tag):
+    return all(_ref_mono_in_tag(da.pack_mono(m), tag) for m, _ in f.terms)
+
+
+_REF_TAG_RESULT = {
+    "plus": lambda tag: da.V_PLUS,
+    "minus": lambda tag: da.SubalgebraTag("affine_scaled", 0),
+    "scaled_minus": lambda tag: da.affine_scaled(tag.power),
+    "affine_scaled": lambda tag: tag,
+    "zero": lambda tag: tag,
+}
+
+
+def _ref_antiderivative(f, tag):
+    g = da.antiderivative(f)
+    if g is None:
+        return None
+    if tag.kind == "minus":
+        ok = all(
+            not da.mono_exp(m, LOG_VAR, 0) and (da.mono_exp(m, V, 0) <= 0 or m == 1)
+            for m in map(da.pack_mono, (m for m, _ in g.terms))
+        )
+    else:
+        paired = _REF_TAG_RESULT.get(tag.kind)
+        if paired is None:
+            return "no antiderivative target space"
+        ok = _ref_member(g, paired(tag))
+    return g if ok else None
+
+
+def test_subalgebra_intervals_match_the_string_dispatch():
+    from magri.errors import MagriError
+
+    tags = [da.V_PLUS, da.V_MINUS, da.V_ZERO]
+    tags += [da.SubalgebraTag("affine_scaled", 0)]
+    for k in (1, 2, 3):
+        tags += [da.scaled_v_minus(k), da.scaled_v_plus(k), da.affine_scaled(k)]
+    rng = random.Random(97)
+    laurent = log = 0
+    for i in range(400):
+        if i % 3 == 0:
+            f = helpers.rand_function(rng)
+        else:
+            f = helpers.rand_scaled_minus(rng, rng.randint(0, 3))
+        if i % 2:
+            f = f + helpers.rand_coeff(rng) * da.v_pow(rng.randint(-3, 2))
+        laurent += da.min_v_exponent(f) < 0
+        log += any(g[0] == LOG_VAR for m, _ in f.terms for g in m)
+        g = da.total_derivative(f - da.const(f.constant_term()))
+        for tag in tags:
+            assert da.subalgebra_member(f, tag) == _ref_member(f, tag), (f, tag)
+            want = _ref_antiderivative(g, tag)
+            if isinstance(want, str):
+                with pytest.raises(MagriError, match=want):
+                    da.antiderivative(g, tag=tag)
+            else:
+                assert da.antiderivative(g, tag=tag) == want, (f, tag)
+    assert laurent > 100 and log > 30
+    # scaled_minus of power 0 is the minus space, and integrates into its image
+    # (the dispatch above sent it to affine_scaled(0), which raised)
+    minus0 = da.SubalgebraTag("scaled_minus", 0)
+    for _ in range(40):
+        g = da.total_derivative(helpers.rand_scaled_minus(rng, 0) + da.v_jet(0))
+        assert da.antiderivative(g, tag=minus0) == _ref_antiderivative(g, da.V_MINUS)
+
+
+def _ref_v_candidates(wt, order_bound, v_floor, include_log):
+    # the v-only enumerator of varcalc before diffalg.monomials replaced it
+    out = []
+    jets = list(range(1, max(order_bound, 0) + 1))
+
+    def rec(idx, remaining, acc):
+        if idx == len(jets):
+            if remaining % 2 == 0:
+                e = remaining // 2
+                if e >= v_floor:
+                    m = tuple(acc) if not e else tuple(sorted(acc + [(V, 0, e)]))
+                    out.append(tuple(sorted(m, key=lambda g: (g[0], g[1]))))
+            return
+        n = jets[idx]
+        w = n + 2
+        e = 0
+        while True:
+            used = e * w
+            if v_floor * 2 > remaining - used:
+                break
+            rec(idx + 1, remaining - used, acc + ([(V, n, e)] if e else []))
+            e += 1
+
+    rec(0, wt, [])
+    cands = list(out)
+    if include_log:
+        log_g = (LOG_VAR, 0, 1)
+        for m in list(cands):
+            if not any(g[0] == V and g[1] == 0 for g in m):
+                cands.append(tuple(sorted(m + (log_g,), key=lambda g: (g[0], g[1]))))
+    return sorted(set(cands))
+
+
+def test_monomials_match_the_v_only_enumerator():
+    for wt in range(-4, 16):
+        for order_bound in range(-1, 5):
+            for v_floor in (-5, -3, -1, 0, 1, 2, 4):
+                for include_log in (False, True):
+                    got = da.monomials(
+                        wt, order_bound, v_floor, fields=(V,), include_log=include_log
+                    )
+                    assert list(got) == _ref_v_candidates(
+                        wt, order_bound, v_floor, include_log
+                    ), (wt, order_bound, v_floor, include_log)
+    # an upper bound on v, and the u jets
+    for m in da.monomials(6, 2, -2, 0):
+        pm = da.pack_mono(m)
+        assert da.mono_weight(pm) == 6 and -2 <= da.mono_exp(pm, V, 0) <= 0
+    assert ((U, 0, 1), (V, 0, 1)) in da.monomials(4, 0, 0)
+    assert da.monomials(4, 0, 0, fields=(V,)) == (((V, 0, 2),),)

@@ -153,6 +153,91 @@ def test_ansatz_space_empty():
         lenard.ansatz_space(1, 0, da.V_PLUS)
 
 
+def _ref_ansatz_space(weight, order_bound, tag, include_log=False, v_floor=None):
+    # ansatz_space as it was with its own enumerator and a v range per tag kind
+    if v_floor is None:
+        if tag.kind in ("minus", "scaled_minus", "affine_scaled", "zero"):
+            v_floor = weight // 2 - order_bound - 2
+        else:
+            v_floor = 0
+    lo, hi = {
+        "plus": (0, None),
+        "scaled_plus": (tag.power, None),
+        "zero": (0, 0),
+        "minus": (v_floor, 0),
+        "scaled_minus": (v_floor, -tag.power),
+        "affine_scaled": (v_floor, max(-tag.power, 1 - tag.power)),
+    }[tag.kind]
+    gens = [(da.U, n) for n in range(order_bound + 1)] + [
+        (da.V, n) for n in range(1, order_bound + 1)
+    ]
+    found = []
+
+    def rec(idx, remaining, acc):
+        if idx == len(gens):
+            if remaining % 2:
+                return
+            e = remaining // 2
+            if lo <= e <= hi if hi is not None else lo <= e:
+                if e:
+                    mono = tuple(
+                        sorted(acc + [(da.V, 0, e)], key=lambda g: (g[0], g[1]))
+                    )
+                else:
+                    mono = tuple(acc)
+                if da.subalgebra_member(da.DiffFunction([(mono, 1)]), tag):
+                    found.append(mono)
+            return
+        var, n = gens[idx]
+        w = n + 2
+        e = 0
+        while remaining - e * w >= 2 * lo:
+            rec(idx + 1, remaining - e * w, acc + ([(var, n, e)] if e else []))
+            e += 1
+
+    rec(0, weight, [])
+    out = sorted(set(found))
+    if include_log:
+        log_g = (da.LOG_VAR, 0, 1)
+        extra = [
+            tuple(sorted(m + (log_g,), key=lambda g: (g[0], g[1])))
+            for m in out
+            if not any(g[0] == da.V and g[1] == 0 for g in m)
+        ]
+        out = sorted(set(out) | set(extra))
+    if not out:
+        raise EmptyAnsatz(
+            f"no monomials of weight {weight} under {tag.kind} with order <= {order_bound}"
+        )
+    return lenard.AnsatzSpace(weight, order_bound, tag, include_log, v_floor, tuple(out))
+
+
+def test_ansatz_space_matches_the_per_kind_enumerator():
+    tags = [da.V_PLUS, da.V_MINUS, da.V_ZERO, da.SubalgebraTag("affine_scaled", 0)]
+    for k in (1, 2, 3):
+        tags += [da.scaled_v_minus(k), da.scaled_v_plus(k), da.affine_scaled(k)]
+    outcomes = set()
+    for tag in tags:
+        for weight in range(-4, 11):
+            for order_bound in range(4):
+                for v_floor in (None, -4, 1):
+                    for include_log in (False, True):
+                        args = (weight, order_bound, tag, include_log, v_floor)
+                        try:
+                            want = _ref_ansatz_space(*args)
+                        except EmptyAnsatz as exc:
+                            with pytest.raises(EmptyAnsatz) as got:
+                                lenard.ansatz_space(*args)
+                            assert str(got.value) == str(exc)
+                            outcomes.add("empty")
+                            continue
+                        got = lenard.ansatz_space(*args)
+                        assert got == want and got.monomials == want.monomials, args
+                        monos = got.monomials
+                        outcomes.add(any(g[0] == da.LOG_VAR for m in monos for g in m))
+    assert outcomes == {"empty", False, True}
+
+
 def test_run_rejects_bad_args():
     with pytest.raises(MagriError):
         lenard.run_hierarchy(0, 2, 1)

@@ -206,7 +206,7 @@ def test_v_problem_out_of_reach_in_log_has_no_solution():
     # power of v, and the terms in log v of its Euler derivative keep that
     # shape ...
     for wt in (4, 6, 8):
-        for m in vc._v_candidates(wt, 5, -4, include_log=True):
+        for m in da.monomials(wt, 5, -4, fields=(V,), include_log=True):
             for mm, _c in vc._euler_mono(m, V).terms:
                 mm = da.pack_mono(mm)
                 j = da.mono_exp(mm, da.LOG_VAR, 0)
@@ -252,7 +252,9 @@ def _solve_v_density_all_blocks(g, widen_cap):
     order_bound = max(1, (base_order + 1) // 2 + 1)
     v_floor = min(da.min_v_exponent(g) + 1, 0)
     for _round in range(widen_cap + 1):
-        cands = vc._v_candidates(wt + 2, order_bound, v_floor, include_log=True)
+        cands = da.monomials(
+            wt + 2, order_bound, v_floor, fields=(V,), include_log=True
+        )
         by_deg = {}
         for m in cands:
             e = _euler_mono_by_sum(m, V)
@@ -303,7 +305,7 @@ def test_v_density_solves_only_the_blocks_the_right_side_reaches(monkeypatch):
     laurent = log = False
     for trial in range(30):
         wt = rng.choice((2, 4, 6, 8))
-        cands = vc._v_candidates(wt, 4, -4, include_log=True)
+        cands = da.monomials(wt, 4, -4, fields=(V,), include_log=True)
         picked = rng.sample(cands, min(len(cands), rng.randint(1, 4)))
         f = da.DiffFunction.from_terms([(helpers.rand_coeff(rng), m) for m in picked])
         g = da.euler_derivative(f, V) if trial % 3 else f
@@ -345,7 +347,7 @@ def test_commutator_on_flow_data_matches_tuples():
 def test_memo_tables_stay_under_the_cap(monkeypatch):
     rng = random.Random(71)
     fs = [helpers.rand_function(rng, terms=4) for _ in range(12)]
-    cands = vc._v_candidates(6, 3, -2, include_log=True)
+    cands = da.monomials(6, 3, -2, fields=(V,), include_log=True)
 
     def compute():
         got = []
