@@ -239,6 +239,14 @@ def addmul_into(acc, f, g, k=1):
             acc[m] = get(m, 0) + c1 * c2
 
 
+def add_into(acc, f, k=1):
+    """Add k*f into ``acc``, a {packed monomial: coefficient} dict, as
+    :func:`addmul_into` adds a product."""
+    get = acc.get
+    for m, c in f._t:
+        acc[m] = get(m, 0) + c * k
+
+
 def dot(a, b):
     """The sum of the products a_i * b_i of two vectors of functions."""
     acc = {}

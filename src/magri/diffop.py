@@ -170,22 +170,31 @@ def multiplication(f):
 D = ScalarDiffOp([(1, ONE)])
 
 
-def compose_into(acc, a, b):
+def _tower(f, top):
+    """f, f', ..., f^(top)."""
+    tower = [f]
+    for _ in range(top):
+        tower.append(da.total_derivative(tower[-1]))
+    return tower
+
+
+def compose_into(acc, a, b, tower=_tower):
     """Add a . b into acc, a {power of d: {packed monomial: coefficient}} dict.
 
     d^n . b_j = sum_m C(n, m) b_j^(m) d^(n-m), so each b_j's derivative
-    tower is built once, up to the degree of a.
+    tower is read once, up to the degree of a.  ``tower(f, top)`` gives
+    at least f, f', ..., f^(top); by default it builds them afresh, and a
+    caller that composes with the same coefficients many times may pass
+    one that keeps them.
     """
     top = a.degree()
     if top is None:
         return acc
     for j, bj in b.terms:
-        tower = [bj]
-        for _ in range(top):
-            tower.append(da.total_derivative(tower[-1]))
+        bt = tower(bj, top)
         for n, an in a.terms:
             for m in range(n + 1):
-                da.addmul_into(acc.setdefault(n - m + j, {}), an, tower[m], comb(n, m))
+                da.addmul_into(acc.setdefault(n - m + j, {}), an, bt[m], comb(n, m))
     return acc
 
 

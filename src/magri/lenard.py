@@ -110,21 +110,22 @@ def ansatz_space(weight, order_bound, membership, include_log=False, v_floor=Non
     """Enumerate the monomials of one weight inside a tagged subspace.
 
     Order runs over all jets up to order_bound; the zeroth v power is
-    constrained by the tag, bounded below by ``v_floor`` for the
-    v-negative tags (default: weight//2 - order_bound - 2, deep enough
-    for the gradients this package produces).  With ``include_log``,
-    log(v) * m joins every m in the space with no power of v.  Raises
-    EmptyAnsatz when nothing qualifies.
+    constrained by the tag, bounded below by the tag's own lower bound
+    when it has one and by ``v_floor`` otherwise (default: weight//2 -
+    order_bound - 2, deep enough for the gradients this package
+    produces).  The space records the floor it used.  With
+    ``include_log``, log(v) * m joins every m in the space with no power
+    of v.  Raises EmptyAnsatz when nothing qualifies.
     """
     tag = membership
     lo, hi, affine = tag.bounds
-    if v_floor is None:
-        v_floor = weight // 2 - order_bound - 2 if hi is not None else 0
+    if lo is not None:
+        v_floor = lo
+    elif v_floor is None:
+        v_floor = weight // 2 - order_bound - 2
     if affine is not None:
         hi = max(hi, affine)  # the tag test below drops the gap between them
-    cands = da.monomials(
-        weight, order_bound, v_floor if lo is None else lo, hi, include_log=include_log
-    )
+    cands = da.monomials(weight, order_bound, v_floor, hi, include_log=include_log)
     out = tuple(m for m in cands if _tag_allows(tag, m))
     if not out:
         raise EmptyAnsatz(

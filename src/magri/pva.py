@@ -21,17 +21,29 @@ as a polynomial in lambda and mu, a :class:`diffop.SparsePoly` keyed by
 (power of lambda, power of mu) pairs; H is a Poisson structure exactly
 when every jacobiator vanishes.  All verifications here are exact
 identities in the differential ring, never numerical.
+
+The jacobiators of one H share most of their pieces: {u_i lambda a} for
+a coefficient a of H recurs in every triple whose first term reads a,
+and {c nu u_k} likewise.  Each public call therefore builds one bracket
+table for its H.  The table holds each coefficient's Frechet row and
+the adjoints of its operators, the derivative towers that compositions
+read, and the pieces {u_i lambda a} and {c nu u_k} keyed by generator
+and coefficient, each computed once, and every jacobiator of the call is
+summed from them.  The table is freed when the call returns: its keys
+belong to one H (a pencil check builds one per member), so nothing in
+it would serve a later call, and keeping it would only grow memory.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 from . import diffalg as da
 from . import diffop as dop
 from . import varcalc as vc
-from .diffalg import LocalFunctional, ONE
-from .errors import DimensionMismatch, NotSkewAdjoint
+from .diffalg import DiffFunction, LocalFunctional
+from .errors import DimensionMismatch, MagriError, NotSkewAdjoint
 
 
 def _require_skew(h):
@@ -55,41 +67,112 @@ def generator_bracket(h, i, j):
     return h.entries[j - 1][i - 1]
 
 
-def _bracket_gen_fun(h, i, g):
-    """{u_i lambda g} = sum_j D_{g,j} . H_ji (no skew re-check)."""
-    n, _ = h.shape
-    acc = {}
-    for j, dg in enumerate(vc.frechet_row(g, n)):
-        dop.compose_into(acc, dg, h.entries[j][i - 1])
-    return dop.ScalarDiffOp.from_acc(acc)
+class _BracketTable:
+    """The lambda-bracket pieces of one operator H, each derived once.
+
+    Keys are generator indices and coefficients (DiffFunctions); the
+    dicts are filled on demand and live as long as the table.
+    """
+
+    def __init__(self, h):
+        self.h = h
+        self.n = h.shape[0]
+        self._rows = {}  # g -> Frechet row (D_{g,1}, ..., D_{g,n})
+        self._adjoints = {}  # (g, m) -> D_{g,m}*
+        self._towers = {}  # f -> [f, f', f'', ...]
+        self._gen_fun = {}  # (i, g) -> {u_i lambda g}
+        self._fun_gen = {}  # (g, k) -> {g nu u_k}
+
+    def row(self, g):
+        r = self._rows.get(g)
+        if r is None:
+            r = self._rows[g] = vc.frechet_row(g, self.n)
+        return r
+
+    def tower(self, f, top):
+        """f, f', ..., f^(top), and any higher derivatives already built."""
+        t = self._towers.get(f)
+        if t is None:
+            t = self._towers[f] = [f]
+        while len(t) <= top:
+            t.append(da.total_derivative(t[-1]))
+        return t
+
+    def gen_fun(self, i, g):
+        """{u_i lambda g} = sum_j D_{g,j} . H_ji."""
+        part = self._gen_fun.get((i, g))
+        if part is None:
+            acc = {}
+            for j, dg in enumerate(self.row(g)):
+                dop.compose_into(acc, dg, self.h.entries[j][i - 1], self.tower)
+            part = self._gen_fun[i, g] = dop.ScalarDiffOp.from_acc(acc)
+        return part
+
+    def fun_gen(self, g, k):
+        """{g nu u_k} = sum_m H_km . D_{g,m}*, as a polynomial in nu = lambda + mu."""
+        part = self._fun_gen.get((g, k))
+        if part is None:
+            acc = {}
+            for m, (op, dg) in enumerate(zip(self.h.entries[k - 1], self.row(g))):
+                if op and dg:
+                    dop.compose_into(acc, op, self._adjoint(g, m), self.tower)
+            part = self._fun_gen[g, k] = dop.ScalarDiffOp.from_acc(acc)
+        return part
+
+    def _adjoint(self, g, m):
+        adj = self._adjoints.get((g, m))
+        if adj is None:
+            adj = self._adjoints[g, m] = dop.adjoint_scalar(self.row(g)[m])
+        return adj
+
+    def jacobiator(self, i, j, k):
+        """The jacobiator of (u_i, u_j, u_k), as
+        {(power of lambda, power of mu): {monomial: coefficient}}."""
+        rows = self.h.entries
+        acc = {}
+        # {u_i lambda {u_j mu u_k}}
+        for s, a in rows[k - 1][j - 1].terms:
+            for t, f in self.gen_fun(i, a).terms:
+                da.add_into(acc.setdefault((t, s), {}), f)
+        # - {u_j mu {u_i lambda u_k}}
+        for t, b in rows[k - 1][i - 1].terms:
+            for s, f in self.gen_fun(j, b).terms:
+                da.add_into(acc.setdefault((t, s), {}), f, -1)
+        # - {{u_i lambda u_j} lambda+mu u_k}, lambda acting as a coefficient:
+        # nu^s becomes (lambda + mu)^s
+        for t, c in rows[j - 1][i - 1].terms:
+            for s, f in self.fun_gen(c, k).terms:
+                for p in range(s + 1):
+                    da.add_into(acc.setdefault((p + t, s - p), {}), f, -comb(s, p))
+        return acc
+
+    def is_poisson(self):
+        """Whether every jacobiator of H vanishes (H is taken as skew)."""
+        n = self.n
+        for i, j, k in product(range(1, n + 1), repeat=3):
+            # from_dict checks the exponents of every block, zero or not
+            blocks = [DiffFunction.from_dict(d) for d in self.jacobiator(i, j, k).values()]
+            if any(blocks):
+                return False
+        return True
 
 
 def bracket_with_function(h, i, g):
     """{u_i lambda g} for a differential function g."""
     h = _as_matrix(h)
     _require_skew(h)
-    return _bracket_gen_fun(h, i, g)
+    return _BracketTable(h).gen_fun(i, g)
 
 
 def lambda_bracket(h, f, g):
     """{f lambda g} = sum_k D_{g,k} . {f lambda u_k}, by the master formula."""
     h = _as_matrix(h)
     _require_skew(h)
-    n, _ = h.shape
+    table = _BracketTable(h)
     acc = {}
-    for k, dg in enumerate(vc.frechet_row(g, n)):
+    for k, dg in enumerate(table.row(g)):
         if dg:
-            dop.compose_into(acc, dg, _bracket_fun_gen(h, f, k + 1))
-    return dop.ScalarDiffOp.from_acc(acc)
-
-
-def _bracket_fun_gen(h, g, k):
-    """{g nu u_k} = sum_m H_km . D_{g,m}*, as a polynomial in nu = lambda + mu."""
-    n, _ = h.shape
-    acc = {}
-    for op, dg in zip(h.entries[k - 1], vc.frechet_row(g, n)):
-        if op and dg:
-            dop.compose_into(acc, op, dop.adjoint_scalar(dg))
+            dop.compose_into(acc, dg, table.fun_gen(f, k + 1), table.tower)
     return dop.ScalarDiffOp.from_acc(acc)
 
 
@@ -101,30 +184,7 @@ def jacobiator(h, i, j, k):
     for idx in (i, j, k):
         if not 1 <= idx <= n:
             raise DimensionMismatch("generator index out of range")
-
-    acc = {}  # {(power of lambda, power of mu): {monomial: coefficient}}
-
-    def put(a, b, f, k):
-        da.addmul_into(acc.setdefault((a, b), {}), f, ONE, k)
-
-    # {u_i lambda {u_j mu u_k}}
-    for s, a in h.entries[k - 1][j - 1].terms:
-        part = _bracket_gen_fun(h, i, a)
-        for t, f in part.terms:
-            put(t, s, f, 1)
-    # - {u_j mu {u_i lambda u_k}}
-    for t, b in h.entries[k - 1][i - 1].terms:
-        part = _bracket_gen_fun(h, j, b)
-        for s, f in part.terms:
-            put(t, s, f, -1)
-    # - {{u_i lambda u_j} lambda+mu u_k}, lambda acting as a coefficient:
-    # nu^s becomes (lambda + mu)^s
-    for t, c in h.entries[j - 1][i - 1].terms:
-        for s, f in _bracket_fun_gen(h, c, k).terms:
-            for p in range(s + 1):
-                put(p + t, s - p, f, -comb(s, p))
-
-    return dop.SparsePoly.from_acc(acc)
+    return dop.SparsePoly.from_acc(_BracketTable(h).jacobiator(i, j, k))
 
 
 def _integral_multiple(h):
@@ -133,41 +193,41 @@ def _integral_multiple(h):
     return h if den == 1 else h * den
 
 
-def is_poisson(h):
-    """Exact Jacobi identity over every generator triple.
+def _jacobi_holds(h):
+    """The Jacobi identity of a skew h, checked on one table.
 
     Every jacobiator is quadratic in h, so h is Poisson exactly when a
     nonzero multiple of it is; the check runs on the integral multiple,
     whose arithmetic stays in plain ints.
     """
+    return _BracketTable(_integral_multiple(h)).is_poisson()
+
+
+def is_poisson(h):
+    """Exact Jacobi identity over every generator triple."""
     h = _as_matrix(h)
     _require_skew(h)
-    h = _integral_multiple(h)
-    n, _ = h.shape
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if jacobiator(h, i, j, k):
-                    return False
-    return True
+    return _jacobi_holds(h)
 
 
 def is_compatible(h, k, pencil_points=(1, 2, 3)):
     """Whether every operator in the pencil h + t*k stays Poisson.
 
     Checked exactly at the given sample points; a nonzero pencil
-    jacobiator is polynomial of degree two in t, so three points pin it.
+    jacobiator is polynomial of degree two in t, so three distinct points
+    pin it, and fewer raise MagriError.  h and k are checked to be skew
+    once: the adjoint is linear, so every pencil member is skew too.
     """
+    points = tuple(dict.fromkeys(pencil_points))
+    if len(points) < 3:
+        raise MagriError("a pencil check needs at least three distinct points")
     h = _as_matrix(h)
     k = _as_matrix(k)
     _require_skew(h)
     _require_skew(k)
     if h.shape != k.shape:
         raise DimensionMismatch("pencil needs operators of one shape")
-    for t in pencil_points:
-        if not is_poisson(h + k * t):
-            return False
-    return True
+    return all(_jacobi_holds(h + k * t) for t in points)
 
 
 def poisson_bracket(f, g, h):

@@ -333,6 +333,16 @@ def test_exponent_out_of_range_exits_four(capsys):
     assert (code, out) == (0, "u^32767*v^-16384\n")
 
 
+def test_verify_poisson_exponent_overflow_exits_four(capsys):
+    # the entries parse, but a bracket of them leaves the exponent range
+    code, out, err = _run(capsys, "verify-poisson", "--op-expr", "d*u^20000 + u^20000*d")
+    assert (code, out) == (4, "")
+    assert err == (
+        "INPUT_ERROR: an exponent left its range: at most 32767, "
+        "or [-16384, 16383] for the power of v\n"
+    )
+
+
 def test_bad_widen_cap_env_exits_four(capsys, monkeypatch):
     for raw in ("-3", "2.5"):
         monkeypatch.setenv("LENARD_WIDEN_CAP", raw)

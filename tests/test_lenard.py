@@ -209,7 +209,8 @@ def _ref_ansatz_space(weight, order_bound, tag, include_log=False, v_floor=None)
         raise EmptyAnsatz(
             f"no monomials of weight {weight} under {tag.kind} with order <= {order_bound}"
         )
-    return lenard.AnsatzSpace(weight, order_bound, tag, include_log, v_floor, tuple(out))
+    # the floor the enumeration used: the tag's own lower bound when it has one
+    return lenard.AnsatzSpace(weight, order_bound, tag, include_log, lo, tuple(out))
 
 
 def test_ansatz_space_matches_the_per_kind_enumerator():
@@ -236,6 +237,16 @@ def test_ansatz_space_matches_the_per_kind_enumerator():
                         monos = got.monomials
                         outcomes.add(any(g[0] == da.LOG_VAR for m in monos for g in m))
     assert outcomes == {"empty", False, True}
+
+
+def test_ansatz_space_records_the_floor_it_used():
+    # a tag with a lower bound ignores v_floor, so the spaces are one space
+    assert lenard.ansatz_space(4, 2, da.V_PLUS, v_floor=-3) == lenard.ansatz_space(4, 2, da.V_PLUS)
+    assert lenard.ansatz_space(4, 2, da.V_ZERO).v_floor == 0
+    assert lenard.ansatz_space(4, 2, lenard.scaled_v_plus(1), v_floor=-5).v_floor == 1
+    # a v-negative tag has no lower bound of its own
+    assert lenard.ansatz_space(4, 2, da.V_MINUS, v_floor=-3).v_floor == -3
+    assert lenard.ansatz_space(4, 2, da.V_MINUS).v_floor == 4 // 2 - 2 - 2
 
 
 def test_run_rejects_bad_args():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -13,8 +14,10 @@ import oracle
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import pva
+from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, ZERO
-from magri.errors import NotSkewAdjoint
+from magri.errors import ExponentOverflow, MagriError, NotSkewAdjoint
+from magri.expr import parse_operator
 
 
 H0, H1 = dop.builtin_pair()
@@ -150,15 +153,171 @@ def test_is_poisson_small_constant_operator():
     assert pva.is_poisson(m)
 
 
-def test_incompatible_pair_detected():
-    # current-algebra and mixing structures are each Poisson but not compatible
+def _current_algebra_pair():
     zero = dop.ScalarDiffOp()
     vir = dop.ScalarDiffOp([(0, da.u_jet(1)), (1, da.u_jet(0) * 2)])
     m1 = dop.MatrixDiffOp([[vir, zero], [zero, dop.D]])
     m2 = dop.MatrixDiffOp([[zero, dop.D], [dop.D, zero]])
+    return m1, m2
+
+
+def test_incompatible_pair_detected():
+    # current-algebra and mixing structures are each Poisson but not compatible
+    m1, m2 = _current_algebra_pair()
     assert pva.is_poisson(m1)
     assert pva.is_poisson(m2)
     assert not pva.is_compatible(m1, m2)
+
+
+def test_is_compatible_needs_three_distinct_points():
+    # the pencil jacobiator has degree 2 in t: fewer than three distinct
+    # points cannot pin it, and at t = 0 alone M1 + t*M2 = M1 is Poisson
+    m1, m2 = _current_algebra_pair()
+    for points in ((), (0,), (0, 1), (1, 1, 2), (QQ(1, 2), QQ(2, 4), 0)):
+        with pytest.raises(MagriError, match="three distinct points"):
+            pva.is_compatible(m1, m2, pencil_points=points)
+    assert not pva.is_compatible(m1, m2, pencil_points=(0, 0, 1, -1))
+    assert pva.is_compatible(H0, H1, pencil_points=(0, QQ(-7, 3), 5))
+
+
+# -- the bracket table against the per-coefficient jacobiator ----------------
+
+
+def _ref_bracket_gen_fun(h, i, g):
+    n, _ = h.shape
+    acc = {}
+    for j, dg in enumerate(vc.frechet_row(g, n)):
+        dop.compose_into(acc, dg, h.entries[j][i - 1])
+    return dop.ScalarDiffOp.from_acc(acc)
+
+
+def _ref_bracket_fun_gen(h, g, k):
+    n, _ = h.shape
+    acc = {}
+    for op, dg in zip(h.entries[k - 1], vc.frechet_row(g, n)):
+        if op and dg:
+            dop.compose_into(acc, op, dop.adjoint_scalar(dg))
+    return dop.ScalarDiffOp.from_acc(acc)
+
+
+def _ref_jacobiator(h, i, j, k):
+    # the jacobiator as it was before the bracket table: every piece is
+    # rebuilt for every triple
+    acc = {}
+
+    def put(a, b, f, k):
+        da.addmul_into(acc.setdefault((a, b), {}), f, da.ONE, k)
+
+    for s, a in h.entries[k - 1][j - 1].terms:
+        for t, f in _ref_bracket_gen_fun(h, i, a).terms:
+            put(t, s, f, 1)
+    for t, b in h.entries[k - 1][i - 1].terms:
+        for s, f in _ref_bracket_gen_fun(h, j, b).terms:
+            put(t, s, f, -1)
+    for t, c in h.entries[j - 1][i - 1].terms:
+        for s, f in _ref_bracket_fun_gen(h, c, k).terms:
+            for p in range(s + 1):
+                put(p + t, s - p, f, -comb(s, p))
+    return dop.SparsePoly.from_acc(acc)
+
+
+def _rand_v_function(rng):
+    """A random nonzero function of v alone, with Laurent and log v terms."""
+    pairs = []
+    for _ in range(rng.randint(1, 3)):
+        mono = ((da.V, 0, rng.randint(-3, 2)), (da.LOG_VAR, 0, rng.randint(0, 1)))
+        pairs.append((helpers.rand_coeff(rng), mono))
+    f = da.normalize(pairs)
+    return f if f else da.log_v()
+
+
+def _rand_skew_operators(rng, count):
+    """Seeded 2x2 skew operators with Laurent and log v coefficients.
+
+    Odd draws are Poisson: a constant-coefficient u block beside the
+    v block phi(v) d phi(v), which is d after a change of the variable v.
+    Even draws are A - A* for a random A, or the same v block with phi
+    depending on u; most of them are not Poisson.
+    """
+    zero = dop.ScalarDiffOp()
+    ops = []
+    for n in range(count):
+        if n % 2:
+            ublock = dop.ScalarDiffOp(
+                [(1, da.const(helpers.rand_coeff(rng))), (3, da.const(rng.randint(0, 2)))]
+            )
+            phi = dop.multiplication(_rand_v_function(rng))
+            ops.append(dop.MatrixDiffOp([[ublock, zero], [zero, phi * dop.D * phi]]))
+        elif n % 4:
+            phi = dop.multiplication(_rand_v_function(rng) * da.u_jet(0) + da.ONE)
+            ops.append(dop.MatrixDiffOp([[dop.D, zero], [zero, phi * dop.D * phi]]))
+        else:
+            def entry():
+                return dop.ScalarDiffOp(
+                    [
+                        (s, helpers.rand_function(rng, terms=2, max_order=1, max_exp=2))
+                        for s in range(rng.randint(0, 2))
+                    ]
+                )
+
+            a = dop.MatrixDiffOp([[entry(), entry()], [entry(), entry()]])
+            ops.append(a - dop.adjoint(a))
+    return ops
+
+
+def test_bracket_table_matches_the_per_coefficient_jacobiator():
+    ops = _rand_skew_operators(random.Random(61), 12) + [H0 + H1 * QQ(-5, 2)]
+    coeffs = [f for h in ops for row in h.entries for op in row for _k, f in op.terms]
+    text = " ".join(da.to_text(f) for f in coeffs)
+    assert "v^-" in text and "log(v)" in text
+    verdicts = []
+    for h in ops:
+        assert dop.is_skew_adjoint(h)
+        table = pva._BracketTable(h)  # one table for every triple, as is_poisson uses it
+        poisson = True
+        for i, j, k in itertools.product((1, 2), repeat=3):
+            want = _ref_jacobiator(h, i, j, k)
+            assert pva.jacobiator(h, i, j, k) == want
+            assert dop.SparsePoly.from_acc(table.jacobiator(i, j, k)) == want
+            poisson = poisson and not want
+        assert pva.is_poisson(h) is poisson
+        verdicts.append(poisson)
+    assert all(verdicts[1:12:2]) and False in verdicts
+
+
+def test_is_poisson_derives_each_frechet_row_once(monkeypatch):
+    rows = []
+    frechet_row = vc.frechet_row
+
+    def counted_row(g, nvars=2):
+        rows.append(g)
+        return frechet_row(g, nvars)
+
+    checks = []
+    jacobi_holds = pva._jacobi_holds
+
+    def counted_check(h):
+        del rows[:]
+        ok = jacobi_holds(h)
+        coeffs = {f for row in h.entries for op in row for _k, f in op.terms}
+        checks.append((len(rows), len(coeffs)))
+        return ok
+
+    monkeypatch.setattr(vc, "frechet_row", counted_row)
+    monkeypatch.setattr(pva, "_jacobi_holds", counted_check)
+    assert pva.is_poisson(H0)
+    assert pva.is_poisson(H1)
+    assert pva.is_compatible(H0, H1)
+    assert len(checks) == 5  # one per is_poisson, three inside is_compatible
+    for calls, distinct in checks:
+        assert calls == distinct
+
+
+def test_is_poisson_keeps_the_exponent_check():
+    # each entry is fine, but a bracket multiplies u^19999 by u^20000
+    h = parse_operator("d*u^20000 + u^20000*d")
+    with pytest.raises(ExponentOverflow):
+        pva.is_poisson(h)
 
 
 def test_is_poisson_ignores_rational_scaling():
@@ -167,10 +326,7 @@ def test_is_poisson_ignores_rational_scaling():
     h0, h1 = magri.builtin_pair()
     assert pva.is_poisson(h0 * QQ(3, 4))
     assert pva.is_poisson(h0 + h1 * QQ(-7, 3))
-    zero = dop.ScalarDiffOp()
-    vir = dop.ScalarDiffOp([(0, da.u_jet(1)), (1, da.u_jet(0) * 2)])
-    m1 = dop.MatrixDiffOp([[vir, zero], [zero, dop.D]])
-    m2 = dop.MatrixDiffOp([[zero, dop.D], [dop.D, zero]])
+    m1, m2 = _current_algebra_pair()
     assert not pva.is_poisson(m1 + m2 * QQ(1, 2))
     h = h0 * QQ(1, 4) + h1 * QQ(5, 6)
     scaled = pva._integral_multiple(h)
