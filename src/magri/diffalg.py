@@ -107,19 +107,11 @@ MAX_EXP = (1 << (EXP_BITS - 1)) - 1
 MIN_V_EXP, MAX_V_EXP = -_OFF, _OFF - 1
 _LOG = 1 << EXP_BITS  # log v to the first power
 
-# Memo tables (_DX_MONO here, varcalc._EULER_MONO) are cleared when they
-# reach this many entries; the hierarchy benchmark fills about 40k.
+# The memo table of total derivatives of monomials, _DX_MONO, is cleared
+# when it reaches this many entries; the hierarchy benchmark fills about 40k.
 MEMO_CAP = 1 << 18
 
 _first = itemgetter(0)
-
-
-def memo_put(table, key, value):
-    """Store value in a memo table, clearing the table first if it is full."""
-    if len(table) >= MEMO_CAP:
-        table.clear()
-    table[key] = value
-    return value
 
 
 def _slot(var, order):
@@ -282,10 +274,18 @@ class DiffFunction:
     __slots__ = ("_t", "_hash", "_terms")
 
     def __init__(self, terms=()):
-        """Build from (monomial, coefficient) pairs with distinct tuple
-        monomials and nonzero canonical coefficients; :meth:`from_terms`
-        takes any other input."""
-        self._t = tuple(sorted(((pack_mono(m), c) for m, c in terms), key=_first))
+        """Build from (monomial, coefficient) pairs, in canonical form.
+
+        Monomials are tuples of (var, order, exp) triples, in any order,
+        and exponents of a repeated generator add up; the coefficients of
+        equal monomials are summed and zero sums dropped.  A coefficient
+        that is not exact (a float) raises TypeError.
+        """
+        acc = {}
+        for m, c in terms:
+            m = pack_mono(m)
+            acc[m] = acc.get(m, 0) + _as_coeff(c)
+        self._t = DiffFunction.from_dict(acc)._t
         self._hash = None
         self._terms = None
 
@@ -315,16 +315,9 @@ class DiffFunction:
 
     @staticmethod
     def from_terms(pairs):
-        """Build from (coefficient, monomial) pairs, merging duplicates.
-
-        Monomials are tuples of (var, order, exp) triples, in any order;
-        exponents of repeated generators are added up.
-        """
-        acc = {}
-        for c, m in pairs:
-            m = pack_mono(m)
-            acc[m] = acc.get(m, 0) + _as_coeff(c)
-        return DiffFunction.from_dict(acc)
+        """Build from (coefficient, monomial) pairs, as the constructor
+        builds from (monomial, coefficient) pairs."""
+        return DiffFunction((m, c) for c, m in pairs)
 
     @property
     def terms(self):
@@ -507,7 +500,9 @@ def _dx_mono(m):
             x >>= EXP_BITS
             step <<= EXP_BITS
         t = tuple(t)  # total_derivative checks the exponents
-        memo_put(_DX_MONO, m, t)
+        if len(_DX_MONO) >= MEMO_CAP:
+            _DX_MONO.clear()
+        _DX_MONO[m] = t
     return t
 
 
@@ -656,6 +651,15 @@ def weight(f):
         elif mw != w:
             return INHOMOGENEOUS
     return 0 if w is None else w
+
+
+def homogeneous_parts(f):
+    """The weight-homogeneous parts of f, as (weight, part) pairs sorted by weight."""
+    parts = {}
+    for m, c in f._t:
+        parts.setdefault(mono_weight(m), []).append((m, c))
+    # each part keeps the sorted order, canonical coefficients and no zeros of f
+    return [(w, _df(tuple(t))) for w, t in sorted(parts.items())]
 
 
 def min_v_exponent(f):

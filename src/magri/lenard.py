@@ -79,8 +79,7 @@ def seed(eps, alpha):
     if (eps, alpha) not in _SEEDS:
         raise MagriError("eps and alpha must each be 0 or 1")
     grad, dens = _SEEDS[(eps, alpha)]
-    h = H0 if eps == 0 else H1
-    if not dop.kernel_verify(h, grad):
+    if not dop.kernel_verify(structure(eps), grad):
         raise MagriError("seed gradient is not a Casimir of its structure")
     if vc.variational_derivative(dens) != grad:
         raise MagriError("seed density does not produce the seed gradient")
@@ -88,7 +87,10 @@ def seed(eps, alpha):
 
 
 def structure(eps):
-    return H0 if eps == 0 else H1
+    """H_eps of the built-in pair; raises MagriError unless eps is 0 or 1."""
+    if eps not in (0, 1):
+        raise MagriError(f"eps must be 0 or 1, got {eps!r}")
+    return H1 if eps else H0
 
 
 # -- candidate spaces --------------------------------------------------------
@@ -261,13 +263,15 @@ def lm_step(eps, grad, method="recursion", order_bounds=None, v_floor=None, wide
 
     The input must be a variational gradient (closed); the output is
     normalized against the kernel of H_eps and verified exactly before
-    being returned.  A negative ``widen_cap`` raises MagriError.
+    being returned.  An eps other than 0 or 1, or a negative
+    ``widen_cap``, raises MagriError.
     """
     return _lm_step(eps, grad, method, order_bounds, v_floor, widen_cap)[0]
 
 
 def _lm_step(eps, grad, method, order_bounds, v_floor, widen_cap):
     """:func:`lm_step`'s next gradient xi', with the flow b = H_{1-eps} xi it solved for."""
+    h = structure(eps)
     grad = tuple(grad)
     if len(grad) != 2:
         raise MagriError("gradients here have two components")
@@ -285,7 +289,7 @@ def _lm_step(eps, grad, method, order_bounds, v_floor, widen_cap):
     else:
         raise MagriError(f"unknown stepping method {method!r}")
     nxt = _normalize_kernel(eps, nxt)
-    if dop.apply(structure(eps), nxt) != b:
+    if dop.apply(h, nxt) != b:
         raise NoSolution("candidate gradient fails the defining relation")
     return nxt, b
 

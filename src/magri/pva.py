@@ -57,13 +57,18 @@ def _as_matrix(h):
     return h
 
 
+def _require_generators(h, *indices):
+    """Raise DimensionMismatch unless each 1-based index names a generator of h."""
+    n, _ = h.shape
+    if not all(1 <= i <= n for i in indices):
+        raise DimensionMismatch("generator index out of range")
+
+
 def generator_bracket(h, i, j):
     """{u_i lambda u_j} for 1-based generator indices: the operator H_ji as its symbol."""
     h = _as_matrix(h)
     _require_skew(h)
-    n, _ = h.shape
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DimensionMismatch("generator index out of range")
+    _require_generators(h, i, j)
     return h.entries[j - 1][i - 1]
 
 
@@ -158,9 +163,10 @@ class _BracketTable:
 
 
 def bracket_with_function(h, i, g):
-    """{u_i lambda g} for a differential function g."""
+    """{u_i lambda g} for a differential function g and a 1-based generator index i."""
     h = _as_matrix(h)
     _require_skew(h)
+    _require_generators(h, i)
     return _BracketTable(h).gen_fun(i, g)
 
 
@@ -180,10 +186,7 @@ def jacobiator(h, i, j, k):
     """The PVA Jacobi defect of three generators, as a lambda-mu polynomial."""
     h = _as_matrix(h)
     _require_skew(h)
-    n, _ = h.shape
-    for idx in (i, j, k):
-        if not 1 <= idx <= n:
-            raise DimensionMismatch("generator index out of range")
+    _require_generators(h, i, j, k)
     return dop.SparsePoly.from_acc(_BracketTable(h).jacobiator(i, j, k))
 
 

@@ -3,9 +3,10 @@
 Vectors of differential functions are plain tuples.  A vector F is a
 variational gradient exactly when its Frechet derivative is a
 self-adjoint matrix operator; :func:`integrate_exact` reconstructs a
-density h with variational_derivative(h) == F, combining a homotopy
-formula in the polynomial variables with a small weight-homogeneous
-ansatz for the Laurent part in v.
+density h with variational_derivative(h) == F in one pass: a homotopy
+formula in the polynomial variables (in u alone when v enters as a
+Laurent variable or through log v), then a small weight-homogeneous
+ansatz for each weight part of the v-only remainder.
 """
 
 from __future__ import annotations
@@ -128,8 +129,12 @@ def evolutionary_commutator(p, q):
 # -- integration of exact vectors -------------------------------------------
 
 
-def _u_degree(mono):
-    return sum(e for var, _n, e in mono if var == U)
+def _homotopy(f, var=None):
+    """f with each monomial m scaled by 1/(deg m + 1): the degree in the
+    jets of ``var``, or in every generator when ``var`` is None."""
+    return DiffFunction(
+        [(m, coeff_div(c, 1 + sum(e for x, _n, e in m if var in (None, x)))) for m, c in f.terms]
+    )
 
 
 def _poly_homotopy(vec):
@@ -138,44 +143,12 @@ def _poly_homotopy(vec):
     Valid when every component stays polynomial (no negative v powers,
     no log); each monomial m of F_i contributes x_i * m / (deg m + 1).
     """
-    acc = {}
-    gens = (da.u_jet(0), da.v_jet(0))
-    for i, fi in enumerate(vec):
-        scaled = DiffFunction(
-            [(m, coeff_div(c, sum(e for _v, _n, e in m) + 1)) for m, c in fi.terms]
-        )
-        da.addmul_into(acc, gens[i], scaled)
-    return DiffFunction.from_dict(acc)
+    return da.dot((da.u_jet(0), da.v_jet(0)), [_homotopy(f) for f in vec])
 
 
 def _u_homotopy(f):
     """u-dependent density part: u * f with each monomial scaled by 1/(deg_u + 1)."""
-    return da.u_jet(0) * DiffFunction(
-        [(m, coeff_div(c, _u_degree(m) + 1)) for m, c in f.terms]
-    )
-
-
-def _v_only(f):
-    return all(var != U for m, _ in f.terms for var, _n, _e in m)
-
-
-def _split_by_weight(vec):
-    buckets = {}
-    for i, f in enumerate(vec):
-        for m, c in f.terms:
-            w = da.mono_weight(da.pack_mono(m))
-            buckets.setdefault(w, {})[(i, m)] = c
-    out = {}
-    for w, terms in buckets.items():
-        comps = []
-        for i in range(len(vec)):
-            comps.append(
-                DiffFunction.from_terms(
-                    [(c, m) for (j, m), c in terms.items() if j == i]
-                )
-            )
-        out[w] = tuple(comps)
-    return out
+    return da.u_jet(0) * _homotopy(f, U)
 
 
 def default_widen_cap():
@@ -203,16 +176,9 @@ def resolve_widen_cap(widen_cap):
     return widen_cap
 
 
-_EULER_MONO = {}
-
-
 def _euler_mono(m, var):
-    """Euler derivative of a single monomial, cached across calls."""
-    key = (m, var)
-    out = _EULER_MONO.get(key)
-    if out is None:
-        out = da.memo_put(_EULER_MONO, key, da.euler_derivative(DiffFunction([(m, 1)]), var))
-    return out
+    """Euler derivative of a single monomial."""
+    return da.euler_derivative(DiffFunction([(m, 1)]), var)
 
 
 def _v_degree(m):
@@ -280,25 +246,29 @@ def _integrate(vec, widen_cap):
         return _poly_homotopy(vec)
     if len(vec) != 2:
         raise NoSolution("Laurent integration works on (u, v) vectors")
-    h = ZERO
-    for _w, (fw, gw) in sorted(_split_by_weight(vec).items()):
-        hu = _u_homotopy(fw)
-        gtil = gw - da.euler_derivative(hu, V)
-        if not _v_only(gtil):
-            raise NoSolution("residual v-problem still involves u")
-        h = h + hu + _solve_v_density(gtil, widen_cap)
+    f, g = vec
+    h = _u_homotopy(f)
+    # both operators are linear and keep the weight, so each weight part of
+    # the remainder is the v-only problem of that weight alone
+    gtil = g - da.euler_derivative(h, V)
+    if da.max_order(gtil, U) is not None:
+        raise NoSolution("residual v-problem still involves u")
+    for _w, part in da.homogeneous_parts(gtil):
+        h = h + _solve_v_density(part, widen_cap)
     return h
 
 
 def integrate_exact(vec, widen_cap=None):
     """A density h with variational_derivative(h) == vec, exactly.
 
-    Purely polynomial vectors integrate by the full homotopy formula;
-    otherwise the u-dependence is integrated by a homotopy in the u
-    variables alone (u enters polynomially always) and the remaining
-    v-only problem is solved against a weight-homogeneous candidate
-    space, widened at most ``widen_cap`` times (order bound +2, Laurent
-    floor -2 per round).
+    Purely polynomial vectors integrate by the full homotopy formula.
+    Otherwise one homotopy in the u variables alone (u enters
+    polynomially always) integrates the whole u-component to h_u, and
+    the remainder g = vec[1] - euler_v(h_u), free of u for a gradient,
+    is a v-only problem.  Both steps are linear and keep the weight, so
+    each weight part of g is solved on its own, in increasing weight,
+    against a weight-homogeneous candidate space widened at most
+    ``widen_cap`` times (order bound +2, Laurent floor -2 per round).
 
     The closing check variational_derivative(h) == vec also proves that
     vec is closed (self-adjoint Frechet derivative), since every

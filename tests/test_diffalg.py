@@ -275,6 +275,43 @@ def test_coefficient_entry_and_division_are_exact():
         da.const(0.5)
 
 
+def test_constructor_is_canonical():
+    from fractions import Fraction
+
+    m = ((U, 0, 1),)
+    u, vp = da.u_jet(0), da.v_jet(1)
+    assert not da.DiffFunction([(m, 0)]) and da.DiffFunction([(m, 0)]) == ZERO
+    assert da.DiffFunction([(m, 1), (m, -1)]) == ZERO
+    two_u = da.DiffFunction([(m, 1), (m, 1)])
+    assert two_u == 2 * u and hash(two_u) == hash(2 * u)
+    assert two_u.terms == ((m, 2),)
+    # the triples of a monomial and the pairs come in any order
+    assert da.DiffFunction([(((V, 1, 1), (U, 0, 1)), 1), (m, 3)]) == u * vp + 3 * u
+    for c in (True, Fraction(2, 1)):
+        got = da.DiffFunction([(m, c)])
+        assert got == int(c) * u and type(got.terms[0][1]) is int
+    assert type(da.DiffFunction([(m, QQ(1, 2))]).terms[0][1]) is QQ
+    for c in (2.5, 1.0):
+        with pytest.raises(TypeError):
+            da.DiffFunction([(m, c)])
+    assert da.DiffFunction.from_terms([(1, m), (1, m)]) == two_u
+
+
+def test_homogeneous_parts_split_by_weight():
+    rng = random.Random(89)
+    for _ in range(80):
+        f = helpers.rand_function(rng, terms=6)
+        parts = da.homogeneous_parts(f)
+        weights = [w for w, _p in parts]
+        assert weights == sorted(set(weights))
+        for w, p in parts:
+            assert p and da.weight(p) == w
+            assert p == da.DiffFunction(p.terms)  # canonical as it stands
+        assert sum((p for _w, p in parts), ZERO) == f
+    assert da.homogeneous_parts(ZERO) == []
+    assert da.homogeneous_parts(ONE) == [(0, ONE)]
+
+
 def test_integration_in_one_generator_divides_exactly():
     # the primitive of u' in u' is (u')^2/2
     got = da._integrate_in_generator(da.u_jet(1), U, 1)

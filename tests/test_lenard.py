@@ -41,6 +41,19 @@ def test_seed_rejects_bad_labels():
         lenard.seed(2, 0)
 
 
+def test_eps_outside_zero_and_one_is_rejected():
+    # unchecked, such an eps applies H1 to one of its own Casimirs: (0, 0)
+    grad = lenard.seed(1, 1).gradient
+    for eps in (2, -1, 7):
+        with pytest.raises(MagriError, match="eps must be 0 or 1"):
+            lenard.structure(eps)
+        with pytest.raises(MagriError, match="eps must be 0 or 1"):
+            lenard.lm_step(eps, grad)
+        with pytest.raises(MagriError, match="eps must be 0 or 1"):
+            lenard._lm_step(eps, grad, "recursion", None, None, None)
+    assert lenard.structure(0) is lenard.H0 and lenard.structure(1) is lenard.H1
+
+
 def test_first_step_of_translation_chain():
     s = lenard.seed(1, 0)
     nxt, dens_grad = lenard.lm_step(1, s.gradient), None

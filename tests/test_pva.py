@@ -16,7 +16,7 @@ from magri import diffop as dop
 from magri import pva
 from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, ZERO
-from magri.errors import ExponentOverflow, MagriError, NotSkewAdjoint
+from magri.errors import DimensionMismatch, ExponentOverflow, MagriError, NotSkewAdjoint
 from magri.expr import parse_operator
 
 
@@ -41,6 +41,18 @@ def test_bracket_requires_skew():
     bad = dop.MatrixDiffOp([[dop.D, dop.ScalarDiffOp()], [dop.ScalarDiffOp(), dop.multiplication(da.u_jet(0))]])
     with pytest.raises(NotSkewAdjoint):
         pva.generator_bracket(bad, 1, 1)
+
+
+def test_bracket_with_function_checks_the_generator_index():
+    g = da.u_jet(0) * da.v_jet(1)
+    for h in (H0, dop.D):
+        n, _ = pva._as_matrix(h).shape
+        for i in (0, -1, n + 1):
+            with pytest.raises(DimensionMismatch):
+                pva.bracket_with_function(h, i, g)
+    # on a generator it is the bracket of two generators
+    for i in (1, 2):
+        assert pva.bracket_with_function(H0, i, da.u_jet(0)) == pva.generator_bracket(H0, i, 1)
 
 
 def test_sesquilinearity():
