@@ -67,6 +67,17 @@ derivatives satisfy the shift relation [d/du_i^(n), d] = d/du_i^(n-1).
 Grading: a jet of order n has weight n + 2, v^-1 has weight -2 and
 log v has weight 0.
 
+Each value keeps its own derivative tower.  The ``_d`` slot of a
+:class:`DiffFunction` is None until :func:`total_derivative` first
+differentiates it, and from then on holds f' (ZERO itself when f' is
+zero), so d^n f is a walk along f, f', f'', ... that computes each
+step once per value.  Operator application, composition and adjoints,
+the lambda-bracket tables and flow commutators all read derivatives
+through that one function.  The chain lives exactly as long as f does:
+no module-level table holds it, so it never outgrows the values in
+use.  The memo belongs to the object, not to its value: an equal
+function built elsewhere builds its own chain.
+
 Subalgebras
 -----------
 A :class:`SubalgebraTag` names a v-power interval: the monomials free
@@ -265,13 +276,14 @@ def _df(pairs):
     f._t = pairs
     f._hash = None
     f._terms = None
+    f._d = None
     return f
 
 
 class DiffFunction:
     """A differential function in canonical sparse form."""
 
-    __slots__ = ("_t", "_hash", "_terms")
+    __slots__ = ("_t", "_hash", "_terms", "_d")
 
     def __init__(self, terms=()):
         """Build from (monomial, coefficient) pairs, in canonical form.
@@ -288,6 +300,7 @@ class DiffFunction:
         self._t = DiffFunction.from_dict(acc)._t
         self._hash = None
         self._terms = None
+        self._d = None
 
     @staticmethod
     def from_dict(d):
@@ -519,11 +532,21 @@ def _dx_into(acc, f):
 
 
 def total_derivative(f, n=1):
-    """Apply the total derivative ``n`` times."""
+    """Apply the total derivative ``n`` times.
+
+    Walks the chain f, f', f'', ... of ``_d`` slots, computing and
+    keeping each derivative not yet there; a zero derivative is ZERO
+    itself, which ends the walk.
+    """
     for _ in range(n):
-        acc = {}
-        _dx_into(acc, f)
-        f = DiffFunction.from_dict(acc)
+        d = f._d
+        if d is None:
+            acc = {}
+            _dx_into(acc, f)
+            d = f._d = DiffFunction.from_dict(acc) or ZERO
+        if d is ZERO:
+            return d
+        f = d
     return f
 
 

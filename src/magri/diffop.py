@@ -155,8 +155,12 @@ class ScalarDiffOp(SparsePoly):
         if not isinstance(n, int) or n < 0:
             raise MagriError("operator powers must be nonnegative integers")
         out = multiplication(ONE)
-        for _ in range(n):
-            out = compose(out, self)
+        base = self
+        while n:
+            if n & 1:
+                out = compose(out, base)
+            base = compose(base, base) if n > 1 else base
+            n >>= 1
         return out
 
 
@@ -170,30 +174,26 @@ def multiplication(f):
 D = ScalarDiffOp([(1, ONE)])
 
 
-def _tower(f, top):
-    """f, f', ..., f^(top)."""
-    tower = [f]
-    for _ in range(top):
-        tower.append(da.total_derivative(tower[-1]))
-    return tower
-
-
-def compose_into(acc, a, b, tower=_tower):
+def compose_into(acc, a, b):
     """Add a . b into acc, a {power of d: {packed monomial: coefficient}} dict.
 
-    d^n . b_j = sum_m C(n, m) b_j^(m) d^(n-m), so each b_j's derivative
-    tower is read once, up to the degree of a.  ``tower(f, top)`` gives
-    at least f, f', ..., f^(top); by default it builds them afresh, and a
-    caller that composes with the same coefficients many times may pass
-    one that keeps them.
+    d^n . b_j = sum_m C(n, m) b_j^(m) d^(n-m).  Each b_j's derivatives are
+    read through :func:`diffalg.total_derivative`, which keeps them on
+    b_j, up to the degree of a or up to the first zero derivative,
+    whichever comes first: the terms past a zero derivative vanish.
     """
     top = a.degree()
     if top is None:
         return acc
     for j, bj in b.terms:
-        bt = tower(bj, top)
+        bt = [bj]
+        while len(bt) <= top:
+            d = da.total_derivative(bt[-1])
+            if not d:
+                break
+            bt.append(d)
         for n, an in a.terms:
-            for m in range(n + 1):
+            for m in range(min(n, len(bt) - 1) + 1):
                 da.addmul_into(acc.setdefault(n - m + j, {}), an, bt[m], comb(n, m))
     return acc
 
@@ -207,22 +207,17 @@ def adjoint_scalar(a):
     """Formal adjoint: (a*d^k)* = (-d)^k . a."""
     acc = {}
     for k, ak in a.terms:
-        g = ak
+        sign = (-1) ** k
         for m in range(k + 1):
-            da.addmul_into(acc.setdefault(k - m, {}), g, ONE, (-1) ** k * comb(k, m))
-            if m < k:
-                g = da.total_derivative(g)
+            dm = da.total_derivative(ak, m)
+            da.add_into(acc.setdefault(k - m, {}), dm, sign * comb(k, m))
     return ScalarDiffOp.from_acc(acc)
 
 
 def _apply_into(acc, a, f):
     """Add a(f) = sum_k a_k * d^k f into acc, a {monomial: coefficient} dict."""
-    g, n = f, 0
     for k, ak in a.terms:
-        while n < k:
-            g = da.total_derivative(g)
-            n += 1
-        da.addmul_into(acc, ak, g)
+        da.addmul_into(acc, ak, da.total_derivative(f, k))
 
 
 def apply_scalar(a, f):

@@ -396,9 +396,10 @@ def involutivity_report(runs, include_flows=True):
     boolean matrices and the conjunction.
 
     Work shared between pairs is done once per report: the gradient
-    grad h of each density, H grad h for each structure H, and each
-    flow's Frechet derivative and derivative tower (a
-    :class:`varcalc.FlowData`, released after the flow's last pair).
+    grad h of each density and H grad h for each structure H.  The
+    derivatives that commutators read are kept on the flow components
+    themselves (see :func:`diffalg.total_derivative`), so each is
+    computed once across the flow's pairs.
     The bracket of h_i and h_j is the integral of grad h_j . H grad h_i.
     Every zero test runs on integral multiples of the gradients and
     flows: the bracket and the commutator are bilinear, so scaling an
@@ -416,9 +417,8 @@ def involutivity_report(runs, include_flows=True):
     m = len(densities)
     grads = [_integral_multiple(vc.variational_derivative(d)) for d in densities]
     hgrads = [[dop.apply(h, x) for x in grads] for h in (H0, H1)]
-    flow_data = [
-        vc.FlowData(_integral_multiple(p)) if include_flows and p is not None else None
-        for p in flows
+    flows = [
+        _integral_multiple(p) if include_flows and p is not None else None for p in flows
     ]
     b0 = [[True] * m for _ in range(m)]
     b1 = [[True] * m for _ in range(m)]
@@ -430,10 +430,10 @@ def involutivity_report(runs, include_flows=True):
                 val = LocalFunctional(da.dot(grads[j], hg[i])).is_zero()
                 mat[i][j] = mat[j][i] = val
                 ok = ok and val
-            if flow_data[i] is not None and flow_data[j] is not None:
-                comm = vc.evolutionary_commutator(flow_data[i], flow_data[j])
+            if flows[i] is not None and flows[j] is not None:
+                comm = vc.evolutionary_commutator(flows[i], flows[j])
                 val = not any(comm)
                 fc[i][j] = fc[j][i] = val
                 ok = ok and val
-        flow_data[i] = None  # pairs (i, j) with j >= i were its last
+        flows[i] = None  # pairs (i, j) with j >= i were its last
     return InvolutivityReport(labels, b0, b1, fc, ok)

@@ -26,12 +26,14 @@ The jacobiators of one H share most of their pieces: {u_i lambda a} for
 a coefficient a of H recurs in every triple whose first term reads a,
 and {c nu u_k} likewise.  Each public call therefore builds one bracket
 table for its H.  The table holds each coefficient's Frechet row and
-the adjoints of its operators, the derivative towers that compositions
-read, and the pieces {u_i lambda a} and {c nu u_k} keyed by generator
-and coefficient, each computed once, and every jacobiator of the call is
-summed from them.  The table is freed when the call returns: its keys
-belong to one H (a pencil check builds one per member), so nothing in
-it would serve a later call, and keeping it would only grow memory.
+the adjoints of its operators, and the pieces {u_i lambda a} and
+{c nu u_k} keyed by generator and coefficient, each computed once, and
+every jacobiator of the call is summed from them.  The derivatives that
+compositions read are kept on the functions themselves (see
+:func:`diffalg.total_derivative`), not in the table.  The table is
+freed when the call returns: its keys belong to one H (a pencil check
+builds one per member), so nothing in it would serve a later call, and
+keeping it would only grow memory.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ class _BracketTable:
         self.n = h.shape[0]
         self._rows = {}  # g -> Frechet row (D_{g,1}, ..., D_{g,n})
         self._adjoints = {}  # (g, m) -> D_{g,m}*
-        self._towers = {}  # f -> [f, f', f'', ...]
         self._gen_fun = {}  # (i, g) -> {u_i lambda g}
         self._fun_gen = {}  # (g, k) -> {g nu u_k}
 
@@ -94,22 +95,13 @@ class _BracketTable:
             r = self._rows[g] = vc.frechet_row(g, self.n)
         return r
 
-    def tower(self, f, top):
-        """f, f', ..., f^(top), and any higher derivatives already built."""
-        t = self._towers.get(f)
-        if t is None:
-            t = self._towers[f] = [f]
-        while len(t) <= top:
-            t.append(da.total_derivative(t[-1]))
-        return t
-
     def gen_fun(self, i, g):
         """{u_i lambda g} = sum_j D_{g,j} . H_ji."""
         part = self._gen_fun.get((i, g))
         if part is None:
             acc = {}
             for j, dg in enumerate(self.row(g)):
-                dop.compose_into(acc, dg, self.h.entries[j][i - 1], self.tower)
+                dop.compose_into(acc, dg, self.h.entries[j][i - 1])
             part = self._gen_fun[i, g] = dop.ScalarDiffOp.from_acc(acc)
         return part
 
@@ -120,7 +112,7 @@ class _BracketTable:
             acc = {}
             for m, (op, dg) in enumerate(zip(self.h.entries[k - 1], self.row(g))):
                 if op and dg:
-                    dop.compose_into(acc, op, self._adjoint(g, m), self.tower)
+                    dop.compose_into(acc, op, self._adjoint(g, m))
             part = self._fun_gen[g, k] = dop.ScalarDiffOp.from_acc(acc)
         return part
 
@@ -178,7 +170,7 @@ def lambda_bracket(h, f, g):
     acc = {}
     for k, dg in enumerate(table.row(g)):
         if dg:
-            dop.compose_into(acc, dg, table.fun_gen(f, k + 1), table.tower)
+            dop.compose_into(acc, dg, table.fun_gen(f, k + 1))
     return dop.ScalarDiffOp.from_acc(acc)
 
 

@@ -56,10 +56,8 @@ def function_from_json(data):
             name, order, exp = g
             if name not in _CODE:
                 _bad(f"unknown generator name {name!r}")
-            try:
-                order, exp = int(order), int(exp)
-            except (TypeError, ValueError):
-                _bad(f"bad generator {g!r}")
+            if type(order) is not int or type(exp) is not int:
+                _bad(f"bad generator {g!r}: order and exponent must be integers")
             mono.append((_CODE[name], order, exp))
         pairs.append((c, tuple(mono)))
     try:
@@ -91,7 +89,9 @@ def scalar_op_from_json(data):
     for item in data:
         if not isinstance(item, dict) or "k" not in item or "c" not in item:
             _bad("each operator term needs 'k' and 'c'")
-        k = int(item["k"])
+        k = item["k"]
+        if type(k) is not int:
+            _bad(f"operator order must be an integer, got {k!r}")
         if k < 0:
             _bad("operator order must be nonnegative")
         pieces.append((k, function_from_json(item["c"])))

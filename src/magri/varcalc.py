@@ -79,49 +79,26 @@ def is_closed(vec):
     return ClosednessReport(True)
 
 
-class FlowData:
-    """An evolutionary vector field with the data its commutators reuse.
-
-    Holds the Frechet derivative of the field and, per component P_j,
-    the tower P_j, d P_j, d^2 P_j, ..., extended on demand, so that a
-    field commutated with many others differentiates each component
-    once.
-    """
-
-    __slots__ = ("components", "frechet", "_towers")
-
-    def __init__(self, vec):
-        self.components = tuple(vec)
-        self.frechet = frechet(self.components)
-        self._towers = [[c] for c in self.components]
-
-    def derivative(self, j, n):
-        """d^n of component j."""
-        tower = self._towers[j]
-        while len(tower) <= n:
-            tower.append(da.total_derivative(tower[-1]))
-        return tower[n]
-
-
 def evolutionary_commutator(p, q):
     """Commutator of evolutionary vector fields: D_Q(P) - D_P(Q).
 
-    Each argument is a vector or a :class:`FlowData`, whose Frechet
-    derivative and derivative tower are reused.
+    Entry (i, j) of a Frechet derivative is sum_n dF_i/du_j^(n) d^n, so
+    the commutator reads d^n P_j and d^n Q_j through
+    :func:`diffalg.total_derivative`, which keeps them on the components:
+    a field commutated with many others differentiates each component
+    once, for as long as the caller holds it.
     """
-    p = p if isinstance(p, FlowData) else FlowData(p)
-    q = q if isinstance(q, FlowData) else FlowData(q)
-    if len(p.components) != len(q.components):
+    p, q = tuple(p), tuple(q)
+    if len(p) != len(q):
         raise DimensionMismatch("commutated fields have different numbers of components")
     out = []
-    for dq_row, dp_row in zip(q.frechet.entries, p.frechet.entries):
+    for dq_row, dp_row in zip(frechet(q).entries, frechet(p).entries):
         acc = {}
-        for j, (dq, dp) in enumerate(zip(dq_row, dp_row)):
-            # entry (i, j) of a Frechet derivative is sum_n dF_i/du_j^(n) d^n
+        for pj, qj, dq, dp in zip(p, q, dq_row, dp_row):
             for n, c in dq.terms:
-                da.addmul_into(acc, c, p.derivative(j, n))
+                da.addmul_into(acc, c, da.total_derivative(pj, n))
             for n, c in dp.terms:
-                da.addmul_into(acc, c, q.derivative(j, n), -1)
+                da.addmul_into(acc, c, da.total_derivative(qj, n), -1)
         out.append(DiffFunction.from_dict(acc))
     return tuple(out)
 
@@ -185,8 +162,9 @@ def _v_degree(m):
     return sum(e for var, _n, e in m if var == V)
 
 
-def _solve_v_density(g, widen_cap):
-    """Solve euler_v(h0) = g for a density in v jets (and maybe log v).
+def _solve_v_density(g, wt, widen_cap):
+    """Solve euler_v(h0) = g for a density in v jets (and maybe log v),
+    g homogeneous of weight ``wt``.
 
     The Euler operator in v lowers the total v degree of a v-only
     monomial by exactly one, so the linear system splits into
@@ -196,9 +174,6 @@ def _solve_v_density(g, widen_cap):
     """
     if not g:
         return ZERO
-    wt = da.weight(g)
-    if wt is da.INHOMOGENEOUS:
-        raise NoSolution("the v-only part is not weight-homogeneous")
     for m, _ in g.terms:
         # A candidate is free of log v, or is log(v) times a monomial with
         # no power of v (jets v', v'', ... allowed), and the terms in log v
@@ -253,8 +228,8 @@ def _integrate(vec, widen_cap):
     gtil = g - da.euler_derivative(h, V)
     if da.max_order(gtil, U) is not None:
         raise NoSolution("residual v-problem still involves u")
-    for _w, part in da.homogeneous_parts(gtil):
-        h = h + _solve_v_density(part, widen_cap)
+    for wt, part in da.homogeneous_parts(gtil):
+        h = h + _solve_v_density(part, wt, widen_cap)
     return h
 
 

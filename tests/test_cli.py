@@ -151,6 +151,20 @@ def test_unreadable_operator_file_exits_four(capsys, tmp_path):
     assert err.startswith("INPUT_ERROR")
 
 
+def test_json_readers_take_only_integer_orders_and_exponents(capsys, tmp_path):
+    one = {"c": "1", "m": []}
+    path = tmp_path / "op.json"
+    for k in (1.5, 1.0, "1", True, None):
+        path.write_text(json.dumps([[[{"k": k, "c": [one]}]]]))
+        code, out, err = _run(capsys, "verify-poisson", "--op", str(path))
+        assert (code, out) == (4, ""), k
+        assert "integer" in err, k
+    for gen in (["u", 0.7, 1], ["u", 0, 1.0], ["v", True, 1], ["u", 0, True], ["u", "0", 1]):
+        with pytest.raises(ExprSyntaxError, match="integers"):
+            render.function_from_json([{"c": "1", "m": [gen]}])
+    assert render.function_from_json([{"c": "2", "m": [["u", 1, 2]]}]) == 2 * da.u_jet(1) ** 2
+
+
 def test_operator_file_loading(capsys, tmp_path):
     path = tmp_path / "h1.json"
     path.write_text(json.dumps(render.operator_to_json(lenard.structure(1))))

@@ -78,6 +78,34 @@ def test_total_derivative_is_a_derivation(a, b):
     assert lhs == rhs
 
 
+def test_total_derivative_keeps_the_tower_on_the_value(monkeypatch):
+    calls = []
+    dx_into = da._dx_into
+
+    def counting(acc, f):
+        calls.append(f)
+        return dx_into(acc, f)
+
+    monkeypatch.setattr(da, "_dx_into", counting)
+    u, v = da.u_jet(0), da.v_jet(0)
+    f = u * u * da.v_pow(-1) + da.log_v() * v
+    d3 = da.total_derivative(f, 3)
+    assert len(calls) == 3
+    calls.clear()
+    assert da.total_derivative(f, 2) == da.total_derivative(da.total_derivative(f), 1)
+    assert da.total_derivative(f, 3) is d3
+    assert da.total_derivative(f, 0) is f
+    assert calls == []
+    # an equal value built elsewhere has its own tower, with the same derivatives
+    assert da.total_derivative(-(-f), 3) == d3
+    assert len(calls) == 3
+    # a zero derivative is ZERO itself and ends the walk
+    calls.clear()
+    assert da.total_derivative(u, 5) == da.u_jet(5)
+    assert da.total_derivative(da.const(7), 1000) is ZERO
+    assert len(calls) == 5 + 1
+
+
 def test_total_derivative_on_special_generators():
     vm1 = da.v_pow(-1)
     assert da.total_derivative(da.log_v()) == vm1 * da.v_jet(1)

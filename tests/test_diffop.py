@@ -50,6 +50,46 @@ def test_d_power_and_leibniz():
     assert left == right
 
 
+def test_operator_powers_stay_cheap(monkeypatch):
+    calls = [0]
+    addmul_into = da.addmul_into
+
+    def counting(acc, f, g, k=1):
+        calls[0] += 1
+        return addmul_into(acc, f, g, k)
+
+    monkeypatch.setattr(da, "addmul_into", counting)
+    # each d^n . 1 stops at the first zero derivative of 1, and the power
+    # is taken by squaring; a product over every m <= n made about 20k calls
+    d200 = dop.D ** 200
+    assert calls[0] <= 50
+    assert d200 == dop.ScalarDiffOp([(200, da.ONE)])
+    assert (dop.D ** 2000).degree() == 2000
+    f = da.u_jet(0) * da.v_pow(-1)
+    op = dop.multiplication(f) * dop.D + dop.D
+    want = dop.multiplication(da.ONE)
+    for _ in range(7):
+        want = dop.compose(want, op)
+    assert op ** 7 == want
+    assert op ** 0 == dop.multiplication(da.ONE)
+
+
+def test_apply_differentiates_each_vector_once(monkeypatch):
+    _h0, h1 = dop.builtin_pair()
+    v = (da.u_jet(0) * da.v_jet(1), da.v_pow(-1) + da.log_v())
+    first = dop.apply(h1, v)
+    calls = []
+    dx_into = da._dx_into
+
+    def counting(acc, f):
+        calls.append(f)
+        return dx_into(acc, f)
+
+    monkeypatch.setattr(da, "_dx_into", counting)
+    assert dop.apply(h1, v) == first
+    assert calls == []
+
+
 def test_adjoint_involution_and_antihomomorphism():
     rng = random.Random(23)
     for _ in range(20):
