@@ -32,19 +32,28 @@ sum of two in-range monomials, or a monomial shifted by one g'/g,
 stays exact, and an exponent out of range sets the top bit of a field
 once ``_OFF`` is added (or makes the sum negative).  So the range is
 checked once per distinct result monomial, where a sum of products is
-made canonical (:meth:`DiffFunction.from_dict`), never per product; an
+made canonical (:meth:`DiffFunction.from_acc`), never per product; an
 exponent out of range raises :class:`~magri.errors.ExponentOverflow`, a
 ``MagriError``, and never yields a wrong monomial.
 
-A :class:`DiffFunction` is a tuple of (packed monomial, coefficient)
-pairs sorted by the int, with no zero entries, so equal functions are
-equal tuples.  A coefficient is an ``int`` when it is integral and
-otherwise a ``Fraction`` with denominator > 1; it is never a float or a
-bool.  Most coefficients are integers, and plain ``int`` arithmetic is
-several times faster than ``Fraction`` arithmetic.  Values are
-immutable and every operation returns a canonical form; every division
-of coefficients goes through :func:`coeff_div`, so nothing here touches
-floating point.
+A :class:`DiffFunction` holds a tuple of (packed monomial, int numerator)
+pairs sorted by the monomial, with no zero numerators, and one positive
+int denominator ``_den``: the function is the sum of numerator/_den
+times monomial.  The pair is canonical when gcd(_den, every numerator)
+= 1, so equal functions have equal tuples and equal denominators.  This
+is the split of a rational polynomial into a denominator and an
+integral part (Knuth, TAOCP vol. 2, 4.6.1): every coefficient operation
+inside the ring is plain ``int`` arithmetic, several times faster than
+``Fraction`` arithmetic, and a value with integral coefficients, as
+every value of the Poisson checks is, has ``_den`` = 1 and runs the
+same loops as if there were no denominator at all.  ``Fraction``
+appears only at the public face: :attr:`~DiffFunction.terms`,
+:meth:`~DiffFunction.coeff` and :meth:`~DiffFunction.constant_term`
+give each coefficient as an ``int`` when it is integral and otherwise
+as a ``Fraction`` with denominator > 1, never a float or a bool;
+scalar operands may be either, and every division of coefficients goes
+through :func:`coeff_div`.  Values are immutable and every operation
+returns a canonical form.
 
 The public face speaks tuples: a monomial outside this module is a
 tuple of (variable, order, exponent) triples sorted by (variable,
@@ -55,11 +64,15 @@ the result, so the plain-text, JSON and LaTeX forms, the row keys of
 the linear solver and the kernel markers of the recursion see the same
 terms in the same order as when monomials were tuples inside too.
 
-A sum of products is built in one pass: :func:`addmul_into` adds each
-product into a plain ``{packed monomial: coefficient}`` dict, and
-:meth:`DiffFunction.from_dict` turns the dict into a canonical value
-once at the end.  Summing with ``acc = acc + a * b`` instead would copy
-and re-sort the whole partial sum on every step.
+A sum of products is built in one pass: :func:`addmul_into`,
+:func:`add_into` and the total derivative add each piece into an
+:class:`Accumulator`, a ``{packed monomial: int numerator}`` dict over
+its own denominator, and :meth:`DiffFunction.from_acc` turns it into a
+canonical value once at the end, dividing out the common factor with
+one ``math.gcd``.  The accumulator is rescaled only when a piece's
+denominator does not divide its own, to their lcm.  Summing with ``acc
+= acc + a * b`` instead would copy and re-sort the whole partial sum on
+every step.
 
 The total derivative acts by u_i^(n) -> u_i^(n+1) extended as a
 derivation, with d(v^-1) = -v'*v^-2 and d(log v) = v'/v.  Partial
@@ -99,7 +112,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, or_
 
 from .errors import ExponentOverflow, FuelExhausted, MagriError
@@ -225,65 +238,129 @@ def coeff_div(a, b):
     return _as_coeff(Fraction(a, b))
 
 
-def addmul_into(acc, f, g, k=1):
-    """Add k*f*g into ``acc``, a {packed monomial: coefficient} dict.
+class Accumulator:
+    """A sum in progress: the dict ``d`` of {packed monomial: int
+    numerator} over one positive int denominator ``den``.
 
-    Terms that cancel stay in the dict with coefficient 0, and sums of
-    coefficients are left as they come; :meth:`DiffFunction.from_dict`
-    drops the zeros, makes the rest canonical and checks the exponents.
+    Terms that cancel stay in ``d`` with numerator 0, and nothing is
+    reduced; :meth:`DiffFunction.from_acc` drops the zeros, divides out
+    the common factor and checks the exponents.
     """
-    get = acc.get
+
+    __slots__ = ("d", "den")
+
+    def __init__(self, pairs=(), den=1):
+        self.d = dict(pairs)
+        self.den = den
+
+    def fit(self, den):
+        """The factor that puts a piece over ``den`` onto this sum's
+        denominator; when ``den`` does not divide it, the whole sum is
+        first rescaled to their lcm."""
+        old = self.den
+        if old % den:
+            new = lcm(old, den)
+            s = new // old
+            d = self.d
+            for m in d:
+                d[m] *= s
+            self.den = old = new
+        return old // den
+
+
+def addmul_into(acc, f, g, k=1):
+    """Add k*f*g into ``acc``, an :class:`Accumulator`; k is an int or a Fraction."""
+    den = f._den * g._den
+    if type(k) is not int:
+        den *= k.denominator
+        k = k.numerator
+    if den != acc.den:
+        k *= acc.fit(den)
+    d = acc.d
+    get = d.get
     gt = g._t
     for m1, c1 in f._t:
         if k != 1:
             c1 = c1 * k
         for m2, c2 in gt:
             m = m1 + m2
-            acc[m] = get(m, 0) + c1 * c2
+            d[m] = get(m, 0) + c1 * c2
 
 
 def add_into(acc, f, k=1):
-    """Add k*f into ``acc``, a {packed monomial: coefficient} dict, as
-    :func:`addmul_into` adds a product."""
-    get = acc.get
+    """Add k*f into ``acc``, an :class:`Accumulator`, as :func:`addmul_into`
+    adds a product."""
+    den = f._den
+    if type(k) is not int:
+        den *= k.denominator
+        k = k.numerator
+    if den != acc.den:
+        k *= acc.fit(den)
+    d = acc.d
+    get = d.get
     for m, c in f._t:
-        acc[m] = get(m, 0) + c * k
+        d[m] = get(m, 0) + c * k
 
 
 def dot(a, b):
     """The sum of the products a_i * b_i of two vectors of functions."""
-    acc = {}
+    acc = Accumulator()
     for x, y in zip(a, b):
         addmul_into(acc, x, y)
-    return DiffFunction.from_dict(acc)
+    return DiffFunction.from_acc(acc)
 
 
-def common_denominator(fs):
-    """The lcm of the coefficient denominators of the functions ``fs``."""
-    den = 1
-    for f in fs:
-        for _m, c in f._t:
-            den = lcm(den, c.denominator)
-    return den
+def denominator(fs):
+    """The least positive int whose product with each function of ``fs``
+    has integral coefficients: the lcm of their denominators."""
+    return lcm(*[f._den for f in fs])
+
+
+def divide_terms(f, div):
+    """f with the coefficient of each packed monomial m divided by
+    ``div(m)``, a positive int."""
+    ds = [div(m) for m, _c in f._t]
+    den = lcm(*ds)
+    return _canon([(m, c * (den // d)) for (m, c), d in zip(f._t, ds)], f._den * den)
+
+
+def _rational(c, den):
+    """The coefficient c/den at the public face: an int when integral, else a Fraction."""
+    if den == 1:
+        return c
+    q = Fraction(c, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 _new = object.__new__
 
 
-def _df(pairs):
-    """A DiffFunction of a tuple of canonical (packed monomial, coefficient) pairs."""
+def _df(pairs, den=1):
+    """A DiffFunction of a canonical tuple of (packed monomial, numerator) pairs over den."""
     f = _new(DiffFunction)
     f._t = pairs
+    f._den = den
     f._hash = None
     f._terms = None
     f._d = None
     return f
 
 
+def _canon(items, den):
+    """The DiffFunction of a sorted list of distinct packed monomials with
+    nonzero int numerators over den > 0, the common factor divided out."""
+    if den != 1:
+        g = gcd(den, *[c for _m, c in items])
+        if g != 1:
+            den //= g
+            items = [(m, c // g) for m, c in items]
+    return _df(tuple(items), den)
+
+
 class DiffFunction:
     """A differential function in canonical sparse form."""
 
-    __slots__ = ("_t", "_hash", "_terms", "_d")
+    __slots__ = ("_t", "_den", "_hash", "_terms", "_d")
 
     def __init__(self, terms=()):
         """Build from (monomial, coefficient) pairs, in canonical form.
@@ -293,23 +370,29 @@ class DiffFunction:
         equal monomials are summed and zero sums dropped.  A coefficient
         that is not exact (a float) raises TypeError.
         """
-        acc = {}
+        acc = Accumulator()
+        d = acc.d
         for m, c in terms:
             m = pack_mono(m)
-            acc[m] = acc.get(m, 0) + _as_coeff(c)
-        self._t = DiffFunction.from_dict(acc)._t
+            c = _as_coeff(c)
+            c = c.numerator * acc.fit(c.denominator)
+            d[m] = d.get(m, 0) + c
+        f = DiffFunction.from_acc(acc)
+        self._t = f._t
+        self._den = f._den
         self._hash = None
         self._terms = None
         self._d = None
 
     @staticmethod
-    def from_dict(d):
-        """Build from {packed monomial: coefficient}, dropping zeros.
+    def from_acc(acc):
+        """Build from an :class:`Accumulator`, dropping zeros.
 
-        Sums and products of coefficients become canonical here: an
-        integral Fraction is stored as an int.  Every monomial of ``d``
-        is checked to be in range (see the module docstring).
+        The common factor of the denominator and the numerators is
+        divided out here, by one gcd, and every monomial of ``acc`` is
+        checked to be in range (see the module docstring).
         """
+        d = acc.d
         # an exponent out of range sets the top bit of a field of m + _OFF,
         # or makes m + _OFF negative (see the module docstring)
         bits = reduce(or_, map(_OFF.__add__, d), 0)
@@ -318,13 +401,11 @@ class DiffFunction:
                 f"an exponent left its range: at most {MAX_EXP}, "
                 f"or [{MIN_V_EXP}, {MAX_V_EXP}] for the power of v"
             )
-        items = [
-            (m, c if type(c) is int or c.denominator != 1 else c.numerator)
-            for m, c in d.items()
-            if c
-        ]
+        items = [(m, c) for m, c in d.items() if c]
         items.sort(key=_first)
-        return _df(tuple(items))
+        if acc.den == 1:
+            return _df(tuple(items))
+        return _canon(items, acc.den)
 
     @staticmethod
     def from_terms(pairs):
@@ -334,11 +415,14 @@ class DiffFunction:
 
     @property
     def terms(self):
-        """The (monomial, coefficient) pairs with tuple monomials, sorted by monomial."""
+        """The (monomial, coefficient) pairs with tuple monomials, sorted by
+        monomial; a coefficient is an int when integral, else a Fraction."""
         t = self._terms
         if t is None:
+            den = self._den
+            pairs = self._t if den == 1 else [(m, _rational(c, den)) for m, c in self._t]
             t = self._terms = tuple(
-                sorted(((unpack_mono(m), c) for m, c in self._t), key=_first)
+                sorted(((unpack_mono(m), c) for m, c in pairs), key=_first)
             )
         return t
 
@@ -346,14 +430,14 @@ class DiffFunction:
         m = pack_mono(mono)
         for mm, c in self._t:
             if mm == m:
-                return c
+                return _rational(c, self._den)
         return 0
 
     def constant_term(self):
         # only pure negative powers of v sort before the empty monomial 0
         for m, c in self._t:
             if m >= 0:
-                return c if m == 0 else 0
+                return _rational(c, self._den) if m == 0 else 0
         return 0
 
     def __bool__(self):
@@ -361,14 +445,14 @@ class DiffFunction:
 
     def __eq__(self, other):
         if isinstance(other, DiffFunction):
-            return self._t == other._t
+            return self._den == other._den and self._t == other._t
         if isinstance(other, (int, Fraction)):
             return self == const(other)
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._t)
+            self._hash = hash((self._t, self._den))
         return self._hash
 
     def __add__(self, other):
@@ -376,16 +460,14 @@ class DiffFunction:
             other = const(other)
         if not isinstance(other, DiffFunction):
             return NotImplemented
-        d = dict(self._t)
-        get = d.get
-        for m, c in other._t:
-            d[m] = get(m, 0) + c
-        return DiffFunction.from_dict(d)
+        acc = Accumulator(self._t, self._den)
+        add_into(acc, other)
+        return DiffFunction.from_acc(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _df(tuple([(m, -c) for m, c in self._t]))
+        return _df(tuple([(m, -c) for m, c in self._t]), self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -402,12 +484,16 @@ class DiffFunction:
             k = _as_coeff(other)
             if not k:
                 return ZERO
-            return _df(tuple([(m, _as_coeff(c * k)) for m, c in self._t]))
+            if k == 1:
+                return self
+            return _canon(
+                [(m, c * k.numerator) for m, c in self._t], self._den * k.denominator
+            )
         if not isinstance(other, DiffFunction):
             return NotImplemented
-        acc = {}
+        acc = Accumulator()
         addmul_into(acc, self, other)
-        return DiffFunction.from_dict(acc)
+        return DiffFunction.from_acc(acc)
 
     __rmul__ = __mul__
 
@@ -436,11 +522,17 @@ ZERO = _df(())
 ONE = _df(((0, 1),))
 
 
+def _term(m, q):
+    """The one-term function q * m, for a packed monomial m and a nonzero rational q."""
+    q = _as_coeff(q)
+    return _df(((m, q.numerator),), q.denominator)
+
+
 def const(q):
     q = _as_coeff(q)
     if not q:
         return ZERO
-    return _df(((0, q),))
+    return _term(0, q)
 
 
 def jet(var, order, exp=1):
@@ -519,16 +611,22 @@ def _dx_mono(m):
     return t
 
 
-def _dx_into(acc, f):
-    """Add the total derivative of f into ``acc``, as addmul_into adds a product."""
+def _dx_into(acc, f, k=1):
+    """Add k times the total derivative of f into ``acc``, as addmul_into
+    adds a product; k is an int."""
+    if f._den != acc.den:
+        k *= acc.fit(f._den)
+    d = acc.d
     memo = _DX_MONO
-    get = acc.get
+    get = d.get
     for m, c in f._t:
+        if k != 1:
+            c = c * k
         t = memo.get(m)
         if t is None:
             t = _dx_mono(m)
         for dm, e in t:
-            acc[dm] = get(dm, 0) + c * e
+            d[dm] = get(dm, 0) + c * e
 
 
 def total_derivative(f, n=1):
@@ -541,9 +639,9 @@ def total_derivative(f, n=1):
     for _ in range(n):
         d = f._d
         if d is None:
-            acc = {}
+            acc = Accumulator()
             _dx_into(acc, f)
-            d = f._d = DiffFunction.from_dict(acc) or ZERO
+            d = f._d = DiffFunction.from_acc(acc) or ZERO
         if d is ZERO:
             return d
         f = d
@@ -566,18 +664,19 @@ def partial_derivative(f, gen):
     s = _slot(var, order)
     if s == 0:
         # log v depends on v: d(log v)/dv = 1/v.
-        acc = {}
-        get = acc.get
+        acc = Accumulator((), f._den)
+        d = acc.d
+        get = d.get
         for m, c in f._t:
             x = m + _OFF
             e = (x & _MASK) - _OFF
             if e:
-                acc[m - 1] = get(m - 1, 0) + c * e
+                d[m - 1] = get(m - 1, 0) + c * e
             j = (x >> EXP_BITS) & _MASK
             if j:
                 m2 = m - _LOG - 1
-                acc[m2] = get(m2, 0) + c * j
-        return DiffFunction.from_dict(acc)
+                d[m2] = get(m2, 0) + c * j
+        return DiffFunction.from_acc(acc)
     # lowering one positive exponent keeps the monomials distinct, in
     # range and in the same order
     shift = EXP_BITS * s
@@ -586,9 +685,8 @@ def partial_derivative(f, gen):
     for m, c in f._t:
         e = ((m + _OFF) >> shift) & _MASK
         if e:
-            c = c * e
-            out.append((m - unit, c if type(c) is int or c.denominator != 1 else c.numerator))
-    return _df(tuple(out))
+            out.append((m - unit, c * e))
+    return _canon(out, f._den)
 
 
 def max_order(f, var=None):
@@ -681,8 +779,8 @@ def homogeneous_parts(f):
     parts = {}
     for m, c in f._t:
         parts.setdefault(mono_weight(m), []).append((m, c))
-    # each part keeps the sorted order, canonical coefficients and no zeros of f
-    return [(w, _df(tuple(t))) for w, t in sorted(parts.items())]
+    # each part keeps the sorted order and no zeros of f
+    return [(w, _canon(t, f._den)) for w, t in sorted(parts.items())]
 
 
 def min_v_exponent(f):
@@ -835,9 +933,10 @@ def euler_derivative(f, var):
         return ZERO
     acc = partial_derivative(f, (var, n))
     for k in range(n - 1, -1, -1):
-        d = dict(partial_derivative(f, (var, k))._t)
-        _dx_into(d, -acc)
-        acc = DiffFunction.from_dict(d)
+        p = partial_derivative(f, (var, k))
+        d = Accumulator(p._t, p._den)
+        _dx_into(d, acc, -1)
+        acc = DiffFunction.from_acc(d)
     return acc
 
 
@@ -859,8 +958,8 @@ def _integrate_v_monomial(k, j):
     if j < 0:
         raise MagriError("negative log exponent")
     if k == -1:
-        return DiffFunction.from_dict({(j + 1) * _LOG: coeff_div(1, j + 1)})
-    out = DiffFunction.from_dict({k + 1 + j * _LOG: coeff_div(1, k + 1)})
+        return _term((j + 1) * _LOG, coeff_div(1, j + 1))
+    out = _term(k + 1 + j * _LOG, coeff_div(1, k + 1))
     if j:
         out = out - _integrate_v_monomial(k, j - 1) * coeff_div(j, k + 1)
     return out
@@ -874,19 +973,14 @@ def _integrate_in_generator(b, var, order):
     variable.
     """
     if var == V and order == 0:
-        acc = {}
+        acc = Accumulator()
         for m, c in b._t:
             k = mono_exp(m, V, 0)
             j = mono_exp(m, LOG_VAR, 0)
-            rest = _df(((m - k - j * _LOG, 1),))
-            addmul_into(acc, _integrate_v_monomial(k, j), rest, c)
-        return DiffFunction.from_dict(acc)
-    # raising the exponent of one generator maps distinct monomials to
-    # distinct monomials, so no two terms merge
-    unit = 1 << EXP_BITS * _slot(var, order)
-    return DiffFunction.from_dict(
-        {m + unit: coeff_div(c, mono_exp(m, var, order) + 1) for m, c in b._t}
-    )
+            rest = _canon([(m - k - j * _LOG, c)], b._den)
+            addmul_into(acc, _integrate_v_monomial(k, j), rest)
+        return DiffFunction.from_acc(acc)
+    return divide_terms(b, lambda m: mono_exp(m, var, order) + 1) * jet(var, order)
 
 
 # Rounds of top-order integration antiderivative may take before it gives up.
@@ -907,7 +1001,7 @@ def antiderivative(f, tag=None):
     """
     if not is_total_derivative(f):
         return None
-    g = {}  # the primitive so far, {packed monomial: coefficient}
+    g = Accumulator()  # the primitive so far
     work = f
     fuel = 0
     while work:
@@ -928,12 +1022,11 @@ def antiderivative(f, tag=None):
         if t_ord is not None and t_ord >= n:
             return None
         p = _integrate_in_generator(top, var, n - 1)
-        for m, c in p._t:
-            g[m] = g.get(m, 0) + c
-        d = dict(work._t)
-        _dx_into(d, -p)
-        work = DiffFunction.from_dict(d)
-    g = DiffFunction.from_dict(g)
+        add_into(g, p)
+        d = Accumulator(work._t, work._den)
+        _dx_into(d, p, -1)
+        work = DiffFunction.from_acc(d)
+    g = DiffFunction.from_acc(g)
     if tag is not None:
         if tag.kind == "scaled_plus":
             raise MagriError(f"no antiderivative target space for tag {tag.kind!r}")

@@ -22,6 +22,7 @@ transpose of entrywise adjoints.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
 from operator import itemgetter
@@ -70,9 +71,9 @@ class SparsePoly:
 
     @classmethod
     def from_acc(cls, acc):
-        """Build from {key: {packed monomial: coefficient}}, as filled by
+        """Build from {key: diffalg.Accumulator}, as filled by
         :func:`diffalg.addmul_into` and :func:`compose_into`."""
-        return cls.from_dict({key: DiffFunction.from_dict(m) for key, m in acc.items()})
+        return cls.from_dict({key: DiffFunction.from_acc(a) for key, a in acc.items()})
 
     @property
     def terms(self):
@@ -174,8 +175,16 @@ def multiplication(f):
 D = ScalarDiffOp([(1, ONE)])
 
 
+def accumulators():
+    """An empty {key: diffalg.Accumulator} dict that makes each accumulator
+    on first use, as :func:`compose_into` and :meth:`SparsePoly.from_acc`
+    take."""
+    return defaultdict(da.Accumulator)
+
+
 def compose_into(acc, a, b):
-    """Add a . b into acc, a {power of d: {packed monomial: coefficient}} dict.
+    """Add a . b into acc, a {power of d: diffalg.Accumulator} dict made by
+    :func:`accumulators`.
 
     d^n . b_j = sum_m C(n, m) b_j^(m) d^(n-m).  Each b_j's derivatives are
     read through :func:`diffalg.total_derivative`, which keeps them on
@@ -194,36 +203,36 @@ def compose_into(acc, a, b):
             bt.append(d)
         for n, an in a.terms:
             for m in range(min(n, len(bt) - 1) + 1):
-                da.addmul_into(acc.setdefault(n - m + j, {}), an, bt[m], comb(n, m))
+                da.addmul_into(acc[n - m + j], an, bt[m], comb(n, m))
     return acc
 
 
 def compose(a, b):
     """Left-normal form of the composition a . b."""
-    return ScalarDiffOp.from_acc(compose_into({}, a, b))
+    return ScalarDiffOp.from_acc(compose_into(accumulators(), a, b))
 
 
 def adjoint_scalar(a):
     """Formal adjoint: (a*d^k)* = (-d)^k . a."""
-    acc = {}
+    acc = accumulators()
     for k, ak in a.terms:
         sign = (-1) ** k
         for m in range(k + 1):
             dm = da.total_derivative(ak, m)
-            da.add_into(acc.setdefault(k - m, {}), dm, sign * comb(k, m))
+            da.add_into(acc[k - m], dm, sign * comb(k, m))
     return ScalarDiffOp.from_acc(acc)
 
 
 def _apply_into(acc, a, f):
-    """Add a(f) = sum_k a_k * d^k f into acc, a {monomial: coefficient} dict."""
+    """Add a(f) = sum_k a_k * d^k f into acc, a diffalg.Accumulator."""
     for k, ak in a.terms:
         da.addmul_into(acc, ak, da.total_derivative(f, k))
 
 
 def apply_scalar(a, f):
-    acc = {}
+    acc = da.Accumulator()
     _apply_into(acc, a, f)
-    return DiffFunction.from_dict(acc)
+    return DiffFunction.from_acc(acc)
 
 
 class MatrixDiffOp:
@@ -287,7 +296,7 @@ class MatrixDiffOp:
             for arow in self.entries:
                 row = []
                 for j in range(other.shape[1]):
-                    acc = {}
+                    acc = accumulators()
                     for a, brow in zip(arow, other.entries):
                         compose_into(acc, a, brow[j])
                     row.append(ScalarDiffOp.from_acc(acc))
@@ -321,10 +330,10 @@ def apply(h, vec):
         raise DimensionMismatch(f"operator takes {m} components, got {len(vec)}")
     out = []
     for row in h.entries:
-        acc = {}
+        acc = da.Accumulator()
         for a, f in zip(row, vec):
             _apply_into(acc, a, f)
-        out.append(DiffFunction.from_dict(acc))
+        out.append(DiffFunction.from_acc(acc))
     return tuple(out)
 
 

@@ -382,12 +382,6 @@ class InvolutivityReport:
     all_ok: bool
 
 
-def _integral_multiple(vec):
-    """vec times the lcm of its coefficient denominators, so integral."""
-    den = da.common_denominator(vec)
-    return tuple(vec) if den == 1 else tuple(f * den for f in vec)
-
-
 def involutivity_report(runs, include_flows=True):
     """Check that all densities of the given runs are in involution.
 
@@ -404,7 +398,7 @@ def involutivity_report(runs, include_flows=True):
     Every zero test runs on integral multiples of the gradients and
     flows: the bracket and the commutator are bilinear, so scaling an
     argument by a nonzero rational scales the result and keeps it zero
-    or nonzero, while the arithmetic stays in plain ints.
+    or nonzero, and every value then has denominator 1.
     """
     labels = []
     densities = []
@@ -415,10 +409,12 @@ def involutivity_report(runs, include_flows=True):
             densities.append(dens)
             flows.append(run.flows[n] if n < len(run.flows) else None)
     m = len(densities)
-    grads = [_integral_multiple(vc.variational_derivative(d)) for d in densities]
+    grads = [vc.variational_derivative(d) for d in densities]
+    grads = [tuple(f * da.denominator(x) for f in x) for x in grads]
     hgrads = [[dop.apply(h, x) for x in grads] for h in (H0, H1)]
     flows = [
-        _integral_multiple(p) if include_flows and p is not None else None for p in flows
+        tuple(f * da.denominator(p) for f in p) if include_flows and p is not None else None
+        for p in flows
     ]
     b0 = [[True] * m for _ in range(m)]
     b1 = [[True] * m for _ in range(m)]

@@ -99,7 +99,7 @@ class _BracketTable:
         """{u_i lambda g} = sum_j D_{g,j} . H_ji."""
         part = self._gen_fun.get((i, g))
         if part is None:
-            acc = {}
+            acc = dop.accumulators()
             for j, dg in enumerate(self.row(g)):
                 dop.compose_into(acc, dg, self.h.entries[j][i - 1])
             part = self._gen_fun[i, g] = dop.ScalarDiffOp.from_acc(acc)
@@ -109,7 +109,7 @@ class _BracketTable:
         """{g nu u_k} = sum_m H_km . D_{g,m}*, as a polynomial in nu = lambda + mu."""
         part = self._fun_gen.get((g, k))
         if part is None:
-            acc = {}
+            acc = dop.accumulators()
             for m, (op, dg) in enumerate(zip(self.h.entries[k - 1], self.row(g))):
                 if op and dg:
                     dop.compose_into(acc, op, self._adjoint(g, m))
@@ -124,31 +124,31 @@ class _BracketTable:
 
     def jacobiator(self, i, j, k):
         """The jacobiator of (u_i, u_j, u_k), as
-        {(power of lambda, power of mu): {monomial: coefficient}}."""
+        {(power of lambda, power of mu): diffalg.Accumulator}."""
         rows = self.h.entries
-        acc = {}
+        acc = dop.accumulators()
         # {u_i lambda {u_j mu u_k}}
         for s, a in rows[k - 1][j - 1].terms:
             for t, f in self.gen_fun(i, a).terms:
-                da.add_into(acc.setdefault((t, s), {}), f)
+                da.add_into(acc[t, s], f)
         # - {u_j mu {u_i lambda u_k}}
         for t, b in rows[k - 1][i - 1].terms:
             for s, f in self.gen_fun(j, b).terms:
-                da.add_into(acc.setdefault((t, s), {}), f, -1)
+                da.add_into(acc[t, s], f, -1)
         # - {{u_i lambda u_j} lambda+mu u_k}, lambda acting as a coefficient:
         # nu^s becomes (lambda + mu)^s
         for t, c in rows[j - 1][i - 1].terms:
             for s, f in self.fun_gen(c, k).terms:
                 for p in range(s + 1):
-                    da.add_into(acc.setdefault((p + t, s - p), {}), f, -comb(s, p))
+                    da.add_into(acc[p + t, s - p], f, -comb(s, p))
         return acc
 
     def is_poisson(self):
         """Whether every jacobiator of H vanishes (H is taken as skew)."""
         n = self.n
         for i, j, k in product(range(1, n + 1), repeat=3):
-            # from_dict checks the exponents of every block, zero or not
-            blocks = [DiffFunction.from_dict(d) for d in self.jacobiator(i, j, k).values()]
+            # from_acc checks the exponents of every block, zero or not
+            blocks = [DiffFunction.from_acc(a) for a in self.jacobiator(i, j, k).values()]
             if any(blocks):
                 return False
         return True
@@ -167,7 +167,7 @@ def lambda_bracket(h, f, g):
     h = _as_matrix(h)
     _require_skew(h)
     table = _BracketTable(h)
-    acc = {}
+    acc = dop.accumulators()
     for k, dg in enumerate(table.row(g)):
         if dg:
             dop.compose_into(acc, dg, table.fun_gen(f, k + 1))
@@ -182,20 +182,15 @@ def jacobiator(h, i, j, k):
     return dop.SparsePoly.from_acc(_BracketTable(h).jacobiator(i, j, k))
 
 
-def _integral_multiple(h):
-    """h times the lcm of its coefficient denominators, so integral."""
-    den = da.common_denominator(f for row in h.entries for op in row for _k, f in op.terms)
-    return h if den == 1 else h * den
-
-
 def _jacobi_holds(h):
     """The Jacobi identity of a skew h, checked on one table.
 
     Every jacobiator is quadratic in h, so h is Poisson exactly when a
     nonzero multiple of it is; the check runs on the integral multiple,
-    whose arithmetic stays in plain ints.
+    whose values all have denominator 1.
     """
-    return _BracketTable(_integral_multiple(h)).is_poisson()
+    den = da.denominator(f for row in h.entries for op in row for _k, f in op.terms)
+    return _BracketTable(h * den).is_poisson()
 
 
 def is_poisson(h):

@@ -38,6 +38,14 @@ def _bad(msg):
     raise ExprSyntaxError(msg)
 
 
+def _iter(data, msg):
+    """An iterator over data; ExprSyntaxError(msg) when data is not iterable."""
+    try:
+        return iter(data)
+    except TypeError:
+        _bad(msg)
+
+
 def function_from_json(data):
     if not isinstance(data, list):
         _bad("function JSON must be a list of terms")
@@ -50,7 +58,7 @@ def function_from_json(data):
         except (ValueError, ZeroDivisionError):
             _bad(f"bad coefficient {item['c']!r}")
         mono = []
-        for g in item["m"]:
+        for g in _iter(item["m"], "each term's 'm' is a list of generators"):
             if not isinstance(g, (list, tuple)) or len(g) != 3:
                 _bad("each generator is [name, order, exp]")
             name, order, exp = g
@@ -107,7 +115,10 @@ def operator_to_json(h):
 def operator_from_json(data):
     if not isinstance(data, list) or not data:
         _bad("operator JSON must be a nonempty matrix")
-    rows = [[scalar_op_from_json(e) for e in row] for row in data]
+    rows = [
+        [scalar_op_from_json(e) for e in _iter(row, "each operator row is a list of entries")]
+        for row in data
+    ]
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         _bad("operator rows have unequal lengths")

@@ -23,7 +23,6 @@ from .diffalg import (
     LOG_VAR,
     U,
     V,
-    coeff_div,
 )
 from .errors import DimensionMismatch, MagriError, NoSolution, NotClosed
 
@@ -93,13 +92,13 @@ def evolutionary_commutator(p, q):
         raise DimensionMismatch("commutated fields have different numbers of components")
     out = []
     for dq_row, dp_row in zip(frechet(q).entries, frechet(p).entries):
-        acc = {}
+        acc = da.Accumulator()
         for pj, qj, dq, dp in zip(p, q, dq_row, dp_row):
             for n, c in dq.terms:
                 da.addmul_into(acc, c, da.total_derivative(pj, n))
             for n, c in dp.terms:
                 da.addmul_into(acc, c, da.total_derivative(qj, n), -1)
-        out.append(DiffFunction.from_dict(acc))
+        out.append(DiffFunction.from_acc(acc))
     return tuple(out)
 
 
@@ -109,8 +108,8 @@ def evolutionary_commutator(p, q):
 def _homotopy(f, var=None):
     """f with each monomial m scaled by 1/(deg m + 1): the degree in the
     jets of ``var``, or in every generator when ``var`` is None."""
-    return DiffFunction(
-        [(m, coeff_div(c, 1 + sum(e for x, _n, e in m if var in (None, x)))) for m, c in f.terms]
+    return da.divide_terms(
+        f, lambda m: 1 + sum(e for x, _n, e in da.unpack_mono(m) if var in (None, x))
     )
 
 

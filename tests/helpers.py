@@ -25,16 +25,17 @@ def rand_monomial(rng, max_order=3, max_exp=3, v_neg=True, log_ok=True, factors=
     return tuple(mono)
 
 
+def rand_pairs(rng, terms=3, max_order=3, max_exp=3, v_neg=True, log_ok=True):
+    """The raw (coefficient, monomial) pairs behind :func:`rand_function`:
+    rational coefficients, monomials with repeated generators allowed."""
+    return [
+        (rand_coeff(rng), rand_monomial(rng, max_order, max_exp, v_neg, log_ok))
+        for _ in range(rng.randint(1, terms))
+    ]
+
+
 def rand_function(rng, terms=3, max_order=3, max_exp=3, v_neg=True, log_ok=True):
-    pairs = []
-    for _ in range(rng.randint(1, terms)):
-        pairs.append(
-            (
-                rand_coeff(rng),
-                rand_monomial(rng, max_order, max_exp, v_neg, log_ok),
-            )
-        )
-    f = da.normalize(pairs)
+    f = da.normalize(rand_pairs(rng, terms, max_order, max_exp, v_neg, log_ok))
     return f if f else da.u_jet(0)
 
 

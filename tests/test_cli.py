@@ -165,6 +165,25 @@ def test_json_readers_take_only_integer_orders_and_exponents(capsys, tmp_path):
     assert render.function_from_json([{"c": "2", "m": [["u", 1, 2]]}]) == 2 * da.u_jet(1) ** 2
 
 
+def test_json_readers_reject_non_list_monomials_and_rows(capsys, tmp_path):
+    one = {"c": "1", "m": []}
+    path = tmp_path / "op.json"
+    for blob, msg in (
+        ([[[{"k": 0, "c": [{"c": "1", "m": 5}]}]]], "'m' is a list"),
+        ([[[{"k": 0, "c": [{"c": "1", "m": None}]}]]], "'m' is a list"),
+        ([5], "row is a list"),
+        ([[[{"k": 0, "c": [one]}]], 7], "row is a list"),
+    ):
+        path.write_text(json.dumps(blob))
+        code, out, err = _run(capsys, "verify-poisson", "--op", str(path))
+        assert (code, out) == (4, ""), blob
+        assert msg in err, blob
+    with pytest.raises(ExprSyntaxError, match="'m' is a list"):
+        render.function_from_json([{"c": "1", "m": 5}])
+    with pytest.raises(ExprSyntaxError, match="row is a list"):
+        render.operator_from_json([5])
+
+
 def test_operator_file_loading(capsys, tmp_path):
     path = tmp_path / "h1.json"
     path.write_text(json.dumps(render.operator_to_json(lenard.structure(1))))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -363,7 +364,7 @@ def test_antiderivative_fuel_limit_raises(monkeypatch):
 def test_addmul_into_matches_the_naive_sum():
     rng = random.Random(61)
     for _ in range(40):
-        acc = {}
+        acc = da.Accumulator()
         want = ZERO
         pairs = []
         for _ in range(rng.randint(1, 4)):
@@ -375,15 +376,15 @@ def test_addmul_into_matches_the_naive_sum():
             pairs += [
                 (k * c1 * c2, m1 + m2) for m1, c1 in f.terms for m2, c2 in g.terms
             ]
-        got = da.DiffFunction.from_dict(acc)
+        got = da.DiffFunction.from_acc(acc)
         assert got == want == da.normalize(pairs)
         assert _canonical_coeffs(got), got.terms
-    # products that cancel leave zeros behind, and from_dict drops them
+    # products that cancel leave zeros behind, and from_acc drops them
     f, g = helpers.rand_function(rng), helpers.rand_function(rng)
-    acc = {}
+    acc = da.Accumulator()
     da.addmul_into(acc, f, g)
     da.addmul_into(acc, g, f, -1)
-    assert da.DiffFunction.from_dict(acc) == ZERO
+    assert da.DiffFunction.from_acc(acc) == ZERO
 
 
 def _dx_mono_by_factors(m):
@@ -507,6 +508,138 @@ def test_packed_monomials_match_a_tuple_reference(f, g):
     for var, order in ((U, 0), (U, 1), (U, 3), (V, 0), (V, 1), (V, 2), (LOG_VAR, 0)):
         got = da.partial_derivative(f * g, (var, order))
         assert _same_as_ref(got, _ref_partial(_ref_mul(rf, rg), var, order)), (var, order)
+
+
+# -- integer numerators over one denominator, against rational coefficients --
+#
+# The reference keeps one Fraction per term, as the values themselves did
+# before they held int numerators over one denominator.
+
+
+def _ref_of(pairs):
+    """The reference of raw (coefficient, tuple monomial) pairs, summed in Fractions."""
+    out = {}
+    for c, m in pairs:
+        exps = {}
+        for var, order, e in m:
+            exps[var, order] = exps.get((var, order), 0) + e
+        _ref_add(out, exps, QQ(c))
+    return _ref_clean(out)
+
+
+def _ref_scaled(a, k):
+    return _ref_clean({m: c * k for m, c in a.items()})
+
+
+def _ref_sum(a, b, k=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c * k
+    return _ref_clean(out)
+
+
+def _ref_euler(a, var):
+    out = {}
+    gens = {(x, o) for m in a for x, o, _e in m}
+    top = max((o for x, o in gens if x == var), default=-1)
+    if var == V and (LOG_VAR, 0) in gens:
+        top = max(top, 0)  # log v depends on v
+    for n in range(top + 1):
+        want = _ref_partial(a, var, n)
+        for _ in range(n):
+            want = _ref_dx(want)
+        out = _ref_sum(out, want, (-1) ** n)
+    return out
+
+
+def _is_canonical(f):
+    """Sorted distinct packed monomials, nonzero int numerators, and a
+    positive denominator sharing no factor with them."""
+    monos = [m for m, _c in f._t]
+    nums = [c for _m, c in f._t]
+    return (
+        monos == sorted(set(monos))
+        and all(type(c) is int and c for c in nums)
+        and type(f._den) is int
+        and f._den > 0
+        and gcd(f._den, *nums) == 1
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng_strategy)
+def test_fraction_free_values_match_rational_coefficients(rng):
+    # Laurent and log monomials with rational coefficients, as rand_function draws them
+    pf, pg = helpers.rand_pairs(rng, terms=4), helpers.rand_pairs(rng, terms=4)
+    f, g = da.normalize(pf), da.normalize(pg)
+    rf, rg = _ref_of(pf), _ref_of(pg)
+    assert _same_as_ref(f, rf) and _same_as_ref(g, rg)
+    for m, c in rf.items():
+        assert f.coeff(m) == c and type(f.coeff(m)) is type(da.coeff_div(c, 1))
+    assert f.coeff(((U, 7, 1),)) == 0
+    assert f.constant_term() == rf.get((), 0)
+    assert type(f.constant_term()) is type(da.coeff_div(rf.get((), 0), 1))
+    checks = [
+        (f + g, _ref_sum(rf, rg)),
+        (f - g, _ref_sum(rf, rg, -1)),
+        (f * g, _ref_mul(rf, rg)),
+        (-f, _ref_scaled(rf, -1)),
+    ]
+    for k in (3, -2, QQ(2, 3), QQ(-5, 4), QQ(6, 2)):
+        checks += [
+            (f * k, _ref_scaled(rf, k)),
+            (k * f, _ref_scaled(rf, k)),
+            (f / k, _ref_scaled(rf, 1 / QQ(k))),
+        ]
+    want = rf
+    for n in range(1, 4):
+        want = _ref_dx(want)
+        checks.append((da.total_derivative(f, n), want))
+    for var, order in ((U, 0), (U, 1), (U, 3), (V, 0), (V, 1), (V, 2), (LOG_VAR, 0)):
+        checks.append((da.partial_derivative(f, (var, order)), _ref_partial(rf, var, order)))
+    for var in (U, V):
+        checks.append((da.euler_derivative(f, var), _ref_euler(rf, var)))
+    for got, ref in checks:
+        assert _same_as_ref(got, ref) and _is_canonical(got), (got, ref)
+    # a primitive of f', checked by differentiating it in the reference
+    p = da.antiderivative(da.total_derivative(f))
+    assert _is_canonical(p) and _ref_dx(dict(p.terms)) == _ref_dx(rf)
+    assert p.constant_term() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(fn_strategy(terms=4), fn_strategy(terms=4))
+def test_equal_values_built_two_ways_are_equal_and_hash_equal(f, g):
+    u = da.u_jet(0)
+    for a, b in (
+        ((f / 3) * 3, f),
+        (f + g - g, f),
+        (f * QQ(2, 7) / QQ(2, 7), f),
+        ((f * 6 + g * 4) / 2, f * 3 + g * 2),
+        (da.DiffFunction(f.terms), f),
+        (f * QQ(1, 2) + f * QQ(1, 3), f * QQ(5, 6)),
+        ((u / 4 + f) - f, u / 4),
+    ):
+        assert a == b and hash(a) == hash(b)
+        assert (a._t, a._den) == (b._t, b._den) and _is_canonical(a)
+    assert f - f == ZERO and (f - f)._den == 1 and hash(f - f) == hash(ZERO)
+
+
+def test_exponent_overflow_raises_with_rational_coefficients():
+    from magri.errors import ExponentOverflow
+
+    u = da.u_jet(0)
+    assert (u ** da.MAX_EXP / 3)._den == 3
+    with pytest.raises(ExponentOverflow):
+        u ** da.MAX_EXP / 3 * (u * QQ(2, 5))
+    with pytest.raises(ExponentOverflow):
+        u ** da.MAX_EXP / 3 + da.DiffFunction([(((U, 0, da.MAX_EXP + 1),), QQ(1, 2))])
+    with pytest.raises(ExponentOverflow):
+        da.total_derivative(da.v_pow(da.MIN_V_EXP) * da.log_v() / 7)
+    with pytest.raises(ExponentOverflow):
+        da.partial_derivative(da.v_pow(da.MIN_V_EXP) * QQ(3, 4), (V, 0))
+    with pytest.raises(ExponentOverflow):
+        da.antiderivative(da.v_pow(da.MAX_V_EXP) * da.v_jet(1) / 5)
 
 
 def test_packed_monomial_edges_round_trip():

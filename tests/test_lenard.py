@@ -322,3 +322,29 @@ def test_involutivity_report_shows_each_failing_pair():
             assert report.flows_commute[a][b] == (
                 not any(vc.evolutionary_commutator(flows[a], flows[b]))
             )
+
+
+def test_hierarchy_runs_without_fraction_arithmetic(monkeypatch):
+    # values hold int numerators over one denominator, so a chain with
+    # rational gradients and densities (32/3*u^3 in xi_1 of chain (1, 0))
+    # does its arithmetic in ints; Fraction arithmetic once made 110,181
+    # calls in this run
+    from fractions import Fraction
+
+    calls = [0]
+
+    def counted(name):
+        orig = getattr(Fraction, name)
+
+        def wrapper(*args):
+            calls[0] += 1
+            return orig(*args)
+
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, counted(name))
+    run = lenard.run_hierarchy(1, 1, 3)
+    assert all(run.checks.values())
+    assert any(c.denominator != 1 for h in run.densities for _m, c in h.rep.terms)
+    assert calls[0] < 110_181 // 100

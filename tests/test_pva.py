@@ -197,7 +197,7 @@ def test_is_compatible_needs_three_distinct_points():
 
 def _ref_bracket_gen_fun(h, i, g):
     n, _ = h.shape
-    acc = {}
+    acc = dop.accumulators()
     for j, dg in enumerate(vc.frechet_row(g, n)):
         dop.compose_into(acc, dg, h.entries[j][i - 1])
     return dop.ScalarDiffOp.from_acc(acc)
@@ -205,7 +205,7 @@ def _ref_bracket_gen_fun(h, i, g):
 
 def _ref_bracket_fun_gen(h, g, k):
     n, _ = h.shape
-    acc = {}
+    acc = dop.accumulators()
     for op, dg in zip(h.entries[k - 1], vc.frechet_row(g, n)):
         if op and dg:
             dop.compose_into(acc, op, dop.adjoint_scalar(dg))
@@ -215,10 +215,10 @@ def _ref_bracket_fun_gen(h, g, k):
 def _ref_jacobiator(h, i, j, k):
     # the jacobiator as it was before the bracket table: every piece is
     # rebuilt for every triple
-    acc = {}
+    acc = dop.accumulators()
 
     def put(a, b, f, k):
-        da.addmul_into(acc.setdefault((a, b), {}), f, da.ONE, k)
+        da.addmul_into(acc[a, b], f, da.ONE, k)
 
     for s, a in h.entries[k - 1][j - 1].terms:
         for t, f in _ref_bracket_gen_fun(h, i, a).terms:
@@ -341,11 +341,17 @@ def test_is_poisson_ignores_rational_scaling():
     m1, m2 = _current_algebra_pair()
     assert not pva.is_poisson(m1 + m2 * QQ(1, 2))
     h = h0 * QQ(1, 4) + h1 * QQ(5, 6)
-    scaled = pva._integral_multiple(h)
-    assert scaled == h * 12
-    coeffs = [c for row in scaled.entries for op in row for _k, f in op.terms for _m, c in f.terms]
-    assert all(type(c) is int for c in coeffs)
-    assert pva._integral_multiple(h0) is h0
+
+    def coeffs(h):
+        return [f for row in h.entries for op in row for _k, f in op.terms]
+
+    # the multiplier is the lcm of the stored denominators
+    assert da.denominator(coeffs(h)) == 12
+    scaled = h * 12
+    assert all(type(c) is int for f in coeffs(scaled) for _m, c in f.terms)
+    assert da.denominator(coeffs(scaled)) == da.denominator(coeffs(h0)) == 1
+    # scaling by 1 keeps the coefficient objects, and the derivatives kept on them
+    assert all(a is b for a, b in zip(coeffs(h0 * 1), coeffs(h0)))
 
 
 def test_poisson_bracket_antisymmetry():

@@ -378,14 +378,14 @@ def _ref_split_by_weight(vec):
 
 
 def _ref_poly_homotopy(vec):
-    acc = {}
+    acc = da.Accumulator()
     gens = (da.u_jet(0), da.v_jet(0))
     for i, fi in enumerate(vec):
         scaled = da.DiffFunction(
             [(m, da.coeff_div(c, sum(e for _v, _n, e in m) + 1)) for m, c in fi.terms]
         )
         da.addmul_into(acc, gens[i], scaled)
-    return da.DiffFunction.from_dict(acc)
+    return da.DiffFunction.from_acc(acc)
 
 
 def _ref_u_homotopy(f):
