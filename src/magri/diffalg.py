@@ -1014,7 +1014,9 @@ def antiderivative(f, tag=None):
         if n is None or n == 0:
             # a nonzero remainder in v and log v alone is never exact
             return None
-        var = V if any(mono_exp(m, V, n) for m, _ in work._t) else U
+        # the fields of m + _OFF or-ed over the terms: v^(n) is read once
+        bits = reduce(or_, [m + _OFF for m, _ in work._t])
+        var = V if (bits >> EXP_BITS * _slot(V, n)) & _MASK else U
         top = partial_derivative(work, (var, n))
         if partial_derivative(top, (var, n)):
             return None

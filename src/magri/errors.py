@@ -34,10 +34,12 @@ class EmptyAnsatz(MagriError):
 
 
 class ExprSyntaxError(MagriError):
-    """Rejected input text, with 1-based line/column position."""
+    """Rejected input, with the 1-based line/column position of the error
+    in the input text, or line = col = None for input that is not text
+    (a JSON value)."""
 
     def __init__(self, message, line=1, col=1):
-        super().__init__(f"{message} (line {line}, column {col})")
+        super().__init__(message if line is None else f"{message} (line {line}, column {col})")
         self.message = message
         self.line = line
         self.col = col

@@ -10,7 +10,8 @@ JSON shapes:
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 
 from . import diffalg as da
 from . import diffop as dop
@@ -19,6 +20,7 @@ from .errors import ExprSyntaxError, MagriError
 
 _NAME = {U: "u", V: "v", LOG_VAR: "log"}
 _CODE = {"u": U, "v": V, "log": LOG_VAR}
+_first = itemgetter(0)
 
 
 def _frac_str(c):
@@ -34,8 +36,56 @@ def function_to_json(f):
     return out
 
 
+def function_json_text(f, indent=""):
+    """The text json.dumps(function_to_json(f), indent=2) gives, laid out as
+    a value nested at ``indent``: its inner lines start with indent + "  ".
+
+    Written straight from the packed pairs: each monomial is decoded once,
+    its tuple form is the sort key of the canonical term order and each
+    of its triples is looked up in a table of generator texts local to
+    this call.  The ``terms`` cache of f is left unfilled.
+    """
+    pairs = f._t
+    if not pairs:
+        return "[]"
+    i1 = indent + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    head = "{\n" + i2 + '"c": "'
+    empty_m = '",\n' + i2 + '"m": []\n' + i1 + "}"
+    open_m = '",\n' + i2 + '"m": [\n' + i3
+    close_m = "\n" + i2 + "]\n" + i1 + "}"
+    gen_sep = ",\n" + i3
+    gens = {}  # (var, order, exp) -> the text of [name, order, exp]
+    den = f._den
+    rows = []
+    for m, c in pairs:
+        mono = da.unpack_mono(m)
+        if den == 1:
+            c = str(c)
+        else:
+            g = gcd(c, den)
+            c = str(c // g) if g == den else f"{c // g}/{den // g}"
+        if mono:
+            texts = []
+            for gen in mono:
+                text = gens.get(gen)
+                if text is None:
+                    var, order, exp = gen
+                    text = gens[gen] = (
+                        f'[\n{i4}"{_NAME[var]}",\n{i4}{order},\n{i4}{exp}\n{i3}]'
+                    )
+                texts.append(text)
+            rows.append((mono, head + c + open_m + gen_sep.join(texts) + close_m))
+        else:
+            rows.append((mono, head + c + empty_m))
+    rows.sort(key=_first)
+    return "[\n" + i1 + (",\n" + i1).join([text for _mono, text in rows]) + "\n" + indent + "]"
+
+
 def _bad(msg):
-    raise ExprSyntaxError(msg)
+    raise ExprSyntaxError(msg, None, None)  # a JSON value has no text position
 
 
 def _iter(data, msg):
@@ -70,9 +120,7 @@ def function_from_json(data):
         pairs.append((c, tuple(mono)))
     try:
         return da.normalize(pairs)
-    except MagriError as exc:
-        if isinstance(exc, ExprSyntaxError):
-            raise
+    except MagriError as exc:  # a negative or out-of-range exponent
         _bad(str(exc))
 
 
@@ -86,8 +134,10 @@ def vector_from_json(data):
     return tuple(function_from_json(item) for item in data)
 
 
-def scalar_op_to_json(op):
-    return [{"k": k, "c": function_to_json(f)} for k, f in op.terms]
+def scalar_op_to_json(op, fun=function_to_json):
+    """The JSON form of op, each coefficient written by ``fun`` (as for
+    :func:`run_to_json`)."""
+    return [{"k": k, "c": fun(f)} for k, f in op.terms]
 
 
 def scalar_op_from_json(data):
@@ -106,10 +156,12 @@ def scalar_op_from_json(data):
     return dop.ScalarDiffOp(pieces)
 
 
-def operator_to_json(h):
+def operator_to_json(h, fun=function_to_json):
+    """The JSON form of h, each coefficient written by ``fun`` (as for
+    :func:`run_to_json`)."""
     if isinstance(h, dop.ScalarDiffOp):
         h = dop.MatrixDiffOp([[h]])
-    return [[scalar_op_to_json(e) for e in row] for row in h.entries]
+    return [[scalar_op_to_json(e, fun) for e in row] for row in h.entries]
 
 
 def operator_from_json(data):
@@ -125,17 +177,20 @@ def operator_from_json(data):
     return dop.MatrixDiffOp(rows)
 
 
-def run_to_json(run):
+def run_to_json(run, fun=function_to_json):
+    """The JSON form of a hierarchy run, each differential function written
+    by ``fun``.  The command line passes the identity, keeping the
+    functions themselves in the payload, and writes their text with
+    :func:`function_json_text`; so this is the one place the run's keys
+    are laid out."""
     return {
         "eps": run.eps,
         "alpha": run.alpha,
         "steps": run.steps,
         "method": run.method,
-        "gradients": [vector_to_json(g) for g in run.gradients],
-        "densities": [
-            None if h is None else function_to_json(h.rep) for h in run.densities
-        ],
-        "flows": [vector_to_json(p) for p in run.flows],
+        "gradients": [[fun(f) for f in g] for g in run.gradients],
+        "densities": [None if h is None else fun(h.rep) for h in run.densities],
+        "flows": [[fun(f) for f in p] for p in run.flows],
         "orders": [list(pair) for pair in run.orders],
         "flow_orders": list(run.flow_orders),
         "checks": dict(run.checks),

@@ -482,6 +482,80 @@ def test_json_writer_rejects_other_types():
             cli._json_text(bad)
 
 
+def _writer_functions(rng):
+    """The zero function, constants (an empty "m"), negative fractions and
+    seeded functions with Laurent and log terms and rational coefficients,
+    each a new value with its terms cache empty."""
+    fs = [
+        da.DiffFunction(),
+        da.DiffFunction([((), 1)]),
+        da.DiffFunction([((), da.QQ(-3, 4))]),
+        expr.parse("-5/3*u*v^-2*log(v) - 1/2*(v')^2 + 7"),
+    ]
+    return fs + [helpers.rand_function(rng, terms=6) for _ in range(60)]
+
+
+def test_function_text_writer_matches_the_json_module():
+    rng = random.Random(20261018)
+    fs = _writer_functions(rng)
+    for f in fs:
+        text = json.dumps(render.function_to_json(f), indent=2)
+        for depth in range(6):
+            indent = "  " * depth
+            # a value nested at indent has each of its lines after the first indented by it
+            assert render.function_json_text(f, indent) == text.replace("\n", "\n" + indent)
+    # the payload shapes of the commands: a function, a vector, an operator
+    # and a run, with the functions themselves in them
+    for f, g in zip(fs, fs[1:] + fs[:1]):
+        assert cli._json_text(f) == json.dumps(render.function_to_json(f), indent=2)
+        vec = (f, g)
+        assert cli._json_text(vec) == json.dumps(render.vector_to_json(vec), indent=2)
+        op = dop.MatrixDiffOp([[dop.ScalarDiffOp([(0, f), (2, g)]), dop.ScalarDiffOp([(1, g)])]])
+        assert cli._json_text(render.operator_to_json(op, cli._same)) == json.dumps(
+            render.operator_to_json(op), indent=2
+        )
+    run = lenard.run_hierarchy(1, 1, 2)
+    assert cli._json_text(render.run_to_json(run, cli._same)) == json.dumps(
+        render.run_to_json(run), indent=2
+    )
+
+
+def test_function_text_writer_leaves_the_terms_cache_empty():
+    rng = random.Random(7)
+    for f in _writer_functions(rng):
+        render.function_json_text(f, "  ")
+        cli._json_text({"f": [f]})
+        assert f._terms is None
+
+
+def test_hierarchy_json_equals_the_json_module_text(capsys, tmp_path):
+    argv = ["hierarchy", "--eps", "1", "--alpha", "1", "--steps", "2"]
+    want = json.dumps(render.run_to_json(lenard.run_hierarchy(1, 1, 2)), indent=2) + "\n"
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (0, want, "")
+    path = tmp_path / "chain.json"
+    code, out, err = _run(capsys, *argv, "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == want.encode()
+
+
+def test_json_reader_errors_carry_no_text_position(capsys, tmp_path):
+    path = tmp_path / "op.json"
+    path.write_text("[5]")
+    code, out, err = _run(capsys, "verify-poisson", "--op", str(path))
+    assert (code, out, err) == (4, "", "SYNTAX_ERROR: each operator row is a list of entries\n")
+    path.write_text(json.dumps([[[{"k": 0, "c": [{"c": "1", "m": [["u", 0, -1]]}]}]]]))
+    code, out, err = _run(capsys, "verify-poisson", "--op", str(path))
+    assert (code, out, err) == (4, "", "SYNTAX_ERROR: negative exponent on u^(0)\n")
+    with pytest.raises(ExprSyntaxError) as info:
+        render.function_from_json([{"c": "1", "m": 5}])
+    assert (info.value.line, info.value.col) == (None, None)
+    assert str(info.value) == "each term's 'm' is a list of generators"
+    # errors in the text grammar keep their position
+    code, _, err = _run(capsys, "varder", "u +* v")
+    assert (code, err) == (4, "SYNTAX_ERROR at 1:4: unexpected '*'\n")
+
+
 # Laurent and log inputs for the pinned one-shot commands; each has order
 # at most 2, so a bracket or a flow of them stays fast.
 PINNED_EXPRS = [
