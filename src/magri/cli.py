@@ -138,7 +138,7 @@ def _add_structure_args(p, count=1):
             p.add_argument(f"--op{suffix}-expr", metavar="TEXT")
 
 
-def _load_operator(file_arg, expr_arg, builtin_arg=None):
+def _load_operator(file_arg, expr_arg, builtin_arg=None, suffix=""):
     if builtin_arg:
         return lenard.structure(0 if builtin_arg == "h0" else 1)
     if file_arg:
@@ -146,7 +146,10 @@ def _load_operator(file_arg, expr_arg, builtin_arg=None):
             return render.operator_from_json(json.load(fh))
     if expr_arg:
         return expr.parse_operator(expr_arg)
-    raise ExprSyntaxError("no operator given (use --builtin, --op, or --op-expr)")
+    # a missing argument has no text position
+    raise ExprSyntaxError(
+        f"no operator given (use --builtin, --op{suffix}, or --op{suffix}-expr)", None, None
+    )
 
 
 def _one_structure(args):
@@ -157,7 +160,7 @@ def _two_structures(args):
     if args.builtin:
         return dop.builtin_pair()
     h = _load_operator(args.op, args.op_expr)
-    k = _load_operator(args.op2, args.op2_expr)
+    k = _load_operator(args.op2, args.op2_expr, suffix="2")
     return h, k
 
 

@@ -443,6 +443,10 @@ class DiffFunction:
     def __bool__(self):
         return bool(self._t)
 
+    def __len__(self):
+        """The number of terms."""
+        return len(self._t)
+
     def __eq__(self, other):
         if isinstance(other, DiffFunction):
             return self._den == other._den and self._t == other._t
@@ -600,8 +604,14 @@ def _dx_mono(m):
         step = _DX_STEP << 2 * EXP_BITS
         while x:
             e = x & _MASK
-            if e:
-                t.append((m + step, e))
+            if not e:
+                # jump over the run of empty fields below the lowest set bit,
+                # so a high jet order costs one shift, not one per field
+                z = ((x & -x).bit_length() - 1) // EXP_BITS * EXP_BITS
+                x >>= z
+                step <<= z
+                e = x & _MASK
+            t.append((m + step, e))
             x >>= EXP_BITS
             step <<= EXP_BITS
         t = tuple(t)  # total_derivative checks the exponents

@@ -8,87 +8,64 @@ restricted to invertible factors: rationals and pure powers of v.
 
 Operators: the same grammar plus the symbol d for the total-derivative
 operator, with * meaning composition; functions embed as zero-order
-multiplication operators.  A matrix operator is rows separated by ';'
-with entries separated by ','.
+multiplication operators.
+
+Separators are part of the grammar: a vector is ``expr (';' expr)*``
+and a matrix operator is rows separated by ';' of entries separated by
+','.  Each input text is tokenized once and parsed from that one token
+stream, so the line and column of every error count from the start of
+the whole input.
 
 Example inputs:  "u'' + 4*u^2",  "1/v^2",  "-3/2*(v')^2*v^-4",
-"d^3 + 2*u*d + u'",  "D(u*u')".
+"d^3 + 2*u*d + u'",  "D(u*u')",  "d, u; u, d".
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import diffalg as da
 from . import diffop as dop
 from .diffalg import DiffFunction, U, V
 from .errors import ExponentError, ExprSyntaxError
 
-
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"_Tok({self.kind},{self.text!r})"
+_NAMES = ("u", "v", "d", "D", "log")
 
 
 def _tokenize(text):
+    """The tokens of text as (kind, text, line, col) tuples, ending with
+    an 'end' token."""
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+    line, start = 1, 0  # start: the index where the current line begins
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        j = i + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
+            line, start = line + 1, j
+        elif ch in "+-*/^(),;":
+            toks.append((ch, ch, line, j - start))
+        elif not ch.isspace():
+            if ch.isdigit():
+                kind, same = "int", str.isdigit
+            elif ch.isalpha():
+                kind, same = "name", str.isalpha
+            elif ch == "'":
+                kind, same = "primes", "'".__eq__
+            else:
+                raise ExprSyntaxError(f"unexpected character {ch!r}", line, j - start)
+            while j < n and same(text[j]):
                 j += 1
             word = text[i:j]
-            if word not in ("u", "v", "d", "D", "log"):
-                raise ExprSyntaxError(f"unknown name {word!r}", line, col)
-            toks.append(_Tok("name", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "'":
-            j = i
-            while j < n and text[j] == "'":
-                j += 1
-            toks.append(_Tok("primes", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^(),;":
-            toks.append(_Tok(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("end", "", line, col))
+            if kind == "name" and word not in _NAMES:
+                raise ExprSyntaxError(f"unknown name {word!r}", line, i + 1 - start)
+            toks.append((kind, word, line, i + 1 - start))
+        i = j
+    toks.append(("end", "", line, n + 1 - start))
     return toks
+
+
+def _as_operator(val):
+    """val as a scalar operator: a function becomes its multiplication."""
+    return dop.multiplication(val) if isinstance(val, DiffFunction) else val
 
 
 class _Parser:
@@ -101,194 +78,152 @@ class _Parser:
         self.operator_mode = operator_mode
 
     def peek(self, ahead=0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def take(self, kind=None):
         t = self.toks[self.pos]
-        if kind is not None and t.kind != kind:
-            raise ExprSyntaxError(f"expected {kind}, found {t.text or 'end of input'!r}", t.line, t.col)
+        if kind is not None and t[0] != kind:
+            raise ExprSyntaxError(f"expected {kind}, found {t[1] or 'end of input'!r}", t[2], t[3])
         self.pos += 1
         return t
 
-    def fail(self, msg, tok=None):
-        t = tok or self.peek()
-        raise ExprSyntaxError(msg, t.line, t.col)
+    def fail(self, msg, tok):
+        raise ExprSyntaxError(msg, tok[2], tok[3])
+
+    # items := expr, or items separated by seps[0] (the rest of seps inside)
+    def items(self, seps):
+        if not seps:
+            val = self.expr()
+            return _as_operator(val) if self.operator_mode else val
+        vals = [self.items(seps[1:])]
+        while self.peek()[0] == seps[0]:
+            self.pos += 1
+            vals.append(self.items(seps[1:]))
+        return vals
 
     # expr := ['-'] term (('+'|'-') term)*
     def expr(self):
-        if self.peek().kind == "-":
-            self.take()
-            acc = self._negate(self.term())
-        else:
-            acc = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
+        neg = self.peek()[0] == "-"
+        if neg:
+            self.pos += 1
+        acc = -self.term() if neg else self.term()
+        while self.peek()[0] in ("+", "-"):
+            add = self.take()[0] == "+"
             rhs = self.term()
-            acc = self._combine(acc, rhs, add=(op == "+"))
+            if type(acc) is not type(rhs):  # a function and an operator
+                acc, rhs = _as_operator(acc), _as_operator(rhs)
+            acc = acc + rhs if add else acc - rhs
         return acc
 
-    # term := factor (('*'|'/') factor)*
+    # term := factor (('*'|'/') factor)*; * of a function and an operator
+    # composes with the multiplication operator of the function
     def term(self):
         acc = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            tok = self.peek()
-            rhs = self.factor()
-            if op == "*":
-                acc = self._mul(acc, rhs)
+        while self.peek()[0] in ("*", "/"):
+            if self.take()[0] == "*":
+                acc = acc * self.factor()
             else:
-                acc = self._mul(acc, self._as_inverse(rhs, tok))
+                tok = self.peek()
+                acc = acc * self._inverse(self.factor(), tok)
         return acc
 
     # factor := atom ['^' ['-'] int]
     def factor(self):
         tok = self.peek()
         val = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            neg = False
-            if self.peek().kind == "-":
-                self.take()
-                neg = True
-            t = self.take("int")
-            e = int(t.text)
+        if self.peek()[0] == "^":
+            self.pos += 1
+            neg = self.peek()[0] == "-"
             if neg:
-                val = self._invert_pow(val, e, tok)
-            else:
-                val = val ** e
+                self.pos += 1
+            e = int(self.take("int")[1])
+            val = (self._inverse(val, tok, power=True) if neg else val) ** e
         return val
 
     def atom(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.take()
-            return da.const(int(t.text))
-        if t.kind == "(":
-            self.take()
+        t = self.take()
+        kind, text = t[0], t[1]
+        if kind == "int":
+            return da.const(int(text))
+        if kind == "(":
             val = self.expr()
             self.take(")")
             return val
-        if t.kind == "name":
-            if t.text in ("u", "v"):
-                return self._variable()
-            if t.text == "log":
-                self.take()
+        if kind == "name":
+            if text in ("u", "v"):
+                return self._variable(U if text == "u" else V)
+            if text == "log":
                 self.take("(")
                 inner = self.take("name")
-                if inner.text != "v":
+                if inner[1] != "v":
                     self.fail("log takes v only", inner)
                 self.take(")")
                 return da.log_v()
-            if t.text == "D":
-                self.take()
+            if text == "D":
                 self.take("(")
                 val = self.expr()
                 self.take(")")
                 if isinstance(val, dop.ScalarDiffOp):
                     self.fail("D(...) takes a function", t)
                 return da.total_derivative(val)
-            if t.text == "d":
-                if not self.operator_mode:
-                    self.fail("the operator symbol d needs an operator context", t)
-                self.take()
-                return dop.D
-        self.fail(f"unexpected {t.text or 'end of input'!r}")
+            if not self.operator_mode:  # text is "d"
+                self.fail("the operator symbol d needs an operator context", t)
+            return dop.D
+        self.fail(f"unexpected {text or 'end of input'!r}", t)
 
-    def _variable(self):
-        t = self.take("name")
-        var = U if t.text == "u" else V
+    def _variable(self, var):
         order = 0
-        if self.peek().kind == "primes":
-            order = len(self.take().text)
-        elif self.peek().kind == "^" and self.peek(1).kind == "(":
-            self.take()
-            self.take("(")
-            num = self.take("int")
-            order = int(num.text)
+        kind = self.peek()[0]
+        if kind == "primes":
+            order = len(self.take()[1])
+        elif kind == "^" and self.peek(1)[0] == "(":
+            self.pos += 2
+            order = int(self.take("int")[1])
             self.take(")")
         return da.jet(var, order)
 
-    # -- value helpers (promote functions to operators as needed) ------------
-
-    def _promote(self, val):
-        if isinstance(val, DiffFunction):
-            return dop.multiplication(val)
-        return val
-
-    def _combine(self, a, b, add):
-        if isinstance(a, dop.ScalarDiffOp) or isinstance(b, dop.ScalarDiffOp):
-            a, b = self._promote(a), self._promote(b)
-            return a + b if add else a - b
-        return a + b if add else a - b
-
-    def _negate(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        if isinstance(a, dop.ScalarDiffOp) or isinstance(b, dop.ScalarDiffOp):
-            return dop.compose(self._promote(a), self._promote(b))
-        return a * b
-
-    def _as_inverse(self, val, tok):
-        """Invert a rational or a pure v-power term."""
+    def _inverse(self, val, tok, power=False):
+        """1/val for a term c*v^e with c a nonzero rational, the values
+        that division (or, with ``power``, a negative power) accepts."""
         if isinstance(val, dop.ScalarDiffOp):
-            self.fail("cannot divide by an operator", tok)
+            self.fail("operators take nonnegative powers only" if power else "cannot divide by an operator", tok)
+        e = da.max_v_exponent(val) or da.min_v_exponent(val)
+        c = val.coeff(((V, 0, e),))
+        if c and len(val) == 1:
+            return da.v_pow(-e) * da.coeff_div(1, c)
+        if power:
+            raise ExponentError("negative exponents are allowed on v only", tok[2], tok[3])
         if not val:
             self.fail("division by zero", tok)
-        if len(val.terms) != 1:
+        if len(val) > 1:
             self.fail("division needs a single invertible factor", tok)
-        mono, c = val.terms[0]
-        if any(g[0] != V or g[1] != 0 for g in mono):
-            self.fail("only rationals and powers of v can be inverted", tok)
-        e = mono[0][2] if mono else 0
-        return da.v_pow(-e) * da.coeff_div(1, c)
+        self.fail("only rationals and powers of v can be inverted", tok)
 
-    def _invert_pow(self, val, e, tok):
-        if isinstance(val, dop.ScalarDiffOp):
-            self.fail("operators take nonnegative powers only", tok)
-        bad = (
-            not val
-            or len(val.terms) != 1
-            or any(g[0] != V or g[1] != 0 for g in val.terms[0][0])
-        )
-        if bad:
-            raise ExponentError(
-                "negative exponents are allowed on v only", tok.line, tok.col
-            )
-        return self._as_inverse(val, tok) ** e
+
+def _parse(text, operator_mode, seps=""):
+    """The value of the whole of text: one expression, or for each
+    separator in seps (outermost first) a list of the values between them."""
+    p = _Parser(_tokenize(text), operator_mode)
+    val = p.items(seps)
+    p.take("end")
+    return val
 
 
 def parse(text):
     """Parse a differential function from text."""
-    p = _Parser(_tokenize(text), operator_mode=False)
-    val = p.expr()
-    p.take("end")
-    if not isinstance(val, DiffFunction):
-        raise ExprSyntaxError("expected a function, found an operator")
-    return val
+    return _parse(text, False)
 
 
 def parse_scalar_operator(text):
     """Parse one scalar operator (functions promote to multiplications)."""
-    p = _Parser(_tokenize(text), operator_mode=True)
-    val = p.expr()
-    p.take("end")
-    if isinstance(val, DiffFunction):
-        val = dop.multiplication(val)
-    return val
+    return _parse(text, True)
 
 
 def parse_operator(text):
-    """Parse a matrix operator: rows split by ';', entries by ','."""
-    rows = []
-    for row_text in text.split(";"):
-        row = []
-        for entry in row_text.split(","):
-            row.append(parse_scalar_operator(entry))
-        rows.append(row)
-    return dop.MatrixDiffOp(rows)
+    """Parse a matrix operator: rows separated by ';', entries by ','."""
+    return dop.MatrixDiffOp(_parse(text, True, ";,"))
 
 
 def parse_vector(text):
-    """Parse a vector of functions: components split by ';'."""
-    return tuple(parse(part) for part in text.split(";"))
+    """Parse a vector of functions: components separated by ';'."""
+    return tuple(_parse(text, False, ";"))

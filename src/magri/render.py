@@ -103,10 +103,13 @@ def function_from_json(data):
     for item in data:
         if not isinstance(item, dict) or "c" not in item or "m" not in item:
             _bad("each term needs 'c' and 'm'")
+        c = item["c"]
+        if type(c) not in (str, int):  # a float is not exact, a bool not a number
+            _bad(f"bad coefficient {c!r}: a coefficient is a string or an integer")
         try:
-            c = QQ(str(item["c"]))
+            c = QQ(c)
         except (ValueError, ZeroDivisionError):
-            _bad(f"bad coefficient {item['c']!r}")
+            _bad(f"bad coefficient {c!r}")
         mono = []
         for g in _iter(item["m"], "each term's 'm' is a list of generators"):
             if not isinstance(g, (list, tuple)) or len(g) != 3:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from magri import cli, expr, lenard, pva, render
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import varcalc as vc
-from magri.errors import ExprSyntaxError, NoSolution
+from magri.errors import ExponentError, ExprSyntaxError, NoSolution
 
 
 def _run(capsys, *argv):
@@ -84,6 +86,86 @@ def test_syntax_error_positions_are_one_based():
     with pytest.raises(ExprSyntaxError) as info:
         expr.parse("u +\n* v")
     assert (info.value.line, info.value.col) == (2, 1)
+
+
+# (parse function, input, error class, message, line, col) for every error
+# the text grammar raises; the positions of the separator cases count from
+# the start of the whole input, not of the entry the error is in
+GRAMMAR_ERRORS = [
+    (expr.parse, "u + x", ExprSyntaxError, "unknown name 'x'", 1, 5),
+    (expr.parse, "u.v", ExprSyntaxError, "unexpected character '.'", 1, 2),
+    (expr.parse, "(u", ExprSyntaxError, "expected ), found 'end of input'", 1, 3),
+    (expr.parse, "u v", ExprSyntaxError, "expected end, found 'v'", 1, 3),
+    (expr.parse, "u^v", ExprSyntaxError, "expected int, found 'v'", 1, 3),
+    (expr.parse, "log v", ExprSyntaxError, "expected (, found 'v'", 1, 5),
+    (expr.parse, "log(2)", ExprSyntaxError, "expected name, found '2'", 1, 5),
+    (expr.parse, "log(u)", ExprSyntaxError, "log takes v only", 1, 5),
+    (expr.parse, "u +* v", ExprSyntaxError, "unexpected '*'", 1, 4),
+    (expr.parse, "u +\n  ) v", ExprSyntaxError, "unexpected ')'", 2, 3),
+    (expr.parse, "u*d", ExprSyntaxError, "the operator symbol d needs an operator context", 1, 3),
+    (expr.parse, "u/0", ExprSyntaxError, "division by zero", 1, 3),
+    (expr.parse, "u/(u + v)", ExprSyntaxError, "division needs a single invertible factor", 1, 3),
+    (expr.parse, "1/(2*u)", ExprSyntaxError, "only rationals and powers of v can be inverted", 1, 3),
+    (expr.parse, "u^-1", ExponentError, "negative exponents are allowed on v only", 1, 1),
+    (expr.parse, "v*(v + 1)^-2", ExponentError, "negative exponents are allowed on v only", 1, 3),
+    (expr.parse, "0^-1", ExponentError, "negative exponents are allowed on v only", 1, 1),
+    (expr.parse_scalar_operator, "D(d)", ExprSyntaxError, "D(...) takes a function", 1, 1),
+    (expr.parse_scalar_operator, "u/d", ExprSyntaxError, "cannot divide by an operator", 1, 3),
+    (expr.parse_scalar_operator, "u*d^-1", ExprSyntaxError, "operators take nonnegative powers only", 1, 3),
+    (expr.parse_scalar_operator, "d, u", ExprSyntaxError, "expected end, found ','", 1, 2),
+    (expr.parse_operator, "d, u; x, d", ExprSyntaxError, "unknown name 'x'", 1, 7),
+    (expr.parse_operator, "d,,d", ExprSyntaxError, "unexpected ','", 1, 3),
+    (expr.parse_operator, "d, u;\nu, d^-1", ExprSyntaxError, "operators take nonnegative powers only", 2, 4),
+    (expr.parse_vector, "u; v*q", ExprSyntaxError, "unknown name 'q'", 1, 6),
+    (expr.parse_vector, "u;", ExprSyntaxError, "unexpected 'end of input'", 1, 3),
+    (expr.parse_vector, "u, v", ExprSyntaxError, "expected end, found ','", 1, 2),
+    (expr.parse_vector, "u; u^-1", ExponentError, "negative exponents are allowed on v only", 1, 4),
+]
+
+
+@pytest.mark.parametrize("fn, text, cls, message, line, col", GRAMMAR_ERRORS)
+def test_grammar_errors_name_their_place_in_the_whole_input(fn, text, cls, message, line, col):
+    with pytest.raises(ExprSyntaxError) as info:
+        fn(text)
+    err = info.value
+    assert (type(err), err.message, err.line, err.col) == (cls, message, line, col)
+
+
+def test_division_and_negative_powers_invert_one_term_of_v():
+    assert expr.parse("2/v^3 - 3/(2*v)") == 2 * da.v_pow(-3) - Fraction(3, 2) * da.v_pow(-1)
+    assert expr.parse("(2*v^2)^-2") == Fraction(1, 4) * da.v_pow(-4)
+    assert expr.parse_scalar_operator("d/(3*v^0)") == dop.D * Fraction(1, 3)
+
+
+def test_missing_operator_names_its_flags_without_a_position(capsys):
+    code, out, err = _run(capsys, "bracket", "--f", "u", "--g", "v")
+    assert (code, out, err) == (4, "", "SYNTAX_ERROR: no operator given (use --builtin, --op, or --op-expr)\n")
+    code, out, err = _run(capsys, "verify-compatible", "--op-expr", "d")
+    assert (code, out, err) == (4, "", "SYNTAX_ERROR: no operator given (use --builtin, --op2, or --op2-expr)\n")
+
+
+def test_high_jet_orders_differentiate_in_linear_time(capsys):
+    # a jet of order n sits in field 2n + 2 of its packed monomial; the
+    # product rule once stepped over every field below it, one shift of the
+    # whole monomial each, and took seconds per derivative at this order
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, "varder", "u^(2000)*v")
+    assert time.perf_counter() - t0 < 4
+    assert (code, out, err) == (0, "[1] v^(2000)\n[2] u^(2000)\n", "")
+
+
+def test_json_coefficients_are_strings_or_integers(capsys, tmp_path):
+    assert render.function_from_json([{"c": 3, "m": [["u", 0, 1]]}]) == 3 * da.u_jet()
+    assert render.function_from_json([{"c": "-1/10", "m": []}]) == da.const(Fraction(-1, 10))
+    for c in (0.1, 1e30, 2.0, True, None, [1]):
+        with pytest.raises(ExprSyntaxError, match="a coefficient is a string or an integer") as info:
+            render.function_from_json([{"c": c, "m": []}])
+        assert repr(c) in info.value.message
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps([[[{"k": 0, "c": [{"c": 0.5, "m": []}]}]]]))
+    code, out, err = _run(capsys, "verify-poisson", "--op", str(path))
+    assert (code, out) == (4, "")
+    assert err == "SYNTAX_ERROR: bad coefficient 0.5: a coefficient is a string or an integer\n"
 
 
 def test_verify_poisson_builtin_exits_zero(capsys):
