@@ -60,7 +60,6 @@ from .errors import (
     EmptyAnsatz,
     ExponentError,
     ExprSyntaxError,
-    FuelExhausted,
     MagriError,
     NoSolution,
     NotClosed,

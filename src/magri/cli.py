@@ -285,8 +285,8 @@ def cmd_reduce(args):
         print(f"exact: {da.to_text(g)}")
     else:
         print("not exact")
-        print(f"euler_u: {da.to_text(da.euler_derivative(f, da.U))}")
-        print(f"euler_v: {da.to_text(da.euler_derivative(f, da.V))}")
+        print(f"euler_u: {da.to_text(payload['euler_u'])}")
+        print(f"euler_v: {da.to_text(payload['euler_v'])}")
     return OK
 
 

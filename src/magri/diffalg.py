@@ -115,7 +115,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import itemgetter, or_
 
-from .errors import ExponentOverflow, FuelExhausted, MagriError
+from .errors import ExponentOverflow, MagriError
 
 U, V, LOG_VAR = 0, 1, 2
 VAR_NAMES = ("u", "v", "log")
@@ -954,7 +954,10 @@ def is_total_derivative(f):
     """Whether f lies in the image of the total derivative.
 
     On this ring the image is exactly the kernel of both Euler operators
-    intersected with the functions of zero constant term.
+    intersected with the functions of zero constant term.  This is the
+    one Euler test of the package: :meth:`LocalFunctional.is_zero` and
+    the zero tests of :mod:`magri.lenard` call it, and
+    :func:`antiderivative` is tested against it.
     """
     if not f:
         return True
@@ -993,12 +996,21 @@ def _integrate_in_generator(b, var, order):
     return divide_terms(b, lambda m: mono_exp(m, var, order) + 1) * jet(var, order)
 
 
-# Rounds of top-order integration antiderivative may take before it gives up.
-_ANTIDERIVATIVE_FUEL = 100000
-
-
 def antiderivative(f, tag=None):
     """A primitive g with total_derivative(g) == f, or None.
+
+    Each round takes the top order n of what is left, integrates its
+    coefficient of v^(n), or of u^(n) when v^(n) is absent, in the jet
+    of order n - 1, and subtracts the derivative of that primitive, so
+    no term in the jet just integrated is left.  For exact input
+    D(G), G of order n - 1, a round in v^(n) leaves D of a function
+    free of v^(n-1), and a round in u^(n) after it leaves a remainder of
+    order below n.  So a round that would start at the order of the
+    last round in u returns None: exact input never meets this rule,
+    and every input takes at most two rounds per order, 2 * n in all.
+    A remainder of order 0, or one nonlinear in its top jet or with a
+    coefficient of order n or more, returns None too.  g is returned
+    only when the remainder has reached 0, so the result is checked.
 
     The result is normalized to have zero constant term.  When ``tag``
     names a subspace, the primitive must land in its target space,
@@ -1006,23 +1018,16 @@ def antiderivative(f, tag=None):
     of v gains the one pure power v^(hi + 1) (input in v^-k times the
     nonpositive part has a primitive there up to c * v^(1-k)), and
     every other tag is its own target; scaled_plus has no target and
-    raises MagriError.  Raises FuelExhausted if the integration takes
-    more than ``_ANTIDERIVATIVE_FUEL`` rounds.
+    raises MagriError.
     """
-    if not is_total_derivative(f):
-        return None
     g = Accumulator()  # the primitive so far
     work = f
-    fuel = 0
+    last_u = None  # the order of the last round in u
     while work:
-        fuel += 1
-        if fuel > _ANTIDERIVATIVE_FUEL:
-            raise FuelExhausted(
-                f"antiderivative gave up after {_ANTIDERIVATIVE_FUEL} rounds"
-            )
         n = differential_order(work)
-        if n is None or n == 0:
-            # a nonzero remainder in v and log v alone is never exact
+        if n is None or n == 0 or n == last_u:
+            # a nonzero remainder of order 0 is never exact, and neither is
+            # one left at the order of the last round in u
             return None
         # the fields of m + _OFF or-ed over the terms: v^(n) is read once
         bits = reduce(or_, [m + _OFF for m, _ in work._t])
@@ -1033,6 +1038,8 @@ def antiderivative(f, tag=None):
         t_ord = differential_order(top)
         if t_ord is not None and t_ord >= n:
             return None
+        if var == U:
+            last_u = n
         p = _integrate_in_generator(top, var, n - 1)
         add_into(g, p)
         d = Accumulator(work._t, work._den)
@@ -1098,14 +1105,8 @@ class LocalFunctional:
 
     def is_zero(self):
         if self._key is None:
-            c = self.rep.constant_term()
-            du = euler_derivative(self.rep, U)
-            if c or du:
-                # settled without the Euler derivative in v
-                return False
-            self._key = (du, euler_derivative(self.rep, V), c)
-        du, dv, c = self._key
-        return not du and not dv and not c
+            return is_total_derivative(self.rep)
+        return not any(self._key)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, DiffFunction)):

@@ -21,10 +21,6 @@ class NoSolution(MagriError):
     """A linear problem (integration, recursion step) has no solution."""
 
 
-class FuelExhausted(MagriError):
-    """A bounded computation ran out of rounds before it finished."""
-
-
 class ExponentOverflow(MagriError):
     """An exponent left the range a packed monomial can hold."""
 

@@ -28,6 +28,7 @@ from .diffalg import DiffFunction, U, V
 from .errors import ExponentError, ExprSyntaxError
 
 _NAMES = ("u", "v", "d", "D", "log")
+_DIGITS = "0123456789"  # str.isdigit would also take '²', which int() rejects
 
 
 def _tokenize(text):
@@ -44,8 +45,8 @@ def _tokenize(text):
         elif ch in "+-*/^(),;":
             toks.append((ch, ch, line, j - start))
         elif not ch.isspace():
-            if ch.isdigit():
-                kind, same = "int", str.isdigit
+            if ch in _DIGITS:
+                kind, same = "int", _DIGITS.__contains__
             elif ch.isalpha():
                 kind, same = "name", str.isalpha
             elif ch == "'":

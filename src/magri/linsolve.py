@@ -7,6 +7,13 @@ and eliminated by integer cross-multiplication, so no rational
 arithmetic happens until back substitution.  The particular solution
 returned pins every free variable to zero, in the column order given by
 the caller, making the answer deterministic.
+
+Rows are eliminated in the order their keys first appear, and the
+answer does not depend on that order.  A column is a pivot exactly when
+it is not in the span of the columns before it, so the pivot columns
+are the greedy column basis in the caller's column order, a set no row
+order changes.  With the free unknowns zero, the values on the pivot
+columns are the unique solution there.
 """
 
 from __future__ import annotations
@@ -34,9 +41,8 @@ def solve(columns, rhs):
             rows.setdefault(key, {})[-1] = val
 
     pivots = {}  # col -> primitive integer row dict (includes -1 for rhs)
-    for key in sorted(rows, key=repr):
-        row = _primitive(rows[key])
-        row = _reduce(row, pivots)
+    for row in rows.values():
+        row = _reduce(_primitive(row), pivots)
         lead = _leading(row)
         if lead is None:
             if row.get(-1):

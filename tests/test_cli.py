@@ -213,6 +213,16 @@ def test_syntax_errors_exit_four(capsys):
     assert err.startswith("SYNTAX_ERROR at 1:4")
 
 
+def test_integers_are_ascii_digits(capsys):
+    # str.isdigit takes '²' and str.isdecimal takes '٣'; neither is an integer here
+    for ch in ("²", "٣"):
+        code, out, err = _run(capsys, "varder", f"u^{ch}")
+        assert (code, out, err) == (4, "", f"SYNTAX_ERROR at 1:3: unexpected character {ch!r}\n")
+    code, out, err = _run(capsys, "varder", "12²")
+    assert (code, err) == (4, "SYNTAX_ERROR at 1:3: unexpected character '²'\n")
+    assert expr.parse("u^12*v^-10") == da.u_jet(0) ** 12 * da.v_pow(-10)
+
+
 def test_negative_exponent_on_u_exits_four(capsys):
     code, _, err = _run(capsys, "varder", "u^-1")
     assert code == 4
@@ -386,6 +396,20 @@ def test_reduce_reports_an_antiderivative(capsys):
     data = json.loads(out)
     assert data["in_derivative_image"] is False
     assert render.function_from_json(data["euler_u"]) == da.v_jet(0)
+
+
+def test_reduce_takes_each_euler_derivative_once(capsys, monkeypatch):
+    calls = []
+    euler = da.euler_derivative
+
+    def counted(f, var):
+        calls.append(var)
+        return euler(f, var)
+
+    monkeypatch.setattr(da, "euler_derivative", counted)
+    code, out, _ = _run(capsys, "reduce", "u*v''")
+    assert (code, out) == (0, "not exact\neuler_u: v''\neuler_v: u''\n")
+    assert calls == [da.U, da.V]
 
 
 def test_varder_prints_components(capsys):

@@ -348,17 +348,73 @@ def test_integration_in_one_generator_divides_exactly():
     assert type(got.terms[0][1]) is QQ
 
 
-def test_antiderivative_fuel_limit_raises(monkeypatch):
-    from magri.errors import FuelExhausted
+def _exactness_inputs(rng):
+    """Seeded Laurent and log inputs, exact and not, for antiderivative."""
+    out = [da.v_jet(1) * da.u_jet(2), da.u_jet(1) * da.v_jet(2), da.const(3)]
+    for i in range(160):
+        f = helpers.rand_function(rng)
+        kind = i % 5
+        if kind == 0:  # exact
+            out.append(da.total_derivative(f))
+        elif kind == 1:  # exact plus noise
+            out.append(da.total_derivative(f) + helpers.rand_function(rng, terms=1))
+        elif kind == 2:  # a constant, alone or added to an exact part
+            out.append(da.total_derivative(f) * (i % 2) + helpers.rand_coeff(rng))
+        elif kind == 3:  # u^(a) * v^(b) * g, the shape that cycles without a rule
+            a, b = rng.randint(0, 3), rng.randint(1, 3)
+            out.append(da.u_jet(a) * da.v_jet(b) * helpers.rand_function(rng, terms=2))
+        else:
+            out.append(f)
+    return out
 
+
+def test_antiderivative_decides_exactness_like_the_euler_test(monkeypatch):
+    calls = []
+    integrate = da._integrate_in_generator
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(da, "_integrate_in_generator", counted)
     # (u')^2 + u^3 is recovered in two rounds: order 2, then order 1
     f = da.total_derivative(da.u_jet(1) ** 2 + da.u_jet(0) ** 3)
-    monkeypatch.setattr(da, "_ANTIDERIVATIVE_FUEL", 1)
-    with pytest.raises(FuelExhausted):
-        da.antiderivative(f)
-    monkeypatch.setattr(da, "_ANTIDERIVATIVE_FUEL", 2)
     assert da.total_derivative(da.antiderivative(f)) == f
-    assert da.antiderivative(da.u_jet(0)) is None
+    assert len(calls) == 2
+    inputs = _exactness_inputs(random.Random(113))
+    exact = laurent = log = 0
+    for x in inputs:
+        del calls[:]
+        g = da.antiderivative(x)
+        want = da.is_total_derivative(x)
+        assert (g is not None) == want, x
+        if g is not None:
+            assert da.total_derivative(g) == x
+        # at most two rounds per order: one in v^(n), then one in u^(n)
+        assert len(calls) <= 2 * (da.differential_order(x) or 0), x
+        exact += want
+        laurent += da.min_v_exponent(x) < 0
+        log += any(gen[0] == LOG_VAR for m, _ in x.terms for gen in m)
+    assert 30 < exact < len(inputs) - 30
+    assert laurent > 30 and log > 10
+
+
+def test_antiderivative_computes_no_euler_derivative(monkeypatch):
+    def refuse(f, var):
+        raise AssertionError("antiderivative took an Euler derivative")
+
+    inputs = _exactness_inputs(random.Random(127))
+    inputs = [x for x in inputs if not x.constant_term()]
+    want = [da.is_total_derivative(x) for x in inputs]
+    assert any(want) and not all(want)
+    monkeypatch.setattr(da, "euler_derivative", refuse)
+    assert [da.antiderivative(x) is not None for x in inputs] == want
+    # v'*u'' integrates in u' to -u'*v'', then in v' back to v'*u''
+    assert da.antiderivative(da.v_jet(1) * da.u_jet(2)) is None
+    assert da.antiderivative(da.u_jet(1) * da.v_jet(2)) is None
+    assert da.antiderivative(da.total_derivative(da.u_jet(0) * da.v_jet(2))) == (
+        da.u_jet(0) * da.v_jet(2)
+    )
 
 
 def test_addmul_into_matches_the_naive_sum():
