@@ -55,14 +55,18 @@ scalar operands may be either, and every division of coefficients goes
 through :func:`coeff_div`.  Values are immutable and every operation
 returns a canonical form.
 
-The public face speaks tuples: a monomial outside this module is a
+The public face speaks tuples: a monomial read in or written out is a
 tuple of (variable, order, exponent) triples sorted by (variable,
 order), as taken by ``DiffFunction(terms)``, :meth:`~DiffFunction.from_terms`,
 :func:`normalize` and :func:`jet`.  :attr:`DiffFunction.terms` decodes
 the pairs once per value, sorts them by the tuple monomial and caches
-the result, so the plain-text, JSON and LaTeX forms, the row keys of
-the linear solver and the kernel markers of the recursion see the same
-terms in the same order as when monomials were tuples inside too.
+the result, so the plain-text, JSON and LaTeX forms see the same terms
+in the same order as when monomials were tuples inside too.  The
+engine reads no ``terms``: the linear solver keys its rows by packed
+monomials (:func:`integral_terms`), the kernel markers of the recursion
+are packed (:func:`packed_terms`), candidate spaces are packed
+(:func:`monomials`) and solutions come back through
+:meth:`~DiffFunction.from_packed`.
 
 A sum of products is built in one pass: :func:`addmul_into`,
 :func:`add_into` and the total derivative add each piece into an
@@ -102,9 +106,10 @@ no lower bound targets its interval plus the pure power v^(hi + 1), so
 V_MINUS targets affine_scaled(0) and scaled_v_minus(k) targets
 affine_scaled(k); every other tag is its own target, except
 scaled_plus, which has none.  :func:`monomials` enumerates the
-monomials of one weight within a v-power interval; the ansatz spaces of
-the recursion and the v-only candidates of exact integration both come
-from it.
+monomials of one weight within a v-power interval (plus the pure power
+v^affine); the ansatz spaces of the recursion and the v-only candidates
+of exact integration both come from it, in the order of their tuple
+forms.
 """
 
 from __future__ import annotations
@@ -324,6 +329,20 @@ def divide_terms(f, div):
     return _canon([(m, c * (den // d)) for (m, c), d in zip(f._t, ds)], f._den * den)
 
 
+def packed_terms(f):
+    """The (packed monomial, coefficient) pairs of f in increasing packed
+    order; a coefficient is an int when integral, else a Fraction."""
+    den = f._den
+    return f._t if den == 1 else [(m, _rational(c, den)) for m, c in f._t]
+
+
+def integral_terms(f, den):
+    """The (packed monomial, int) pairs of den * f, for den a multiple of
+    the denominator of f."""
+    s = den // f._den
+    return f._t if s == 1 else [(m, c * s) for m, c in f._t]
+
+
 def _rational(c, den):
     """The coefficient c/den at the public face: an int when integral, else a Fraction."""
     if den == 1:
@@ -413,16 +432,24 @@ class DiffFunction:
         builds from (monomial, coefficient) pairs."""
         return DiffFunction((m, c) for c, m in pairs)
 
+    @staticmethod
+    def from_packed(pairs):
+        """Build from (coefficient, packed monomial) pairs with distinct
+        monomials; a coefficient is an int or a Fraction."""
+        pairs = list(pairs)
+        den = lcm(*[c.denominator for c, _m in pairs])
+        return DiffFunction.from_acc(
+            Accumulator([(m, c.numerator * (den // c.denominator)) for c, m in pairs], den)
+        )
+
     @property
     def terms(self):
         """The (monomial, coefficient) pairs with tuple monomials, sorted by
         monomial; a coefficient is an int when integral, else a Fraction."""
         t = self._terms
         if t is None:
-            den = self._den
-            pairs = self._t if den == 1 else [(m, _rational(c, den)) for m, c in self._t]
             t = self._terms = tuple(
-                sorted(((unpack_mono(m), c) for m, c in pairs), key=_first)
+                sorted(((unpack_mono(m), c) for m, c in packed_terms(self)), key=_first)
             )
         return t
 
@@ -768,6 +795,19 @@ def mono_weight(m):
     return w
 
 
+def mono_degree(m, var=None):
+    """The sum of the exponents of the jets of ``var`` in a packed
+    monomial, or of every generator, log v included, when ``var`` is None."""
+    x = m + _OFF
+    deg = 0 if var == U else (x & _MASK) - _OFF
+    skip, step = {None: (1, 1), U: (2, 2), V: (3, 2)}[var]
+    x >>= EXP_BITS * skip  # past v, and past log v unless var is None
+    while x:  # every field, or every other one: u^(n) and v^(n+1) alternate
+        deg += x & _MASK
+        x >>= EXP_BITS * step
+    return deg
+
+
 def weight(f):
     """Common weight of all monomials, or the INHOMOGENEOUS sentinel.
 
@@ -784,11 +824,12 @@ def weight(f):
     return 0 if w is None else w
 
 
-def homogeneous_parts(f):
-    """The weight-homogeneous parts of f, as (weight, part) pairs sorted by weight."""
+def homogeneous_parts(f, grade=mono_weight):
+    """The homogeneous parts of f for ``grade``, a function of packed
+    monomials (the weight by default), as (grade, part) pairs sorted by grade."""
     parts = {}
     for m, c in f._t:
-        parts.setdefault(mono_weight(m), []).append((m, c))
+        parts.setdefault(grade(m), []).append((m, c))
     # each part keeps the sorted order and no zeros of f
     return [(w, _canon(t, f._den)) for w, t in sorted(parts.items())]
 
@@ -890,13 +931,18 @@ def subalgebra_member(f, tag):
     return all(_mono_in(m, *bounds) for m, _ in f._t)
 
 
-def monomials(weight, order_bound, lo, hi=None, fields=(U, V), include_log=False):
-    """All monomials of one weight, as tuple monomials in sorted order.
+def monomials(weight, order_bound, lo, hi=None, affine=None, fields=(U, V), include_log=False):
+    """All monomials of one weight, as packed ints in the sorted order of
+    their tuple forms.
 
     A monomial is a product of jets of ``fields`` of order 1 .. order_bound
     (u from order 0) times one power v^e with lo <= e <= hi (``hi`` None:
-    no upper bound), which takes up the rest of the weight.  With
+    no upper bound), which takes up the rest of the weight; the pure power
+    v^affine joins them when it has the weight and affine >= lo.  With
     ``include_log``, log(v) * m is added for every m with no power of v.
+    The order fixes the pivot columns of the linear solves over these
+    candidates, and so the densities and gradients they print.  A
+    monomial with an exponent out of range raises ExponentOverflow.
     """
     gens = [
         (var, n)
@@ -909,7 +955,7 @@ def monomials(weight, order_bound, lo, hi=None, fields=(U, V), include_log=False
         idx, rest, acc = stack.pop()
         if idx == len(gens):
             e, odd = divmod(rest, 2)  # v^e weighs 2e
-            if not odd and lo <= e and (hi is None or e <= hi):
+            if not odd and (lo <= e and (hi is None or e <= hi) or not acc and e == affine):
                 out.append(tuple(sorted(acc + ((V, 0, e),))) if e else acc)
             continue
         var, n = gens[idx]
@@ -925,7 +971,7 @@ def monomials(weight, order_bound, lo, hi=None, fields=(U, V), include_log=False
             for m in out
             if not any(g[0] == V and g[1] == 0 for g in m)
         ]
-    return tuple(sorted(out))  # distinct by construction
+    return tuple(map(pack_mono, sorted(out)))  # distinct by construction
 
 
 # -- integration -------------------------------------------------------------
@@ -1011,6 +1057,9 @@ def antiderivative(f, tag=None):
     A remainder of order 0, or one nonlinear in its top jet or with a
     coefficient of order n or more, returns None too.  g is returned
     only when the remainder has reached 0, so the result is checked.
+    When a round leaves the exponent range, the Euler test decides: input
+    that is not exact returns None, and exact input, whose primitive
+    the ring cannot hold, raises ExponentOverflow.
 
     The result is normalized to have zero constant term.  When ``tag``
     names a subspace, the primitive must land in its target space,
@@ -1023,29 +1072,34 @@ def antiderivative(f, tag=None):
     g = Accumulator()  # the primitive so far
     work = f
     last_u = None  # the order of the last round in u
-    while work:
-        n = differential_order(work)
-        if n is None or n == 0 or n == last_u:
-            # a nonzero remainder of order 0 is never exact, and neither is
-            # one left at the order of the last round in u
-            return None
-        # the fields of m + _OFF or-ed over the terms: v^(n) is read once
-        bits = reduce(or_, [m + _OFF for m, _ in work._t])
-        var = V if (bits >> EXP_BITS * _slot(V, n)) & _MASK else U
-        top = partial_derivative(work, (var, n))
-        if partial_derivative(top, (var, n)):
-            return None
-        t_ord = differential_order(top)
-        if t_ord is not None and t_ord >= n:
-            return None
-        if var == U:
-            last_u = n
-        p = _integrate_in_generator(top, var, n - 1)
-        add_into(g, p)
-        d = Accumulator(work._t, work._den)
-        _dx_into(d, p, -1)
-        work = DiffFunction.from_acc(d)
-    g = DiffFunction.from_acc(g)
+    try:
+        while work:
+            n = differential_order(work)
+            if n is None or n == 0 or n == last_u:
+                # a nonzero remainder of order 0 is never exact, and neither is
+                # one left at the order of the last round in u
+                return None
+            # the fields of m + _OFF or-ed over the terms: v^(n) is read once
+            bits = reduce(or_, [m + _OFF for m, _ in work._t])
+            var = V if (bits >> EXP_BITS * _slot(V, n)) & _MASK else U
+            top = partial_derivative(work, (var, n))
+            if partial_derivative(top, (var, n)):
+                return None
+            t_ord = differential_order(top)
+            if t_ord is not None and t_ord >= n:
+                return None
+            if var == U:
+                last_u = n
+            p = _integrate_in_generator(top, var, n - 1)
+            add_into(g, p)
+            d = Accumulator(work._t, work._den)
+            _dx_into(d, p, -1)
+            work = DiffFunction.from_acc(d)
+        g = DiffFunction.from_acc(g)
+    except ExponentOverflow:
+        if is_total_derivative(f):
+            raise
+        return None
     if tag is not None:
         if tag.kind == "scaled_plus":
             raise MagriError(f"no antiderivative target space for tag {tag.kind!r}")

@@ -123,7 +123,7 @@ class SparsePoly:
         bits = []
         for key, f in self._t:
             head = da.to_text(f)
-            if len(f.terms) > 1:
+            if len(f) > 1:
                 head = f"({head})"
             power = _power_text(key)
             bits.append(f"{head}*{power}" if power else head)

@@ -119,27 +119,24 @@ def ansatz_space(weight, order_bound, membership, include_log=False, v_floor=Non
     ``include_log``, log(v) * m joins every m in the space with no power
     of v.  Raises EmptyAnsatz when nothing qualifies.
     """
-    tag = membership
+    v_floor, monos = _candidates(weight, order_bound, membership, include_log, v_floor)
+    monos = tuple(map(da.unpack_mono, monos))
+    return AnsatzSpace(weight, order_bound, membership, include_log, v_floor, monos)
+
+
+def _candidates(weight, order_bound, tag, include_log=False, v_floor=None):
+    """The floor and the packed monomials of :func:`ansatz_space`."""
     lo, hi, affine = tag.bounds
     if lo is not None:
         v_floor = lo
     elif v_floor is None:
         v_floor = weight // 2 - order_bound - 2
-    if affine is not None:
-        hi = max(hi, affine)  # the tag test below drops the gap between them
-    cands = da.monomials(weight, order_bound, v_floor, hi, include_log=include_log)
-    out = tuple(m for m in cands if _tag_allows(tag, m))
+    out = da.monomials(weight, order_bound, v_floor, hi, affine, include_log=include_log)
     if not out:
         raise EmptyAnsatz(
             f"no monomials of weight {weight} under {tag.kind} with order <= {order_bound}"
         )
-    return AnsatzSpace(weight, order_bound, tag, include_log, v_floor, out)
-
-
-def _tag_allows(tag, mono):
-    # log(v) * m is a candidate exactly when m is
-    mono = tuple(g for g in mono if g[0] != LOG_VAR)
-    return da.subalgebra_member(DiffFunction([(mono, 1)]), tag)
+    return v_floor, out
 
 
 # -- the recursion step ------------------------------------------------------
@@ -152,10 +149,11 @@ _KERNELS = {
 
 
 def _marker(vec):
+    """The first component of a kernel gradient that is nonzero, with its
+    first term in the packed order: (index, packed monomial, coefficient)."""
     for i, comp in enumerate(vec):
         if comp:
-            m, c = comp.terms[0]
-            return i, m, c
+            return (i, *da.packed_terms(comp)[0])
     return None
 
 
@@ -164,7 +162,7 @@ def _normalize_kernel(eps, vec):
     out = list(vec)
     for ker in _KERNELS[eps]:
         i, m, kc = _marker(ker)
-        c = out[i].coeff(m)
+        c = dict(da.packed_terms(out[i])).get(m)
         if c:
             s = da.coeff_div(c, kc)
             out = [a - s * b for a, b in zip(out, ker)]
@@ -229,30 +227,22 @@ def _step_ansatz(eps, b, order_bounds, v_floor, widen_cap):
         labels = []
         for comp, (tag, bound) in enumerate(zip(tags, order_bounds)):
             try:
-                space = ansatz_space(wt, bound, tag, v_floor=v_floor)
+                _floor, monos = _candidates(wt, bound, tag, v_floor=v_floor)
             except EmptyAnsatz:
                 continue
-            for m in space.monomials:
+            for m in monos:
                 vec = [ZERO, ZERO]
-                vec[comp] = DiffFunction([(m, 1)])
+                vec[comp] = DiffFunction.from_packed(((1, m),))
                 col = dop.apply(h, vec)
-                entries = {}
-                for ci, f in enumerate(col):
-                    for mm, cc in f.terms:
-                        entries[(ci, mm)] = cc
-                if entries:
-                    cols.append(entries)
+                if any(col):
+                    cols.append(col)
                     labels.append((comp, m))
-        rhs = {}
-        for ci, f in enumerate(b):
-            for mm, cc in f.terms:
-                rhs[(ci, mm)] = cc
-        xs = linsolve.solve(cols, rhs) if cols else None
+        xs = linsolve.solve(cols, b)
         if xs is not None:
             comps = [[], []]
             for (comp, m), x in zip(labels, xs):
                 comps[comp].append((x, m))
-            return tuple(DiffFunction.from_terms(c) for c in comps)
+            return tuple(map(DiffFunction.from_packed, comps))
         order_bounds = tuple(x + 2 for x in order_bounds)
         v_floor -= 2
     raise NoSolution("no gradient found in the candidate spaces within the widening cap")
@@ -342,10 +332,8 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, wi
             densities.append(dens)
             # integrate_exact checked this gradient and kept it in dens
             okd = dens.variational_gradient() == nxt
-            if eps == 0:
-                okd = okd and not any(
-                    g[0] == LOG_VAR for m, _ in dens.rep.terms for g in m
-                )
+            if eps == 0:  # free of log v
+                okd = okd and not da.partial_derivative(dens.rep, (LOG_VAR, 0))
             checks["densities"] = checks["densities"] and okd
     flows.append(dop.apply(structure(1 - eps), gradients[-1]))
     if alpha == 1:

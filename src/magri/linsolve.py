@@ -1,44 +1,52 @@
-"""Sparse exact linear solving over the rationals.
+"""Sparse exact linear solving over the rationals, on ring values.
 
-Columns are given as sparse dicts mapping opaque hashable row keys to
-exact rationals (int or Fraction).  Internally every equation is scaled
-to a primitive integer row (denominators cleared, content divided out)
-and eliminated by integer cross-multiplication, so no rational
-arithmetic happens until back substitution.  The particular solution
-returned pins every free variable to zero, in the column order given by
-the caller, making the answer deterministic.
+A column is a vector of DiffFunctions, and so is the right side.  Each
+vector is scaled to integers by the lcm of its components'
+denominators, and its numerators become integer entries keyed by
+(component, packed monomial): the rows are integral from the start,
+with no rational arithmetic and no decoding of monomials.  Each row is
+made primitive (content divided out) and eliminated by integer
+cross-multiplication; rational numbers appear only in back
+substitution, and each unknown of the scaled system is mapped back to
+the caller's column by one :func:`~magri.diffalg.coeff_div`.  The
+particular solution returned pins every free variable to zero, in the
+column order given by the caller, making the answer deterministic.
 
 Rows are eliminated in the order their keys first appear, and the
-answer does not depend on that order.  A column is a pivot exactly when
-it is not in the span of the columns before it, so the pivot columns
-are the greedy column basis in the caller's column order, a set no row
-order changes.  With the free unknowns zero, the values on the pivot
-columns are the unique solution there.
+answer depends neither on that order nor on the scaling.  A column is
+a pivot exactly when it is not in the span of the columns before it,
+so the pivot columns are the greedy column basis in the caller's
+column order, a set that no row order and no nonzero scaling of a row
+or a column changes.  With the free unknowns zero, the values on the
+pivot columns are the unique solution there, so the xs are the ones
+any exact elimination gives.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
-from .diffalg import coeff_div
+from .diffalg import (
+    Accumulator,
+    DiffFunction,
+    add_into,
+    coeff_div,
+    denominator,
+    integral_terms,
+)
 
 
 def solve(columns, rhs):
     """Solve sum_j x_j * columns[j] = rhs for x, or return None.
 
-    ``columns`` is a sequence of dicts {row_key: int or Fraction};
-    ``rhs`` is a dict of the same shape.  Returns a list of exact
-    values, each an int when integral and otherwise a Fraction (free
-    variables zero), or None when the system is inconsistent.
+    ``columns`` is a sequence of vectors of DiffFunctions and ``rhs`` a
+    vector of the same length.  Returns a list of exact values, each an
+    int when integral and otherwise a Fraction (free variables zero), or
+    None when the system is inconsistent.
     """
     rows = {}
-    for j, col in enumerate(columns):
-        for key, val in col.items():
-            if val:
-                rows.setdefault(key, {})[j] = val
-    for key, val in rhs.items():
-        if val:
-            rows.setdefault(key, {})[-1] = val
+    dens = [_add_column(rows, col, j) for j, col in enumerate(columns)]
+    rhs_den = _add_column(rows, rhs, -1)
 
     pivots = {}  # col -> primitive integer row dict (includes -1 for rhs)
     for row in rows.values():
@@ -50,51 +58,49 @@ def solve(columns, rhs):
             continue
         pivots[lead] = row
 
-    xs = [0] * len(columns)
+    # the unknowns y of the scaled system: sum_j y_j * dens[j] * columns[j]
+    # = rhs_den * rhs, so x_j = y_j * dens[j] / rhs_den
+    ys = [0] * len(columns)
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
         acc = row.get(-1, 0)
         for c, v in row.items():
             if c in (-1, lead):
                 continue
-            if xs[c]:
-                acc -= v * xs[c]
-        xs[lead] = coeff_div(acc, row[lead])
+            if ys[c]:
+                acc -= v * ys[c]
+        ys[lead] = coeff_div(acc, row[lead])
+    xs = [coeff_div(y * d, rhs_den) for y, d in zip(ys, dens)]
 
     # free variables are zero; verify (cheap relative to elimination)
-    check = {}
-    for j, x in enumerate(xs):
-        if not x:
-            continue
-        for key, val in columns[j].items():
-            s = check.get(key, 0) + x * val
-            if s:
-                check[key] = s
-            else:
-                check.pop(key, None)
-    for key, val in rhs.items():
-        if check.get(key, 0) != val:
+    for i, b in enumerate(rhs):
+        acc = Accumulator()
+        for x, col in zip(xs, columns):
+            if x:
+                add_into(acc, col[i], x)
+        if DiffFunction.from_acc(acc) != b:
             return None
-        check.pop(key, None)
-    if any(check.values()):
-        return None
     return xs
 
 
+def _add_column(rows, vec, j):
+    """Enter den * vec as column j of ``rows``, den the lcm of the
+    denominators of its components; returns den."""
+    den = denominator(vec)
+    for i, f in enumerate(vec):
+        for m, c in integral_terms(f, den):
+            rows.setdefault((i, m), {})[j] = c
+    return den
+
+
 def _primitive(row):
-    """Clear denominators and divide out the content, keeping signs."""
-    denom = 1
-    for v in row.values():
-        denom = lcm(denom, v.denominator)
-    out = {c: int(v * denom) for c, v in row.items()}
+    """Divide out the content of an integer row, keeping signs."""
     g = 0
-    for v in out.values():
+    for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return out
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
+            return row
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
 def _leading(row):
@@ -125,11 +131,4 @@ def _reduce(row, pivots):
                 out[c] = s
             else:
                 out.pop(c, None)
-        g = 0
-        for v in out.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            out = {c: v // g for c, v in out.items()}
-        row = out
+        row = _primitive(out)

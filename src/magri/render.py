@@ -251,7 +251,7 @@ def latex(f):
     """Render a differential function (or a functional's representative)."""
     if isinstance(f, da.LocalFunctional):
         return rf"\textstyle\int {latex(f.rep)}\, dx"
-    if not f.terms:
+    if not f:
         return "0"
     parts = []
     for i, (mono, c) in enumerate(f.terms):
@@ -281,7 +281,7 @@ def _scalar_op_latex(op):
             d = r"\partial" if k == 1 else rf"\partial^{_sup(k)}"
             if f == da.ONE:
                 t = d
-            elif len(f.terms) == 1:
+            elif len(f) == 1:
                 ft = latex(f)
                 t = d if ft == "1" else ft + r"\, " + d
             else:
@@ -309,7 +309,7 @@ def latex_operator(h):
 
 def _coeff_text(f):
     t = da.to_text(f)
-    if len(f.terms) > 1 or t.startswith("-"):
+    if len(f) > 1 or t.startswith("-"):
         return f"({t})"
     return t
 

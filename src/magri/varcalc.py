@@ -108,9 +108,7 @@ def evolutionary_commutator(p, q):
 def _homotopy(f, var=None):
     """f with each monomial m scaled by 1/(deg m + 1): the degree in the
     jets of ``var``, or in every generator when ``var`` is None."""
-    return da.divide_terms(
-        f, lambda m: 1 + sum(e for x, _n, e in da.unpack_mono(m) if var in (None, x))
-    )
+    return da.divide_terms(f, lambda m: 1 + da.mono_degree(m, var))
 
 
 def _poly_homotopy(vec):
@@ -153,12 +151,8 @@ def resolve_widen_cap(widen_cap):
 
 
 def _euler_mono(m, var):
-    """Euler derivative of a single monomial."""
-    return da.euler_derivative(DiffFunction([(m, 1)]), var)
-
-
-def _v_degree(m):
-    return sum(e for var, _n, e in m if var == V)
+    """Euler derivative of a single packed monomial."""
+    return da.euler_derivative(DiffFunction.from_packed(((1, m),)), var)
 
 
 def _solve_v_density(g, wt, widen_cap):
@@ -173,40 +167,37 @@ def _solve_v_density(g, wt, widen_cap):
     """
     if not g:
         return ZERO
-    for m, _ in g.terms:
-        # A candidate is free of log v, or is log(v) times a monomial with
-        # no power of v (jets v', v'', ... allowed), and the terms in log v
-        # of its Euler derivative have that shape too; so no widening round
-        # reaches a term in log(v)^2, or in log(v) times a power of v.
-        j = sum(e for var, _n, e in m if var == LOG_VAR)
-        if j > 1 or (j == 1 and any(g[0] == V and g[1] == 0 for g in m)):
-            raise NoSolution("no density found for the v-only part within the widening cap")
+    # A candidate is free of log v, or is log(v) times a monomial with no
+    # power of v (jets v', v'', ... allowed), and the terms in log v of its
+    # Euler derivative have that shape too.  So no widening round reaches a
+    # g whose derivative in log v leaves V_ZERO (no log v, no power of v):
+    # a term in log(v)^2, or in log(v) times a power of v.
+    if not da.subalgebra_member(da.partial_derivative(g, (LOG_VAR, 0)), da.V_ZERO):
+        raise NoSolution("no density found for the v-only part within the widening cap")
     base_order = da.max_order(g, V) or 0
     order_bound = max(1, (base_order + 1) // 2 + 1)
     v_floor = min(da.min_v_exponent(g) + 1, 0)
-    rhs_by_deg = {}
-    for m, c in g.terms:
-        rhs_by_deg.setdefault(_v_degree(m) + 1, {})[m] = c
+    rhs_by_deg = da.homogeneous_parts(g, lambda m: da.mono_degree(m, V) + 1)
     for _round in range(widen_cap + 1):
-        by_deg = {deg: [] for deg in rhs_by_deg}
+        by_deg = {deg: [] for deg, _rhs in rhs_by_deg}
         cands = da.monomials(
             wt + 2, order_bound, v_floor, fields=(V,), include_log=True
         )
         for m in cands:
-            block = by_deg.get(_v_degree(m))
+            block = by_deg.get(da.mono_degree(m, V))
             if block is not None:
                 e = _euler_mono(m, V)
                 if e:
                     block.append((m, e))
         parts = []
-        for deg, rhs in sorted(rhs_by_deg.items()):
+        for deg, rhs in rhs_by_deg:
             block = by_deg[deg]
-            xs = linsolve.solve([dict(e.terms) for _m, e in block], rhs)
+            xs = linsolve.solve([(e,) for _m, e in block], (rhs,))
             if xs is None:
                 break
             parts += [(x, m) for (m, _e), x in zip(block, xs)]
         else:
-            return DiffFunction.from_terms(parts)
+            return DiffFunction.from_packed(parts)
         order_bound += 2
         v_floor -= 2
     raise NoSolution("no density found for the v-only part within the widening cap")

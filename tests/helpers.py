@@ -1,8 +1,9 @@
-"""Random generators shared across the test modules."""
+"""Random generators and reference implementations shared across the test modules."""
 
 from __future__ import annotations
 
 import random
+from math import gcd, lcm
 
 from magri import diffalg as da
 from magri.diffalg import LOG_VAR, QQ, U, V
@@ -79,3 +80,65 @@ def rand_matrix_op(rng, n=2, **kw):
     return dop.MatrixDiffOp(
         [[rand_scalar_op(rng, **kw) for _ in range(n)] for _ in range(n)]
     )
+
+
+# -- the linear solver on sparse dicts, as it was before it took ring values --
+
+
+def dict_solve(columns, rhs):
+    """Solve sum_j x_j * columns[j] = rhs, or return None; the columns and
+    the right side are dicts {row key: int or Fraction}.  Free unknowns are
+    zero, and each value is an int when integral, else a Fraction."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for key, val in col.items():
+            if val:
+                rows.setdefault(key, {})[j] = val
+    for key, val in rhs.items():
+        if val:
+            rows.setdefault(key, {})[-1] = val
+    pivots = {}
+    for row in rows.values():
+        row = _ref_reduce(_ref_primitive(row), pivots)
+        lead = min((c for c in row if c != -1), default=None)
+        if lead is None:
+            if row.get(-1):
+                return None
+            continue
+        pivots[lead] = row
+    xs = [0] * len(columns)
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        acc = row.get(-1, 0)
+        for c, v in row.items():
+            if c not in (-1, lead) and xs[c]:
+                acc -= v * xs[c]
+        xs[lead] = da.coeff_div(acc, row[lead])
+    check = {}
+    for x, col in zip(xs, columns):
+        for key, val in col.items():
+            check[key] = check.get(key, 0) + x * val
+    for key in set(check) | set(rhs):
+        if check.get(key, 0) != rhs.get(key, 0):
+            return None
+    return xs
+
+
+def _ref_primitive(row):
+    den = lcm(*[QQ(v).denominator for v in row.values()])
+    out = {c: int(v * den) for c, v in row.items()}
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
+def _ref_reduce(row, pivots):
+    while True:
+        cand = min((c for c in row if c != -1 and c in pivots), default=None)
+        if cand is None:
+            return row
+        prow = pivots[cand]
+        a, b = prow[cand], row[cand]
+        out = {c: v * a for c, v in row.items()}
+        for c, v in prow.items():
+            out[c] = out.get(c, 0) - b * v
+        row = _ref_primitive({c: v for c, v in out.items() if v})

@@ -396,6 +396,9 @@ def test_reduce_reports_an_antiderivative(capsys):
     data = json.loads(out)
     assert data["in_derivative_image"] is False
     assert render.function_from_json(data["euler_u"]) == da.v_jet(0)
+    # not exact, though the top-order loop meets v^(MAX_V_EXP + 1) first
+    code, out, _ = _run(capsys, "reduce", "v^16383*v'*u")
+    assert (code, out) == (0, "not exact\neuler_u: v^16383*v'\neuler_v: -u'*v^16383\n")
 
 
 def test_reduce_takes_each_euler_derivative_once(capsys, monkeypatch):

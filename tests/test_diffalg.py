@@ -554,7 +554,16 @@ def test_packed_monomials_match_a_tuple_reference(f, g):
             assert da.unpack_mono(da.pack_mono(m)) == m
             weight = sum(e * (order + 2) for var, order, e in m if var != LOG_VAR)
             assert da.mono_weight(da.pack_mono(m)) == weight
+            for var in (None, U, V):
+                degree = sum(e for x, _order, e in m if var in (None, x))
+                assert da.mono_degree(da.pack_mono(m), var) == degree, (m, var)
         assert list(h.terms) == sorted(h.terms)
+        packed = [(da.unpack_mono(pm), c) for pm, c in da.packed_terms(h)]
+        assert sorted(packed) == list(h.terms)
+        assert da.DiffFunction.from_packed((c, da.pack_mono(m)) for m, c in h.terms) == h
+        den = da.denominator([h]) * 6
+        scaled = da.DiffFunction.from_packed((c, pm) for pm, c in da.integral_terms(h, den))
+        assert scaled == h * den
     rf, rg = dict(f.terms), dict(g.terms)
     assert _same_as_ref(f * g, _ref_mul(rf, rg))
     want = rf
@@ -745,6 +754,20 @@ def test_exponent_overflow_raises():
         da.antiderivative(da.v_pow(da.MAX_V_EXP) * da.v_jet(1))
 
 
+def test_antiderivative_out_of_range_is_decided_by_the_euler_test():
+    # the loop integrates these into an exponent one past the range before
+    # it can see that they are not exact; exact input whose primitive the
+    # ring cannot hold still raises (test_exponent_overflow_raises)
+    u, v = da.u_jet(0), da.v_jet(0)
+    for f in (
+        da.u_jet(1) ** da.MAX_EXP * da.u_jet(2) * v,
+        v ** da.MAX_V_EXP * da.v_jet(1) * u,
+    ):
+        assert not da.is_total_derivative(f)
+        assert da.antiderivative(f) is None
+        assert da.antiderivative(f, tag=da.V_PLUS) is None
+
+
 def test_subalgebra_tag_rejects_bad_kind_and_power():
     from magri.errors import MagriError
 
@@ -892,12 +915,12 @@ def test_monomials_match_the_v_only_enumerator():
                     got = da.monomials(
                         wt, order_bound, v_floor, fields=(V,), include_log=include_log
                     )
-                    assert list(got) == _ref_v_candidates(
+                    # packed, in the order of the tuple forms
+                    assert list(map(da.unpack_mono, got)) == _ref_v_candidates(
                         wt, order_bound, v_floor, include_log
                     ), (wt, order_bound, v_floor, include_log)
     # an upper bound on v, and the u jets
     for m in da.monomials(6, 2, -2, 0):
-        pm = da.pack_mono(m)
-        assert da.mono_weight(pm) == 6 and -2 <= da.mono_exp(pm, V, 0) <= 0
-    assert ((U, 0, 1), (V, 0, 1)) in da.monomials(4, 0, 0)
-    assert da.monomials(4, 0, 0, fields=(V,)) == (((V, 0, 2),),)
+        assert da.mono_weight(m) == 6 and -2 <= da.mono_exp(m, V, 0) <= 0
+    assert da.pack_mono(((U, 0, 1), (V, 0, 1))) in da.monomials(4, 0, 0)
+    assert da.monomials(4, 0, 0, fields=(V,)) == (da.pack_mono(((V, 0, 2),)),)

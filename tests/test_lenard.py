@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
+import helpers
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import lenard
@@ -348,3 +350,33 @@ def test_hierarchy_runs_without_fraction_arithmetic(monkeypatch):
     assert all(run.checks.values())
     assert any(c.denominator != 1 for h in run.densities for _m, c in h.rep.terms)
     assert calls[0] < 110_181 // 100
+
+
+def test_the_engine_reads_no_tuple_terms(monkeypatch):
+    # exact integration, the recursion and the ansatz stepper solve over
+    # packed monomials: tuple terms only serve reading values in and
+    # writing them out
+    rng = random.Random(7)
+    grads = [vc.variational_derivative(helpers.rand_function(rng)) for _ in range(60)]
+    texts = " ".join(da.to_text(c) for g in grads for c in g)
+    assert "v^-" in texts and "log(v)" in texts
+    seed = lenard.seed(1, 1).gradient
+    want_step = lenard.lm_step(1, seed)
+
+    def no_terms(self):
+        raise AssertionError("DiffFunction.terms was read")
+
+    monkeypatch.setattr(da.DiffFunction, "terms", property(no_terms))
+    outcomes = set()
+    for grad in grads:
+        try:
+            h = vc.integrate_exact(grad)
+            outcomes.add(h.variational_gradient() == grad)
+        except MagriError as exc:
+            outcomes.add(type(exc).__name__)
+    run = lenard.run_hierarchy(0, 1, 1)
+    step = lenard.lm_step(1, seed, method="ansatz")
+    monkeypatch.undo()
+    assert outcomes == {True, "NoSolution"}
+    assert all(run.checks.values()) and len(run.densities) == 2
+    assert step == want_step

@@ -16,7 +16,7 @@ from magri import diffop as dop
 from magri import pva
 from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, ZERO
-from magri.errors import DimensionMismatch, ExponentOverflow, MagriError, NotSkewAdjoint
+from magri.errors import DimensionMismatch, ExponentOverflow, NotSkewAdjoint
 from magri.expr import parse_operator
 
 
@@ -181,17 +181,6 @@ def test_incompatible_pair_detected():
     assert not pva.is_compatible(m1, m2)
 
 
-def test_is_compatible_needs_three_distinct_points():
-    # the pencil jacobiator has degree 2 in t: fewer than three distinct
-    # points cannot pin it, and at t = 0 alone M1 + t*M2 = M1 is Poisson
-    m1, m2 = _current_algebra_pair()
-    for points in ((), (0,), (0, 1), (1, 1, 2), (QQ(1, 2), QQ(2, 4), 0)):
-        with pytest.raises(MagriError, match="three distinct points"):
-            pva.is_compatible(m1, m2, pencil_points=points)
-    assert not pva.is_compatible(m1, m2, pencil_points=(0, 0, 1, -1))
-    assert pva.is_compatible(H0, H1, pencil_points=(0, QQ(-7, 3), 5))
-
-
 # -- the bracket table against the per-coefficient jacobiator ----------------
 
 
@@ -295,6 +284,28 @@ def test_bracket_table_matches_the_per_coefficient_jacobiator():
         assert pva.is_poisson(h) is poisson
         verdicts.append(poisson)
     assert all(verdicts[1:12:2]) and False in verdicts
+
+
+def _compatible_by_sampling(h, k):
+    # is_compatible as it was: the pencil jacobiator, quadratic in t, is zero
+    # exactly when it is zero at three distinct points
+    return all(pva.is_poisson(h + k * t) for t in (1, 2, 3))
+
+
+def test_compatibility_matches_three_point_sampling():
+    m1, m2 = _current_algebra_pair()
+    ops = _rand_skew_operators(random.Random(67), 6)
+    pairs = [(H0, H1), (H1, H0 * QQ(-2, 3)), (m1, m2), (m2, m1), (m1, m1 * 5)]
+    pairs += list(itertools.combinations(ops, 2))
+    verdicts = []
+    for h, k in pairs:
+        want = _compatible_by_sampling(h, k)
+        assert pva.is_compatible(h, k) is want
+        verdicts.append(want)
+    # a pair of Poisson operators with no Poisson pencil, (M1, M2), and
+    # seeded pairs of both verdicts
+    assert verdicts[2] is False and pva.is_poisson(m1) and pva.is_poisson(m2)
+    assert True in verdicts[5:] and False in verdicts[5:]
 
 
 def test_is_poisson_derives_each_frechet_row_once(monkeypatch):

@@ -11,7 +11,6 @@ import helpers
 import oracle
 from magri import diffalg as da
 from magri import diffop as dop
-from magri import linsolve
 from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, U, V, ZERO
 from magri.errors import DimensionMismatch, MagriError, NoSolution, NotClosed
@@ -214,9 +213,14 @@ def test_v_problem_out_of_reach_in_log_has_no_solution():
             vc.integrate_exact(vc.variational_derivative(h))
 
 
+def _v_degree(m):
+    # the v degree of a tuple monomial, log v aside
+    return sum(e for var, _n, e in m if var == V)
+
+
 def _euler_mono_by_sum(m, var):
     # sum over n of (-d)^n d/dx^(n), as _euler_mono computed it before it
-    # delegated to euler_derivative
+    # delegated to euler_derivative; m is a tuple monomial
     f = da.DiffFunction([(m, 1)])
     acc = ZERO
     top = da.max_order(f, var)
@@ -230,7 +234,8 @@ def _euler_mono_by_sum(m, var):
 
 def _solve_v_density_all_blocks(g, widen_cap):
     # _solve_v_density as it was when it differentiated every candidate,
-    # including those of v degrees the right side never reaches
+    # including those of v degrees the right side never reaches, and solved
+    # over tuple monomials with the solver on sparse dicts
     if not g:
         return ZERO
     wt = da.weight(g)
@@ -248,19 +253,19 @@ def _solve_v_density_all_blocks(g, widen_cap):
             wt + 2, order_bound, v_floor, fields=(V,), include_log=True
         )
         by_deg = {}
-        for m in cands:
+        for m in map(da.unpack_mono, cands):
             e = _euler_mono_by_sum(m, V)
             if e:
-                by_deg.setdefault(vc._v_degree(m), []).append((m, e))
+                by_deg.setdefault(_v_degree(m), []).append((m, e))
         rhs_by_deg = {}
         for m, c in g.terms:
-            rhs_by_deg.setdefault(vc._v_degree(m) + 1, {})[m] = c
+            rhs_by_deg.setdefault(_v_degree(m) + 1, {})[m] = c
         parts = []
         failed = False
         for deg, rhs in sorted(rhs_by_deg.items()):
             block = by_deg.get(deg, [])
             cols = [{mm: cc for mm, cc in e.terms} for _m, e in block]
-            xs = linsolve.solve(cols, rhs)
+            xs = helpers.dict_solve(cols, rhs)
             if xs is None:
                 failed = True
                 break
@@ -299,18 +304,18 @@ def test_v_density_solves_only_the_blocks_the_right_side_reaches(monkeypatch):
         wt = rng.choice((2, 4, 6, 8))
         cands = da.monomials(wt, 4, -4, fields=(V,), include_log=True)
         picked = rng.sample(cands, min(len(cands), rng.randint(1, 4)))
-        f = da.DiffFunction.from_terms([(helpers.rand_coeff(rng), m) for m in picked])
+        f = da.DiffFunction.from_packed([(helpers.rand_coeff(rng), m) for m in picked])
         g = da.euler_derivative(f, V) if trial % 3 else f
         if not g:
             continue
-        reached = {vc._v_degree(m) + 1 for m, _c in g.terms}
+        reached = {_v_degree(m) + 1 for m, _c in g.terms}
         degrees_spanned |= reached
         laurent = laurent or da.min_v_exponent(g) < 0
         log = log or any(m[-1][0] == da.LOG_VAR for m, _c in g.terms)
         seen.clear()
         got = _outcome(lambda g, cap: vc._solve_v_density(g, da.weight(g), cap), g, 1)
         assert got == _outcome(_solve_v_density_all_blocks, g, 1), g
-        assert {vc._v_degree(m) for m in seen} <= reached
+        assert {_v_degree(da.unpack_mono(m)) for m in seen} <= reached
         outcomes.add(type(got))
     assert len(degrees_spanned) >= 4
     assert outcomes == {da.DiffFunction, str} and laurent and log
@@ -419,7 +424,8 @@ def _memoized_euler_mono():
     def euler_mono(m, var):
         out = table.get((m, var))
         if out is None:
-            out = table[m, var] = da.euler_derivative(da.DiffFunction([(m, 1)]), var)
+            f = da.DiffFunction([(da.unpack_mono(m), 1)])
+            out = table[m, var] = da.euler_derivative(f, var)
         return out
 
     return euler_mono
