@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 a verification failed, 3 no solution exists in
-the searched space, 4 malformed input.
+Exit codes: 0 success, 1 standard output was closed before everything
+was written (as by ``magri hierarchy ... | head``), 2 a verification
+failed, 3 no solution exists in the searched space, 4 malformed input.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import diffalg as da
@@ -29,7 +31,7 @@ from .errors import (
     NotSkewAdjoint,
 )
 
-OK, FAIL, NOSOL, BADINPUT = 0, 2, 3, 4
+OK, CLOSED, FAIL, NOSOL, BADINPUT = 0, 1, 2, 3, 4
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -423,7 +425,14 @@ def _shared_parser():
 def main(argv=None):
     args = _shared_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left goes to devnull, as the signal
+        # module's documentation advises, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED
     except ExprSyntaxError as exc:
         kind = "EXPONENT_ERROR" if isinstance(exc, ExponentError) else "SYNTAX_ERROR"
         at = "" if exc.line is None else f" at {exc.line}:{exc.col}"

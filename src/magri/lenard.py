@@ -371,9 +371,16 @@ class InvolutivityReport:
 def involutivity_report(runs, include_flows=True):
     """Check that all densities of the given runs are in involution.
 
-    Every pair of densities is bracketed under both built-in structures
-    and every pair of flows is commutated; the report carries the full
-    boolean matrices and the conjunction.
+    Every pair of distinct densities is bracketed under both built-in
+    structures and every pair of distinct flows is commutated; the report
+    carries the full boolean matrices and the conjunction.
+
+    Antisymmetry decides the rest without computation.  The diagonal is
+    True for any input: the bracket of h with itself is the integral of
+    xi . H xi with xi = grad h, and for skew H this equals the integral
+    of (H* xi) . xi = -(integral of xi . H xi), so it is zero; and
+    D_P(P) - D_P(P) = 0.  The entry (j, i) equals (i, j): swapping the
+    arguments of the bracket or of the commutator changes only its sign.
 
     Work shared between pairs is done once per report: the gradient
     grad h of each density and H grad h for each structure H.  The
@@ -402,12 +409,13 @@ def involutivity_report(runs, include_flows=True):
         tuple(f * da.denominator(p) for f in p) if include_flows and p is not None else None
         for p in flows
     ]
+    # the diagonal stays True, as the docstring shows
     b0 = [[True] * m for _ in range(m)]
     b1 = [[True] * m for _ in range(m)]
     fc = [[True] * m for _ in range(m)]
     ok = True
     for i in range(m):
-        for j in range(i, m):
+        for j in range(i + 1, m):
             for mat, hg in zip((b0, b1), hgrads):
                 val = da.is_total_derivative(da.dot(grads[j], hg[i]))
                 mat[i][j] = mat[j][i] = val
@@ -417,5 +425,5 @@ def involutivity_report(runs, include_flows=True):
                 val = not any(comm)
                 fc[i][j] = fc[j][i] = val
                 ok = ok and val
-        flows[i] = None  # pairs (i, j) with j >= i were its last
+        flows[i] = None  # pairs (i, j) with j > i were its last
     return InvolutivityReport(labels, b0, b1, fc, ok)

@@ -22,6 +22,18 @@ as a polynomial in lambda and mu, a :class:`diffop.SparsePoly` keyed by
 when every jacobiator vanishes.  All verifications here are exact
 identities in the differential ring, never numerical.
 
+Skew-symmetry, {u_j lambda u_i} = -{u_i -lambda-d u_j}, spares a Jacobi
+check the triples with i > j.  By sesquilinearity the -lambda-d inside the bracket
+with u_k at lambda + mu becomes mu, so {{u_j lambda u_i} lambda+mu u_k}
+= -{{u_i mu u_j} lambda+mu u_k}; the first two terms trade places the
+same way, and
+
+    J(u_j, u_i, u_k)(lambda, mu) = -J(u_i, u_j, u_k)(mu, lambda).
+
+A verdict therefore reads only the triples with i <= j.  The same
+skewness settles the diagonal of a Poisson bracket of functionals: the
+integral of xi . H xi is minus itself, so zero.
+
 The jacobiators of one H share most of their pieces: {u_i lambda a} for
 a coefficient a of H recurs in every triple whose first term reads a,
 and {c nu u_k} likewise.  Each public call therefore builds one bracket
@@ -144,9 +156,16 @@ class _BracketTable:
         return acc
 
     def is_poisson(self):
-        """Whether every jacobiator of H vanishes (H is taken as skew)."""
+        """Whether every jacobiator of H vanishes (H is taken as skew).
+
+        Only the triples with i <= j are built: for skew H,
+        J(u_j, u_i, u_k)(lambda, mu) = -J(u_i, u_j, u_k)(mu, lambda), so
+        the others vanish exactly when these do.
+        """
         n = self.n
         for i, j, k in product(range(1, n + 1), repeat=3):
+            if i > j:
+                continue
             # from_acc checks the exponents of every block, zero or not
             blocks = [DiffFunction.from_acc(a) for a in self.jacobiator(i, j, k).values()]
             if any(blocks):
@@ -194,7 +213,11 @@ def _jacobi_holds(h):
 
 
 def is_poisson(h):
-    """Exact Jacobi identity over every generator triple."""
+    """Exact Jacobi identity over every generator triple.
+
+    The triples with i <= j are built; skew-symmetry settles the rest,
+    J(u_j, u_i, u_k)(lambda, mu) = -J(u_i, u_j, u_k)(mu, lambda).
+    """
     h = _as_matrix(h)
     _require_skew(h)
     return _jacobi_holds(h)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -241,6 +244,28 @@ def test_unreadable_operator_file_exits_four(capsys, tmp_path):
     code, _, err = _run(capsys, "verify-poisson", "--op", str(path))
     assert code == 4
     assert err.startswith("INPUT_ERROR")
+
+
+def test_missing_operator_file_exits_four(capsys, tmp_path):
+    # an OSError of the input, not of the output, is still bad input
+    code, out, err = _run(capsys, "verify-poisson", "--op", str(tmp_path / "none.json"))
+    assert (code, out) == (4, "")
+    assert err.startswith("INPUT_ERROR") and "No such file" in err
+
+
+def test_closed_stdout_exits_one_without_an_input_error():
+    # the reader has gone before magri writes, as with `magri ... | head`:
+    # print raises BrokenPipeError, an OSError, which once reached the
+    # INPUT_ERROR handler and exited 4
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "magri.cli", "hierarchy", "--eps", "1", "--alpha", "1", "--steps", "1"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_json_readers_take_only_integer_orders_and_exponents(capsys, tmp_path):

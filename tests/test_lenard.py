@@ -326,6 +326,46 @@ def test_involutivity_report_shows_each_failing_pair():
             )
 
 
+def test_involutivity_report_computes_each_unordered_pair_once(monkeypatch):
+    # antisymmetry decides the diagonal and the mirrored pairs: a report on
+    # m labels makes m(m-1)/2 commutators and, under each of H0 and H1,
+    # m(m-1)/2 exactness tests
+    runs = [lenard.run_hierarchy(1, 0, 1), lenard.run_hierarchy(1, 1, 1)]
+    calls = {"commutator": 0, "exact": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(vc, "evolutionary_commutator", counted("commutator", vc.evolutionary_commutator))
+    monkeypatch.setattr(da, "is_total_derivative", counted("exact", da.is_total_derivative))
+    report = lenard.involutivity_report(runs)
+    m = len(report.labels)
+    assert m == 4 and report.all_ok
+    assert calls == {"commutator": m * (m - 1) // 2, "exact": m * (m - 1)}
+
+
+def test_involutivity_report_matches_the_full_square_pair_by_pair():
+    # every entry, the diagonal and the lower triangle included, against
+    # the public routines on the unscaled densities and flows
+    runs = [lenard.run_hierarchy(eps, alpha, 1) for eps in (0, 1) for alpha in (0, 1)]
+    report = lenard.involutivity_report(runs)
+    dens = [d for run in runs for d in run.densities]
+    flows = [p for run in runs for p in run.flows]
+    assert len(report.labels) == len(dens) == len(flows) == 8
+    for a in range(8):
+        for b in range(8):
+            for mat, h in ((report.bracket_h0, lenard.H0), (report.bracket_h1, lenard.H1)):
+                assert mat[a][b] == pva.poisson_bracket(dens[a], dens[b], h).is_zero()
+            assert report.flows_commute[a][b] == (
+                not any(vc.evolutionary_commutator(flows[a], flows[b]))
+            )
+    assert report.all_ok
+
+
 def test_hierarchy_runs_without_fraction_arithmetic(monkeypatch):
     # values hold int numerators over one denominator, so a chain with
     # rational gradients and densities (32/3*u^3 in xi_1 of chain (1, 0))

@@ -388,3 +388,52 @@ def test_flow_of_casimir_is_zero():
 
     s = lenard.seed(0, 1)
     assert pva.hamiltonian_flow(H0, s.density) == (ZERO, ZERO)
+
+
+def _swap_lambda_mu(poly):
+    """-J(mu, lambda) for a jacobiator J(lambda, mu)."""
+    return dop.SparsePoly([((m, l), -f) for (l, m), f in poly.terms])
+
+
+def test_skew_symmetry_settles_the_mirrored_checks():
+    # the three identities that let involutivity_report skip its diagonal
+    # and is_poisson skip the triples with i > j, on H0, H1 and random skew
+    # operators, most of them not Poisson, against Laurent and log inputs
+    rng = random.Random(5)
+    ops = [H0, H1]
+    for _ in range(12):
+        a = helpers.rand_matrix_op(rng, max_deg=2, terms=2, max_order=2, max_exp=2)
+        ops.append(a - dop.adjoint(a))
+    xs = [helpers.rand_vector(rng) for _ in range(6)]
+    text = " ".join(da.to_text(f) for x in xs for f in x)
+    assert "v^-" in text and "log(v)" in text
+    # the diagonal bracket: the integral of x . Hx vanishes for skew H
+    for h in ops:
+        assert dop.is_skew_adjoint(h)
+        for x in xs[:2]:
+            assert da.is_total_derivative(da.dot(x, dop.apply(h, x)))
+    # a field commutes with itself
+    for p in xs:
+        assert vc.evolutionary_commutator(p, p) == (ZERO, ZERO)
+    # J(u_j, u_i, u_k)(lambda, mu) = -J(u_i, u_j, u_k)(mu, lambda)
+    nonzero = 0
+    for h in ops:
+        jac = {t: pva.jacobiator(h, *t) for t in itertools.product((1, 2), repeat=3)}
+        for (i, j, k), val in jac.items():
+            assert jac[j, i, k] == _swap_lambda_mu(val)
+            nonzero += bool(val)
+    assert nonzero >= 80  # 91 of the 96 jacobiators of the random operators
+
+
+def test_is_poisson_builds_only_the_triples_with_i_at_most_j(monkeypatch):
+    built = []
+    jacobiator = pva._BracketTable.jacobiator
+
+    def counted(self, i, j, k):
+        built.append((i, j, k))
+        return jacobiator(self, i, j, k)
+
+    monkeypatch.setattr(pva._BracketTable, "jacobiator", counted)
+    assert pva.is_poisson(H0)
+    assert sorted(built) == [(i, j, k) for i, j, k in itertools.product((1, 2), repeat=3) if i <= j]
+    assert len(built) == 6
