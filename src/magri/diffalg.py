@@ -76,7 +76,13 @@ canonical value once at the end, dividing out the common factor with
 one ``math.gcd``.  The accumulator is rescaled only when a piece's
 denominator does not divide its own, to their lcm.  Summing with ``acc
 = acc + a * b`` instead would copy and re-sort the whole partial sum on
-every step.
+every step.  A product with a one-term factor c * m needs no dict at
+all: it adds the one int m to every monomial of the other factor, which
+keeps them distinct and in order, so the range is checked once over
+the shifted monomials, as ``from_acc`` checks it, and nothing is sorted.
+A power of one term is closed-form, (c * m)^n = c^n * (n * m), with
+each exponent times n checked against its bound before n * m is
+formed, since a field that overflows there would carry into the next.
 
 The total derivative acts by u_i^(n) -> u_i^(n+1) extended as a
 derivation, with d(v^-1) = -v'*v^-2 and d(log v) = v'/v.  Partial
@@ -137,7 +143,7 @@ MIN_V_EXP, MAX_V_EXP = -_OFF, _OFF - 1
 _LOG = 1 << EXP_BITS  # log v to the first power
 
 # The memo table of total derivatives of monomials, _DX_MONO, is cleared
-# when it reaches this many entries; the hierarchy benchmark fills about 40k.
+# when it reaches this many entries; the hierarchy benchmark fills about 30k.
 MEMO_CAP = 1 << 18
 
 _first = itemgetter(0)
@@ -365,6 +371,53 @@ def _df(pairs, den=1):
     return f
 
 
+def _overflow():
+    """The error for an exponent that left its range."""
+    return ExponentOverflow(
+        f"an exponent left its range: at most {MAX_EXP}, "
+        f"or [{MIN_V_EXP}, {MAX_V_EXP}] for the power of v"
+    )
+
+
+def _check_range(monos):
+    """Raise ExponentOverflow unless every packed monomial of ``monos`` is
+    in range; each must be a sum of two in-range monomials (or one shifted
+    by a g'/g), so that no field has carried into the next."""
+    # an exponent out of range sets the top bit of a field of m + _OFF,
+    # or makes m + _OFF negative (see the module docstring)
+    bits = reduce(or_, map(_OFF.__add__, monos), 0)
+    if bits < 0 or bits & _guard(-(-bits.bit_length() // EXP_BITS)):
+        raise _overflow()
+
+
+def _mono_power(m, n):
+    """n * m: the packed monomial m to the power n >= 1.
+
+    Each exponent times n is checked against its bound before the
+    product is formed: a field that overflows carries into the next one,
+    where :func:`_check_range` cannot see it (u^70000 would pack to
+    u^4464*v').
+    """
+    e = ((m + _OFF) & _MASK) - _OFF  # the power of v
+    rest = (m - e) >> EXP_BITS  # the other fields, each in [0, MAX_EXP]
+    top = _guard(-(-rest.bit_length() // EXP_BITS))
+    # a field f of rest has f * n > MAX_EXP exactly when f + MAX_EXP - MAX_EXP // n
+    # sets its top bit; that sum stays below 2^EXP_BITS, so nothing carries
+    bump = (top >> (EXP_BITS - 1)) * (MAX_EXP - MAX_EXP // n)
+    if not MIN_V_EXP <= e * n <= MAX_V_EXP or (rest + bump) & top:
+        raise _overflow()
+    return m * n
+
+
+def _times_term(f, g):
+    """f * g for a g of one term c * m: each monomial of f shifts by m,
+    which keeps them distinct and in order."""
+    (m0, c0), = g._t
+    items = [(m + m0, c * c0) for m, c in f._t]
+    _check_range([m for m, _c in items])
+    return _canon(items, f._den * g._den)
+
+
 def _canon(items, den):
     """The DiffFunction of a sorted list of distinct packed monomials with
     nonzero int numerators over den > 0, the common factor divided out."""
@@ -412,14 +465,7 @@ class DiffFunction:
         checked to be in range (see the module docstring).
         """
         d = acc.d
-        # an exponent out of range sets the top bit of a field of m + _OFF,
-        # or makes m + _OFF negative (see the module docstring)
-        bits = reduce(or_, map(_OFF.__add__, d), 0)
-        if bits < 0 or bits & _guard(-(-bits.bit_length() // EXP_BITS)):
-            raise ExponentOverflow(
-                f"an exponent left its range: at most {MAX_EXP}, "
-                f"or [{MIN_V_EXP}, {MAX_V_EXP}] for the power of v"
-            )
+        _check_range(d)
         items = [(m, c) for m, c in d.items() if c]
         items.sort(key=_first)
         if acc.den == 1:
@@ -522,6 +568,10 @@ class DiffFunction:
             )
         if not isinstance(other, DiffFunction):
             return NotImplemented
+        if len(other._t) == 1:
+            return _times_term(self, other)
+        if len(self._t) == 1:
+            return _times_term(other, self)
         acc = Accumulator()
         addmul_into(acc, self, other)
         return DiffFunction.from_acc(acc)
@@ -536,6 +586,9 @@ class DiffFunction:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise MagriError("powers of differential functions must be nonnegative integers")
+        if n and len(self._t) == 1:  # (c * m)^n = c^n * m^n, in closed form
+            (m, c), = self._t
+            return _df(((_mono_power(m, n), c**n),), self._den**n)
         out = ONE
         base = self
         while n:

@@ -236,9 +236,13 @@ def apply_scalar(a, f):
 
 
 class MatrixDiffOp:
-    """A grid of scalar differential operators."""
+    """A grid of scalar differential operators.
 
-    __slots__ = ("entries",)
+    ``_skew`` is None until :func:`is_skew_adjoint` first decides the
+    operator, and from then on holds its verdict.
+    """
+
+    __slots__ = ("entries", "_skew")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -249,6 +253,7 @@ class MatrixDiffOp:
                 if not isinstance(e, ScalarDiffOp):
                     raise MagriError("matrix entries must be scalar operators")
         self.entries = rows
+        self._skew = None
 
     @property
     def shape(self):
@@ -338,9 +343,19 @@ def apply(h, vec):
 
 
 def is_skew_adjoint(h):
+    """Whether h* == -h, exactly.
+
+    A :class:`MatrixDiffOp` keeps its verdict, True or False, in its
+    ``_skew`` slot, as a DiffFunction keeps its derivative in ``_d``: the
+    adjoint is built once per object, and the verdict lives as long as
+    the object does.  An equal operator built elsewhere decides anew, and
+    a ScalarDiffOp is decided on every call.
+    """
     if isinstance(h, ScalarDiffOp):
         return adjoint_scalar(h) == -h
-    return adjoint(h) == -h
+    if h._skew is None:
+        h._skew = adjoint(h) == -h
+    return h._skew
 
 
 def kernel_verify(h, vec):

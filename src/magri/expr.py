@@ -18,13 +18,24 @@ the whole input.
 
 Example inputs:  "u'' + 4*u^2",  "1/v^2",  "-3/2*(v')^2*v^-4",
 "d^3 + 2*u*d + u'",  "D(u*u')",  "d, u; u, d".
+
+Values are built straight from packed monomials (see :mod:`magri.diffalg`):
+a jet or log(v) is its packed unit 1 << EXP_BITS*slot, an integer n the
+one pair (0, n), and the divisor of '/' or the base of a negative power,
+a term c*v^e, is read from its one pair, whose packed monomial is the
+int e itself.  A product with a one-term operand shifts the monomials
+of the other, and a power of one term is closed-form, so a product of
+one-term factors never sorts or hashes a monomial.  Products are
+still formed left to right, so an exponent that leaves its range
+raises ExponentOverflow on the same inputs, with the same message, as
+when every product went through the general multiply-accumulate.
 """
 
 from __future__ import annotations
 
 from . import diffalg as da
 from . import diffop as dop
-from .diffalg import DiffFunction, U, V
+from .diffalg import EXP_BITS, LOG_VAR, MAX_V_EXP, MIN_V_EXP, DiffFunction, U, V, _df, _slot
 from .errors import ExponentError, ExprSyntaxError
 
 _NAMES = ("u", "v", "d", "D", "log")
@@ -62,6 +73,11 @@ def _tokenize(text):
         i = j
     toks.append(("end", "", line, n + 1 - start))
     return toks
+
+
+def _unit(var, order):
+    """The generator (var, order) as a value: its packed unit, coefficient 1."""
+    return _df(((1 << EXP_BITS * _slot(var, order), 1),))
 
 
 def _as_operator(val):
@@ -145,7 +161,8 @@ class _Parser:
         t = self.take()
         kind, text = t[0], t[1]
         if kind == "int":
-            return da.const(int(text))
+            n = int(text)
+            return _df(((0, n),)) if n else da.ZERO
         if kind == "(":
             val = self.expr()
             self.take(")")
@@ -159,7 +176,7 @@ class _Parser:
                 if inner[1] != "v":
                     self.fail("log takes v only", inner)
                 self.take(")")
-                return da.log_v()
+                return _unit(LOG_VAR, 0)
             if text == "D":
                 self.take("(")
                 val = self.expr()
@@ -181,17 +198,20 @@ class _Parser:
             self.pos += 2
             order = int(self.take("int")[1])
             self.take(")")
-        return da.jet(var, order)
+        return _unit(var, order)
 
     def _inverse(self, val, tok, power=False):
         """1/val for a term c*v^e with c a nonzero rational, the values
         that division (or, with ``power``, a negative power) accepts."""
         if isinstance(val, dop.ScalarDiffOp):
             self.fail("operators take nonnegative powers only" if power else "cannot divide by an operator", tok)
-        e = da.max_v_exponent(val) or da.min_v_exponent(val)
-        c = val.coeff(((V, 0, e),))
-        if c and len(val) == 1:
-            return da.v_pow(-e) * da.coeff_div(1, c)
+        if len(val) == 1 and MIN_V_EXP <= val._t[0][0] <= MAX_V_EXP:
+            # a pure power v^e packs to the int e itself
+            (e, c), = val._t
+            if e == MIN_V_EXP:
+                da.v_pow(-e)  # out of range: pack_mono raises its error
+            den = val._den
+            return _df(((-e, den if c > 0 else -den),), abs(c))
         if power:
             raise ExponentError("negative exponents are allowed on v only", tok[2], tok[3])
         if not val:

@@ -19,7 +19,7 @@ from magri import cli, expr, lenard, pva, render
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import varcalc as vc
-from magri.errors import ExponentError, ExprSyntaxError, NoSolution
+from magri.errors import ExponentError, ExponentOverflow, ExprSyntaxError, NoSolution
 
 
 def _run(capsys, *argv):
@@ -132,6 +132,99 @@ def test_grammar_errors_name_their_place_in_the_whole_input(fn, text, cls, messa
         fn(text)
     err = info.value
     assert (type(err), err.message, err.line, err.col) == (cls, message, line, col)
+
+
+def _plain_mul(f, g):
+    """f * g through the general multiply-accumulate, as every product was
+    formed before one-term operands shifted monomials."""
+    acc = da.Accumulator()
+    da.addmul_into(acc, f, g)
+    return da.DiffFunction.from_acc(acc)
+
+
+def _plain_pow(f, n):
+    out = da.ONE
+    for _ in range(n):
+        out = _plain_mul(out, f)
+    return out
+
+
+# precedence levels of the random expression texts below: a sum, a term (a
+# product or a quotient), a factor (a power, or v^-k), and an atom, which
+# alone takes a power without parentheses of its own
+_SUM, _TERM, _FACTOR, _ATOM = range(4)
+_KINDS = ("sum",) * 3 + ("product",) * 3 + ("neg", "quotient", "power", "inverse", "group", "D")
+
+
+def _wrap(tree, level):
+    """The text of tree, parenthesized unless it binds at least as tightly as level."""
+    text, lvl, _val = tree
+    return text if lvl >= level else f"({text})"
+
+
+def _rand_expr(rng, depth):
+    """(text, level, value) of a random expression over Laurent and log
+    atoms, its value built with the plain ring operations."""
+    if depth == 0 or rng.random() < 0.2:
+        kind = rng.randrange(5)
+        if kind == 0:
+            n = rng.randint(0, 9)
+            return str(n), _ATOM, da.const(n)
+        if kind == 1:
+            return "log(v)", _ATOM, da.log_v()
+        if kind == 2:
+            k = rng.randint(1, 4)
+            return f"v^-{k}", _FACTOR, da.v_pow(-k)
+        var, n = rng.choice("uv"), rng.randint(0, 3)
+        text = var + "'" * n if n < 3 else f"{var}^({n})"
+        return text, _ATOM, da.jet(da.U if var == "u" else da.V, n)
+    kind = rng.choice(_KINDS)
+    if kind in ("quotient", "inverse"):
+        # a divisor c*v^e, and its inverse from the tuple form of one term
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3))
+        e = rng.randint(-3, 3)
+        div = f"({c.numerator}/{c.denominator}*v^{e})"
+        if c.denominator == 1:
+            div = str(c) if e == 0 and c > 0 else f"({c}*v^{e})"
+        inv = da.DiffFunction([(((da.V, 0, -e),), 1 / c)])
+        if kind == "inverse":
+            n = rng.randint(1, 3)
+            return f"{div}^-{n}", _FACTOR, _plain_pow(inv, n)
+        a = _rand_expr(rng, depth - 1)
+        return f"{_wrap(a, _TERM)}/{div}", _TERM, _plain_mul(a[2], inv)
+    a = _rand_expr(rng, depth - 1)
+    if kind == "sum":
+        b = _rand_expr(rng, depth - 1)
+        if rng.random() < 0.5:
+            return f"{a[0]} + {_wrap(b, _TERM)}", _SUM, a[2] + b[2]
+        return f"{a[0]} - {_wrap(b, _TERM)}", _SUM, a[2] - b[2]
+    if kind == "neg":
+        return f"-{_wrap(a, _TERM)}", _SUM, -a[2]
+    if kind == "product":
+        b = _rand_expr(rng, depth - 1)
+        return f"{_wrap(a, _TERM)}*{_wrap(b, _FACTOR)}", _TERM, _plain_mul(a[2], b[2])
+    if kind == "power":
+        n = rng.randint(0, 3 if len(a[2]) < 4 else 1)
+        return f"{_wrap(a, _ATOM)}^{n}", _FACTOR, _plain_pow(a[2], n)
+    if kind == "group":
+        return f"({a[0]})", _ATOM, a[2]
+    return f"D({a[0]})", _ATOM, da.total_derivative(a[2])
+
+
+def test_parsed_values_equal_the_plain_ring_operations():
+    rng = random.Random(29)
+    trees = [_rand_expr(rng, rng.randint(1, 5)) for _ in range(300)]
+    for text, _lvl, val in trees:
+        assert expr.parse(text) == val, text
+    assert sum(len(val) > 1 for _t, _l, val in trees) > 100
+    # operator mode: functions embed as multiplications, d composes
+    for (a, _, fa), (b, _, fb), (c, _, fc) in zip(trees[:30:3], trees[1:30:3], trees[2:30:3]):
+        ma, mb, mc = (dop.multiplication(f) for f in (fa, fb, fc))
+        assert expr.parse_scalar_operator(a) == ma, a
+        assert expr.parse_scalar_operator(f"({a})*d + d*({b})") == ma * dop.D + dop.D * mb
+        assert expr.parse_operator(f"{a}, d*({b}); {c}, d") == dop.MatrixDiffOp(
+            [[ma, dop.D * mb], [mc, dop.D]]
+        )
 
 
 def test_division_and_negative_powers_invert_one_term_of_v():
@@ -498,6 +591,37 @@ def test_exponent_out_of_range_exits_four(capsys):
         assert "exponent" in err or "power of v" in err
     code, out, _ = _run(capsys, "fmt", "u^32767*v^-16384")
     assert (code, out) == (0, "u^32767*v^-16384\n")
+
+
+_LEFT_RANGE = "an exponent left its range: at most 32767, or [-16384, 16383] for the power of v"
+
+# (input, the ExponentOverflow message, or None when the input parses):
+# values are built from packed ints, and a field that overflows would
+# carry into the next one (u^70000 would read as u^4464*v'), so each of
+# these must keep the error it gave when every value went through the
+# general product
+EXPONENT_RANGE = [
+    ("v^16383*(v + 1)*v^-1", _LEFT_RANGE),
+    ("u^70000", _LEFT_RANGE),
+    ("(v^-2)^-8192", _LEFT_RANGE),
+    ("v^-16385", _LEFT_RANGE),
+    ("(u*v')^20000*u^20000", _LEFT_RANGE),
+    ("1/v^-16384", "power 16384 of v is outside [-16384, 16383]"),
+    ("v^-16384", None),
+    ("u^32767*v^-16384", None),
+]
+
+
+@pytest.mark.parametrize("text, message", EXPONENT_RANGE)
+def test_exponent_range_through_parse_and_fmt(capsys, text, message):
+    if message is None:
+        assert da.to_text(expr.parse(text)) == text
+        assert _run(capsys, "fmt", text) == (0, text + "\n", "")
+        return
+    with pytest.raises(ExponentOverflow) as info:
+        expr.parse(text)
+    assert (type(info.value), str(info.value)) == (ExponentOverflow, message)
+    assert _run(capsys, "fmt", text) == (4, "", f"INPUT_ERROR: {message}\n")
 
 
 def test_verify_poisson_exponent_overflow_exits_four(capsys):

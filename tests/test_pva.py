@@ -13,11 +13,11 @@ import magri
 import oracle
 from magri import diffalg as da
 from magri import diffop as dop
-from magri import pva
+from magri import lenard, pva
 from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, ZERO
 from magri.errors import DimensionMismatch, ExponentOverflow, NotSkewAdjoint
-from magri.expr import parse_operator
+from magri.expr import parse, parse_operator
 
 
 H0, H1 = dop.builtin_pair()
@@ -41,6 +41,56 @@ def test_bracket_requires_skew():
     bad = dop.MatrixDiffOp([[dop.D, dop.ScalarDiffOp()], [dop.ScalarDiffOp(), dop.multiplication(da.u_jet(0))]])
     with pytest.raises(NotSkewAdjoint):
         pva.generator_bracket(bad, 1, 1)
+
+
+@pytest.fixture
+def adjoint_calls(monkeypatch):
+    """The operators dop.adjoint is called on, in order."""
+    calls = []
+    adjoint = dop.adjoint
+
+    def counted(h):
+        calls.append(h)
+        return adjoint(h)
+
+    monkeypatch.setattr(dop, "adjoint", counted)
+    return calls
+
+
+def test_a_matrix_operator_keeps_its_skew_verdict(monkeypatch, adjoint_calls):
+    f = LocalFunctional(parse("u*v^-1 + log(v)*v'"))
+    g = LocalFunctional(parse("u^2*v - (v')^2*v^-3"))
+    h = lenard.structure(1)
+    monkeypatch.setattr(h, "_skew", None)  # undecided, whatever ran before
+    first = pva.poisson_bracket(f, g, h)
+    assert pva.poisson_bracket(f, g, h).rep == first.rep
+    assert adjoint_calls == [h] and h._skew is True
+    # a False verdict is kept too, and raises on every call
+    bad = dop.MatrixDiffOp([[dop.D, dop.ScalarDiffOp()], [dop.ScalarDiffOp(), dop.multiplication(da.u_jet(0))]])
+    for _ in range(2):
+        with pytest.raises(NotSkewAdjoint):
+            pva.poisson_bracket(f, g, bad)
+    assert adjoint_calls == [h, bad] and bad._skew is False
+    # the verdict belongs to the object: an equal operator built elsewhere decides anew
+    again = dop.builtin_pair()[1]
+    assert again == h and again is not h and again._skew is None
+    assert dop.is_skew_adjoint(again) and adjoint_calls == [h, bad, again]
+
+
+def test_a_scalar_operator_is_decided_on_every_call(adjoint_calls):
+    f = LocalFunctional(parse("u^3*log(v)"))
+    g = LocalFunctional(parse("(u')^2*v^-1"))
+    want = pva.poisson_bracket(f, g, dop.MatrixDiffOp([[dop.D]])).rep
+    for _ in range(2):
+        assert pva.poisson_bracket(f, g, dop.D).rep == want
+    # pva wraps a scalar operator in a new 1x1 matrix on each call
+    assert len(adjoint_calls) == 3
+    mu = dop.multiplication(da.u_jet(0))
+    for _ in range(2):
+        assert dop.is_skew_adjoint(dop.D) and not dop.is_skew_adjoint(mu)
+        with pytest.raises(NotSkewAdjoint):
+            pva.poisson_bracket(f, g, mu)
+    assert len(adjoint_calls) == 5
 
 
 def test_bracket_with_function_checks_the_generator_index():
