@@ -8,6 +8,7 @@ failed, 3 no solution exists in the searched space, 4 malformed input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -49,18 +50,27 @@ def _same(f):
     return f
 
 
-def _json_into(out, obj, indent):
-    """Append the text of obj, laid out as json.dumps(obj, indent=2) does;
-    a DiffFunction is written as json.dumps would write its
-    render.function_to_json form."""
+def _json_into(write, obj, indent):
+    """Pass the text of json.dumps(obj, indent=2) to ``write`` piece by
+    piece, for str, int, bool, None, lists, tuples and str-keyed dicts,
+    with each DiffFunction f written as its render.function_to_json(f)
+    would be; any other type raises TypeError.  ``indent`` is the
+    indent of the line obj starts on.
+
+    Given an indent, json.dumps runs the json module's pure-Python
+    encoder over a tree of dicts and lists.  The payloads of the commands
+    carry their functions themselves instead, and each function's text
+    comes from render.function_json_text, written from its packed terms
+    with no intermediate tree.
+    """
     leaf = _LEAF.get(type(obj))
     if leaf is not None:
-        out.append(leaf(obj))
+        write(leaf(obj))
     elif type(obj) is DiffFunction:
-        out.append(render.function_json_text(obj, indent))
+        write(render.function_json_text(obj, indent))
     elif isinstance(obj, (list, tuple, dict)):
         if not obj:
-            out.append("{}" if isinstance(obj, dict) else "[]")
+            write("{}" if isinstance(obj, dict) else "[]")
             return
         get = _LEAF.get
         inner = indent + "  "
@@ -70,58 +80,45 @@ def _json_into(out, obj, indent):
             for key, item in obj.items():
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
-                out.append(sep + _encode_str(key) + ": ")
+                write(sep + _encode_str(key) + ": ")
                 sep = comma
                 leaf = get(type(item))
                 if leaf is None:
-                    _json_into(out, item, inner)
+                    _json_into(write, item, inner)
                 else:
-                    out.append(leaf(item))
-            out.append("\n" + indent + "}")
+                    write(leaf(item))
+            write("\n" + indent + "}")
         else:
             sep = "[\n" + inner
             for item in obj:
-                out.append(sep)
+                write(sep)
                 sep = comma
                 leaf = get(type(item))
                 if leaf is None:
-                    _json_into(out, item, inner)
+                    _json_into(write, item, inner)
                 else:
-                    out.append(leaf(item))
-            out.append("\n" + indent + "]")
+                    write(leaf(item))
+            write("\n" + indent + "]")
     elif isinstance(obj, str):  # subclasses of the leaf types; bool has none
-        out.append(_encode_str(obj))
+        write(_encode_str(obj))
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        write(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(payload):
-    """json.dumps(payload, indent=2), for str, int, bool, None, lists, tuples and
-    str-keyed dicts, with each DiffFunction f written as its
-    render.function_to_json(f) would be; any other type raises TypeError.
-
-    Given an indent, json.dumps runs the json module's pure-Python
-    encoder over a tree of dicts and lists.  The payloads of the commands
-    carry their functions themselves instead, and each function's text
-    comes from render.function_json_text, written from its packed terms
-    with no intermediate tree.
-    """
-    out = []
-    _json_into(out, payload, "")
-    return "".join(out)
-
-
 def _emit(args, payload):
-    text = payload if isinstance(payload, str) else _json_text(payload)
+    """Write payload, a str or a JSON payload as :func:`_json_into` takes it,
+    and a newline to the --out file or to standard output.  The JSON text
+    goes out piece by piece as it is made: joined first, the text of a
+    depth-4 hierarchy run would need as much memory again as the run."""
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        print(text)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            _json_into(fh.write, payload, "")
+        fh.write("\n")
 
 
 def _add_structure_args(p, count=1):
@@ -223,6 +220,9 @@ def cmd_hierarchy(args):
         with_densities=not args.no_densities,
         widen_cap=args.widen_cap,
     )
+    # writing the run reads no derivatives
+    values = [f for vec in run.gradients + run.flows for f in vec]
+    da.drop_derivatives(values + [h.rep for h in run.densities if h is not None])
     if args.latex:
         lines = []
         for n, grad in enumerate(run.gradients):

@@ -90,6 +90,17 @@ derivatives satisfy the shift relation [d/du_i^(n), d] = d/du_i^(n-1).
 Grading: a jet of order n has weight n + 2, v^-1 has weight -2 and
 log v has weight 0.
 
+A factor g^e of a monomial m contributes e * m * g'/g to its total
+derivative, and g'/g is one packed int per slot: ``_DX_V`` for v,
+``_DX_LOG`` for log v and ``_DX_STEP`` times the unit of the slot for
+a jet.  The memo ``_DX_MONO`` keeps, for each monomial differentiated,
+its entry: the tuple of its (g'/g, e) pairs, one per factor, and
+:func:`_dx_into` forms each m + g'/g as it reads them.  A pair is one
+object, kept in ``_DX_PAIRS`` and shared by every entry with that
+factor, so an entry costs its tuple and its dict slot: about 120 bytes
+with the key after a hierarchy run.  Both tables are cleared together
+when the memo reaches ``MEMO_CAP`` entries.
+
 Each value keeps its own derivative tower.  The ``_d`` slot of a
 :class:`DiffFunction` is None until :func:`total_derivative` first
 differentiates it, and from then on holds f' (ZERO itself when f' is
@@ -99,7 +110,10 @@ the lambda-bracket tables and flow commutators all read derivatives
 through that one function.  The chain lives exactly as long as f does:
 no module-level table holds it, so it never outgrows the values in
 use.  The memo belongs to the object, not to its value: an equal
-function built elsewhere builds its own chain.
+function built elsewhere builds its own chain.  :func:`drop_derivatives`
+lets the chains of values that are still in use but done with
+derivatives go early, as ``magri hierarchy`` does before it writes a
+finished run.
 
 Subalgebras
 -----------
@@ -142,8 +156,10 @@ MAX_EXP = (1 << (EXP_BITS - 1)) - 1
 MIN_V_EXP, MAX_V_EXP = -_OFF, _OFF - 1
 _LOG = 1 << EXP_BITS  # log v to the first power
 
-# The memo table of total derivatives of monomials, _DX_MONO, is cleared
-# when it reaches this many entries; the hierarchy benchmark fills about 30k.
+# The memo of total derivatives of monomials, _DX_MONO, and its pair table
+# are cleared when the memo reaches this many entries; the hierarchy
+# benchmark's four chains fill 30,086, about 3.5 MB; a full memo at that
+# size per entry takes about 30 MB.
 MEMO_CAP = 1 << 18
 
 _first = itemgetter(0)
@@ -661,25 +677,33 @@ _DX_LOG = _DX_V - _LOG
 _DX_STEP = (1 << 2 * EXP_BITS) - 1
 
 _DX_MONO = {}
+_DX_PAIRS = {}  # each (g'/g, exponent) pair of the _DX_MONO entries, stored once
 
 
 def _dx_mono(m):
     """Total derivative of a packed monomial by the product rule.
 
-    A factor g^e of m contributes e * m * g'/g.  Returns the sorted
-    tuple of (packed monomial, coefficient) pairs, all distinct: the
-    g'/g grow with the slot of g, except that log v's is below v's.
+    A factor g^e of m contributes e * m * g'/g.  Returns the tuple of
+    (packed g'/g, exponent) pairs, one per factor, in increasing order
+    of g'/g: the g'/g grow with the slot of g, except that log v's is
+    below v's, so the monomials m + g'/g are distinct and sorted.  Each
+    pair is the one object of ``_DX_PAIRS`` for its value, shared by
+    every entry that holds it.
     """
     t = _DX_MONO.get(m)
     if t is None:
+        pairs = _DX_PAIRS
+        if len(_DX_MONO) >= MEMO_CAP:
+            _DX_MONO.clear()
+            pairs.clear()
         t = []
         x = m + _OFF
         e = (x & _MASK) - _OFF
         x >>= EXP_BITS
         if x & _MASK:
-            t.append((m + _DX_LOG, x & _MASK))
+            t.append((_DX_LOG, x & _MASK))
         if e:
-            t.append((m + _DX_V, e))
+            t.append((_DX_V, e))
         x >>= EXP_BITS
         step = _DX_STEP << 2 * EXP_BITS
         while x:
@@ -691,13 +715,11 @@ def _dx_mono(m):
                 x >>= z
                 step <<= z
                 e = x & _MASK
-            t.append((m + step, e))
+            t.append((step, e))
             x >>= EXP_BITS
             step <<= EXP_BITS
-        t = tuple(t)  # total_derivative checks the exponents
-        if len(_DX_MONO) >= MEMO_CAP:
-            _DX_MONO.clear()
-        _DX_MONO[m] = t
+        # total_derivative checks the exponents of the m + g'/g
+        t = _DX_MONO[m] = tuple([pairs.setdefault(p, p) for p in t])
     return t
 
 
@@ -715,7 +737,8 @@ def _dx_into(acc, f, k=1):
         t = memo.get(m)
         if t is None:
             t = _dx_mono(m)
-        for dm, e in t:
+        for step, e in t:
+            dm = m + step
             d[dm] = get(dm, 0) + c * e
 
 
@@ -724,8 +747,11 @@ def total_derivative(f, n=1):
 
     Walks the chain f, f', f'', ... of ``_d`` slots, computing and
     keeping each derivative not yet there; a zero derivative is ZERO
-    itself, which ends the walk.
+    itself, which ends the walk.  An ``n`` that is not a nonnegative int
+    raises MagriError.
     """
+    if not isinstance(n, int) or n < 0:
+        raise MagriError("the order of a total derivative must be a nonnegative integer")
     for _ in range(n):
         d = f._d
         if d is None:
@@ -736,6 +762,13 @@ def total_derivative(f, n=1):
             return d
         f = d
     return f
+
+
+def drop_derivatives(fs):
+    """Let go of the derivative towers kept on the functions ``fs``; a
+    later :func:`total_derivative` builds them again."""
+    for f in fs:
+        f._d = None
 
 
 def partial_derivative(f, gen):

@@ -705,6 +705,13 @@ def test_eps0_alpha1_depth2_hierarchy_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_E0A1_2
 
 
+def _json_text(payload):
+    """The whole text the CLI writes for a JSON payload, newline aside."""
+    out = []
+    cli._json_into(out.append, payload, "")
+    return "".join(out)
+
+
 def test_depth3_eps0_chain_keeps_its_checks_and_order_law():
     # the v-only solver differentiates only the candidates of the blocks it
     # solves; differentiating all of them made this chain take minutes
@@ -712,7 +719,7 @@ def test_depth3_eps0_chain_keeps_its_checks_and_order_law():
     assert run.checks == {"memberships": True, "densities": True, "casimir_pairing": True}
     assert [run.orders[n] for n in (1, 2, 3)] == [(6 * n - 2, 6 * n) for n in (1, 2, 3)]
     assert run.flow_orders == [6 * n + 5 for n in range(4)]
-    out = cli._json_text(render.run_to_json(run)) + "\n"  # what `magri hierarchy` prints
+    out = _json_text(render.run_to_json(run)) + "\n"  # what `magri hierarchy` prints
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_E0A0_3
 
 
@@ -731,13 +738,13 @@ _JSON_PAYLOADS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_JSON_PAYLOADS)
 def test_json_writer_matches_the_json_module(payload):
-    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+    assert _json_text(payload) == json.dumps(payload, indent=2)
 
 
 def test_json_writer_rejects_other_types():
     for bad in (1.5, da.QQ(1, 2), {1, 2}, b"x", object(), {1: "a"}, ["a", [None, 2.0]]):
         with pytest.raises(TypeError):
-            cli._json_text(bad)
+            _json_text(bad)
 
 
 def _writer_functions(rng):
@@ -765,15 +772,15 @@ def test_function_text_writer_matches_the_json_module():
     # the payload shapes of the commands: a function, a vector, an operator
     # and a run, with the functions themselves in them
     for f, g in zip(fs, fs[1:] + fs[:1]):
-        assert cli._json_text(f) == json.dumps(render.function_to_json(f), indent=2)
+        assert _json_text(f) == json.dumps(render.function_to_json(f), indent=2)
         vec = (f, g)
-        assert cli._json_text(vec) == json.dumps(render.vector_to_json(vec), indent=2)
+        assert _json_text(vec) == json.dumps(render.vector_to_json(vec), indent=2)
         op = dop.MatrixDiffOp([[dop.ScalarDiffOp([(0, f), (2, g)]), dop.ScalarDiffOp([(1, g)])]])
-        assert cli._json_text(render.operator_to_json(op, cli._same)) == json.dumps(
+        assert _json_text(render.operator_to_json(op, cli._same)) == json.dumps(
             render.operator_to_json(op), indent=2
         )
     run = lenard.run_hierarchy(1, 1, 2)
-    assert cli._json_text(render.run_to_json(run, cli._same)) == json.dumps(
+    assert _json_text(render.run_to_json(run, cli._same)) == json.dumps(
         render.run_to_json(run), indent=2
     )
 
@@ -782,11 +789,25 @@ def test_function_text_writer_leaves_the_terms_cache_empty():
     rng = random.Random(7)
     for f in _writer_functions(rng):
         render.function_json_text(f, "  ")
-        cli._json_text({"f": [f]})
+        _json_text({"f": [f]})
         assert f._terms is None
 
 
-def test_hierarchy_json_equals_the_json_module_text(capsys, tmp_path):
+class _Pieces:
+    """A standard output that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_hierarchy_json_equals_the_json_module_text(capsys, tmp_path, monkeypatch):
     argv = ["hierarchy", "--eps", "1", "--alpha", "1", "--steps", "2"]
     want = json.dumps(render.run_to_json(lenard.run_hierarchy(1, 1, 2)), indent=2) + "\n"
     code, out, err = _run(capsys, *argv)
@@ -795,6 +816,37 @@ def test_hierarchy_json_equals_the_json_module_text(capsys, tmp_path):
     code, out, err = _run(capsys, *argv, "--out", str(path))
     assert (code, out, err) == (0, "", "")
     assert path.read_bytes() == want.encode()
+    # the text goes out as it is made, never joined into one string first
+    stdout = _Pieces()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(argv) == 0
+    assert "".join(stdout.pieces) == want
+    assert max(map(len, stdout.pieces)) < len(want) // 2
+
+
+def _run_values(run):
+    values = [f for vec in run.gradients + run.flows for f in vec]
+    return values + [h.rep for h in run.densities]
+
+
+def test_hierarchy_lets_the_derivative_towers_of_its_run_go(capsys, monkeypatch):
+    runs = []
+    run_hierarchy = lenard.run_hierarchy
+
+    def keep(*args, **kw):
+        runs.append(run_hierarchy(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(lenard, "run_hierarchy", keep)
+    code, out, _ = _run(capsys, "hierarchy", "--eps", "1", "--alpha", "1", "--steps", "2")
+    assert code == 0
+    (run,) = runs
+    values = _run_values(run)
+    assert all(f._d is None for f in values)
+    # a run made outside the CLI keeps its towers; the dropped ones are built again, equal
+    kept = _run_values(run_hierarchy(1, 1, 2))
+    assert any(f._d is not None for f in kept)
+    assert [da.total_derivative(f, 3) for f in values] == [da.total_derivative(f, 3) for f in kept]
 
 
 def test_json_reader_errors_carry_no_text_position(capsys, tmp_path):

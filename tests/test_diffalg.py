@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 import oracle
+import magri
 from magri import diffalg as da
 from magri.diffalg import (
     LOG_VAR,
@@ -21,6 +22,7 @@ from magri.diffalg import (
     V,
     ZERO,
 )
+from magri.errors import MagriError
 
 rng_strategy = st.integers(min_value=0, max_value=10**9).map(random.Random)
 
@@ -470,7 +472,64 @@ def test_dx_mono_is_the_product_rule():
     assert any(da.mono_exp(da.pack_mono(m), V, 0) < 0 for m in monos)
     assert any(da.mono_exp(da.pack_mono(m), LOG_VAR, 0) > 1 for m in monos)
     for m in monos:
-        assert da._dx_mono(da.pack_mono(m)) == _dx_mono_by_factors(m)._t, m
+        pm = da.pack_mono(m)
+        # an entry holds one (g'/g, exponent) pair per factor; the terms it yields are m + g'/g
+        got = tuple((pm + step, e) for step, e in da._dx_mono(pm))
+        assert got == _dx_mono_by_factors(m)._t, m
+
+
+def _derivative_by_factors(f):
+    """The total derivative of f, term by term through :func:`_dx_mono_by_factors`."""
+    out = ZERO
+    for m, c in f.terms:
+        out = out + _dx_mono_by_factors(m) * c
+    return out
+
+
+def test_total_derivative_matches_the_product_rule():
+    rng = random.Random(20261019)
+    # high jets leave runs of empty fields, which _dx_mono jumps over
+    u40 = da.u_jet(40)
+    jets = [u40, u40**2 * da.v_pow(-3), da.v_jet(17) * u40 * da.log_v()]
+    jets.append(da.jet(V, 63, 2) * da.u_jet(1))
+    fs = [helpers.rand_function(rng, terms=5, max_order=4) for _ in range(120)]
+    fs += [f * g for f, g in zip(fs[:40], rng.choices(jets, k=40))] + jets
+    monos = [m for f in fs for m, _c in da.packed_terms(f)]
+    assert any(da.mono_exp(m, V, 0) < 0 for m in monos)
+    assert any(da.mono_exp(m, LOG_VAR, 0) for m in monos)
+    for f in fs:
+        want = f
+        for n in (1, 2, 3):
+            want = _derivative_by_factors(want)
+            # a new value each time, so that no kept tower answers
+            assert da.total_derivative(-(-f), n) == want, (da.to_text(f), n)
+
+
+def test_dx_entries_share_their_pairs(monkeypatch):
+    monkeypatch.setattr(da, "_DX_MONO", {})
+    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    # u'^2*v^-1*log(v), u'^2*u''*v^-1 and u'^3*v^-1*log(v)
+    a = da.pack_mono(((U, 1, 2), (V, 0, -1), (LOG_VAR, 0, 1)))
+    b = da.pack_mono(((U, 1, 2), (U, 2, 1), (V, 0, -1)))
+    c = da.pack_mono(((U, 1, 3), (V, 0, -1), (LOG_VAR, 0, 1)))
+    # an entry lists its pairs by increasing g'/g: log v, v, then the jets
+    log_a, v_a, u1_a = da._dx_mono(a)
+    v_b, u1_b, _u2_b = da._dx_mono(b)
+    log_c, v_c, u1_c = da._dx_mono(c)
+    assert v_a == (da._DX_V, -1) and log_a == (da._DX_LOG, 1) and u1_a[1] == 2
+    assert v_a is v_b is v_c
+    assert log_a is log_c
+    assert u1_a is u1_b
+    assert u1_c == (u1_a[0], 3)  # the same g'/g with another exponent is another pair
+    assert len(da._DX_PAIRS) == 5
+
+
+def test_total_derivative_takes_only_nonnegative_int_orders():
+    f = da.u_jet(0) * da.v_jet(0)
+    for n in (-1, -3, 1.0, QQ(1), "1", None):
+        with pytest.raises(MagriError, match="nonnegative integer"):
+            da.total_derivative(f, n)
+    assert magri.total_derivative(f, 0) is f
 
 
 # -- packed monomials against a tuple-monomial reference ----------------------

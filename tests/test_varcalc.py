@@ -356,8 +356,12 @@ def test_memo_tables_stay_under_the_cap(monkeypatch):
     want = compute()
     monkeypatch.setattr(da, "MEMO_CAP", 5)
     monkeypatch.setattr(da, "_DX_MONO", {})
+    monkeypatch.setattr(da, "_DX_PAIRS", {})
     assert compute() == want
     assert 0 < len(da._DX_MONO) <= 5
+    # the pair table is cleared with the memo: it holds only the pairs of the entries left
+    held = {id(p) for t in da._DX_MONO.values() for p in t}
+    assert {id(p) for p in da._DX_PAIRS.values()} == held
 
 
 # -- exact integration as it was done weight block by weight block -----------
