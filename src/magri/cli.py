@@ -218,7 +218,6 @@ def cmd_hierarchy(args):
         args.steps,
         method=args.method,
         with_densities=not args.no_densities,
-        widen_cap=args.widen_cap,
     )
     # writing the run reads no derivatives
     values = [f for vec in run.gradients + run.flows for f in vec]
@@ -363,12 +362,6 @@ def build_parser():
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--method", choices=("recursion", "ansatz"), default="recursion")
     sp.add_argument("--no-densities", action="store_true")
-    sp.add_argument(
-        "--widen-cap",
-        type=int,
-        default=None,
-        help="ansatz widening rounds (default from LENARD_WIDEN_CAP, else 2)",
-    )
     sp.add_argument("--latex", action="store_true")
     sp.add_argument("--out", metavar="FILE")
     sp.set_defaults(fn=cmd_hierarchy)

@@ -775,12 +775,15 @@ def partial_derivative(f, gen):
     """Partial derivative with respect to one generator.
 
     ``gen`` is a (variable, order) pair; variables may be given as the
-    codes 0, 1, 2 or as the names "u", "v", "log".  Differentiating by v
-    applies the chain rule to log v, which keeps the shift relation
-    [d/dv, d] = d/dv' valid on the extended ring.
+    codes 0, 1, 2 or as the names "u", "v", "log"; any other name
+    raises MagriError.  Differentiating by v applies the chain rule to
+    log v, which keeps the shift relation [d/dv, d] = d/dv' valid on the
+    extended ring.
     """
     var, order = gen
     if isinstance(var, str):
+        if var not in VAR_NAMES:
+            raise MagriError(f"unknown variable {var!r}: not one of u, v, log")
         var = VAR_NAMES.index(var)
     if var not in (U, V, LOG_VAR) or order < 0 or (var == LOG_VAR and order):
         return ZERO

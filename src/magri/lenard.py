@@ -210,7 +210,7 @@ def _step_recursion(eps, b):
     return (f, g)
 
 
-def _step_ansatz(eps, b, order_bounds, v_floor, widen_cap):
+def _step_ansatz(eps, b, order_bounds, v_floor):
     h = structure(eps)
     wb = _vec_weight(b)
     if wb is da.INHOMOGENEOUS:
@@ -221,51 +221,54 @@ def _step_ansatz(eps, b, order_bounds, v_floor, widen_cap):
         order_bounds = (b_ord + 3, b_ord + 3)
     if v_floor is None:
         v_floor = min(da.min_v_exponent(b[0]), da.min_v_exponent(b[1]), 0) - 2
-    tags = _GRADIENT_TAGS[eps]
-    for _ in range(widen_cap + 1):
-        cols = []
-        labels = []
-        for comp, (tag, bound) in enumerate(zip(tags, order_bounds)):
-            try:
-                _floor, monos = _candidates(wt, bound, tag, v_floor=v_floor)
-            except EmptyAnsatz:
-                continue
-            for m in monos:
-                vec = [ZERO, ZERO]
-                vec[comp] = DiffFunction.from_packed(((1, m),))
-                col = dop.apply(h, vec)
-                if any(col):
-                    cols.append(col)
-                    labels.append((comp, m))
-        xs = linsolve.solve(cols, b)
-        if xs is not None:
-            comps = [[], []]
-            for (comp, m), x in zip(labels, xs):
-                comps[comp].append((x, m))
-            return tuple(map(DiffFunction.from_packed, comps))
-        order_bounds = tuple(x + 2 for x in order_bounds)
-        v_floor -= 2
-    raise NoSolution("no gradient found in the candidate spaces within the widening cap")
+    cols = []
+    labels = []
+    for comp, (tag, bound) in enumerate(zip(_GRADIENT_TAGS[eps], order_bounds)):
+        try:
+            _floor, monos = _candidates(wt, bound, tag, v_floor=v_floor)
+        except EmptyAnsatz:
+            continue
+        for m in monos:
+            vec = [ZERO, ZERO]
+            vec[comp] = DiffFunction.from_packed(((1, m),))
+            col = dop.apply(h, vec)
+            if any(col):
+                cols.append(col)
+                labels.append((comp, m))
+    xs = linsolve.solve(cols, b)
+    if xs is None:
+        raise NoSolution("no gradient found in the candidate spaces")
+    comps = [[], []]
+    for (comp, m), x in zip(labels, xs):
+        comps[comp].append((x, m))
+    return tuple(map(DiffFunction.from_packed, comps))
 
 
-def lm_step(eps, grad, method="recursion", order_bounds=None, v_floor=None, widen_cap=None):
+def lm_step(eps, grad, method="recursion", order_bounds=None, v_floor=None):
     """One recursion step: the next gradient xi' with H_eps xi' = H_{1-eps} xi.
 
     The input must be a variational gradient (closed); the output is
     normalized against the kernel of H_eps and verified exactly before
-    being returned.  An eps other than 0 or 1, or a negative
-    ``widen_cap``, raises MagriError.
+    being returned.  The "ansatz" method solves once over the candidate
+    spaces of the two components: order bounds ``order_bounds`` (one
+    per component) and v-power floor ``v_floor``, each defaulting to a
+    bound read off the right side; a right side outside them raises
+    NoSolution.  An eps other than 0 or 1, or an ``order_bounds`` that
+    is neither None nor a pair, raises MagriError.
     """
-    return _lm_step(eps, grad, method, order_bounds, v_floor, widen_cap)[0]
+    if order_bounds is not None and not (
+        isinstance(order_bounds, (tuple, list)) and len(order_bounds) == 2
+    ):
+        raise MagriError(f"order_bounds must be None or a pair, got {order_bounds!r}")
+    return _lm_step(eps, grad, method, order_bounds, v_floor)[0]
 
 
-def _lm_step(eps, grad, method, order_bounds, v_floor, widen_cap):
+def _lm_step(eps, grad, method, order_bounds, v_floor):
     """:func:`lm_step`'s next gradient xi', with the flow b = H_{1-eps} xi it solved for."""
     h = structure(eps)
     grad = tuple(grad)
     if len(grad) != 2:
         raise MagriError("gradients here have two components")
-    widen_cap = vc.resolve_widen_cap(widen_cap)
     rep = vc.is_closed(grad)
     if not rep:
         raise NotClosed(f"gradient input is not closed; entry {rep.witness}")
@@ -275,7 +278,7 @@ def _lm_step(eps, grad, method, order_bounds, v_floor, widen_cap):
     if method == "recursion":
         nxt = _step_recursion(eps, b)
     elif method == "ansatz":
-        nxt = _step_ansatz(eps, b, order_bounds, v_floor, widen_cap)
+        nxt = _step_ansatz(eps, b, order_bounds, v_floor)
     else:
         raise MagriError(f"unknown stepping method {method!r}")
     nxt = _normalize_kernel(eps, nxt)
@@ -303,32 +306,35 @@ class HierarchyRun:
     checks: dict
 
 
-def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True, widen_cap=None):
+def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True):
     """Iterate the recursion from a seed and package the verified chain.
 
     Returns gradients xi_0 .. xi_N, densities integral(h_n) with
     variational gradient xi_n, and flows P_n = H_{1-eps} xi_n (each also
     equal to H_eps xi_{n+1}, which lm_step verifies).  Runtime checks
     record closedness, subspace memberships, density consistency and
-    Casimir conservation for the alpha = 1 chains.  Raises MagriError
-    for a negative ``steps`` or ``widen_cap``.
+    Casimir conservation for the alpha = 1 chains.  Each density, and
+    each "ansatz" step, comes from one solve over one candidate space,
+    with no search over larger ones.  Raises MagriError for a ``steps``
+    that is not a nonnegative int (a bool included).
     """
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise MagriError(f"steps must be an int, got {steps!r}")
     if steps < 0:
         raise MagriError(f"steps must be nonnegative, got {steps}")
-    widen_cap = vc.resolve_widen_cap(widen_cap)
     s = seed(eps, alpha)
     gradients = [s.gradient]
     densities = [s.density] if with_densities else []
     flows = []
     checks = {"memberships": True, "densities": True, "casimir_pairing": True}
     for n in range(1, steps + 1):
-        nxt, flow = _lm_step(eps, gradients[-1], method, None, None, widen_cap)
+        nxt, flow = _lm_step(eps, gradients[-1], method, None, None)
         flows.append(flow)
         gradients.append(nxt)
         ok = all(map(da.subalgebra_member, nxt, _GRADIENT_TAGS[eps]))
         checks["memberships"] = checks["memberships"] and ok
         if with_densities:
-            dens = vc.integrate_exact(nxt, widen_cap=widen_cap)
+            dens = vc.integrate_exact(nxt)
             densities.append(dens)
             # integrate_exact checked this gradient and kept it in dens
             okd = dens.variational_gradient() == nxt

@@ -5,13 +5,14 @@ variational gradient exactly when its Frechet derivative is a
 self-adjoint matrix operator; :func:`integrate_exact` reconstructs a
 density h with variational_derivative(h) == F in one pass: a homotopy
 formula in the polynomial variables (in u alone when v enters as a
-Laurent variable or through log v), then a small weight-homogeneous
-ansatz for each weight part of the v-only remainder.
+Laurent variable or through log v), then one linear solve over a
+weight-homogeneous candidate space for each weight part of the v-only
+remainder.  There is no search: a part that its space does not reach
+raises NoSolution.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from . import diffalg as da
 from . import diffop as dop
@@ -20,7 +21,6 @@ from .diffalg import (
     DiffFunction,
     LocalFunctional,
     ZERO,
-    LOG_VAR,
     U,
     V,
 )
@@ -125,85 +125,50 @@ def _u_homotopy(f):
     return da.u_jet(0) * _homotopy(f, U)
 
 
-def default_widen_cap():
-    """The widening cap from LENARD_WIDEN_CAP, 2 when it is unset.
-
-    Raises MagriError, naming the variable, when it is not a
-    nonnegative integer.
-    """
-    raw = os.environ.get("LENARD_WIDEN_CAP", "2")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MagriError(f"LENARD_WIDEN_CAP must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise MagriError(f"LENARD_WIDEN_CAP must be nonnegative, got {cap}")
-    return cap
-
-
-def resolve_widen_cap(widen_cap):
-    """The widening cap to use: the default for None; raises MagriError if negative."""
-    if widen_cap is None:
-        return default_widen_cap()
-    if widen_cap < 0:
-        raise MagriError(f"widen_cap must be nonnegative, got {widen_cap}")
-    return widen_cap
-
-
 def _euler_mono(m, var):
     """Euler derivative of a single packed monomial."""
     return da.euler_derivative(DiffFunction.from_packed(((1, m),)), var)
 
 
-def _solve_v_density(g, wt, widen_cap):
+def _solve_v_density(g, wt):
     """Solve euler_v(h0) = g for a density in v jets (and maybe log v),
-    g homogeneous of weight ``wt``.
+    g homogeneous of weight ``wt``, in one candidate space.
 
-    The Euler operator in v lowers the total v degree of a v-only
-    monomial by exactly one, so the linear system splits into
-    independent blocks indexed by v degree.  Only the blocks the right
-    side reaches are solved, so only the candidates of their degrees
-    are differentiated; the unknowns of every other block are zero.
+    The candidates are the v-only monomials of weight ``wt + 2``, of
+    order at most (ord g + 1) // 2 + 1, with powers of v down to one
+    above the lowest in g (or to 0); log v enters only as log(v) times
+    a monomial with no power of v.  The Euler operator in v lowers the
+    total v degree of a v-only monomial by exactly one, so the linear
+    system splits into independent blocks indexed by v degree.  Only
+    the blocks the right side reaches are solved, so only the
+    candidates of their degrees are differentiated; the unknowns of
+    every other block are zero.  Raises NoSolution when a block has no
+    solution.
     """
     if not g:
         return ZERO
-    # A candidate is free of log v, or is log(v) times a monomial with no
-    # power of v (jets v', v'', ... allowed), and the terms in log v of its
-    # Euler derivative have that shape too.  So no widening round reaches a
-    # g whose derivative in log v leaves V_ZERO (no log v, no power of v):
-    # a term in log(v)^2, or in log(v) times a power of v.
-    if not da.subalgebra_member(da.partial_derivative(g, (LOG_VAR, 0)), da.V_ZERO):
-        raise NoSolution("no density found for the v-only part within the widening cap")
     base_order = da.max_order(g, V) or 0
     order_bound = max(1, (base_order + 1) // 2 + 1)
     v_floor = min(da.min_v_exponent(g) + 1, 0)
     rhs_by_deg = da.homogeneous_parts(g, lambda m: da.mono_degree(m, V) + 1)
-    for _round in range(widen_cap + 1):
-        by_deg = {deg: [] for deg, _rhs in rhs_by_deg}
-        cands = da.monomials(
-            wt + 2, order_bound, v_floor, fields=(V,), include_log=True
-        )
-        for m in cands:
-            block = by_deg.get(da.mono_degree(m, V))
-            if block is not None:
-                e = _euler_mono(m, V)
-                if e:
-                    block.append((m, e))
-        parts = []
-        for deg, rhs in rhs_by_deg:
-            block = by_deg[deg]
-            xs = linsolve.solve([(e,) for _m, e in block], (rhs,))
-            if xs is None:
-                break
-            parts += [(x, m) for (m, _e), x in zip(block, xs)]
-        else:
-            return DiffFunction.from_packed(parts)
-        order_bound += 2
-        v_floor -= 2
-    raise NoSolution("no density found for the v-only part within the widening cap")
+    by_deg = {deg: [] for deg, _rhs in rhs_by_deg}
+    for m in da.monomials(wt + 2, order_bound, v_floor, fields=(V,), include_log=True):
+        block = by_deg.get(da.mono_degree(m, V))
+        if block is not None:
+            e = _euler_mono(m, V)
+            if e:
+                block.append((m, e))
+    parts = []
+    for deg, rhs in rhs_by_deg:
+        block = by_deg[deg]
+        xs = linsolve.solve([(e,) for _m, e in block], (rhs,))
+        if xs is None:
+            raise NoSolution("no density found for the v-only part in its candidate space")
+        parts += [(x, m) for (m, _e), x in zip(block, xs)]
+    return DiffFunction.from_packed(parts)
 
 
-def _integrate(vec, widen_cap):
+def _integrate(vec):
     """A candidate density for ``vec``, not yet checked."""
     if not 1 <= len(vec) <= 2:
         raise DimensionMismatch("a gradient here has one or two components, for u and v")
@@ -219,11 +184,11 @@ def _integrate(vec, widen_cap):
     if da.max_order(gtil, U) is not None:
         raise NoSolution("residual v-problem still involves u")
     for wt, part in da.homogeneous_parts(gtil):
-        h = h + _solve_v_density(part, wt, widen_cap)
+        h = h + _solve_v_density(part, wt)
     return h
 
 
-def integrate_exact(vec, widen_cap=None):
+def integrate_exact(vec):
     """A density h with variational_derivative(h) == vec, exactly.
 
     Purely polynomial vectors integrate by the full homotopy formula.
@@ -232,22 +197,19 @@ def integrate_exact(vec, widen_cap=None):
     the remainder g = vec[1] - euler_v(h_u), free of u for a gradient,
     is a v-only problem.  Both steps are linear and keep the weight, so
     each weight part of g is solved on its own, in increasing weight,
-    against a weight-homogeneous candidate space widened at most
-    ``widen_cap`` times (order bound +2, Laurent floor -2 per round).
+    over one weight-homogeneous candidate space (see _solve_v_density).
 
     The closing check variational_derivative(h) == vec also proves that
     vec is closed (self-adjoint Frechet derivative), since every
     variational gradient is; so closedness is tested only when the
     integration fails, to tell a vector that is not a gradient
     (NotClosed, with the witness entry) from one outside the reach of
-    the candidate spaces (NoSolution).  Raises MagriError for a negative
-    ``widen_cap``.  The returned functional already holds the gradient
-    it was checked against.
+    the candidate spaces (NoSolution).  The returned functional already
+    holds the gradient it was checked against.
     """
     vec = tuple(vec)
-    widen_cap = resolve_widen_cap(widen_cap)
     try:
-        h = _integrate(vec, widen_cap)
+        h = _integrate(vec)
         got = variational_derivative(h, len(vec))
         if got != vec:
             raise NoSolution("reconstructed density fails to reproduce the gradient")

@@ -573,15 +573,6 @@ def test_negative_steps_exit_four(capsys):
     assert err.startswith("INPUT_ERROR")
 
 
-def test_negative_widen_cap_exits_four(capsys):
-    code, out, err = _run(
-        capsys, "hierarchy", "--eps", "0", "--alpha", "1", "--steps", "1", "--widen-cap", "-1"
-    )
-    assert code == 4
-    assert out == ""
-    assert err.startswith("INPUT_ERROR") and "widen_cap" in err
-
-
 def test_exponent_out_of_range_exits_four(capsys):
     for text in ("u^40000", "v^-20000", "u^20000*u^20000"):
         code, out, err = _run(capsys, "fmt", text)
@@ -632,15 +623,6 @@ def test_verify_poisson_exponent_overflow_exits_four(capsys):
         "INPUT_ERROR: an exponent left its range: at most 32767, "
         "or [-16384, 16383] for the power of v\n"
     )
-
-
-def test_bad_widen_cap_env_exits_four(capsys, monkeypatch):
-    for raw in ("-3", "2.5"):
-        monkeypatch.setenv("LENARD_WIDEN_CAP", raw)
-        code, out, err = _run(capsys, "hierarchy", "--eps", "1", "--alpha", "0", "--steps", "1")
-        assert code == 4, raw
-        assert out == ""
-        assert err.startswith("INPUT_ERROR") and "LENARD_WIDEN_CAP" in err
 
 
 def _three_calls(capsys, path):

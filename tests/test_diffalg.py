@@ -142,6 +142,14 @@ def test_partial_derivative_log_chain_rule():
     assert got == want
 
 
+def test_partial_derivative_by_an_unknown_name_is_a_magri_error():
+    f = da.u_jet(0) * da.v_jet(1)
+    assert da.partial_derivative(f, ("v", 1)) == da.u_jet(0)
+    for name in ("x", "U", ""):
+        with pytest.raises(MagriError, match=f"unknown variable {name!r}"):
+            da.partial_derivative(f, (name, 0))
+
+
 def test_orders_and_weights():
     f = da.u_jet(4) + da.v_jet(2) * da.log_v()
     assert da.max_order(f, U) == 4

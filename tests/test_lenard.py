@@ -23,6 +23,7 @@ def test_all_four_seeds_verify():
             s = lenard.seed(eps, alpha)
             assert dop.kernel_verify(lenard.structure(eps), s.gradient)
             assert vc.variational_derivative(s.density) == s.gradient
+            assert vc.integrate_exact(s.gradient) == s.density
 
 
 def test_seed_values_pinned():
@@ -52,7 +53,7 @@ def test_eps_outside_zero_and_one_is_rejected():
         with pytest.raises(MagriError, match="eps must be 0 or 1"):
             lenard.lm_step(eps, grad)
         with pytest.raises(MagriError, match="eps must be 0 or 1"):
-            lenard._lm_step(eps, grad, "recursion", None, None, None)
+            lenard._lm_step(eps, grad, "recursion", None, None)
     assert lenard.structure(0) is lenard.H0 and lenard.structure(1) is lenard.H1
 
 
@@ -83,9 +84,7 @@ def test_step_methods_agree_with_negative_v_powers():
     # so pin explicit bounds that just contain the known answer
     s = lenard.seed(0, 0)
     a = lenard.lm_step(0, s.gradient, method="recursion")
-    b = lenard.lm_step(
-        0, s.gradient, method="ansatz", order_bounds=(4, 6), v_floor=-12, widen_cap=0
-    )
+    b = lenard.lm_step(0, s.gradient, method="ansatz", order_bounds=(4, 6), v_floor=-12)
     assert a == b
 
 
@@ -269,18 +268,20 @@ def test_run_rejects_bad_args():
         lenard.run_hierarchy(0, 2, 1)
     with pytest.raises(MagriError, match="nonnegative"):
         lenard.run_hierarchy(1, 0, -1)
-    for steps in (0, 1):
-        with pytest.raises(MagriError, match="widen_cap must be nonnegative"):
-            lenard.run_hierarchy(0, 1, steps, widen_cap=-1)
+    for steps in (1.5, "2", True, None):
+        with pytest.raises(MagriError, match="steps must be an int"):
+            lenard.run_hierarchy(1, 0, steps)
 
 
-def test_negative_widen_cap_is_rejected():
-    s = lenard.seed(0, 1)
-    with pytest.raises(MagriError, match="widen_cap must be nonnegative"):
-        lenard.lm_step(0, s.gradient, method="ansatz", widen_cap=-1)
-    with pytest.raises(MagriError, match="widen_cap must be nonnegative"):
-        vc.integrate_exact(s.gradient, widen_cap=-1)
-    assert vc.integrate_exact(s.gradient, widen_cap=0) == s.density
+def test_ansatz_order_bounds_must_be_a_pair():
+    # a bound per gradient component: zipped with the component tags, a
+    # single bound dropped the v candidates and read as NoSolution
+    s = lenard.seed(1, 0)
+    want = lenard.lm_step(1, s.gradient, method="ansatz")
+    for bounds in ((3,), (4, 4, 4), 4, ()):
+        with pytest.raises(MagriError, match="order_bounds must be None or a pair"):
+            lenard.lm_step(1, s.gradient, method="ansatz", order_bounds=bounds)
+    assert lenard.lm_step(1, s.gradient, method="ansatz", order_bounds=[4, 4]) == want
 
 
 def test_normalize_kernel_divides_exactly():

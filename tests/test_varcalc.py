@@ -160,26 +160,6 @@ def test_integrate_exact_mixed_weights():
     assert da.functional_equal(got.rep, h)
 
 
-def test_default_widen_cap_env(monkeypatch):
-    monkeypatch.delenv("LENARD_WIDEN_CAP", raising=False)
-    assert vc.default_widen_cap() == 2
-    monkeypatch.setenv("LENARD_WIDEN_CAP", "5")
-    assert vc.default_widen_cap() == 5
-
-
-def test_negative_widen_cap_env_is_rejected(monkeypatch):
-    monkeypatch.setenv("LENARD_WIDEN_CAP", "-3")
-    with pytest.raises(MagriError, match="LENARD_WIDEN_CAP"):
-        vc.default_widen_cap()
-
-
-def test_non_integer_widen_cap_env_is_rejected(monkeypatch):
-    for raw in ("2.5", "two", ""):
-        monkeypatch.setenv("LENARD_WIDEN_CAP", raw)
-        with pytest.raises(MagriError, match="LENARD_WIDEN_CAP"):
-            vc.default_widen_cap()
-
-
 def test_homotopies_divide_exactly():
     u, v = da.u_jet(0), da.v_jet(0)
     got = vc._u_homotopy(u * u)
@@ -191,8 +171,6 @@ def test_homotopies_divide_exactly():
 
 
 def test_v_problem_out_of_reach_in_log_has_no_solution():
-    from magri.errors import NoSolution
-
     # a candidate is free of log v, or is log(v) times a monomial with no
     # power of v, and the terms in log v of its Euler derivative keep that
     # shape ...
@@ -203,13 +181,13 @@ def test_v_problem_out_of_reach_in_log_has_no_solution():
                 j = da.mono_exp(mm, da.LOG_VAR, 0)
                 assert j == 0 or (j == 1 and da.mono_exp(mm, V, 0) == 0)
     # ... so a right side with any other term in log v is out of reach of
-    # every widening round
-    v, vp, vpp, lg = da.v_jet(0), da.v_jet(1), da.v_jet(2), da.log_v()
-    for g in (vp * vp * lg * lg * da.v_pow(-1), vpp * vpp * v * lg):
-        with pytest.raises(NoSolution, match="widening cap"):
-            vc._solve_v_density(g, da.weight(g), 2)
-    for h in (vp * vp * lg * lg, vpp ** 4 * v * v * lg):
-        with pytest.raises(NoSolution, match="widening cap"):
+    # the candidate space, as it was of every round of the widening search
+    for g in _LOG_OUT_OF_REACH:
+        want = _outcome(lambda g: _solve_v_density_all_blocks(g, 2), g)
+        assert want == _NO_V_DENSITY
+        assert _outcome(lambda g: vc._solve_v_density(g, da.weight(g)), g) == want
+    for h in _LOG_OUT_OF_REACH_DENSITIES:
+        with pytest.raises(NoSolution, match="in its candidate space"):
             vc.integrate_exact(vc.variational_derivative(h))
 
 
@@ -232,10 +210,20 @@ def _euler_mono_by_sum(m, var):
     return acc
 
 
+_NO_V_DENSITY = "no density found for the v-only part in its candidate space"
+
+_V, _VP, _VPP, _LG = da.v_jet(0), da.v_jet(1), da.v_jet(2), da.log_v()
+# right sides with a term in log(v)^2, or in log(v) times a power of v, and
+# densities whose gradients leave such a v-only part
+_LOG_OUT_OF_REACH = (_VP * _VP * _LG * _LG * da.v_pow(-1), _VPP * _VPP * _V * _LG)
+_LOG_OUT_OF_REACH_DENSITIES = (_VP * _VP * _LG * _LG, _VPP ** 4 * _V * _V * _LG)
+
+
 def _solve_v_density_all_blocks(g, widen_cap):
     # _solve_v_density as it was when it differentiated every candidate,
-    # including those of v degrees the right side never reaches, and solved
-    # over tuple monomials with the solver on sparse dicts
+    # including those of v degrees the right side never reaches, solved
+    # over tuple monomials with the solver on sparse dicts, and retried up
+    # to widen_cap times over a space widened by 2 in order and v floor
     if not g:
         return ZERO
     wt = da.weight(g)
@@ -244,7 +232,7 @@ def _solve_v_density_all_blocks(g, widen_cap):
     for m, _ in g.terms:
         j = sum(e for var, _n, e in m if var == da.LOG_VAR)
         if j > 1 or (j == 1 and any(g[0] == V and g[1] == 0 for g in m)):
-            raise NoSolution("no density found for the v-only part within the widening cap")
+            raise NoSolution(_NO_V_DENSITY)
     base_order = da.max_order(g, V) or 0
     order_bound = max(1, (base_order + 1) // 2 + 1)
     v_floor = min(da.min_v_exponent(g) + 1, 0)
@@ -274,12 +262,12 @@ def _solve_v_density_all_blocks(g, widen_cap):
             return da.DiffFunction.from_terms(parts)
         order_bound += 2
         v_floor -= 2
-    raise NoSolution("no density found for the v-only part within the widening cap")
+    raise NoSolution(_NO_V_DENSITY)
 
 
-def _outcome(solve, g, widen_cap):
+def _outcome(solve, g):
     try:
-        return solve(g, widen_cap)
+        return solve(g)
     except NoSolution as exc:
         return str(exc)
 
@@ -313,8 +301,8 @@ def test_v_density_solves_only_the_blocks_the_right_side_reaches(monkeypatch):
         laurent = laurent or da.min_v_exponent(g) < 0
         log = log or any(m[-1][0] == da.LOG_VAR for m, _c in g.terms)
         seen.clear()
-        got = _outcome(lambda g, cap: vc._solve_v_density(g, da.weight(g), cap), g, 1)
-        assert got == _outcome(_solve_v_density_all_blocks, g, 1), g
+        got = _outcome(lambda g: vc._solve_v_density(g, da.weight(g)), g)
+        assert got == _outcome(lambda g: _solve_v_density_all_blocks(g, 2), g), g
         assert {_v_degree(da.unpack_mono(m)) for m in seen} <= reached
         outcomes.add(type(got))
     assert len(degrees_spanned) >= 4
@@ -403,9 +391,10 @@ def _ref_u_homotopy(f):
     )
 
 
-def _ref_integrate(vec, widen_cap):
+def _ref_integrate(vec):
     # _integrate as it was: the vector split by weight, and per weight a
-    # u-homotopy, an Euler derivative and a v-only solve
+    # u-homotopy, an Euler derivative and a v-only solve, widened up to
+    # twice
     if not 1 <= len(vec) <= 2:
         raise DimensionMismatch("a gradient here has one or two components, for u and v")
     if all(da.subalgebra_member(f, da.V_PLUS) for f in vec):
@@ -418,21 +407,8 @@ def _ref_integrate(vec, widen_cap):
         gtil = gw - da.euler_derivative(hu, V)
         if not all(var != U for m, _ in gtil.terms for var, _n, _e in m):
             raise NoSolution("residual v-problem still involves u")
-        h = h + hu + vc._solve_v_density(gtil, da.weight(gtil), widen_cap)
+        h = h + hu + _solve_v_density_all_blocks(gtil, 2)
     return h
-
-
-def _memoized_euler_mono():
-    table = {}
-
-    def euler_mono(m, var):
-        out = table.get((m, var))
-        if out is None:
-            f = da.DiffFunction([(da.unpack_mono(m), 1)])
-            out = table[m, var] = da.euler_derivative(f, var)
-        return out
-
-    return euler_mono
 
 
 def _integration_inputs():
@@ -468,10 +444,12 @@ def _integration_outcome(vec):
 
 
 def test_one_pass_integration_matches_the_weight_split(monkeypatch):
+    # the reference widens each v-only solve up to twice; the one space
+    # reaches every outcome its rounds reach
     vecs = _integration_inputs()
+    vecs += [vc.variational_derivative(h) for h in _LOG_OUT_OF_REACH_DENSITIES]
     got = [_integration_outcome(vec) for vec in vecs]
     monkeypatch.setattr(vc, "_integrate", _ref_integrate)
-    monkeypatch.setattr(vc, "_euler_mono", _memoized_euler_mono())
     want = [_integration_outcome(vec) for vec in vecs]
     for vec, g, w in zip(vecs, got, want):
         assert g == w, tuple(map(da.to_text, vec))
