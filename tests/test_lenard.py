@@ -273,6 +273,21 @@ def test_run_rejects_bad_args():
             lenard.run_hierarchy(1, 0, steps)
 
 
+def test_negative_widen_cap_is_rejected():
+    # the widening cap is gone: a caller still passing one is refused
+    # rather than having it silently ignored, and the single pass alone
+    # integrates the seed gradient
+    s = lenard.seed(0, 1)
+    for call in (
+        lambda: lenard.lm_step(0, s.gradient, method="ansatz", widen_cap=-1),
+        lambda: vc.integrate_exact(s.gradient, widen_cap=-1),
+        lambda: lenard.run_hierarchy(0, 1, 1, widen_cap=-1),
+    ):
+        with pytest.raises(TypeError, match="widen_cap"):
+            call()
+    assert vc.integrate_exact(s.gradient) == s.density
+
+
 def test_ansatz_order_bounds_must_be_a_pair():
     # a bound per gradient component: zipped with the component tags, a
     # single bound dropped the v candidates and read as NoSolution
