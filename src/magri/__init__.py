@@ -28,7 +28,6 @@ from .diffalg import (
     jet,
     log_v,
     max_order,
-    max_v_exponent,
     min_v_exponent,
     normalize,
     partial_derivative,
@@ -57,7 +56,6 @@ from .diffop import (
 )
 from .errors import (
     DimensionMismatch,
-    EmptyAnsatz,
     ExponentError,
     ExprSyntaxError,
     MagriError,
@@ -70,7 +68,6 @@ from .lenard import (
     HierarchyRun,
     HierarchySeed,
     InvolutivityReport,
-    ansatz_space,
     involutivity_report,
     lm_step,
     run_hierarchy,

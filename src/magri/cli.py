@@ -23,7 +23,6 @@ from . import render
 from . import varcalc as vc
 from .diffalg import DiffFunction
 from .errors import (
-    EmptyAnsatz,
     ExponentError,
     ExprSyntaxError,
     MagriError,
@@ -431,7 +430,7 @@ def main(argv=None):
         at = "" if exc.line is None else f" at {exc.line}:{exc.col}"
         print(f"{kind}{at}: {exc.message}", file=sys.stderr)
         return BADINPUT
-    except (NoSolution, EmptyAnsatz) as exc:
+    except NoSolution as exc:
         print(f"NO_SOLUTION: {exc}", file=sys.stderr)
         return NOSOL
     except NotClosed as exc:

@@ -748,9 +748,9 @@ def total_derivative(f, n=1):
     Walks the chain f, f', f'', ... of ``_d`` slots, computing and
     keeping each derivative not yet there; a zero derivative is ZERO
     itself, which ends the walk.  An ``n`` that is not a nonnegative int
-    raises MagriError.
+    (a bool included) raises MagriError.
     """
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise MagriError("the order of a total derivative must be a nonnegative integer")
     for _ in range(n):
         d = f._d
@@ -775,17 +775,20 @@ def partial_derivative(f, gen):
     """Partial derivative with respect to one generator.
 
     ``gen`` is a (variable, order) pair; variables may be given as the
-    codes 0, 1, 2 or as the names "u", "v", "log"; any other name
-    raises MagriError.  Differentiating by v applies the chain rule to
-    log v, which keeps the shift relation [d/dv, d] = d/dv' valid on the
+    int codes 0, 1, 2 or as the names "u", "v", "log", and the order as
+    a nonnegative int; anything else (a bool included) raises
+    MagriError.  Differentiating by v applies the chain rule to log v,
+    which keeps the shift relation [d/dv, d] = d/dv' valid on the
     extended ring.
     """
     var, order = gen
-    if isinstance(var, str):
-        if var not in VAR_NAMES:
-            raise MagriError(f"unknown variable {var!r}: not one of u, v, log")
+    if isinstance(var, str) and var in VAR_NAMES:
         var = VAR_NAMES.index(var)
-    if var not in (U, V, LOG_VAR) or order < 0 or (var == LOG_VAR and order):
+    elif type(var) is not int or var not in (U, V, LOG_VAR):
+        raise MagriError(f"unknown variable {var!r}: not one of u, v, log or 0, 1, 2")
+    if type(order) is not int or order < 0:
+        raise MagriError(f"a partial derivative's order must be a nonnegative int, got {order!r}")
+    if var == LOG_VAR and order:
         return ZERO
     s = _slot(var, order)
     if s == 0:
@@ -929,15 +932,6 @@ def min_v_exponent(f):
     for m, _ in f._t:
         e = ((m + _OFF) & _MASK) - _OFF
         if e < best:
-            best = e
-    return best
-
-
-def max_v_exponent(f):
-    best = 0
-    for m, _ in f._t:
-        e = ((m + _OFF) & _MASK) - _OFF
-        if e > best:
             best = e
     return best
 

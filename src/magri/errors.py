@@ -25,10 +25,6 @@ class ExponentOverflow(MagriError):
     """An exponent left the range a packed monomial can hold."""
 
 
-class EmptyAnsatz(MagriError):
-    """A candidate monomial space came out empty."""
-
-
 class ExprSyntaxError(MagriError):
     """Rejected input, with the 1-based line/column position of the error
     in the input text, or line = col = None for input that is not text

@@ -8,21 +8,22 @@ for the next gradient, normalized against the two-dimensional kernel of
 H_eps by zeroing the coefficients of the kernel marker monomials.  Two
 interchangeable solvers are provided: a back-substitution through the
 triangular component identities of the built-in operators (default),
-and a linear solve over an explicit weight-homogeneous candidate space.
+and a linear solve over a weight-homogeneous candidate space whose
+bounds are read off those same identities.
 Conserved densities are reconstructed by exact integration, and every
 step re-verifies the defining relation before returning.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import diffalg as da
 from . import diffop as dop
 from . import linsolve
 from . import varcalc as vc
 from .diffalg import DiffFunction, LocalFunctional, QQ, ZERO, ONE, LOG_VAR
-from .errors import EmptyAnsatz, MagriError, NoSolution, NotClosed
+from .errors import MagriError, NoSolution, NotClosed
 
 H0, H1 = dop.builtin_pair()
 
@@ -75,8 +76,9 @@ _SEEDS = _seed_data()
 
 
 def seed(eps, alpha):
-    """The (eps, alpha) starting Casimir, verified on construction."""
-    if (eps, alpha) not in _SEEDS:
+    """The (eps, alpha) starting Casimir, verified on construction; raises
+    MagriError unless eps and alpha are each the int 0 or 1 (not a bool)."""
+    if type(eps) is not int or type(alpha) is not int or (eps, alpha) not in _SEEDS:
         raise MagriError("eps and alpha must each be 0 or 1")
     grad, dens = _SEEDS[(eps, alpha)]
     if not dop.kernel_verify(structure(eps), grad):
@@ -87,8 +89,9 @@ def seed(eps, alpha):
 
 
 def structure(eps):
-    """H_eps of the built-in pair; raises MagriError unless eps is 0 or 1."""
-    if eps not in (0, 1):
+    """H_eps of the built-in pair; raises MagriError unless eps is the int
+    0 or 1 (not a bool)."""
+    if type(eps) is not int or eps not in (0, 1):
         raise MagriError(f"eps must be 0 or 1, got {eps!r}")
     return H1 if eps else H0
 
@@ -96,47 +99,17 @@ def structure(eps):
 # -- candidate spaces --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnsatzSpace:
-    """A finite, deterministic list of candidate monomials."""
-
-    weight: int
-    order_bound: int
-    membership: da.SubalgebraTag
-    include_log: bool = False
-    v_floor: int | None = None
-    monomials: tuple = field(default=(), compare=False)
-
-
-def ansatz_space(weight, order_bound, membership, include_log=False, v_floor=None):
-    """Enumerate the monomials of one weight inside a tagged subspace.
-
-    Order runs over all jets up to order_bound; the zeroth v power is
-    constrained by the tag, bounded below by the tag's own lower bound
-    when it has one and by ``v_floor`` otherwise (default: weight//2 -
-    order_bound - 2, deep enough for the gradients this package
-    produces).  The space records the floor it used.  With
-    ``include_log``, log(v) * m joins every m in the space with no power
-    of v.  Raises EmptyAnsatz when nothing qualifies.
-    """
-    v_floor, monos = _candidates(weight, order_bound, membership, include_log, v_floor)
-    monos = tuple(map(da.unpack_mono, monos))
-    return AnsatzSpace(weight, order_bound, membership, include_log, v_floor, monos)
-
-
-def _candidates(weight, order_bound, tag, include_log=False, v_floor=None):
-    """The floor and the packed monomials of :func:`ansatz_space`."""
+def _candidates(weight, order_bound, tag, v_floor):
+    """The packed monomials of one weight in a tagged subspace, with jet
+    order at most ``order_bound`` and v power at least ``v_floor`` (or the
+    tag's own floor, when that is higher), in the order of
+    :func:`diffalg.monomials`.  A negative order bound leaves no room."""
+    if order_bound < 0:
+        return ()
     lo, hi, affine = tag.bounds
     if lo is not None:
-        v_floor = lo
-    elif v_floor is None:
-        v_floor = weight // 2 - order_bound - 2
-    out = da.monomials(weight, order_bound, v_floor, hi, affine, include_log=include_log)
-    if not out:
-        raise EmptyAnsatz(
-            f"no monomials of weight {weight} under {tag.kind} with order <= {order_bound}"
-        )
-    return v_floor, out
+        v_floor = max(lo, v_floor)
+    return da.monomials(weight, order_bound, v_floor, hi, affine)
 
 
 # -- the recursion step ------------------------------------------------------
@@ -210,25 +183,63 @@ def _step_recursion(eps, b):
     return (f, g)
 
 
-def _step_ansatz(eps, b, order_bounds, v_floor):
+def _ord(f):
+    """The jet order of one component: -1 for 0 or a constant."""
+    o = da.differential_order(f)
+    return -1 if o is None else o
+
+
+def _space_bounds(eps, b):
+    """The (order bound, v floor) of each component's candidate space for
+    H_eps xi = b, read off the triangular rows of H_eps.
+
+    Write ord for the jet order (-1 for 0 or a constant) and min_v for
+    :func:`diffalg.min_v_exponent`.  D raises the order of a nonconstant
+    function by exactly one and lowers the power of v by at most one,
+    and by exactly one at a negative power k: the terms v^(k-1)*v'*m of
+    D(v^k*log(v)^j*m) come from the v^k terms alone, and the top power
+    of log v keeps its factor k (at k = 0 a log v term gives v^-1 too).
+    So an antiderivative a of b != 0 with no constant term has
+    ord a = ord b - 1 and min_v a >= min(0, min_v b + 1).  Let xi be the
+    solution built from such antiderivatives:
+
+    - eps = 0: D(v*xi0) = b1 and v*D(xi1) = b0 - (d^3 + 2u d + u')xi0,
+      so ord xi0 <= ord b1 - 1, min_v xi0 >= min(0, min_v b1 + 1) - 1,
+      ord xi1 <= max(ord b0, ord xi0 + 3) - 1 and
+      min_v xi1 >= min(0, min_v b0, min_v xi0 - 3);
+    - eps = 1: D(v^-2*xi1) = b0 and D(xi0) = v^2*b1 + Q(v^-2*xi1), so
+      ord xi1 <= ord b0 - 1 and ord xi0 <= max(ord b1, ord xi1 + 5) - 1;
+      the floors are the tags' own.
+
+    A right side that is not exact at some row has no solution at all,
+    and where a bound is negative that component of xi is 0.  Any other
+    solution is xi plus a kernel gradient, which is nonzero only at the
+    kernel weights and lies in the tags; so xi is in the candidate
+    spaces whenever the answer is, and :func:`_normalize_kernel` maps
+    every solution found there to that one answer.
+    """
+    ob0, ob1 = map(_ord, b)
+    if eps == 0:
+        o0 = ob1 - 1
+        f0 = min(0, da.min_v_exponent(b[1]) + 1) - 1
+        o1 = max(ob0, o0 + 3) - 1
+        return (o0, f0), (o1, min(0, da.min_v_exponent(b[0]), f0 - 3))
+    o1 = ob0 - 1
+    lo0, lo1 = (tag.bounds[0] for tag in _GRADIENT_TAGS[1])
+    return (max(ob1, o1 + 5) - 1, lo0), (o1, lo1)
+
+
+def _step_ansatz(eps, b):
     h = structure(eps)
     wb = _vec_weight(b)
     if wb is da.INHOMOGENEOUS:
         raise NoSolution("ansatz stepping needs a weight-homogeneous right side")
     wt = wb - 3 if eps == 0 else wb + 3
-    b_ord = da.differential_order(b) or 0
-    if order_bounds is None:
-        order_bounds = (b_ord + 3, b_ord + 3)
-    if v_floor is None:
-        v_floor = min(da.min_v_exponent(b[0]), da.min_v_exponent(b[1]), 0) - 2
     cols = []
     labels = []
-    for comp, (tag, bound) in enumerate(zip(_GRADIENT_TAGS[eps], order_bounds)):
-        try:
-            _floor, monos = _candidates(wt, bound, tag, v_floor=v_floor)
-        except EmptyAnsatz:
-            continue
-        for m in monos:
+    spaces = zip(_GRADIENT_TAGS[eps], _space_bounds(eps, b))
+    for comp, (tag, (bound, floor)) in enumerate(spaces):
+        for m in _candidates(wt, bound, tag, floor):
             vec = [ZERO, ZERO]
             vec[comp] = DiffFunction.from_packed(((1, m),))
             col = dop.apply(h, vec)
@@ -244,28 +255,28 @@ def _step_ansatz(eps, b, order_bounds, v_floor):
     return tuple(map(DiffFunction.from_packed, comps))
 
 
-def lm_step(eps, grad, method="recursion", order_bounds=None, v_floor=None):
+def _check_method(method):
+    if method not in ("recursion", "ansatz"):
+        raise MagriError(f"unknown stepping method {method!r}")
+
+
+def lm_step(eps, grad, method="recursion"):
     """One recursion step: the next gradient xi' with H_eps xi' = H_{1-eps} xi.
 
     The input must be a variational gradient (closed); the output is
     normalized against the kernel of H_eps and verified exactly before
     being returned.  The "ansatz" method solves once over the candidate
-    spaces of the two components: order bounds ``order_bounds`` (one
-    per component) and v-power floor ``v_floor``, each defaulting to a
-    bound read off the right side; a right side outside them raises
-    NoSolution.  An eps other than 0 or 1, or an ``order_bounds`` that
-    is neither None nor a pair, raises MagriError.
+    spaces of the two components, whose bounds :func:`_space_bounds`
+    reads off the right side.  An eps other than 0 or 1, or an unknown
+    ``method``, raises MagriError.
     """
-    if order_bounds is not None and not (
-        isinstance(order_bounds, (tuple, list)) and len(order_bounds) == 2
-    ):
-        raise MagriError(f"order_bounds must be None or a pair, got {order_bounds!r}")
-    return _lm_step(eps, grad, method, order_bounds, v_floor)[0]
+    return _lm_step(eps, grad, method)[0]
 
 
-def _lm_step(eps, grad, method, order_bounds, v_floor):
+def _lm_step(eps, grad, method):
     """:func:`lm_step`'s next gradient xi', with the flow b = H_{1-eps} xi it solved for."""
     h = structure(eps)
+    _check_method(method)
     grad = tuple(grad)
     if len(grad) != 2:
         raise MagriError("gradients here have two components")
@@ -275,12 +286,7 @@ def _lm_step(eps, grad, method, order_bounds, v_floor):
     b = dop.apply(structure(1 - eps), grad)
     if not any(b):
         return (ZERO, ZERO), b
-    if method == "recursion":
-        nxt = _step_recursion(eps, b)
-    elif method == "ansatz":
-        nxt = _step_ansatz(eps, b, order_bounds, v_floor)
-    else:
-        raise MagriError(f"unknown stepping method {method!r}")
+    nxt = (_step_recursion if method == "recursion" else _step_ansatz)(eps, b)
     nxt = _normalize_kernel(eps, nxt)
     if dop.apply(h, nxt) != b:
         raise NoSolution("candidate gradient fails the defining relation")
@@ -316,19 +322,21 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True):
     Casimir conservation for the alpha = 1 chains.  Each density, and
     each "ansatz" step, comes from one solve over one candidate space,
     with no search over larger ones.  Raises MagriError for a ``steps``
-    that is not a nonnegative int (a bool included).
+    that is not a nonnegative int (a bool included), an unknown
+    ``method``, or an eps or alpha :func:`seed` refuses.
     """
     if isinstance(steps, bool) or not isinstance(steps, int):
         raise MagriError(f"steps must be an int, got {steps!r}")
     if steps < 0:
         raise MagriError(f"steps must be nonnegative, got {steps}")
+    _check_method(method)
     s = seed(eps, alpha)
     gradients = [s.gradient]
     densities = [s.density] if with_densities else []
     flows = []
     checks = {"memberships": True, "densities": True, "casimir_pairing": True}
     for n in range(1, steps + 1):
-        nxt, flow = _lm_step(eps, gradients[-1], method, None, None)
+        nxt, flow = _lm_step(eps, gradients[-1], method)
         flows.append(flow)
         gradients.append(nxt)
         ok = all(map(da.subalgebra_member, nxt, _GRADIENT_TAGS[eps]))

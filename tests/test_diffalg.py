@@ -145,9 +145,16 @@ def test_partial_derivative_log_chain_rule():
 def test_partial_derivative_by_an_unknown_name_is_a_magri_error():
     f = da.u_jet(0) * da.v_jet(1)
     assert da.partial_derivative(f, ("v", 1)) == da.u_jet(0)
-    for name in ("x", "U", ""):
+    assert da.partial_derivative(f, (V, 1)) == da.u_jet(0)
+    for name in ("x", "U", "", 5, -1, 3, True, False, 1.0, None):
         with pytest.raises(MagriError, match=f"unknown variable {name!r}"):
             da.partial_derivative(f, (name, 0))
+    # an order is a nonnegative int: a bool, a float or a negative order
+    # is refused, not read as 1 or 0, or leaked as a TypeError
+    for order in (-1, 1.0, True, QQ(1), "1", None):
+        with pytest.raises(MagriError, match="order must be a nonnegative int"):
+            da.partial_derivative(f, ("v", order))
+    assert da.partial_derivative(f, (LOG_VAR, 1)) == ZERO
 
 
 def test_orders_and_weights():
@@ -534,7 +541,7 @@ def test_dx_entries_share_their_pairs(monkeypatch):
 
 def test_total_derivative_takes_only_nonnegative_int_orders():
     f = da.u_jet(0) * da.v_jet(0)
-    for n in (-1, -3, 1.0, QQ(1), "1", None):
+    for n in (-1, -3, 1.0, QQ(1), "1", None, True, False):
         with pytest.raises(MagriError, match="nonnegative integer"):
             da.total_derivative(f, n)
     assert magri.total_derivative(f, 0) is f

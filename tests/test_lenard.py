@@ -14,7 +14,7 @@ from magri import lenard
 from magri import pva
 from magri import varcalc as vc
 from magri.diffalg import QQ, ZERO, LocalFunctional
-from magri.errors import EmptyAnsatz, MagriError
+from magri.errors import MagriError
 
 
 def test_all_four_seeds_verify():
@@ -53,7 +53,7 @@ def test_eps_outside_zero_and_one_is_rejected():
         with pytest.raises(MagriError, match="eps must be 0 or 1"):
             lenard.lm_step(eps, grad)
         with pytest.raises(MagriError, match="eps must be 0 or 1"):
-            lenard._lm_step(eps, grad, "recursion", None, None)
+            lenard._lm_step(eps, grad, "recursion")
     assert lenard.structure(0) is lenard.H0 and lenard.structure(1) is lenard.H1
 
 
@@ -80,12 +80,55 @@ def test_step_methods_agree():
 
 
 def test_step_methods_agree_with_negative_v_powers():
-    # the candidate space for eps=0 grows quickly as the v-power floor drops,
-    # so pin explicit bounds that just contain the known answer
+    # the second component reaches v^-12, three powers below the right
+    # side's least: d^3 lowers the power of v by three
     s = lenard.seed(0, 0)
     a = lenard.lm_step(0, s.gradient, method="recursion")
-    b = lenard.lm_step(0, s.gradient, method="ansatz", order_bounds=(4, 6), v_floor=-12)
+    b = lenard.lm_step(0, s.gradient, method="ansatz")
     assert a == b
+    flow = dop.apply(lenard.H1, s.gradient)
+    assert da.min_v_exponent(a[1]) == min(map(da.min_v_exponent, flow)) - 3
+
+
+def _min_v(f):
+    return min((da.mono_exp(m, da.V, 0) for m, _ in da.packed_terms(f)), default=None)
+
+
+def test_space_bounds_are_the_recursion_answers_own():
+    # each candidate space is as small as the chains allow: its order
+    # bound and v floor are the answer's jet order and least power of v
+    for eps in (0, 1):
+        for alpha in (0, 1):
+            run = lenard.run_hierarchy(eps, alpha, 3, with_densities=False)
+            for n in range(1, 4):
+                got = lenard._space_bounds(eps, run.flows[n - 1])
+                want = tuple((lenard._ord(c), _min_v(c)) for c in run.gradients[n])
+                assert got == want, (eps, alpha, n)
+
+
+def test_ansatz_step_inverts_h_eps_on_seeded_normalized_gradients():
+    # any normalized xi in the tags, the kernel weights included, comes
+    # back from H_eps xi: the bounds read off H_eps xi hold a solution
+    rng = random.Random(25)
+    weights = {0: range(-6, 3), 1: range(0, 7)}
+    kernel_weights = {eps: set(map(lenard._vec_weight, lenard._KERNELS[eps])) for eps in (0, 1)}
+    seen = set()
+    for _ in range(260):
+        eps = rng.randrange(2)
+        wt = rng.choice(weights[eps])
+        xi = []
+        for tag in lenard._GRADIENT_TAGS[eps]:
+            monos = lenard._candidates(wt, rng.randrange(4), tag, rng.randrange(-4, 0))
+            picked = rng.sample(monos, min(len(monos), rng.randrange(4)))
+            coeffs = [QQ(rng.randrange(-8, 9) or 1, rng.randrange(1, 4)) for _ in picked]
+            xi.append(da.DiffFunction.from_packed(zip(coeffs, picked)))
+        xi = lenard._normalize_kernel(eps, xi)
+        b = dop.apply(lenard.structure(eps), xi)
+        if not any(b):
+            continue
+        assert lenard._normalize_kernel(eps, lenard._step_ansatz(eps, b)) == xi, (eps, xi)
+        seen.add((eps, wt in kernel_weights[eps]))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 def test_step_verifies_the_relation():
@@ -152,8 +195,7 @@ def test_membership_pattern_eps1():
 
 
 def test_ansatz_space_contents():
-    space = lenard.ansatz_space(4, 2, da.V_PLUS)
-    monos = set(space.monomials)
+    monos = set(map(da.unpack_mono, lenard._candidates(4, 2, da.V_PLUS, 0)))
     assert ((da.U, 0, 1),) not in monos  # weight 2
     assert ((da.U, 0, 2),) in monos  # weight 4
     assert ((da.U, 2, 1),) in monos  # weight 4
@@ -163,21 +205,25 @@ def test_ansatz_space_contents():
 
 
 def test_ansatz_space_empty():
-    with pytest.raises(EmptyAnsatz):
-        lenard.ansatz_space(1, 0, da.V_PLUS)
+    # an empty component space adds no columns: with b0 = 0 the bound of
+    # the second component of an eps = 1 step is negative, and the first
+    # component alone solves the step
+    assert lenard._candidates(1, 0, da.V_PLUS, 0) == ()
+    assert lenard._candidates(4, -1, da.V_PLUS, 0) == ()
+    u = da.u_jet(0)
+    b = dop.apply(lenard.H1, (u, ZERO))
+    assert not b[0] and lenard._space_bounds(1, b)[1][0] < 0
+    assert lenard._normalize_kernel(1, lenard._step_ansatz(1, b)) == (u, ZERO)
 
 
-def _ref_ansatz_space(weight, order_bound, tag, include_log=False, v_floor=None):
-    # ansatz_space as it was with its own enumerator and a v range per tag kind
-    if v_floor is None:
-        if tag.kind in ("minus", "scaled_minus", "affine_scaled", "zero"):
-            v_floor = weight // 2 - order_bound - 2
-        else:
-            v_floor = 0
+def _ref_candidates(weight, order_bound, tag, v_floor):
+    # _candidates with its own enumerator and a v range per tag kind
+    if order_bound < 0:
+        return ()
     lo, hi = {
-        "plus": (0, None),
-        "scaled_plus": (tag.power, None),
-        "zero": (0, 0),
+        "plus": (max(0, v_floor), None),
+        "scaled_plus": (max(tag.power, v_floor), None),
+        "zero": (max(0, v_floor), 0),
         "minus": (v_floor, 0),
         "scaled_minus": (v_floor, -tag.power),
         "affine_scaled": (v_floor, max(-tag.power, 1 - tag.power)),
@@ -210,21 +256,7 @@ def _ref_ansatz_space(weight, order_bound, tag, include_log=False, v_floor=None)
             e += 1
 
     rec(0, weight, [])
-    out = sorted(set(found))
-    if include_log:
-        log_g = (da.LOG_VAR, 0, 1)
-        extra = [
-            tuple(sorted(m + (log_g,), key=lambda g: (g[0], g[1])))
-            for m in out
-            if not any(g[0] == da.V and g[1] == 0 for g in m)
-        ]
-        out = sorted(set(out) | set(extra))
-    if not out:
-        raise EmptyAnsatz(
-            f"no monomials of weight {weight} under {tag.kind} with order <= {order_bound}"
-        )
-    # the floor the enumeration used: the tag's own lower bound when it has one
-    return lenard.AnsatzSpace(weight, order_bound, tag, include_log, lo, tuple(out))
+    return tuple(sorted(set(found)))
 
 
 def test_ansatz_space_matches_the_per_kind_enumerator():
@@ -234,33 +266,14 @@ def test_ansatz_space_matches_the_per_kind_enumerator():
     outcomes = set()
     for tag in tags:
         for weight in range(-4, 11):
-            for order_bound in range(4):
-                for v_floor in (None, -4, 1):
-                    for include_log in (False, True):
-                        args = (weight, order_bound, tag, include_log, v_floor)
-                        try:
-                            want = _ref_ansatz_space(*args)
-                        except EmptyAnsatz as exc:
-                            with pytest.raises(EmptyAnsatz) as got:
-                                lenard.ansatz_space(*args)
-                            assert str(got.value) == str(exc)
-                            outcomes.add("empty")
-                            continue
-                        got = lenard.ansatz_space(*args)
-                        assert got == want and got.monomials == want.monomials, args
-                        monos = got.monomials
-                        outcomes.add(any(g[0] == da.LOG_VAR for m in monos for g in m))
-    assert outcomes == {"empty", False, True}
-
-
-def test_ansatz_space_records_the_floor_it_used():
-    # a tag with a lower bound ignores v_floor, so the spaces are one space
-    assert lenard.ansatz_space(4, 2, da.V_PLUS, v_floor=-3) == lenard.ansatz_space(4, 2, da.V_PLUS)
-    assert lenard.ansatz_space(4, 2, da.V_ZERO).v_floor == 0
-    assert lenard.ansatz_space(4, 2, lenard.scaled_v_plus(1), v_floor=-5).v_floor == 1
-    # a v-negative tag has no lower bound of its own
-    assert lenard.ansatz_space(4, 2, da.V_MINUS, v_floor=-3).v_floor == -3
-    assert lenard.ansatz_space(4, 2, da.V_MINUS).v_floor == 4 // 2 - 2 - 2
+            for order_bound in range(-2, 4):
+                for v_floor in (-6, -4, 0, 1):
+                    args = (weight, order_bound, tag, v_floor)
+                    want = _ref_candidates(*args)
+                    got = tuple(map(da.unpack_mono, lenard._candidates(*args)))
+                    assert got == want, args
+                    outcomes.add(bool(got))
+    assert outcomes == {False, True}
 
 
 def test_run_rejects_bad_args():
@@ -289,14 +302,34 @@ def test_negative_widen_cap_is_rejected():
 
 
 def test_ansatz_order_bounds_must_be_a_pair():
-    # a bound per gradient component: zipped with the component tags, a
-    # single bound dropped the v candidates and read as NoSolution
+    # the candidate spaces are read off the right side: a caller still
+    # passing bounds is refused rather than having them silently ignored
     s = lenard.seed(1, 0)
-    want = lenard.lm_step(1, s.gradient, method="ansatz")
-    for bounds in ((3,), (4, 4, 4), 4, ()):
-        with pytest.raises(MagriError, match="order_bounds must be None or a pair"):
-            lenard.lm_step(1, s.gradient, method="ansatz", order_bounds=bounds)
-    assert lenard.lm_step(1, s.gradient, method="ansatz", order_bounds=[4, 4]) == want
+    want = lenard.lm_step(1, s.gradient)
+    for kw in ({"order_bounds": (4, 4)}, {"v_floor": -3}):
+        with pytest.raises(TypeError, match=next(iter(kw))):
+            lenard.lm_step(1, s.gradient, method="ansatz", **kw)
+        with pytest.raises(TypeError, match=next(iter(kw))):
+            lenard._lm_step(1, s.gradient, "ansatz", **kw)
+    assert lenard.lm_step(1, s.gradient, method="ansatz") == want
+
+
+def test_bools_and_unknown_methods_are_refused():
+    grad = lenard.seed(1, 1).gradient
+    for call in (
+        lambda: lenard.seed(True, 0),
+        lambda: lenard.seed(0, False),
+        lambda: lenard.structure(True),
+        lambda: lenard.lm_step(True, grad),
+        lambda: lenard.run_hierarchy(True, False, 1),
+    ):
+        with pytest.raises(MagriError, match="must"):
+            call()
+    # the method is checked before a zero flow or zero steps return early
+    with pytest.raises(MagriError, match="unknown stepping method 'bogus'"):
+        lenard.lm_step(1, (ZERO, da.ONE), method="bogus")
+    with pytest.raises(MagriError, match="unknown stepping method 'bogus'"):
+        lenard.run_hierarchy(1, 0, 0, method="bogus")
 
 
 def test_normalize_kernel_divides_exactly():
