@@ -115,6 +115,17 @@ lets the chains of values that are still in use but done with
 derivatives go early, as ``magri hierarchy`` does before it writes a
 finished run.
 
+Euler operators and antiderivatives
+-----------------------------------
+:func:`partial_derivatives` reads every partial derivative of f by the
+jets of one field in one pass over its terms, and both
+:func:`euler_derivative` and the Frechet rows of :mod:`magri.varcalc`
+take them from there.  :func:`antiderivative` integrates top order by
+top order with one remainder for the whole loop: an
+:class:`Accumulator` indexed by jet order, of which each round reads
+only the top order and into which it subtracts the derivative of its
+primitive, so no round rebuilds, re-sorts or rescans what is left.
+
 Subalgebras
 -----------
 A :class:`SubalgebraTag` names a v-power interval: the monomials free
@@ -636,7 +647,15 @@ def const(q):
 
 
 def jet(var, order, exp=1):
-    """The generator (var, order) raised to ``exp``."""
+    """The generator (var, order) raised to ``exp``.
+
+    The variable code, the order and the exponent are ints; anything else,
+    a bool or a float included, raises MagriError.
+    """
+    if type(var) is not int or type(order) is not int or type(exp) is not int:
+        raise MagriError(
+            f"a jet takes an int variable code, order and exponent, got {var!r}, {order!r}, {exp!r}"
+        )
     if exp == 0:
         return ONE
     return _df(((pack_mono(((var, order, exp),)), 1),))
@@ -818,12 +837,73 @@ def partial_derivative(f, gen):
     return _canon(out, f._den)
 
 
+def _field(var):
+    """The code of a field given as U, V or the names "u", "v"; anything
+    else (log v, a bool or another code included) raises MagriError."""
+    if isinstance(var, str) and var in VAR_NAMES[:2]:
+        return VAR_NAMES.index(var)
+    if type(var) is not int or var not in (U, V):
+        raise MagriError(f"unknown field {var!r}: not one of u, v or 0, 1")
+    return var
+
+
+def partial_derivatives(f, var):
+    """The partial derivatives of f by every jet of one field, in one pass.
+
+    ``var`` is U, V, "u" or "v"; anything else raises MagriError.  Returns
+    the list [df/dx^(0), ..., df/dx^(n)], each equal to
+    ``partial_derivative(f, (var, k))``, with n the top order of the jets
+    of ``var`` in f (:func:`max_order`), or [] when there is none.  By v
+    the chain rule takes in log v, as :func:`partial_derivative` does.
+    """
+    var = _field(var)
+    den = f._den
+    jets = []  # jets[k]: the terms of df/dx^(first + k), sorted as f's
+    first = 1 if var == V else 0  # the v^(0) partial has a rule of its own
+    start = EXP_BITS * _slot(var, first)
+    stride = 2 * EXP_BITS  # from x^(n) to x^(n+1): the fields alternate u, v
+    acc = Accumulator((), den)  # the v^(0) partial
+    d0 = acc.d
+    get = d0.get
+    for m, c in f._t:
+        x = m + _OFF
+        if var == V:
+            e = (x & _MASK) - _OFF
+            if e:
+                d0[m - 1] = get(m - 1, 0) + c * e
+            j = (x >> EXP_BITS) & _MASK
+            if j:
+                m2 = m - _LOG - 1
+                d0[m2] = get(m2, 0) + c * j
+        # lowering one positive exponent keeps the monomials distinct, in
+        # range and in the same order
+        x >>= start
+        unit = 1 << start
+        k = 0
+        while x:
+            e = x & _MASK
+            if e:
+                while len(jets) <= k:
+                    jets.append([])
+                jets[k].append((m - unit, c * e))
+            x >>= stride
+            unit <<= stride
+            k += 1
+    out = [_canon(t, den) for t in jets]
+    if var == V and (d0 or out):
+        out.insert(0, DiffFunction.from_acc(acc))
+    return out
+
+
 def max_order(f, var=None):
     """Largest jet order present (None for a constant).
 
     v^0 counts as order 0, and log v counts as the order-0 v generator
-    since it depends on v.
+    since it depends on v.  ``var`` is None for every jet, or one field,
+    U, V, "u" or "v"; anything else raises MagriError.
     """
+    if var is not None:
+        var = _field(var)
     has_v = False
     bits = 0  # the fields from slot 1 up, or-ed over all monomials
     for m, _ in f._t:
@@ -835,8 +915,6 @@ def max_order(f, var=None):
         if bits:
             return (bits.bit_length() - 1) // EXP_BITS // 2
         return 0 if has_v else None
-    if var not in (U, V):
-        return None
     # field i of bits is slot i + 1: v jets (and log v) in odd slots, u in even ones
     i = (bits.bit_length() - 1) // EXP_BITS
     if (i + 1) % 2 != (var == V):
@@ -846,6 +924,8 @@ def max_order(f, var=None):
             return i // 2
         i -= 2
     return 0 if var == V and has_v else None
+
+
 def differential_order(f):
     """Max jet order with a nonvanishing partial derivative.
 
@@ -1061,18 +1141,20 @@ def monomials(weight, order_bound, lo, hi=None, affine=None, fields=(U, V), incl
 
 
 def euler_derivative(f, var):
-    """Variational derivative in one variable: sum (-d)^n df/dx^(n).
+    """Variational derivative in one field: sum (-d)^n df/dx^(n).
 
-    Evaluated in Horner form, acc <- df/dx^(k) - d(acc) for k = n-1 .. 0,
-    so it takes n total derivatives, each subtracted straight into the
-    dict of the next partial derivative.
+    ``var`` is U, V, "u" or "v"; anything else raises MagriError.  The
+    partial derivatives come from one pass over f
+    (:func:`partial_derivatives`), and the sum is taken in Horner form,
+    acc <- df/dx^(k) - d(acc) for k = n-1 .. 0, so it takes n total
+    derivatives, each subtracted straight into the dict of the next
+    partial derivative.
     """
-    n = max_order(f, var)
-    if n is None:
+    parts = partial_derivatives(f, var)
+    if not parts:
         return ZERO
-    acc = partial_derivative(f, (var, n))
-    for k in range(n - 1, -1, -1):
-        p = partial_derivative(f, (var, k))
+    acc = parts.pop()
+    for p in reversed(parts):
         d = Accumulator(p._t, p._den)
         _dx_into(d, acc, -1)
         acc = DiffFunction.from_acc(d)
@@ -1125,6 +1207,15 @@ def _integrate_in_generator(b, var, order):
     return divide_terms(b, lambda m: mono_exp(m, var, order) + 1) * jet(var, order)
 
 
+def _mono_order(m):
+    """The jet order of a packed monomial: 0 for a function of v and log v
+    alone, -1 for the monomial 1."""
+    x = (m + _OFF) >> EXP_BITS
+    if x:
+        return (x.bit_length() - 1) // EXP_BITS // 2
+    return 0 if m else -1
+
+
 def antiderivative(f, tag=None):
     """A primitive g with total_derivative(g) == f, or None.
 
@@ -1144,6 +1235,13 @@ def antiderivative(f, tag=None):
     that is not exact returns None, and exact input, whose primitive
     the ring cannot hold, raises ExponentOverflow.
 
+    The remainder is one :class:`Accumulator` for the whole loop, with
+    an index from jet order to its monomials.  Only the monomials of the
+    top order can hold v^(n) or u^(n), so a round reads those alone; it
+    subtracts the derivative of its primitive into the same dict, checks
+    the range of the monomials that are new there, and drops the terms
+    that cancelled when their order comes to the top.
+
     The result is normalized to have zero constant term.  When ``tag``
     names a subspace, the primitive must land in its target space,
     otherwise None is returned: a tag with no lower bound on the power
@@ -1153,31 +1251,65 @@ def antiderivative(f, tag=None):
     raises MagriError.
     """
     g = Accumulator()  # the primitive so far
-    work = f
+    rest = Accumulator(f._t, f._den)  # what is left
+    d = rest.d
+    get = d.get
+    by_order = {}  # jet order -> the monomials of rest of that order
+    for m, _c in f._t:
+        by_order.setdefault(_mono_order(m), set()).add(m)
+    memo = _DX_MONO
     last_u = None  # the order of the last round in u
     try:
-        while work:
-            n = differential_order(work)
-            if n is None or n == 0 or n == last_u:
+        while by_order:
+            n = max(by_order)
+            top = by_order[n]
+            for m in [m for m in top if not d[m]]:
+                top.discard(m)
+                del d[m]
+            if not top:
+                del by_order[n]
+                continue
+            if n <= 0 or n == last_u:
                 # a nonzero remainder of order 0 is never exact, and neither is
                 # one left at the order of the last round in u
                 return None
-            # the fields of m + _OFF or-ed over the terms: v^(n) is read once
-            bits = reduce(or_, [m + _OFF for m, _ in work._t])
-            var = V if (bits >> EXP_BITS * _slot(V, n)) & _MASK else U
-            top = partial_derivative(work, (var, n))
-            if partial_derivative(top, (var, n)):
-                return None
-            t_ord = differential_order(top)
-            if t_ord is not None and t_ord >= n:
-                return None
+            var = V if any(((m + _OFF) >> EXP_BITS * (2 * n + 1)) & _MASK for m in top) else U
+            shift = EXP_BITS * _slot(var, n)
+            unit = 1 << shift
+            coeff = []  # the coefficient of the jet (var, n)
+            for m in top:
+                x = (m + _OFF) >> shift
+                e = x & _MASK
+                if e:
+                    # nonlinear in the top jet, or a coefficient of order n: for
+                    # var = V the field above v^(n) is u^(n), and for var = U
+                    # it is v^(n + 1), absent at the top order n
+                    if e > 1 or (x >> EXP_BITS) & _MASK:
+                        return None
+                    coeff.append((m - unit, d[m]))
+            coeff.sort(key=_first)
             if var == U:
                 last_u = n
-            p = _integrate_in_generator(top, var, n - 1)
+            p = _integrate_in_generator(_canon(coeff, rest.den), var, n - 1)
             add_into(g, p)
-            d = Accumulator(work._t, work._den)
-            _dx_into(d, p, -1)
-            work = DiffFunction.from_acc(d)
+            k = rest.fit(p._den)
+            new = []
+            for m, c in p._t:
+                c *= -k
+                t = memo.get(m)
+                if t is None:
+                    t = _dx_mono(m)
+                for step, e in t:
+                    dm = m + step
+                    old = get(dm)
+                    if old is None:
+                        new.append(dm)
+                        d[dm] = c * e
+                    else:
+                        d[dm] = old + c * e
+            _check_range(new)
+            for m in new:
+                by_order.setdefault(_mono_order(m), set()).add(m)
         g = DiffFunction.from_acc(g)
     except ExponentOverflow:
         if is_total_derivative(f):

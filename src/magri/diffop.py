@@ -239,10 +239,13 @@ class MatrixDiffOp:
     """A grid of scalar differential operators.
 
     ``_skew`` is None until :func:`is_skew_adjoint` first decides the
-    operator, and from then on holds its verdict.
+    operator, and from then on holds its verdict.  ``factors`` is None,
+    or the tuple of operators whose composition, left to right, the
+    operator is (see :func:`factored`); :func:`apply` then goes through
+    them, and every other reader takes the expanded ``entries``.
     """
 
-    __slots__ = ("entries", "_skew")
+    __slots__ = ("entries", "_skew", "factors")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -254,6 +257,7 @@ class MatrixDiffOp:
                     raise MagriError("matrix entries must be scalar operators")
         self.entries = rows
         self._skew = None
+        self.factors = None
 
     @property
     def shape(self):
@@ -325,21 +329,49 @@ def adjoint(h):
     )
 
 
+def factored(*factors):
+    """The composition f_1 . f_2 . ... . f_k of matrix operators, keeping
+    its factors: :func:`apply` goes through them right to left, which
+    costs less than the expanded entries when a factor of multiplication
+    sits on each side of a long one (w . Q . w in H1)."""
+    h = factors[0]
+    for f in factors[1:]:
+        h = h * f
+    h.factors = factors
+    return h
+
+
+_IDENTITY = ((0, ONE),)
+
+
+def _apply_entries(h, vec):
+    """h(vec) through the entries of h; a row that is the identity on one
+    component passes that component itself on, with its derivative tower."""
+    out = []
+    for row in h.entries:
+        live = [(a, f) for a, f in zip(row, vec) if a]
+        if len(live) == 1 and live[0][0].terms == _IDENTITY:
+            out.append(live[0][1])
+            continue
+        acc = da.Accumulator()
+        for a, f in live:
+            _apply_into(acc, a, f)
+        out.append(DiffFunction.from_acc(acc))
+    return tuple(out)
+
+
 def apply(h, vec):
-    """Apply a matrix operator to a vector of differential functions."""
+    """Apply a matrix operator to a vector of differential functions,
+    through its factors, right to left, when it has them."""
     if isinstance(h, ScalarDiffOp):
         h = MatrixDiffOp([[h]])
     vec = tuple(vec)
     n, m = h.shape
     if len(vec) != m:
         raise DimensionMismatch(f"operator takes {m} components, got {len(vec)}")
-    out = []
-    for row in h.entries:
-        acc = da.Accumulator()
-        for a, f in zip(row, vec):
-            _apply_into(acc, a, f)
-        out.append(DiffFunction.from_acc(acc))
-    return tuple(out)
+    for f in reversed(h.factors or (h,)):
+        vec = _apply_entries(f, vec)
+    return vec
 
 
 def is_skew_adjoint(h):
@@ -372,6 +404,9 @@ def builtin_pair():
     H0 has order 3:   [[d^3 + 2u d + u', v d], [d . v, 0]]
     H1 has order 5:   [[0, d . 1/v^2], [1/v^2 d, -1/v^2 . Q . 1/v^2]]
     with Q = d^5 + 3 d.(d.u + u d).d + 2(d^3.u + u d^3) + 8(d.u^2 + u^2 d).
+
+    H1 keeps its factors W . [[0, d], [d, -Q]] . W, W = diag(1, 1/v^2):
+    its entries are their product, and it is applied through them.
     """
     u = da.u_jet(0)
     v = da.v_jet(0)
@@ -387,13 +422,8 @@ def builtin_pair():
     )
 
     q = builtin_q()
-    w = multiplication(da.v_pow(-2))
-    h1 = MatrixDiffOp(
-        [
-            [zero, D * w],
-            [w * D, -(w * q * w)],
-        ]
-    )
+    w = MatrixDiffOp([[multiplication(ONE), zero], [zero, multiplication(da.v_pow(-2))]])
+    h1 = factored(w, MatrixDiffOp([[zero, D], [D, -q]]), w)
     return h0, h1
 
 

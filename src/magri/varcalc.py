@@ -39,13 +39,12 @@ def variational_derivative(f, nvars=2):
 
 
 def frechet_row(f, nvars=2):
-    """The operators D_{f,j} = sum_n df/du_j^(n) d^n for j < nvars."""
+    """The operators D_{f,j} = sum_n df/du_j^(n) d^n for j < nvars; the ring
+    has no jets of a field j > 1, so those entries are zero."""
     row = []
     for var in range(nvars):
-        top = da.max_order(f, var)
-        orders = () if top is None else range(top + 1)
-        terms = {n: da.partial_derivative(f, (var, n)) for n in orders}
-        row.append(dop.ScalarDiffOp.from_dict(terms))
+        parts = da.partial_derivatives(f, var) if var in (U, V) else ()
+        row.append(dop.ScalarDiffOp.from_dict(dict(enumerate(parts))))
     return row
 
 
@@ -214,7 +213,8 @@ def integrate_exact(vec):
         if got != vec:
             raise NoSolution("reconstructed density fails to reproduce the gradient")
     except MagriError:
-        rep = is_closed(vec)
+        # an empty vector has no Frechet derivative to test: its own error stands
+        rep = is_closed(vec) if vec else True
         if not rep:
             raise NotClosed(
                 f"vector is not a variational gradient; entry {rep.witness}"

@@ -22,7 +22,7 @@ from magri.diffalg import (
     V,
     ZERO,
 )
-from magri.errors import MagriError
+from magri.errors import ExponentOverflow, MagriError
 
 rng_strategy = st.integers(min_value=0, max_value=10**9).map(random.Random)
 
@@ -998,3 +998,167 @@ def test_monomials_match_the_v_only_enumerator():
         assert da.mono_weight(m) == 6 and -2 <= da.mono_exp(m, V, 0) <= 0
     assert da.pack_mono(((U, 0, 1), (V, 0, 1))) in da.monomials(4, 0, 0)
     assert da.monomials(4, 0, 0, fields=(V,)) == (da.pack_mono(((V, 0, 2),)),)
+
+
+# -- one remainder across the rounds of antiderivative ------------------------
+
+
+def _round_by_round_antiderivative(f):
+    """antiderivative as it was when each round rebuilt the whole remainder:
+    a canonical value per round, its order, v^(n) test and partial
+    derivatives read off the whole of it.  No tag."""
+    from functools import reduce
+    from operator import or_
+
+    g = da.Accumulator()
+    work = f
+    last_u = None
+    try:
+        while work:
+            n = da.differential_order(work)
+            if n is None or n == 0 or n == last_u:
+                return None
+            bits = reduce(or_, [m + da._OFF for m, _ in work._t])
+            var = V if (bits >> da.EXP_BITS * da._slot(V, n)) & da._MASK else U
+            top = da.partial_derivative(work, (var, n))
+            if da.partial_derivative(top, (var, n)):
+                return None
+            t_ord = da.differential_order(top)
+            if t_ord is not None and t_ord >= n:
+                return None
+            if var == U:
+                last_u = n
+            p = da._integrate_in_generator(top, var, n - 1)
+            da.add_into(g, p)
+            d = da.Accumulator(work._t, work._den)
+            da._dx_into(d, p, -1)
+            work = da.DiffFunction.from_acc(d)
+        g = da.DiffFunction.from_acc(g)
+    except ExponentOverflow:
+        if da.is_total_derivative(f):
+            raise
+        return None
+    return g
+
+
+def _outcome(fn, f):
+    """fn(f), or the marker "overflow" when it raises ExponentOverflow."""
+    try:
+        return fn(f)
+    except ExponentOverflow:
+        return "overflow"
+
+
+def test_antiderivative_matches_the_round_by_round_reference(monkeypatch):
+    rounds = []
+    integrate = da._integrate_in_generator
+
+    def counted(b, var, order):
+        rounds.append((b, var, order))
+        return integrate(b, var, order)
+
+    monkeypatch.setattr(da, "_integrate_in_generator", counted)
+    u, v = da.u_jet(0), da.v_jet(0)
+    inputs = _exactness_inputs(random.Random(131)) + [
+        da.v_jet(1) * da.u_jet(2),
+        v ** da.MAX_V_EXP * da.v_jet(1) * u,  # leaves the range, not exact: None
+        v ** da.MAX_V_EXP * da.v_jet(1),  # leaves the range, exact: raises
+        da.u_jet(1) ** da.MAX_EXP * da.u_jet(2) * v,
+        # the first primitive is in range, but its derivative reaches
+        # v^(MIN - 1): not exact, so None, where the Euler test itself leaves
+        # the range (it takes d/dv) and so raises
+        da.v_pow(da.MIN_V_EXP) * da.v_jet(2) * u,
+        da.v_pow(da.MIN_V_EXP) * da.v_jet(1) * da.v_jet(2),
+    ]
+    rng = random.Random(137)
+    for _ in range(60):  # larger exact and not-quite-exact inputs, Laurent and log
+        f = helpers.rand_function(rng, terms=6, max_order=4)
+        inputs.append(da.total_derivative(f))
+        inputs.append(da.total_derivative(f) + helpers.rand_function(rng, terms=2, max_order=4))
+    kinds = {"none": 0, "overflow": 0, "primitive": 0}
+    for f in inputs:
+        del rounds[:]
+        got = _outcome(da.antiderivative, f)
+        got_rounds = rounds[:]
+        del rounds[:]
+        want = _outcome(_round_by_round_antiderivative, f)
+        assert got == want, f
+        # the same rounds, in the same order, integrate the same coefficients
+        assert got_rounds == rounds, f
+        kinds["none" if want is None else "overflow" if want == "overflow" else "primitive"] += 1
+    assert kinds["none"] > 30 and kinds["primitive"] > 60 and kinds["overflow"] == 2
+
+
+def test_antiderivative_result_is_canonical_after_cancelling_rounds():
+    # rounds that cancel terms leave zeros in the remainder's dict; the
+    # primitive and every later round see none of them
+    rng = random.Random(139)
+    for _ in range(40):
+        f = helpers.rand_function(rng, terms=5, max_order=3)
+        g = da.antiderivative(da.total_derivative(f))
+        want = f - da.const(f.constant_term())
+        assert g == want
+        assert all(c for _m, c in g._t)
+
+
+# -- partial derivatives by every jet of a field in one pass ------------------
+
+
+def test_partial_derivatives_match_partial_derivative_at_every_order():
+    rng = random.Random(149)
+    fs = [da.log_v(), da.v_pow(-3), da.ONE, ZERO, da.u_jet(5) * da.log_v() ** 2]
+    fs += [helpers.rand_function(rng, terms=5, max_order=5) for _ in range(150)]
+    assert any(da.min_v_exponent(f) < 0 for f in fs)
+    assert any(da.mono_exp(m, LOG_VAR, 0) for f in fs for m, _c in f._t)
+    for f in fs:
+        for var, name in ((U, "u"), (V, "v")):
+            parts = da.partial_derivatives(f, var)
+            assert da.partial_derivatives(f, name) == parts
+            top = da.max_order(f, var)
+            assert len(parts) == (0 if top is None else top + 1)
+            for k, p in enumerate(parts):
+                assert p == da.partial_derivative(f, (var, k)), (f, var, k)
+
+
+def test_euler_derivative_and_max_order_take_only_a_field():
+    u, v2 = da.u_jet(0), da.v_jet(2)
+    f = u * v2 + da.v_jet(0) ** 2
+    assert da.euler_derivative(f, "u") == da.euler_derivative(f, U) == v2
+    assert da.euler_derivative(f, "v") == da.euler_derivative(f, V)
+    assert da.euler_derivative(f, V) == da.u_jet(2) + 2 * da.v_jet(0)
+    assert da.max_order(f, "u") == da.max_order(f, U) == 0
+    assert da.max_order(f, "v") == da.max_order(f, V) == 2
+    assert da.max_order(f) == 2
+    for var in (2, 5, -1, "log", LOG_VAR, True, False, 1.0, "x", "U", None):
+        with pytest.raises(MagriError, match=f"unknown field {var!r}"):
+            da.euler_derivative(f, var)
+        if var is not None:  # None asks max_order for every jet
+            with pytest.raises(MagriError, match=f"unknown field {var!r}"):
+                da.max_order(f, var)
+        with pytest.raises(MagriError, match=f"unknown field {var!r}"):
+            da.partial_derivatives(f, var)
+
+
+def test_jets_take_only_int_orders_and_exponents():
+    assert da.jet(U, 1) == da.u_jet(1)
+    assert da.jet(V, 0, -2) == da.v_pow(-2)
+    assert da.jet(U, 3, 0) == ONE
+    bad = [
+        (lambda: da.jet(U, True), "True"),
+        (lambda: da.jet(U, 1.0), "1.0"),
+        (lambda: da.jet(True, 0), "True"),
+        (lambda: da.jet(U, 0, True), "True"),
+        (lambda: da.jet(V, 0, QQ(2)), "Fraction"),
+        (lambda: da.u_jet(True), "True"),
+        (lambda: da.u_jet(1.0), "1.0"),
+        (lambda: da.v_jet(False), "False"),
+        (lambda: da.v_jet(2.0), "2.0"),
+        (lambda: da.v_pow(1.5), "1.5"),
+        (lambda: da.v_pow(True), "True"),
+    ]
+    for make, shown in bad:
+        with pytest.raises(MagriError, match="a jet takes an int variable code, order and exponent") as info:
+            make()
+        assert shown in str(info.value)
+    with pytest.raises(MagriError, match="negative jet order"):
+        da.u_jet(-1)

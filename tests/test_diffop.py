@@ -76,8 +76,10 @@ def test_operator_powers_stay_cheap(monkeypatch):
 
 def test_apply_differentiates_each_vector_once(monkeypatch):
     _h0, h1 = dop.builtin_pair()
+    expanded = dop.MatrixDiffOp(h1.entries)
     v = (da.u_jet(0) * da.v_jet(1), da.v_pow(-1) + da.log_v())
-    first = dop.apply(h1, v)
+    first = dop.apply(expanded, v)
+    assert dop.apply(h1, v) == first
     calls = []
     dx_into = da._dx_into
 
@@ -86,8 +88,17 @@ def test_apply_differentiates_each_vector_once(monkeypatch):
         return dx_into(acc, f)
 
     monkeypatch.setattr(da, "_dx_into", counting)
-    assert dop.apply(h1, v) == first
+    # through its entries, a second application reads every derivative of
+    # v from the towers kept on its components
+    assert dop.apply(expanded, v) == first
     assert calls == []
+    # H1 goes through its factors W . M . W, W = diag(1, v^-2): the identity
+    # row of W passes v[0] on with its tower, and the only value a second
+    # application differentiates is the new v^-2 * v[1], five times for Q
+    assert dop.apply(h1, v) == first
+    assert len(calls) == 5
+    assert not any(f is c for f in calls for c in v)
+    assert calls[0] == da.v_pow(-2) * v[1]
 
 
 def test_adjoint_involution_and_antihomomorphism():
@@ -199,3 +210,41 @@ def test_apply_is_the_sum_of_coefficients_times_derivatives():
             assert dop.apply_scalar(m.entries[i][0], vec[0]) == by_terms(m.entries[i][0], vec[0])
             assert out[i] == by_terms(m.entries[i][0], vec[0]) + by_terms(m.entries[i][1], vec[1])
     assert dop.apply_scalar(dop.ScalarDiffOp(), da.u_jet(0)) == da.ZERO
+
+
+def test_builtin_h1_entries_are_the_product_of_its_factors():
+    # the entries every reader of the symbol takes are those H1 had when it
+    # was built from D . w, w . D and -(w . Q . w), w = v^-2
+    _h0, h1 = dop.builtin_pair()
+    q = dop.builtin_q()
+    w = dop.multiplication(da.v_pow(-2))
+    zero = dop.ScalarDiffOp()
+    assert h1.entries == ((zero, dop.D * w), (w * dop.D, -(w * q * w)))
+    assert len(h1.factors) == 3
+    assert all(f.factors is None for f in h1.factors)
+    # an operator built from H1 keeps no factors
+    for other in (-h1, h1 * 2, h1 + h1, dop.MatrixDiffOp(h1.entries)):
+        assert other.factors is None
+
+
+def test_factored_apply_matches_the_expanded_entries():
+    _h0, h1 = dop.builtin_pair()
+    expanded = dop.MatrixDiffOp(h1.entries)
+    rng = random.Random(151)
+    vecs = [(da.ZERO, da.ZERO), (da.ONE, da.ZERO), (da.ZERO, da.log_v())]
+    vecs += [helpers.rand_vector(rng, terms=4) for _ in range(60)]
+    assert any(da.min_v_exponent(f) < 0 for x in vecs for f in x)
+    assert any(da.mono_exp(m, da.LOG_VAR, 0) for x in vecs for f in x for m, _c in f._t)
+    for x in vecs:
+        got = dop.apply(h1, x)
+        assert got == dop.apply(expanded, x), x
+        assert all(type(f) is da.DiffFunction for f in got)
+    # factors of any shape compose and apply right to left
+    for _ in range(10):
+        a, b = helpers.rand_matrix_op(rng, terms=2), helpers.rand_matrix_op(rng, terms=2)
+        ab = dop.factored(a, b)
+        assert ab == a * b
+        x = helpers.rand_vector(rng, terms=2)
+        assert dop.apply(ab, x) == dop.apply(a, dop.apply(b, x)) == dop.apply(a * b, x)
+    with pytest.raises(DimensionMismatch):
+        dop.apply(h1, (da.ONE,))

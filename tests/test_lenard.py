@@ -14,7 +14,7 @@ from magri import lenard
 from magri import pva
 from magri import varcalc as vc
 from magri.diffalg import QQ, ZERO, LocalFunctional
-from magri.errors import MagriError
+from magri.errors import MagriError, NotClosed
 
 
 def test_all_four_seeds_verify():
@@ -469,3 +469,32 @@ def test_the_engine_reads_no_tuple_terms(monkeypatch):
     assert outcomes == {True, "NoSolution"}
     assert all(run.checks.values()) and len(run.densities) == 2
     assert step == want_step
+
+
+def test_run_hierarchy_proves_each_gradient_closed_once(monkeypatch):
+    calls = []
+    is_closed = vc.is_closed
+
+    def counted(vec):
+        calls.append(vec)
+        return is_closed(vec)
+
+    monkeypatch.setattr(vc, "is_closed", counted)
+    for eps, alpha in ((0, 0), (1, 0), (1, 1)):
+        # with densities, seed proves xi_0 closed and integrate_exact every
+        # later xi_n, through variational_derivative(h) == xi_n
+        del calls[:]
+        run = lenard.run_hierarchy(eps, alpha, 2)
+        assert calls == []
+        assert run.checks == {"memberships": True, "densities": True, "casimir_pairing": True}
+        # without them, each step tests the gradient it starts from
+        del calls[:]
+        bare = lenard.run_hierarchy(eps, alpha, 2, with_densities=False)
+        assert calls == run.gradients[:2]
+        assert bare.gradients == run.gradients and bare.flows == run.flows
+    # the public step always tests its input
+    del calls[:]
+    lenard.lm_step(1, run.gradients[1])
+    assert calls == [run.gradients[1]]
+    with pytest.raises(NotClosed):
+        lenard.lm_step(1, (da.u_jet(1), ZERO))

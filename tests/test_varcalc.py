@@ -459,3 +459,12 @@ def test_one_pass_integration_matches_the_weight_split(monkeypatch):
     assert kinds == {da.DiffFunction, NoSolution, NotClosed}
     assert any(isinstance(g, da.DiffFunction) and "log" in da.to_text(g) for g in got)
     assert any(len(vec) == 1 for vec in vecs) and len(vecs) >= 1000
+
+
+def test_integrate_exact_of_no_components_names_its_own_error():
+    # the closedness fallback never sees an empty vector, whose Frechet
+    # derivative would have no rows
+    for vec in ((), []):
+        with pytest.raises(DimensionMismatch) as info:
+            vc.integrate_exact(vec)
+        assert str(info.value) == "a gradient here has one or two components, for u and v"
