@@ -341,17 +341,18 @@ def factored(*factors):
     return h
 
 
-_IDENTITY = ((0, ONE),)
-
-
 def _apply_entries(h, vec):
-    """h(vec) through the entries of h; a row that is the identity on one
-    component passes that component itself on, with its derivative tower."""
+    """h(vec) through the entries of h.  A row whose one nonzero entry is
+    one term c * d^k gives c times d^k f straight from the tower of its
+    component f, and f itself when it is the identity."""
     out = []
     for row in h.entries:
         live = [(a, f) for a, f in zip(row, vec) if a]
-        if len(live) == 1 and live[0][0].terms == _IDENTITY:
-            out.append(live[0][1])
+        if len(live) == 1 and len(live[0][0].terms) == 1:
+            (a, f), = live
+            (k, c), = a.terms
+            f = da.total_derivative(f, k)
+            out.append(f if c == ONE else c * f)
             continue
         acc = da.Accumulator()
         for a, f in live:
