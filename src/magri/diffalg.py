@@ -117,10 +117,11 @@ finished run.
 
 Euler operators and antiderivatives
 -----------------------------------
-:func:`partial_derivatives` reads every partial derivative of f by the
-jets of one field in one pass over its terms, and both
-:func:`euler_derivative` and the Frechet rows of :mod:`magri.varcalc`
-take them from there.  :func:`antiderivative` integrates top order by
+:func:`partial_derivatives` sorts the terms of f by the jets of one
+field they hold, in one pass, and makes each partial derivative from
+its own terms; :func:`euler_derivative` does the same, one partial at a
+time as its Horner sum needs them, and the Frechet rows of
+:mod:`magri.varcalc` take all of them.  :func:`antiderivative` integrates top order by
 top order with one remainder for the whole loop: an
 :class:`Accumulator` indexed by jet order, of which each round reads
 only the top order and into which it subtracts the derivative of its
@@ -847,52 +848,74 @@ def _field(var):
     return var
 
 
+def _partial_buckets(f, var):
+    """The terms of f that each partial derivative by a jet x^(k) of the
+    field ``var`` reads, from one pass over f: buckets[k] holds, in f's
+    order, the very (monomial, numerator) pairs of f that hold x^(k), or
+    for v^(0) a power of v or log v.  The list ends at the top order."""
+    buckets = []
+    start = EXP_BITS * _slot(var, 1 if var == V else 0)
+    stride = 2 * EXP_BITS  # from x^(n) to x^(n+1): the fields alternate u, v
+    for t in f._t:
+        x = t[0] + _OFF
+        k = 0
+        if var == V:
+            if (x & _MASK) != _OFF or (x >> EXP_BITS) & _MASK:
+                if not buckets:
+                    buckets.append([])
+                buckets[0].append(t)
+            k = 1
+        x >>= start
+        while x:
+            if x & _MASK:
+                while len(buckets) <= k:
+                    buckets.append([])
+                buckets[k].append(t)
+            x >>= stride
+            k += 1
+    return buckets
+
+
+def _partial_acc(bucket, var, k, den):
+    """The partial derivative by the jet (var, k), over ``den``, of the
+    terms in ``bucket``, as an :class:`Accumulator`.  By v^(0) the chain
+    rule takes in log v, as :func:`partial_derivative` does."""
+    acc = Accumulator((), den)
+    d = acc.d
+    if var == V and k == 0:
+        get = d.get
+        for m, c in bucket:
+            x = m + _OFF
+            e = (x & _MASK) - _OFF
+            if e:
+                d[m - 1] = get(m - 1, 0) + c * e
+            j = (x >> EXP_BITS) & _MASK
+            if j:
+                m2 = m - _LOG - 1
+                d[m2] = get(m2, 0) + c * j
+        return acc
+    # lowering one positive exponent keeps the monomials distinct, in range
+    # and in the same order
+    shift = EXP_BITS * _slot(var, k)
+    unit = 1 << shift
+    for m, c in bucket:
+        d[m - unit] = c * (((m + _OFF) >> shift) & _MASK)
+    return acc
+
+
 def partial_derivatives(f, var):
-    """The partial derivatives of f by every jet of one field, in one pass.
+    """The partial derivatives of f by every jet of one field.
 
     ``var`` is U, V, "u" or "v"; anything else raises MagriError.  Returns
     the list [df/dx^(0), ..., df/dx^(n)], each equal to
     ``partial_derivative(f, (var, k))``, with n the top order of the jets
-    of ``var`` in f (:func:`max_order`), or [] when there is none.  By v
-    the chain rule takes in log v, as :func:`partial_derivative` does.
+    of ``var`` in f (:func:`max_order`), or [] when there is none.  One
+    pass over f sorts its terms by the jets they hold, and each partial
+    then reads only its own terms.
     """
     var = _field(var)
-    den = f._den
-    jets = []  # jets[k]: the terms of df/dx^(first + k), sorted as f's
-    first = 1 if var == V else 0  # the v^(0) partial has a rule of its own
-    start = EXP_BITS * _slot(var, first)
-    stride = 2 * EXP_BITS  # from x^(n) to x^(n+1): the fields alternate u, v
-    acc = Accumulator((), den)  # the v^(0) partial
-    d0 = acc.d
-    get = d0.get
-    for m, c in f._t:
-        x = m + _OFF
-        if var == V:
-            e = (x & _MASK) - _OFF
-            if e:
-                d0[m - 1] = get(m - 1, 0) + c * e
-            j = (x >> EXP_BITS) & _MASK
-            if j:
-                m2 = m - _LOG - 1
-                d0[m2] = get(m2, 0) + c * j
-        # lowering one positive exponent keeps the monomials distinct, in
-        # range and in the same order
-        x >>= start
-        unit = 1 << start
-        k = 0
-        while x:
-            e = x & _MASK
-            if e:
-                while len(jets) <= k:
-                    jets.append([])
-                jets[k].append((m - unit, c * e))
-            x >>= stride
-            unit <<= stride
-            k += 1
-    out = [_canon(t, den) for t in jets]
-    if var == V and (d0 or out):
-        out.insert(0, DiffFunction.from_acc(acc))
-    return out
+    buckets = _partial_buckets(f, var)
+    return [DiffFunction.from_acc(_partial_acc(b, var, k, f._den)) for k, b in enumerate(buckets)]
 
 
 def max_order(f, var=None):
@@ -1143,19 +1166,18 @@ def monomials(weight, order_bound, lo, hi=None, affine=None, fields=(U, V), incl
 def euler_derivative(f, var):
     """Variational derivative in one field: sum (-d)^n df/dx^(n).
 
-    ``var`` is U, V, "u" or "v"; anything else raises MagriError.  The
-    partial derivatives come from one pass over f
-    (:func:`partial_derivatives`), and the sum is taken in Horner form,
-    acc <- df/dx^(k) - d(acc) for k = n-1 .. 0, so it takes n total
-    derivatives, each subtracted straight into the dict of the next
-    partial derivative.
+    ``var`` is U, V, "u" or "v"; anything else raises MagriError.  One
+    pass over f sorts its terms by the jets they hold (as
+    :func:`partial_derivatives` does), and the sum is taken in Horner
+    form, acc <- df/dx^(k) - d(acc) for k = n .. 0: each partial is made
+    in its own dict, from its own terms, only when its turn comes, and
+    the derivative of acc is subtracted straight into it.
     """
-    parts = partial_derivatives(f, var)
-    if not parts:
-        return ZERO
-    acc = parts.pop()
-    for p in reversed(parts):
-        d = Accumulator(p._t, p._den)
+    var = _field(var)
+    buckets = _partial_buckets(f, var)
+    acc = ZERO
+    for k in range(len(buckets) - 1, -1, -1):
+        d = _partial_acc(buckets.pop(), var, k, f._den)
         _dx_into(d, acc, -1)
         acc = DiffFunction.from_acc(d)
     return acc
@@ -1239,8 +1261,8 @@ def antiderivative(f, tag=None):
     an index from jet order to its monomials.  Only the monomials of the
     top order can hold v^(n) or u^(n), so a round reads those alone; it
     subtracts the derivative of its primitive into the same dict, checks
-    the range of the monomials that are new there, and drops the terms
-    that cancelled when their order comes to the top.
+    the range of the monomials that are new there, and drops each term
+    that cancels, so the remainder never holds a zero.
 
     The result is normalized to have zero constant term.  When ``tag``
     names a subspace, the primitive must land in its target space,
@@ -1263,9 +1285,6 @@ def antiderivative(f, tag=None):
         while by_order:
             n = max(by_order)
             top = by_order[n]
-            for m in [m for m in top if not d[m]]:
-                top.discard(m)
-                del d[m]
             if not top:
                 del by_order[n]
                 continue
@@ -1303,13 +1322,19 @@ def antiderivative(f, tag=None):
                     dm = m + step
                     old = get(dm)
                     if old is None:
-                        new.append(dm)
                         d[dm] = c * e
+                        by_order.setdefault(_mono_order(dm), set()).add(dm)
+                        new.append(dm)
                     else:
-                        d[dm] = old + c * e
+                        old += c * e
+                        if old:
+                            d[dm] = old
+                        else:
+                            del d[dm]
+                            by_order[_mono_order(dm)].discard(dm)
+            # an order read off a monomial out of range is wrong, but the
+            # loop stops here before it reads one
             _check_range(new)
-            for m in new:
-                by_order.setdefault(_mono_order(m), set()).add(m)
         g = DiffFunction.from_acc(g)
     except ExponentOverflow:
         if is_total_derivative(f):

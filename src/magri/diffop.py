@@ -343,16 +343,16 @@ def factored(*factors):
 
 def _apply_entries(h, vec):
     """h(vec) through the entries of h.  A row whose one nonzero entry is
-    one term c * d^k gives c times d^k f straight from the tower of its
-    component f, and f itself when it is the identity."""
+    one term c * d^k gives c times d^k f, read off the tower of its
+    component f, and f itself when it is the identity; any other result
+    is a new value, which holds no tower of f's."""
     out = []
     for row in h.entries:
         live = [(a, f) for a, f in zip(row, vec) if a]
         if len(live) == 1 and len(live[0][0].terms) == 1:
             (a, f), = live
             (k, c), = a.terms
-            f = da.total_derivative(f, k)
-            out.append(f if c == ONE else c * f)
+            out.append(f if (k, c) == (0, ONE) else c * da.total_derivative(f, k))
             continue
         acc = da.Accumulator()
         for a, f in live:

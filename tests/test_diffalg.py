@@ -1090,8 +1090,8 @@ def test_antiderivative_matches_the_round_by_round_reference(monkeypatch):
 
 
 def test_antiderivative_result_is_canonical_after_cancelling_rounds():
-    # rounds that cancel terms leave zeros in the remainder's dict; the
-    # primitive and every later round see none of them
+    # each round cancels terms of the remainder, and no later round, nor
+    # the primitive, may see a zero
     rng = random.Random(139)
     for _ in range(40):
         f = helpers.rand_function(rng, terms=5, max_order=3)
