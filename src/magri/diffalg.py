@@ -121,11 +121,11 @@ Euler operators and antiderivatives
 field they hold, in one pass, and makes each partial derivative from
 its own terms; :func:`euler_derivative` does the same, one partial at a
 time as its Horner sum needs them, and the Frechet rows of
-:mod:`magri.varcalc` take all of them.  :func:`antiderivative` integrates top order by
-top order with one remainder for the whole loop: an
-:class:`Accumulator` indexed by jet order, of which each round reads
-only the top order and into which it subtracts the derivative of its
-primitive, so no round rebuilds, re-sorts or rescans what is left.
+:mod:`magri.varcalc` take all of them.  :func:`antiderivative`
+integrates top order by top order with one remainder for the whole
+loop: an :class:`Accumulator` indexed by jet order, of which each round
+reads only the top order and into which it subtracts the derivative of
+its primitive, so no round rebuilds, re-sorts or rescans what is left.
 
 Subalgebras
 -----------
@@ -1292,7 +1292,7 @@ def antiderivative(f, tag=None):
                 # a nonzero remainder of order 0 is never exact, and neither is
                 # one left at the order of the last round in u
                 return None
-            var = V if any(((m + _OFF) >> EXP_BITS * (2 * n + 1)) & _MASK for m in top) else U
+            var = V if any(mono_exp(m, V, n) for m in top) else U
             shift = EXP_BITS * _slot(var, n)
             unit = 1 << shift
             coeff = []  # the coefficient of the jet (var, n)
