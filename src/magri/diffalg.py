@@ -810,32 +810,7 @@ def partial_derivative(f, gen):
         raise MagriError(f"a partial derivative's order must be a nonnegative int, got {order!r}")
     if var == LOG_VAR and order:
         return ZERO
-    s = _slot(var, order)
-    if s == 0:
-        # log v depends on v: d(log v)/dv = 1/v.
-        acc = Accumulator((), f._den)
-        d = acc.d
-        get = d.get
-        for m, c in f._t:
-            x = m + _OFF
-            e = (x & _MASK) - _OFF
-            if e:
-                d[m - 1] = get(m - 1, 0) + c * e
-            j = (x >> EXP_BITS) & _MASK
-            if j:
-                m2 = m - _LOG - 1
-                d[m2] = get(m2, 0) + c * j
-        return DiffFunction.from_acc(acc)
-    # lowering one positive exponent keeps the monomials distinct, in
-    # range and in the same order
-    shift = EXP_BITS * s
-    unit = 1 << shift
-    out = []
-    for m, c in f._t:
-        e = ((m + _OFF) >> shift) & _MASK
-        if e:
-            out.append((m - unit, c * e))
-    return _canon(out, f._den)
+    return DiffFunction.from_acc(_partial_acc(f._t, var, order, f._den))
 
 
 def _field(var):
@@ -876,15 +851,15 @@ def _partial_buckets(f, var):
     return buckets
 
 
-def _partial_acc(bucket, var, k, den):
-    """The partial derivative by the jet (var, k), over ``den``, of the
-    terms in ``bucket``, as an :class:`Accumulator`.  By v^(0) the chain
-    rule takes in log v, as :func:`partial_derivative` does."""
+def _partial_acc(terms, var, k, den):
+    """The partial derivative by the generator (var, k), over ``den``, of
+    the (monomial, numerator) pairs ``terms``, as an :class:`Accumulator`.
+    By v^(0) the chain rule takes in log v: d(log v)/dv = 1/v."""
     acc = Accumulator((), den)
     d = acc.d
     if var == V and k == 0:
         get = d.get
-        for m, c in bucket:
+        for m, c in terms:
             x = m + _OFF
             e = (x & _MASK) - _OFF
             if e:
@@ -898,8 +873,10 @@ def _partial_acc(bucket, var, k, den):
     # and in the same order
     shift = EXP_BITS * _slot(var, k)
     unit = 1 << shift
-    for m, c in bucket:
-        d[m - unit] = c * (((m + _OFF) >> shift) & _MASK)
+    for m, c in terms:
+        e = ((m + _OFF) >> shift) & _MASK
+        if e:
+            d[m - unit] = c * e
     return acc
 
 

@@ -31,11 +31,12 @@ def variational_derivative(f, nvars=2):
     """The vector of Euler derivatives of a density.
 
     Accepts a DiffFunction or a LocalFunctional; the representative is
-    irrelevant because the Euler operators kill total derivatives.
+    irrelevant because the Euler operators kill total derivatives.  The
+    ring has no jets of a field j > 1, so those components are zero.
     """
     if isinstance(f, LocalFunctional):
         f = f.rep
-    return tuple(da.euler_derivative(f, var) for var in range(nvars))
+    return tuple(da.euler_derivative(f, var) if var in (U, V) else ZERO for var in range(nvars))
 
 
 def frechet_row(f, nvars=2):

@@ -92,13 +92,16 @@ def test_apply_differentiates_each_vector_once(monkeypatch):
     # v from the towers kept on its components
     assert dop.apply(expanded, v) == first
     assert calls == []
-    # H1 goes through its factors W . M . W, W = diag(1, v^-2): the identity
-    # row of W passes v[0] on with its tower, and the only value a second
-    # application differentiates is the new v^-2 * v[1], five times for Q
+    # H1 goes through its factors W . M . W, W = diag(1, v^-2).  A second
+    # application still differentiates no component of v.  It does
+    # differentiate the product v^-2 * v[1] that W builds anew, once per
+    # order up to the five of Q: calls == [] would need a memo of that
+    # product, and no caller in the package applies H1 twice to one vector
     assert dop.apply(h1, v) == first
     assert len(calls) == 5
     assert not any(f is c for f in calls for c in v)
     assert calls[0] == da.v_pow(-2) * v[1]
+    assert all(calls[k + 1] is calls[k]._d for k in range(4))
 
 
 def test_adjoint_involution_and_antihomomorphism():

@@ -487,3 +487,17 @@ def test_is_poisson_builds_only_the_triples_with_i_at_most_j(monkeypatch):
     assert pva.is_poisson(H0)
     assert sorted(built) == [(i, j, k) for i, j, k in itertools.product((1, 2), repeat=3) if i <= j]
     assert len(built) == 6
+
+
+def test_flow_and_bracket_of_a_three_row_operator():
+    # the ring has no jets of a third field, so the third component of a
+    # gradient is zero, and an operator with three rows still applies
+    h = parse_operator("d, 0, 0; 0, d, 0; 0, 0, d")
+    f = parse("u*v^2 + (u')^2")
+    assert vc.variational_derivative(f, 3) == vc.variational_derivative(f) + (ZERO,)
+    assert pva.hamiltonian_flow(h, f) == (parse("-2*u'''+ 2*v*v'"), parse("2*u*v' + 2*u'*v"), ZERO)
+    got = pva.poisson_bracket(parse("u*v^2"), parse("u^2*v"), h)
+    assert got.rep == parse("4*u*v^2*v' + 2*u^2*u'*v + 2*u^3*v'")
+    skew = parse_operator("d, v, 0; -v, d, 0; 0, 0, d")
+    got = pva.poisson_bracket(parse("u*v^2 + log(v)"), parse("u^2*v"), skew)
+    assert got.rep == parse("2*u*v + 4*u*v^2*v' + 2*u^2*u'*v - u^2*v^-2*v' + 3*u^2*v^3 + 2*u^3*v'")
