@@ -2,7 +2,16 @@
 
 Exit codes: 0 success, 1 standard output was closed before everything
 was written (as by ``magri hierarchy ... | head``), 2 a verification
-failed, 3 no solution exists in the searched space, 4 malformed input.
+failed, or argparse refused the command line, 3 no solution exists in
+the searched space, 4 malformed input.
+
+A one-shot query spends most of its time outside the ring, so the path
+to the ring is kept short.  :func:`main` hands the words after the
+command straight to that command's sub-parser (:func:`_parse_args`),
+the expressions go through the one-pass parser of :mod:`magri.expr`,
+and text, LaTeX and JSON are written from the packed terms
+(:func:`magri.diffalg.text_terms`), with no ``Fraction`` and no tuple
+monomials made on the way.
 """
 
 from __future__ import annotations
@@ -141,7 +150,11 @@ def _load_operator(file_arg, expr_arg, builtin_arg=None, suffix=""):
         return lenard.structure(0 if builtin_arg == "h0" else 1)
     if file_arg:
         with open(file_arg) as fh:
-            return render.operator_from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:  # the json module reads nested arrays recursively
+                raise MagriError("the operator JSON nests too deeply") from None
+        return render.operator_from_json(data)
     if expr_arg:
         return expr.parse_operator(expr_arg)
     # a missing argument has no text position
@@ -414,8 +427,35 @@ def _shared_parser():
     return build_parser()
 
 
+def _parse_args(argv):
+    """The Namespace that parse_args(argv) of the shared parser gives.
+
+    When the first word names a command, the command's own sub-parser
+    reads the rest, as the top-level parser would hand it on, and the
+    top-level parser runs only when words are left over, to report them
+    as unrecognized arguments.  Help, a missing or unknown command and
+    every other usage error come from the parser that gives them at the
+    top level too, with the same text and exit code.  The top-level
+    parse took twice as long as the sub-parser's alone.
+    """
+    parser = _shared_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                sub = action.choices.get(argv[0])
+                if sub is not None:
+                    args, rest = sub.parse_known_args(argv[1:])
+                    if not rest:
+                        args.command = argv[0]
+                        return args
+                break
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
-    args = _shared_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

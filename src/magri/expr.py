@@ -12,72 +12,113 @@ multiplication operators.
 
 Separators are part of the grammar: a vector is ``expr (';' expr)*``
 and a matrix operator is rows separated by ';' of entries separated by
-','.  Each input text is tokenized once and parsed from that one token
-stream, so the line and column of every error count from the start of
-the whole input.
+','.  Parentheses, D(...) included, nest at most ``MAX_NESTING`` deep.
 
 Example inputs:  "u'' + 4*u^2",  "1/v^2",  "-3/2*(v')^2*v^-4",
 "d^3 + 2*u*d + u'",  "D(u*u')",  "d, u; u, d".
 
-Values are built straight from packed monomials (see :mod:`magri.diffalg`):
-a jet or log(v) is its packed unit 1 << EXP_BITS*slot, an integer n the
-one pair (0, n), and the divisor of '/' or the base of a negative power,
-a term c*v^e, is read from its one pair, whose packed monomial is the
-int e itself.  A product with a one-term operand shifts the monomials
-of the other, and a power of one term is closed-form, so a product of
-one-term factors never sorts or hashes a monomial.  Products are
-still formed left to right, so an exponent that leaves its range
-raises ExponentOverflow on the same inputs, with the same message, as
-when every product went through the general multiply-accumulate.
+Each input text is split into tokens by one ``re.findall`` pass, and
+one ``set`` difference finds whether any of them is not in the grammar;
+only then, or when the parser raises, are the tokens walked again to
+find the line and column of the error, which count from the start of
+the whole input.
+
+A value with at most one term is kept as a triple (numerator,
+denominator, packed monomial) (see :mod:`magri.diffalg`), with a zero
+numerator for 0: a jet or log(v) is its packed unit 1 << EXP_BITS*slot,
+an integer n is (n, 1, 0), the inverse of c*v^e is read off the triple
+and a power is closed-form.  So a product of such factors is one sum of
+ints per factor and the terms of a sum go into one
+:class:`~magri.diffalg.Accumulator`; parenthesized sums, D(...) and
+operators use the ring's own arithmetic.  Products are still formed
+left to right, each exponent checked as it is made, and a zero factor
+ends the checks as the ring's product does, so an exponent that leaves
+its range raises ExponentOverflow on the same inputs, with the same
+message, as when every product went through the ring.  The parser
+before this one is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
+import re
+from math import gcd
+
 from . import diffalg as da
 from . import diffop as dop
-from .diffalg import EXP_BITS, LOG_VAR, MAX_V_EXP, MIN_V_EXP, DiffFunction, U, V, _df, _slot
+from .diffalg import (
+    _LOG,
+    EXP_BITS,
+    MAX_V_EXP,
+    MIN_V_EXP,
+    Accumulator,
+    DiffFunction,
+    U,
+    V,
+    _check_mono,
+    _df,
+    _mono_power,
+    _slot,
+    add_into,
+)
 from .errors import ExponentError, ExprSyntaxError
 
-_NAMES = ("u", "v", "d", "D", "log")
-_DIGITS = "0123456789"  # str.isdigit would also take '²', which int() rejects
+# Each level of parentheses takes three frames of the interpreter's
+# stack, so 249 levels stay well inside its default limit of 1000, and
+# they include the 245 that the fully recursive parser of earlier
+# versions reached before it overflowed.
+MAX_NESTING = 249
+
+# ASCII digit runs, runs of word characters that are not digits (names,
+# checked below against str.isalpha), runs of primes, and any other
+# character that is not white space
+_TOKEN = re.compile(r"[0-9]+|[^\W\d_]+|'+|\S")
+_NAMES = frozenset(("u", "v", "d", "D", "log"))
+_KNOWN = _NAMES | frozenset("+-*/^(),;")
+_END = ""  # the token after the last one
+_ONE = (1, 1, 0)
+_ZERO = (0, 1, 0)
+_SIGNS = {"+": 1, "-": -1}
 
 
-def _tokenize(text):
-    """The tokens of text as (kind, text, line, col) tuples, ending with
-    an 'end' token."""
-    toks = []
-    line, start = 1, 0  # start: the index where the current line begins
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        j = i + 1
-        if ch == "\n":
-            line, start = line + 1, j
-        elif ch in "+-*/^(),;":
-            toks.append((ch, ch, line, j - start))
-        elif not ch.isspace():
-            if ch in _DIGITS:
-                kind, same = "int", _DIGITS.__contains__
-            elif ch.isalpha():
-                kind, same = "name", str.isalpha
-            elif ch == "'":
-                kind, same = "primes", "'".__eq__
-            else:
-                raise ExprSyntaxError(f"unexpected character {ch!r}", line, j - start)
-            while j < n and same(text[j]):
-                j += 1
-            word = text[i:j]
-            if kind == "name" and word not in _NAMES:
-                raise ExprSyntaxError(f"unknown name {word!r}", line, i + 1 - start)
-            toks.append((kind, word, line, i + 1 - start))
-        i = j
-    toks.append(("end", "", line, n + 1 - start))
-    return toks
+def _place(text, p):
+    """The 1-based (line, column) of index p of text."""
+    return text.count("\n", 0, p) + 1, p - text.rfind("\n", 0, p)
 
 
-def _unit(var, order):
-    """The generator (var, order) as a value: its packed unit, coefficient 1."""
-    return _df(((1 << EXP_BITS * _slot(var, order), 1),))
+def _bad_token(text, bad):
+    """The error for the first token of text in ``bad``, the tokens of
+    text that are not in the grammar."""
+    for match in _TOKEN.finditer(text):
+        t = match.group()
+        if t in bad:
+            p = match.start()
+            k = 0  # the names are the runs of str.isalpha characters
+            while k < len(t) and t[k].isalpha():
+                k += 1
+            if k and t[:k] not in _NAMES:
+                return ExprSyntaxError(f"unknown name {t[:k]!r}", *_place(text, p))
+            return ExprSyntaxError(f"unexpected character {t[k]!r}", *_place(text, p + k))
+
+
+def _value(val):
+    """val as a DiffFunction or ScalarDiffOp: a triple becomes its one-term function."""
+    if type(val) is not tuple:
+        return val
+    c, q, m = val
+    if not c:
+        return da.ZERO
+    g = gcd(c, q)
+    return _df(((m, c // g),), q // g)
+
+
+def _reduced(val):
+    """val with a DiffFunction of at most one term as its triple."""
+    if type(val) is DiffFunction and len(val._t) < 2:
+        if not val._t:
+            return _ZERO
+        (m, c), = val._t
+        return c, val._den, m
+    return val
 
 
 def _as_operator(val):
@@ -86,147 +127,243 @@ def _as_operator(val):
 
 
 class _Parser:
-    """Recursive descent over the token list; values are DiffFunction
-    or ScalarDiffOp depending on the mode."""
+    """Recursive descent over the token list of one text.
 
-    def __init__(self, toks, operator_mode):
+    ``_sum``, ``_term`` and ``_atom`` return a triple for a function of
+    at most one term, a DiffFunction of two or more terms, or, in
+    operator mode, a ScalarDiffOp.
+    """
+
+    def __init__(self, text, operator_mode):
+        toks = _TOKEN.findall(text)
+        if not _KNOWN.issuperset(toks):
+            # what is left besides ints and primes is not in the grammar
+            bad = {t for t in set(toks).difference(_KNOWN) if t[0] not in "0123456789'"}
+            if bad:
+                raise _bad_token(text, bad)
+        toks.append(_END)
+        self.text = text
         self.toks = toks
         self.pos = 0
+        self.depth = 0
         self.operator_mode = operator_mode
 
-    def peek(self, ahead=0):
-        return self.toks[self.pos + ahead]
+    def fail(self, msg, i):
+        """Raise ExprSyntaxError(msg) at token i."""
+        raise self.error(ExprSyntaxError, msg, i)
 
-    def take(self, kind=None):
-        t = self.toks[self.pos]
-        if kind is not None and t[0] != kind:
-            raise ExprSyntaxError(f"expected {kind}, found {t[1] or 'end of input'!r}", t[2], t[3])
-        self.pos += 1
+    def error(self, cls, msg, i):
+        """The error cls(msg) placed at token i: the end of input when i
+        is the last index, else the start of the i-th match of _TOKEN."""
+        text = self.text
+        p = len(text)
+        if i < len(self.toks) - 1:
+            for j, match in enumerate(_TOKEN.finditer(text)):
+                if j == i:
+                    p = match.start()
+                    break
+        return cls(msg, *_place(text, p))
+
+    def expect(self, kind):
+        """Take the next token, which must be ``kind``: a token text, or
+        'int', 'name' or 'end'."""
+        i = self.pos
+        t = self.toks[i]
+        if kind == "int":
+            ok = t.isdigit()
+        elif kind == "name":
+            ok = t in _NAMES
+        elif kind == "end":
+            ok = t is _END
+        else:
+            ok = t == kind
+        if not ok:
+            self.fail(f"expected {kind}, found {t or 'end of input'!r}", i)
+        self.pos = i + 1
         return t
-
-    def fail(self, msg, tok):
-        raise ExprSyntaxError(msg, tok[2], tok[3])
 
     # items := expr, or items separated by seps[0] (the rest of seps inside)
     def items(self, seps):
         if not seps:
-            val = self.expr()
+            val = _value(self._sum())
             return _as_operator(val) if self.operator_mode else val
         vals = [self.items(seps[1:])]
-        while self.peek()[0] == seps[0]:
+        while self.toks[self.pos] == seps[0]:
             self.pos += 1
             vals.append(self.items(seps[1:]))
         return vals
 
     # expr := ['-'] term (('+'|'-') term)*
-    def expr(self):
-        neg = self.peek()[0] == "-"
-        if neg:
+    def _sum(self):
+        toks = self.toks
+        sign = 1
+        if toks[self.pos] == "-":
             self.pos += 1
-        acc = -self.term() if neg else self.term()
-        while self.peek()[0] in ("+", "-"):
-            add = self.take()[0] == "+"
-            rhs = self.term()
-            if type(acc) is not type(rhs):  # a function and an operator
-                acc, rhs = _as_operator(acc), _as_operator(rhs)
-            acc = acc + rhs if add else acc - rhs
-        return acc
-
-    # term := factor (('*'|'/') factor)*; * of a function and an operator
-    # composes with the multiplication operator of the function
-    def term(self):
-        acc = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            if self.take()[0] == "*":
-                acc = acc * self.factor()
+            sign = -1
+        val = self._term()
+        more = _SIGNS.get(toks[self.pos])
+        if more is None:  # one term
+            if sign == 1:
+                return val
+            if type(val) is tuple:
+                return -val[0], val[1], val[2]
+            return -val
+        acc = Accumulator()
+        d = acc.d
+        ops = None  # the sum of the operator terms
+        while True:
+            if type(val) is tuple:
+                c, q, m = val
+                if c:
+                    if q != acc.den:
+                        c *= acc.fit(q)
+                    d[m] = d.get(m, 0) + sign * c
+            elif type(val) is DiffFunction:
+                add_into(acc, val, sign)
+            elif ops is None:
+                ops = val if sign == 1 else -val
             else:
-                tok = self.peek()
-                acc = acc * self._inverse(self.factor(), tok)
-        return acc
-
-    # factor := atom ['^' ['-'] int]
-    def factor(self):
-        tok = self.peek()
-        val = self.atom()
-        if self.peek()[0] == "^":
+                ops = ops + val if sign == 1 else ops - val
+            if more is None:
+                break
+            sign = more
             self.pos += 1
-            neg = self.peek()[0] == "-"
-            if neg:
-                self.pos += 1
-            e = int(self.take("int")[1])
-            val = (self._inverse(val, tok, power=True) if neg else val) ** e
-        return val
+            val = self._term()
+            more = _SIGNS.get(toks[self.pos])
+        f = DiffFunction.from_acc(acc)
+        if ops is None:
+            return _reduced(f)
+        return dop.multiplication(f) + ops
 
-    def atom(self):
-        t = self.take()
-        kind, text = t[0], t[1]
-        if kind == "int":
-            n = int(text)
-            return _df(((0, n),)) if n else da.ZERO
-        if kind == "(":
-            val = self.expr()
-            self.take(")")
-            return val
-        if kind == "name":
-            if text in ("u", "v"):
-                return self._variable(U if text == "u" else V)
-            if text == "log":
-                self.take("(")
-                inner = self.take("name")
-                if inner[1] != "v":
-                    self.fail("log takes v only", inner)
-                self.take(")")
-                return _unit(LOG_VAR, 0)
-            if text == "D":
-                self.take("(")
-                val = self.expr()
-                self.take(")")
-                if isinstance(val, dop.ScalarDiffOp):
-                    self.fail("D(...) takes a function", t)
-                return da.total_derivative(val)
-            if not self.operator_mode:  # text is "d"
-                self.fail("the operator symbol d needs an operator context", t)
+    # term := factor (('*'|'/') factor)*, factor := atom ['^' ['-'] int];
+    # * of a function and an operator composes with the multiplication
+    # operator of the function
+    def _term(self):
+        toks = self.toks
+        i = self.pos
+        val = None  # the product of the factors so far
+        div = False  # whether the factor divides
+        while True:
+            start = i
+            t = toks[i]
+            i += 1
+            if t == "u" or t == "v":  # a jet: its packed unit
+                t = toks[i]
+                if t[:1] == "'":
+                    order = len(t)
+                    i += 1
+                elif t == "^" and toks[i + 1] == "(":
+                    self.pos = i + 2
+                    order = int(self.expect("int"))
+                    self.expect(")")
+                    i = self.pos
+                else:
+                    order = 0
+                x = 1, 1, 1 << EXP_BITS * _slot(U if toks[start] == "u" else V, order)
+            elif t.isdigit():
+                x = int(t), 1, 0
+            else:
+                self.pos = start
+                x = self._atom()
+                i = self.pos
+            if toks[i] == "^":
+                neg = toks[i + 1] == "-"
+                i += 1 + neg
+                if not toks[i].isdigit():
+                    self.pos = i
+                    self.expect("int")
+                e = int(toks[i])
+                i += 1
+                if neg:
+                    x = self._inverse(x, start, True)
+                if type(x) is not tuple:
+                    x = _reduced(x**e)
+                elif not e:
+                    x = _ONE
+                elif x[0]:
+                    m = _mono_power(x[2], e)  # checked before c**e, which may be large
+                    x = x[0] ** e, x[1] ** e, m
+            if div:
+                x = self._inverse(x, start, False)
+            if val is None:
+                val = x
+            elif type(val) is not tuple or type(x) is not tuple:
+                val = _reduced(_value(val) * _value(x))
+            elif val[0] and x[0]:  # as the ring forms a product of one-term factors
+                m = val[2] + x[2]
+                _check_mono(m)
+                val = val[0] * x[0], val[1] * x[1], m
+            else:  # the ring's product by zero makes no monomial
+                val = _ZERO
+            t = toks[i]
+            if t == "*":
+                div = False
+            elif t == "/":
+                div = True
+            else:
+                self.pos = i
+                return val
+            i += 1
+
+    def _atom(self):
+        """A parenthesized sum, log(v), D(...) or d, at token self.pos."""
+        i = self.pos
+        t = self.toks[i]
+        self.pos = i + 1
+        if t == "(" or t == "D":
+            if t == "D":
+                self.expect("(")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail(f"parentheses nest deeper than {MAX_NESTING}", self.pos - 1)
+            val = self._sum()
+            self.expect(")")
+            self.depth -= 1
+            if t == "(":
+                return val
+            if isinstance(val, dop.ScalarDiffOp):
+                self.fail("D(...) takes a function", i)
+            return _reduced(da.total_derivative(_value(val)))
+        if t == "log":
+            self.expect("(")
+            j = self.pos
+            if self.expect("name") != "v":
+                self.fail("log takes v only", j)
+            self.expect(")")
+            return 1, 1, _LOG
+        if t == "d":
+            if not self.operator_mode:
+                self.fail("the operator symbol d needs an operator context", i)
             return dop.D
-        self.fail(f"unexpected {text or 'end of input'!r}", t)
+        self.fail(f"unexpected {t or 'end of input'!r}", i)
 
-    def _variable(self, var):
-        order = 0
-        kind = self.peek()[0]
-        if kind == "primes":
-            order = len(self.take()[1])
-        elif kind == "^" and self.peek(1)[0] == "(":
-            self.pos += 2
-            order = int(self.take("int")[1])
-            self.take(")")
-        return _unit(var, order)
-
-    def _inverse(self, val, tok, power=False):
+    def _inverse(self, val, i, power):
         """1/val for a term c*v^e with c a nonzero rational, the values
-        that division (or, with ``power``, a negative power) accepts."""
-        if isinstance(val, dop.ScalarDiffOp):
-            self.fail("operators take nonnegative powers only" if power else "cannot divide by an operator", tok)
-        if len(val) == 1 and MIN_V_EXP <= val._t[0][0] <= MAX_V_EXP:
-            # a pure power v^e packs to the int e itself
-            (e, c), = val._t
-            if e == MIN_V_EXP:
-                da.v_pow(-e)  # out of range: pack_mono raises its error
-            den = val._den
-            return _df(((-e, den if c > 0 else -den),), abs(c))
+        that division (or, with ``power``, a negative power) accepts;
+        errors are placed at token i."""
+        if type(val) is tuple:
+            c, q, m = val
+            if c and MIN_V_EXP <= m <= MAX_V_EXP:  # a pure power v^e packs to the int e
+                if m == MIN_V_EXP:
+                    da.v_pow(-m)  # out of range: pack_mono raises its error
+                return (q if c > 0 else -q), abs(c), -m
+        elif isinstance(val, dop.ScalarDiffOp):
+            self.fail("operators take nonnegative powers only" if power else "cannot divide by an operator", i)
         if power:
-            raise ExponentError("negative exponents are allowed on v only", tok[2], tok[3])
-        if not val:
-            self.fail("division by zero", tok)
-        if len(val) > 1:
-            self.fail("division needs a single invertible factor", tok)
-        self.fail("only rationals and powers of v can be inverted", tok)
+            raise self.error(ExponentError, "negative exponents are allowed on v only", i)
+        if type(val) is not tuple:
+            self.fail("division needs a single invertible factor", i)
+        if not val[0]:
+            self.fail("division by zero", i)
+        self.fail("only rationals and powers of v can be inverted", i)
 
 
 def _parse(text, operator_mode, seps=""):
     """The value of the whole of text: one expression, or for each
     separator in seps (outermost first) a list of the values between them."""
-    p = _Parser(_tokenize(text), operator_mode)
+    p = _Parser(text, operator_mode)
     val = p.items(seps)
-    p.take("end")
+    p.expect("end")
     return val
 
 

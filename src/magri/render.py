@@ -10,9 +10,6 @@ JSON shapes:
 
 from __future__ import annotations
 
-from math import gcd
-from operator import itemgetter
-
 from . import diffalg as da
 from . import diffop as dop
 from .diffalg import DiffFunction, LOG_VAR, QQ, U, V
@@ -20,7 +17,6 @@ from .errors import ExprSyntaxError, MagriError
 
 _NAME = {U: "u", V: "v", LOG_VAR: "log"}
 _CODE = {"u": U, "v": V, "log": LOG_VAR}
-_first = itemgetter(0)
 
 
 def _frac_str(c):
@@ -40,13 +36,11 @@ def function_json_text(f, indent=""):
     """The text json.dumps(function_to_json(f), indent=2) gives, laid out as
     a value nested at ``indent``: its inner lines start with indent + "  ".
 
-    Written straight from the packed pairs: each monomial is decoded once,
-    its tuple form is the sort key of the canonical term order and each
-    of its triples is looked up in a table of generator texts local to
-    this call.  The ``terms`` cache of f is left unfilled.
+    Written from :func:`diffalg.text_terms`, which decodes each packed
+    monomial once and leaves the ``terms`` cache of f unfilled; each
+    generator's text is looked up in a table local to this call.
     """
-    pairs = f._t
-    if not pairs:
+    if not f:
         return "[]"
     i1 = indent + "  "
     i2 = i1 + "  "
@@ -58,18 +52,13 @@ def function_json_text(f, indent=""):
     close_m = "\n" + i2 + "]\n" + i1 + "}"
     gen_sep = ",\n" + i3
     gens = {}  # (var, order, exp) -> the text of [name, order, exp]
-    den = f._den
     rows = []
-    for m, c in pairs:
-        mono = da.unpack_mono(m)
-        if den == 1:
-            c = str(c)
-        else:
-            g = gcd(c, den)
-            c = str(c // g) if g == den else f"{c // g}/{den // g}"
-        if mono:
+    for key, num, den in da.text_terms(f):
+        c = str(num) if den == 1 else f"{num}/{den}"
+        if key:
             texts = []
-            for gen in mono:
+            it = iter(key)
+            for gen in zip(it, it, it):
                 text = gens.get(gen)
                 if text is None:
                     var, order, exp = gen
@@ -77,11 +66,10 @@ def function_json_text(f, indent=""):
                         f'[\n{i4}"{_NAME[var]}",\n{i4}{order},\n{i4}{exp}\n{i3}]'
                     )
                 texts.append(text)
-            rows.append((mono, head + c + open_m + gen_sep.join(texts) + close_m))
+            rows.append(head + c + open_m + gen_sep.join(texts) + close_m)
         else:
-            rows.append((mono, head + c + empty_m))
-    rows.sort(key=_first)
-    return "[\n" + i1 + (",\n" + i1).join([text for _mono, text in rows]) + "\n" + indent + "]"
+            rows.append(head + c + empty_m)
+    return "[\n" + i1 + (",\n" + i1).join(rows) + "\n" + indent + "]"
 
 
 def _bad(msg):
@@ -228,22 +216,24 @@ def _gen_latex(var, order, exp):
     return f"({base})^{_sup(exp)}"
 
 
-def _term_latex(mono, c):
-    num, den = [], []
-    for var, order, exp in mono:
+def _term_latex(key, num, den):
+    """The LaTeX of the term num/den times the monomial of the flat key."""
+    numer, denom = [], []
+    it = iter(key)
+    for var, order, exp in zip(it, it, it):
         if exp < 0:
-            den.append(_gen_latex(var, order, -exp))
+            denom.append(_gen_latex(var, order, -exp))
         else:
-            num.append(_gen_latex(var, order, exp))
-    sign = "-" if c < 0 else ""
-    p, q = abs(c.numerator), c.denominator
-    if p != 1 or not num:
-        num.insert(0, str(p))
-    if q != 1:
-        den.insert(0, str(q))
-    num_s = " ".join(num)
-    if den:
-        return sign + rf"\frac{{{num_s}}}{{{' '.join(den)}}}"
+            numer.append(_gen_latex(var, order, exp))
+    p = -num if num < 0 else num
+    if p != 1 or not numer:
+        numer.insert(0, str(p))
+    if den != 1:
+        denom.insert(0, str(den))
+    sign = "-" if num < 0 else ""
+    num_s = " ".join(numer)
+    if denom:
+        return sign + rf"\frac{{{num_s}}}{{{' '.join(denom)}}}"
     return sign + num_s
 
 
@@ -254,11 +244,11 @@ def latex(f):
     if not f:
         return "0"
     parts = []
-    for i, (mono, c) in enumerate(f.terms):
-        t = _term_latex(mono, c)
-        if i == 0:
+    for key, num, den in da.text_terms(f):
+        t = _term_latex(key, num, den)
+        if not parts:
             parts.append(t)
-        elif t.startswith("-"):
+        elif num < 0:
             parts.append(" - " + t[1:])
         else:
             parts.append(" + " + t)

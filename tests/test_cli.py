@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -10,16 +11,25 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import reference
 from magri import cli, expr, lenard, pva, render
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import varcalc as vc
-from magri.errors import ExponentError, ExponentOverflow, ExprSyntaxError, NoSolution
+from magri.errors import (
+    DimensionMismatch,
+    ExponentError,
+    ExponentOverflow,
+    ExprSyntaxError,
+    MagriError,
+    NoSolution,
+)
 
 
 def _run(capsys, *argv):
@@ -74,15 +84,72 @@ def test_operator_json_roundtrips():
         assert render.operator_from_json(json.loads(blob)) == op
 
 
+def _outcome(fn, text):
+    """fn(text), or the type, message, line and column of the error it raises."""
+    try:
+        return fn(text)
+    except (MagriError, ValueError) as exc:  # int() refuses over 4300 digits
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+# each parse function of the package, with the reference parser's
+_PARSERS = [
+    (expr.parse, reference.parse),
+    (expr.parse_scalar_operator, reference.parse_scalar_operator),
+    (expr.parse_operator, reference.parse_operator),
+    (expr.parse_vector, reference.parse_vector),
+]
+
+# texts at the edges: the exponent range, tokens outside the grammar
+# (names are runs of str.isalpha characters, integers ASCII digits),
+# white space that is not ASCII, and errors on later lines
+_EDGE_TEXTS = [
+    "u^32767*v^-16384", "u^32768", "v^16383*v", "v^-16384", "v^-16385", "1/v^-16384",
+    "(v^-1)^16384", "(v^-1)^16385", "(2*v)^-16384", "0*v^16383*v", "v^16383*v*0",
+    "v^16383*0*v", "0^0", "0^-1", "u^0*v^-0", "(u + v)^0", "(u - u)^-1", "2/(u - u + 3)",
+    "u^(0)*v^(2)^3", "u'^(2)", "(u)^(2)", "u^(2+1)", "log(v)^32767*log(v)", "D(v^-16384)",
+    "u²", "x²", "²u", "uv", "ué", "é", "u_v", "٣", "v\u00a0+ u", "u\u2028+ v", "log(x)",
+    "u +\n\n  v*q", "u +\n* v", "(u\n", "u;\n;v", "d,\nx", "1" * 4400,
+    "u^" + "9" * 4400, "D(d)", "d^3*u - u*d^3", "(d + u)^2", "d/(2*v^-1)", "d^-1", "-d*(u + 1)",
+]
+
+
+def _fuzz_texts(rng):
+    """Seeded texts for the parser: characters drawn from the grammar's
+    alphabet, and expressions with Laurent and log terms, parentheses,
+    D(...) and exponents at the edge of the range, as functions,
+    operators, vectors and matrices, some with one character changed."""
+    alphabet = "uvd'()^*/+- 0123456789;,.logxD\n"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 24))) for _ in range(400)]
+    for _ in range(300):
+        a, b, c = (_rand_expr(rng, rng.randint(1, 3))[0] for _ in range(3))
+        k = rng.choice((16383, 16384, 32767, 32768, 8192))
+        texts += [
+            a,
+            f"{a} - ({b})*v^-{k}*v^{k}",
+            f"({a})*d^2 + d*({b}) - {c}",
+            f"{a}; D({b}); {c}",
+            f"{a}, d*({b}); d^2, {c}",
+        ]
+    for i, text in enumerate(texts[400:]):
+        if i % 4 == 0:  # one character replaced, dropped or put in
+            j = rng.randrange(len(text) + 1)
+            texts.append(text[:j] + rng.choice(["(", ")", "x", "^", "-", "", ";", ",", "\n", "'"]) + text[j + 1:])
+    return texts + _EDGE_TEXTS
+
+
 def test_parser_fuzz_raises_only_syntax_errors():
+    """Differential against the reference parser: every text gives an
+    equal value, or an error of the same type and message at the same
+    line and column, in each mode."""
     rng = random.Random(23)
-    alphabet = "uvd'()^*/+- 0123456789;,.logx\n"
-    for _ in range(400):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
-        try:
-            expr.parse(text)
-        except ExprSyntaxError:
-            pass
+    seen = set()
+    for text in _fuzz_texts(rng):
+        for fn, ref in _PARSERS:
+            got = _outcome(fn, text)
+            assert got == _outcome(ref, text), (fn.__name__, text)
+            seen.add(got[0] if isinstance(got, tuple) and isinstance(got[0], type) else "value")
+    assert seen == {"value", ExprSyntaxError, ExponentError, ExponentOverflow, DimensionMismatch, ValueError}
 
 
 def test_syntax_error_positions_are_one_based():
@@ -642,6 +709,113 @@ def test_main_reuses_one_parser_with_unchanged_results(capsys, tmp_path, monkeyp
     fresh = _three_calls(capsys, tmp_path / "b.json")
     assert shared == fresh
     assert [code for code, _o, _e in shared[0]] == [0, 0, 4]
+
+
+def _querygen():
+    """The query generator of the benchmark's calculus workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "querygen.py"
+    spec = importlib.util.spec_from_file_location("querygen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _exit(capsys, argv):
+    """The exit code, stdout and stderr of main(argv), usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+# command lines that argparse answers itself: help, a missing or unknown
+# command, left-over words, a missing option and a bad choice, and an
+# abbreviated option, which it takes
+USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["nope"],
+    ["varder"],
+    ["varder", "-h"],
+    ["varder", "--bogus", "u"],
+    ["varder", "u", "v"],
+    ["bracket", "--f", "u"],
+    ["bracket", "--f=u", "--g=v", "--builtin", "h2"],
+    ["fmt", "--js", "u"],
+]
+
+
+def test_main_goes_straight_to_the_command_parser(capsys, monkeypatch):
+    # one command line of each shape the calculus workload sends
+    shapes = {q["kind"]: q["argv"] for q in _querygen().make_queries(7, 100) if q["argv"]}
+    assert len(shapes) == 13
+    argvs = USAGE_ARGVS + list(shapes.values())
+    top = cli._shared_parser()
+    calls = []
+    monkeypatch.setattr(top, "parse_args", lambda argv: calls.append(argv) or type(top).parse_args(top, argv))
+    direct = [_exit(capsys, argv) for argv in argvs]
+    # the top-level parser ran only for what it alone prints: its help, a
+    # missing or unknown command and left-over words
+    assert calls == [[], ["-h"], ["nope"], ["varder", "--bogus", "u"], ["varder", "u", "v"]]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: type(top).parse_args(top, argv))
+    assert direct == [_exit(capsys, argv) for argv in argvs]
+    assert [code for code, _o, _e in direct[: len(USAGE_ARGVS)]] == [2, 0, 2, 2, 0, 2, 2, 2, 2, 0]
+
+
+def test_packed_writers_match_the_terms_based_ones():
+    rng = random.Random(20261019)
+    fs = [helpers.rand_function(rng, terms=6) for _ in range(300)]
+    fs += [
+        da.ZERO,
+        da.const(Fraction(-7, 3)),
+        expr.parse("u^32767*v^-16384*log(v)^3 - u^(40)/7 + 1"),
+        expr.parse("-(v')^2*v^-3/2 + u*v''*log(v) - 12"),
+    ]
+    for f in fs:
+        text, tex = da.to_text(f), render.latex(f)
+        assert f._terms is None
+        assert (text, tex) == (reference.to_text(f), reference.latex(f))
+    assert render.latex(da.LocalFunctional(fs[0])) == reference.latex(da.LocalFunctional(fs[0]))
+
+
+def _nested(depth, inner="u"):
+    return "(" * depth + inner + ")" * depth
+
+
+def test_deep_nesting_is_a_syntax_error_at_its_parenthesis(capsys, tmp_path):
+    # the recursive parser overflowed the interpreter's stack past 245
+    # levels and exited 1 with a traceback; every depth it parsed parses
+    deepest = expr.MAX_NESTING
+    for depth in (1, 200, 245, deepest):
+        assert expr.parse(_nested(depth)) == da.u_jet(0)
+        assert expr.parse("D(" * depth + "u" + ")" * depth) == da.u_jet(depth)
+        assert expr.parse_vector(f"v; {_nested(depth, 'u + 1')}") == (da.v_jet(0), da.u_jet(0) + 1)
+    message = f"parentheses nest deeper than {deepest}"
+    for text, col in ((_nested(deepest + 1), deepest + 1), (_nested(10**5), deepest + 1), ("D(" * 250 + "u" + ")" * 250, 2 * deepest + 2)):
+        with pytest.raises(ExprSyntaxError) as info:
+            expr.parse(text)
+        assert (type(info.value), info.value.message, info.value.line, info.value.col) == (ExprSyntaxError, message, 1, col)
+    deep = _nested(250)
+    for argv, col in (
+        (["fmt", deep], 250),
+        (["fmt", "--operator", deep], 250),
+        (["verify-poisson", "--op-expr", deep], 250),
+        (["frechet", f"--vec=u; {deep}"], 253),
+    ):
+        assert _exit(capsys, argv) == (4, "", f"SYNTAX_ERROR at 1:{col}: {message}\n")
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert _exit(capsys, ["verify-poisson", "--op", str(path)]) == (
+        4, "", "INPUT_ERROR: the operator JSON nests too deeply\n"
+    )
+
+
+def test_reduce_at_the_edge_of_the_exponent_range_exits_four(capsys):
+    # the antiderivative's round and the Euler test both reach v^-16385,
+    # so neither can decide whether the input is exact
+    assert _exit(capsys, ["reduce", "v^-16384*v'*v''"]) == (4, "", f"INPUT_ERROR: {_LEFT_RANGE}\n")
 
 
 # SHA-256 of the stdout of `magri hierarchy --eps 1 --alpha 1 --steps 2`,

@@ -842,6 +842,16 @@ def test_antiderivative_out_of_range_is_decided_by_the_euler_test():
         assert da.antiderivative(f, tag=da.V_PLUS) is None
 
 
+def test_antiderivative_raises_where_neither_the_rounds_nor_the_euler_test_stay_in_range():
+    # a round on v^-16384*v'*v'' reaches v^-16385, and so does the Euler
+    # test, whose partial derivative by v lowers the power of v: the ring
+    # cannot decide whether it is exact
+    f = da.v_pow(da.MIN_V_EXP) * da.v_jet(1) * da.v_jet(2)
+    for test in (da.antiderivative, da.is_total_derivative):
+        with pytest.raises(ExponentOverflow):
+            test(f)
+
+
 def test_subalgebra_tag_rejects_bad_kind_and_power():
     from magri.errors import MagriError
 
