@@ -174,7 +174,7 @@ class _Parser:
         elif kind == "name":
             ok = t in _NAMES
         elif kind == "end":
-            ok = t is _END
+            ok = not t
         else:
             ok = t == kind
         if not ok:
