@@ -793,10 +793,15 @@ def test_deep_nesting_is_a_syntax_error_at_its_parenthesis(capsys, tmp_path):
         assert expr.parse("D(" * depth + "u" + ")" * depth) == da.u_jet(depth)
         assert expr.parse_vector(f"v; {_nested(depth, 'u + 1')}") == (da.v_jet(0), da.u_jet(0) + 1)
     message = f"parentheses nest deeper than {deepest}"
-    for text, col in ((_nested(deepest + 1), deepest + 1), (_nested(10**5), deepest + 1), ("D(" * 250 + "u" + ")" * 250, 2 * deepest + 2)):
+    for text, col in (
+        (_nested(deepest + 1), deepest + 1),
+        (_nested(10**5), deepest + 1),
+        ("D(" * 250 + "u" + ")" * 250, 2 * deepest + 2),  # at the '(' of the 250th D
+    ):
         with pytest.raises(ExprSyntaxError) as info:
             expr.parse(text)
-        assert (type(info.value), info.value.message, info.value.line, info.value.col) == (ExprSyntaxError, message, 1, col)
+        err = info.value
+        assert (type(err), err.message, err.line, err.col) == (ExprSyntaxError, message, 1, col)
     deep = _nested(250)
     for argv, col in (
         (["fmt", deep], 250),
