@@ -130,6 +130,15 @@ loop: an :class:`Accumulator` indexed by jet order, of which each round
 reads only the top order and into which it subtracts the derivative of
 its primitive, so no round rebuilds, re-sorts or rescans what is left.
 
+One procedure decides whether a function lies in the image of the
+total derivative: :func:`antiderivative`, which returns a primitive
+exactly when there is one, and :func:`is_total_derivative` asks it.
+The Euler derivatives serve variational derivatives and the invariant
+of a :class:`LocalFunctional`; they decide exactness only where a
+round of the antiderivative leaves the exponent range, as for
+v^16383*v', exact with the primitive v^16384/16384 that the ring
+cannot hold.
+
 Subalgebras
 -----------
 A :class:`SubalgebraTag` names a v-power interval: the monomials free
@@ -150,6 +159,7 @@ forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
@@ -1202,25 +1212,43 @@ def euler_derivative(f, var):
     return acc
 
 
-def is_total_derivative(f):
-    """Whether f lies in the image of the total derivative.
+def _euler_exact(f):
+    """Whether f lies in the image of the total derivative, by the Euler test.
 
     On this ring the image is exactly the kernel of both Euler operators
-    intersected with the functions of zero constant term.  This is the
-    one Euler test of the package: :meth:`LocalFunctional.is_zero` and
-    the zero tests of :mod:`magri.lenard` call it, and
-    :func:`antiderivative` is tested against it.
-
-    An Euler derivative that leaves the exponent range raises
-    ExponentOverflow: the partial derivative by v lowers the power of v,
-    so the test raises on v^-16384*v'*v'', whose E_u is zero and whose
-    E_v passes through v^-16385.
+    intersected with the functions of zero constant term.  Only the
+    ExponentOverflow handlers of :func:`antiderivative` and
+    :func:`is_total_derivative` call it, where a round of the
+    antiderivative has left the exponent range.  It raises
+    ExponentOverflow too where an Euler derivative leaves the range: the
+    partial derivative by v lowers the power of v, so E_v of
+    v^-16384*v'*v'' passes through v^-16385.
     """
     if not f:
         return True
     if f.constant_term():
         return False
     return not euler_derivative(f, U) and not euler_derivative(f, V)
+
+
+def is_total_derivative(f):
+    """Whether f lies in the image of the total derivative.
+
+    :func:`antiderivative` decides: f is exact exactly when it returns a
+    primitive.  The Casimir pairing and the brackets of
+    :mod:`magri.lenard` and :meth:`LocalFunctional.is_zero` all ask this.
+
+    Exact input whose primitive the ring cannot hold, such as
+    v^16383*v' (its primitive is v^16384/16384), makes
+    :func:`antiderivative` raise ExponentOverflow; the Euler test then
+    decides, and says True.  Where the Euler test leaves the range too,
+    as on v^-16384*v'*v'', ExponentOverflow is raised: the ring cannot
+    decide.
+    """
+    try:
+        return antiderivative(f) is not None
+    except ExponentOverflow:
+        return _euler_exact(f)
 
 
 def _integrate_v_monomial(k, j):
@@ -1240,17 +1268,34 @@ def _integrate_in_generator(b, var, order):
 
     For the Laurent/log pair (v, log v) this is an honest indefinite
     integral in v; every other generator is an ordinary polynomial
-    variable.
+    variable.  A term c * m free of log v, and in v free of v^-1, gains
+    one power of the generator and is divided by its new exponent: its
+    monomial m + unit is one int sum, and the sum of distinct monomials
+    shifted by one int stays sorted and distinct.
     """
     if var == V and order == 0:
         acc = Accumulator()
+        d = acc.d
         for m, c in b._t:
             k = mono_exp(m, V, 0)
             j = mono_exp(m, LOG_VAR, 0)
-            rest = _canon([(m - k - j * _LOG, c)], b._den)
-            addmul_into(acc, _integrate_v_monomial(k, j), rest)
+            if j or k == -1:
+                rest = _canon([(m - k - j * _LOG, c)], b._den)
+                addmul_into(acc, _integrate_v_monomial(k, j), rest)
+            else:  # c * m / (k + 1) at v^(k + 1): m + 1, since v is slot 0
+                q = k + 1
+                if q < 0:
+                    c, q = -c, -q
+                c *= acc.fit(b._den * q)
+                d[m + 1] = d.get(m + 1, 0) + c
         return DiffFunction.from_acc(acc)
-    return divide_terms(b, lambda m: mono_exp(m, var, order) + 1) * jet(var, order)
+    shift = EXP_BITS * _slot(var, order)
+    ds = [(((m + _OFF) >> shift) & _MASK) + 1 for m, _c in b._t]
+    den = lcm(*ds)
+    unit = 1 << shift
+    items = [(m + unit, c * (den // e)) for (m, c), e in zip(b._t, ds)]
+    _check_range([m for m, _c in items])
+    return _canon(items, b._den * den)
 
 
 def _mono_order(m):
@@ -1276,13 +1321,15 @@ def antiderivative(f, tag=None):
     and every input takes at most two rounds per order, 2 * n in all.
     A remainder of order 0, or one nonlinear in its top jet or with a
     coefficient of order n or more, returns None too.  g is returned
-    only when the remainder has reached 0, so the result is checked.
-    When a round leaves the exponent range, the Euler test decides: input
-    that is not exact returns None, and exact input, whose primitive
-    the ring cannot hold, raises ExponentOverflow.  When the Euler test
-    leaves the range too, neither can decide, and ExponentOverflow is
-    raised for input that is not exact as well: a round on
-    v^-16384*v'*v'' reaches v^-16385, and so does its partial
+    only when the remainder has reached 0, so the result is checked, and
+    None is returned only for input that is not exact: this is the
+    exactness test of the package, which :func:`is_total_derivative`
+    asks.  Only when a round leaves the exponent range does the Euler
+    test decide: input that is not exact returns None, and exact input,
+    whose primitive the ring cannot hold, raises ExponentOverflow.  When
+    the Euler test leaves the range too, neither can decide, and
+    ExponentOverflow is raised for input that is not exact as well: a
+    round on v^-16384*v'*v'' reaches v^-16385, and so does its partial
     derivative by v, which lowers the power of v.
 
     The remainder is one :class:`Accumulator` for the whole loop, with
@@ -1365,7 +1412,7 @@ def antiderivative(f, tag=None):
             _check_range(new)
         g = DiffFunction.from_acc(g)
     except ExponentOverflow:
-        if is_total_derivative(f):
+        if _euler_exact(f):
             raise
         return None
     if tag is not None:
@@ -1502,22 +1549,59 @@ def _gen_text(var, order, exp):
     return s
 
 
-def to_text(f):
-    """Render in the grammar accepted by the expression parser."""
-    if not f:
-        return "0"
+def int_text(n):
+    """The decimal text of the int n, at any length.
+
+    ``str`` refuses an int of more digits than
+    ``sys.get_int_max_str_digits()`` (4300 by default) with ValueError;
+    ``Decimal`` converts it exactly, and no process-wide setting
+    changes.  The writers call ``str`` and call this where it raises.
+    """
+    return str(Decimal(n))
+
+
+def frac_text(num, den):
+    """The text "num", or "num/den" when den != 1, of ints of any length."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:
+        return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
+
+
+def text_int(digits):
+    """The int of a run of ASCII digits, with an optional sign, at any length.
+
+    ``int`` refuses more digits than ``sys.get_int_max_str_digits()``
+    with ValueError, and ``Decimal`` reads them exactly.  The readers
+    call ``int`` and call this where it raises.
+    """
+    return int(Decimal(digits))
+
+
+def _text(f, num_text):
+    """The text of a nonzero f, each int written by ``num_text``."""
     parts = []
     for key, num, den in text_terms(f):
         it = iter(key)
         frag = "*".join([_gen_text(var, order, exp) for var, order, exp in zip(it, it, it)])
         p = -num if num < 0 else num
         if not frag:
-            frag = str(p) if den == 1 else f"{p}/{den}"
+            frag = num_text(p) if den == 1 else f"{num_text(p)}/{num_text(den)}"
         else:
             if p != 1:
-                frag = f"{p}*{frag}"
+                frag = f"{num_text(p)}*{frag}"
             if den != 1:
-                frag = f"{frag}/{den}"
+                frag = f"{frag}/{num_text(den)}"
         parts.append((" - " if num < 0 else " + ") + frag)
     out = "".join(parts)
     return "-" + out[3:] if out[1] == "-" else out[3:]
+
+
+def to_text(f):
+    """Render in the grammar accepted by the expression parser."""
+    if not f:
+        return "0"
+    try:
+        return _text(f, str)
+    except ValueError:  # an int of more digits than str converts
+        return _text(f, int_text)

@@ -12,7 +12,9 @@ multiplication operators.
 
 Separators are part of the grammar: a vector is ``expr (';' expr)*``
 and a matrix operator is rows separated by ';' of entries separated by
-','.  Parentheses, D(...) included, nest at most ``MAX_NESTING`` deep.
+','.  Parentheses, D(...) included, nest at most ``MAX_NESTING`` deep,
+and a power of a rational coefficient has at most ``MAX_POWER_BITS``
+bits in its numerator and in its denominator.
 
 Example inputs:  "u'' + 4*u^2",  "1/v^2",  "-3/2*(v')^2*v^-4",
 "d^3 + 2*u*d + u'",  "D(u*u')",  "d, u; u, d".
@@ -67,6 +69,12 @@ from .errors import ExponentError, ExprSyntaxError
 # they include the 245 that the fully recursive parser of earlier
 # versions reached before it overflowed.
 MAX_NESTING = 249
+
+# A power c^e of a numerator or denominator c is refused when e times the
+# bit length of c, a bound on the bits of c^e, passes this: 2^20000 is 20001
+# bits long and 2^32768 the largest power of 2 taken; 3^10000000, of 15.8
+# million bits, took seconds to form.
+MAX_POWER_BITS = 1 << 16
 
 # ASCII digit runs, runs of word characters that are not digits (names,
 # checked below against str.isalpha), runs of primes, and any other
@@ -261,7 +269,10 @@ class _Parser:
                     order = 0
                 x = 1, 1, 1 << EXP_BITS * _slot(U if toks[start] == "u" else V, order)
             elif t.isdigit():
-                x = int(t), 1, 0
+                try:
+                    x = int(t), 1, 0
+                except ValueError:  # more digits than int reads
+                    x = da.text_int(t), 1, 0
             else:
                 self.pos = start
                 x = self._atom()
@@ -282,6 +293,11 @@ class _Parser:
                     x = _ONE
                 elif x[0]:
                     m = _mono_power(x[2], e)  # checked before c**e, which may be large
+                    # c**e has at most e * c.bit_length() bits, and is 1 or -1
+                    # for a c of bit length 1
+                    b = max(x[0].bit_length(), x[1].bit_length())
+                    if b > 1 and b * e > MAX_POWER_BITS:
+                        self.fail(f"a coefficient power has more than {MAX_POWER_BITS} bits", i - 1)
                     x = x[0] ** e, x[1] ** e, m
             if div:
                 x = self._inverse(x, start, False)

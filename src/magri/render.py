@@ -10,6 +10,8 @@ JSON shapes:
 
 from __future__ import annotations
 
+import re
+
 from . import diffalg as da
 from . import diffop as dop
 from .diffalg import DiffFunction, LOG_VAR, QQ, U, V
@@ -17,10 +19,11 @@ from .errors import ExprSyntaxError, MagriError
 
 _NAME = {U: "u", V: "v", LOG_VAR: "log"}
 _CODE = {"u": U, "v": V, "log": LOG_VAR}
+_LONG_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def _frac_str(c):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return da.frac_text(c.numerator, c.denominator)
 
 
 def function_to_json(f):
@@ -54,7 +57,10 @@ def function_json_text(f, indent=""):
     gens = {}  # (var, order, exp) -> the text of [name, order, exp]
     rows = []
     for key, num, den in da.text_terms(f):
-        c = str(num) if den == 1 else f"{num}/{den}"
+        try:
+            c = str(num) if den == 1 else f"{num}/{den}"
+        except ValueError:  # more digits than str converts
+            c = da.frac_text(num, den)
         if key:
             texts = []
             it = iter(key)
@@ -84,6 +90,20 @@ def _iter(data, msg):
         _bad(msg)
 
 
+def _coeff(c):
+    """The rational of a JSON coefficient, a str or an int."""
+    try:
+        return QQ(c)
+    except ValueError:
+        # Fraction reads digits with int, which refuses more than
+        # sys.get_int_max_str_digits() of them
+        match = _LONG_RATIONAL.fullmatch(c) if type(c) is str else None
+        if match is None:
+            raise
+        num, den = match.groups()
+        return QQ(da.text_int(num), da.text_int(den or "1"))
+
+
 def function_from_json(data):
     if not isinstance(data, list):
         _bad("function JSON must be a list of terms")
@@ -95,7 +115,7 @@ def function_from_json(data):
         if type(c) not in (str, int):  # a float is not exact, a bool not a number
             _bad(f"bad coefficient {c!r}: a coefficient is a string or an integer")
         try:
-            c = QQ(c)
+            c = _coeff(c)
         except (ValueError, ZeroDivisionError):
             _bad(f"bad coefficient {c!r}")
         mono = []
@@ -216,8 +236,9 @@ def _gen_latex(var, order, exp):
     return f"({base})^{_sup(exp)}"
 
 
-def _term_latex(key, num, den):
-    """The LaTeX of the term num/den times the monomial of the flat key."""
+def _term_latex(key, num, den, num_text):
+    """The LaTeX of the term num/den times the monomial of the flat key,
+    each int written by ``num_text``."""
     numer, denom = [], []
     it = iter(key)
     for var, order, exp in zip(it, it, it):
@@ -227,14 +248,28 @@ def _term_latex(key, num, den):
             numer.append(_gen_latex(var, order, exp))
     p = -num if num < 0 else num
     if p != 1 or not numer:
-        numer.insert(0, str(p))
+        numer.insert(0, num_text(p))
     if den != 1:
-        denom.insert(0, str(den))
+        denom.insert(0, num_text(den))
     sign = "-" if num < 0 else ""
     num_s = " ".join(numer)
     if denom:
         return sign + rf"\frac{{{num_s}}}{{{' '.join(denom)}}}"
     return sign + num_s
+
+
+def _latex_terms(f, num_text):
+    """The LaTeX of a nonzero f, each int written by ``num_text``."""
+    parts = []
+    for key, num, den in da.text_terms(f):
+        t = _term_latex(key, num, den, num_text)
+        if not parts:
+            parts.append(t)
+        elif num < 0:
+            parts.append(" - " + t[1:])
+        else:
+            parts.append(" + " + t)
+    return "".join(parts)
 
 
 def latex(f):
@@ -243,16 +278,10 @@ def latex(f):
         return rf"\textstyle\int {latex(f.rep)}\, dx"
     if not f:
         return "0"
-    parts = []
-    for key, num, den in da.text_terms(f):
-        t = _term_latex(key, num, den)
-        if not parts:
-            parts.append(t)
-        elif num < 0:
-            parts.append(" - " + t[1:])
-        else:
-            parts.append(" + " + t)
-    return "".join(parts)
+    try:
+        return _latex_terms(f, str)
+    except ValueError:  # an int of more digits than str converts
+        return _latex_terms(f, da.int_text)
 
 
 def latex_vector(vec):

@@ -1,9 +1,13 @@
-"""References for differential tests of the text layer.
+"""References for differential tests of the text layer and the exactness test.
 
 The per-character tokenizer and recursive-descent parser that
 :mod:`magri.expr` replaced, and the plain-text and LaTeX writers that
 read :attr:`DiffFunction.terms`, which :func:`magri.diffalg.to_text` and
-:func:`magri.render.latex` replaced.  Each gives the values, errors and
+:func:`magri.render.latex` replaced.  The Euler test of exactness, which
+:func:`magri.diffalg.is_total_derivative` ran before it asked
+:func:`magri.diffalg.antiderivative`, and the one-generator integral
+that built each round's primitive from jets, products and the recursive
+v-integral.  Each gives the values, errors and
 text the package gave before; the tests compare the package with them.
 """
 
@@ -138,7 +142,7 @@ class _Parser:
         t = self.take()
         kind, text = t[0], t[1]
         if kind == "int":
-            n = int(text)
+            n = da.text_int(text)  # int() refuses a literal of over 4300 digits
             return _df(((0, n),)) if n else da.ZERO
         if kind == "(":
             val = self.expr()
@@ -287,3 +291,39 @@ def latex(f):
         else:
             parts.append(" + " + t)
     return "".join(parts)
+
+
+# -- the Euler test of exactness ------------------------------------------------
+
+
+def is_total_derivative(f):
+    """Whether f lies in the image of the total derivative, by both Euler
+    derivatives.
+
+    On this ring the image is exactly the kernel of both Euler operators
+    intersected with the functions of zero constant term.  An Euler
+    derivative that leaves the exponent range raises ExponentOverflow:
+    the partial derivative by v lowers the power of v, so the test raises
+    on v^-16384*v'*v'', whose E_u is zero and whose E_v passes through
+    v^-16385.
+    """
+    if not f:
+        return True
+    if f.constant_term():
+        return False
+    return not da.euler_derivative(f, U) and not da.euler_derivative(f, V)
+
+
+def integrate_in_generator(b, var, order):
+    """A primitive of b in the generator (var, order), through the ring's
+    products: ``divide_terms`` times the jet, and ``_integrate_v_monomial``
+    for every term in v."""
+    if var == V and order == 0:
+        acc = da.Accumulator()
+        for m, c in b._t:
+            k = da.mono_exp(m, V, 0)
+            j = da.mono_exp(m, LOG_VAR, 0)
+            rest = da._canon([(m - k - j * da._LOG, c)], b._den)
+            da.addmul_into(acc, da._integrate_v_monomial(k, j), rest)
+        return DiffFunction.from_acc(acc)
+    return da.divide_terms(b, lambda m: da.mono_exp(m, var, order) + 1) * da.jet(var, order)

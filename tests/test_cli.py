@@ -386,6 +386,67 @@ def test_integers_are_ascii_digits(capsys):
     assert expr.parse("u^12*v^-10") == da.u_jet(0) ** 12 * da.v_pow(-10)
 
 
+def test_coefficient_powers_are_bounded_at_the_exponent(capsys):
+    # e times the bit length of the base bounds the bits of c^e: 2^32768
+    # passes the bound of 65536 exactly, 2^32769 is refused before it is
+    # formed (3^10000000*u took seconds), and an exponent out of range keeps
+    # its own error
+    assert expr.MAX_POWER_BITS == 65536
+    assert expr.parse("2^32768") == da.const(2**32768)
+    assert expr.parse("u*(3/2)^-32768") == da.u_jet(0) * Fraction(2**32768, 3**32768)
+    assert expr.parse("1^100000 + (-1)^70001*u") == 1 - da.u_jet(0)
+    message = "a coefficient power has more than 65536 bits"
+    for text, col in (
+        ("2^32769", 3),
+        ("3^10000000*u", 3),
+        ("u + (3/2)^-32769*v", 12),
+        ("v*(2^3)^21846", 9),
+        ("(" + "1" * 4400 + ")^5", 4404),
+    ):
+        with pytest.raises(ExprSyntaxError) as info:
+            expr.parse(text)
+        err = info.value
+        assert (type(err), err.message, err.line, err.col) == (ExprSyntaxError, message, 1, col), text
+        assert _run(capsys, "fmt", text) == (4, "", f"SYNTAX_ERROR at 1:{col}: {message}\n")
+    assert _run(capsys, "fmt", "(3*u)^70000") == (4, "", f"INPUT_ERROR: {_LEFT_RANGE}\n")
+
+
+def _digits_value(text):
+    """The int of a run of decimal digits, read digit by digit."""
+    n = 0
+    for ch in text:
+        n = 10 * n + "0123456789".index(ch)
+    return n
+
+
+def test_integers_of_any_length_are_written_and_read_back(capsys):
+    # str() and int() refuse more than 4300 digits; 2^20000 has 6021
+    big = "1234567890" * 440 + "7"  # a literal of 4401 digits, odd
+    cases = [
+        ("2^20000", Fraction(2**20000)),
+        (big, Fraction(_digits_value(big))),
+        (f"-{big}*u/2^20000 + v", None),
+    ]
+    for text, value in cases:
+        f = expr.parse(text)
+        if value is not None:
+            assert f == da.const(value)
+            digits = da.to_text(f)
+            assert _digits_value(digits) == value
+            assert _run(capsys, "fmt", text) == (0, digits + "\n", "")
+            assert _run(capsys, "fmt", "--latex", text) == (0, digits + "\n", "")
+            code, out, _ = _run(capsys, "reduce", "--json", text)
+            assert code == 0 and json.loads(out)["constant_term"] == digits
+        # text, JSON (from the packed terms and from Fractions) and LaTeX
+        assert expr.parse(da.to_text(f)) == f
+        code, out, err = _run(capsys, "fmt", "--json", text)
+        assert (code, err) == (0, "")
+        assert render.function_from_json(json.loads(out)) == f
+        assert render.function_from_json(json.loads(json.dumps(render.function_to_json(f)))) == f
+    f = expr.parse(cases[2][0])
+    assert render.latex(f) == rf"-\frac{{{big} u}}{{{da.to_text(da.const(2**20000))}}} + v"
+
+
 def test_negative_exponent_on_u_exits_four(capsys):
     code, _, err = _run(capsys, "varder", "u^-1")
     assert code == 4

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import helpers
 import oracle
 import magri
+import reference
 from magri import diffalg as da
 from magri.diffalg import (
     LOG_VAR,
@@ -365,6 +366,25 @@ def test_integration_in_one_generator_divides_exactly():
     assert type(got.terms[0][1]) is QQ
 
 
+def test_integration_in_one_generator_matches_the_ring_products():
+    # seeded Laurent and log coefficients, in v (v^-1 and log v included),
+    # in v^(n) and in u^(n); the edge of the range raises on both sides
+    rng = random.Random(151)
+    gens = [(V, 0), (V, 1), (V, 2), (U, 0), (U, 1), (U, 3)]
+    bs = [helpers.rand_function(rng, terms=4) for _ in range(120)]
+    bs += [da.v_pow(-1) * da.u_jet(1), da.v_pow(-3) * da.log_v() ** 2, da.const(QQ(-5, 6))]
+    for b in bs:
+        for var, order in gens:
+            assert da._integrate_in_generator(b, var, order) == reference.integrate_in_generator(b, var, order)
+    for b, var, order in (
+        (da.v_pow(da.MAX_V_EXP), V, 0),
+        (da.u_jet(2) ** da.MAX_EXP * da.v_jet(0), U, 2),
+    ):
+        for integrate in (da._integrate_in_generator, reference.integrate_in_generator):
+            with pytest.raises(ExponentOverflow):
+                integrate(b, var, order)
+
+
 def _exactness_inputs(rng):
     """Seeded Laurent and log inputs, exact and not, for antiderivative."""
     out = [da.v_jet(1) * da.u_jet(2), da.u_jet(1) * da.v_jet(2), da.const(3)]
@@ -403,7 +423,7 @@ def test_antiderivative_decides_exactness_like_the_euler_test(monkeypatch):
     for x in inputs:
         del calls[:]
         g = da.antiderivative(x)
-        want = da.is_total_derivative(x)
+        want = reference.is_total_derivative(x)
         assert (g is not None) == want, x
         if g is not None:
             assert da.total_derivative(g) == x
@@ -418,20 +438,63 @@ def test_antiderivative_decides_exactness_like_the_euler_test(monkeypatch):
 
 def test_antiderivative_computes_no_euler_derivative(monkeypatch):
     def refuse(f, var):
-        raise AssertionError("antiderivative took an Euler derivative")
+        raise AssertionError("the exactness test took an Euler derivative")
 
     inputs = _exactness_inputs(random.Random(127))
-    inputs = [x for x in inputs if not x.constant_term()]
-    want = [da.is_total_derivative(x) for x in inputs]
+    want = [reference.is_total_derivative(x) for x in inputs]
     assert any(want) and not all(want)
     monkeypatch.setattr(da, "euler_derivative", refuse)
     assert [da.antiderivative(x) is not None for x in inputs] == want
+    # inside the exponent range is_total_derivative asks antiderivative alone
+    assert [da.is_total_derivative(x) for x in inputs + [ZERO]] == want + [True]
     # v'*u'' integrates in u' to -u'*v'', then in v' back to v'*u''
     assert da.antiderivative(da.v_jet(1) * da.u_jet(2)) is None
     assert da.antiderivative(da.u_jet(1) * da.v_jet(2)) is None
     assert da.antiderivative(da.total_derivative(da.u_jet(0) * da.v_jet(2))) == (
         da.u_jet(0) * da.v_jet(2)
     )
+
+
+def test_is_total_derivative_matches_the_euler_test():
+    # seeded Laurent and log draws: the draw itself, D of it, D of it plus
+    # one term, and a constant alone or added to D of it
+    rng = random.Random(149)
+    inputs = [ZERO, ONE, da.const(QQ(-3, 2))]
+    for i in range(300):
+        f = helpers.rand_function(rng, terms=4)
+        kind = i % 4
+        if kind == 0:
+            inputs.append(f)
+        elif kind == 1:
+            inputs.append(da.total_derivative(f))
+        elif kind == 2:
+            inputs.append(da.total_derivative(f) + helpers.rand_function(rng, terms=1))
+        else:
+            inputs.append(da.total_derivative(f) * (i % 2) + helpers.rand_coeff(rng))
+    exact = laurent = log = 0
+    for x in inputs:
+        want = reference.is_total_derivative(x)
+        assert da.is_total_derivative(x) == want, x
+        exact += want
+        laurent += da.min_v_exponent(x) < 0
+        log += any(gen[0] == LOG_VAR for m, _ in x.terms for gen in m)
+    assert 60 < exact < len(inputs) - 60
+    assert laurent > 60 and log > 30
+    # at the edge of the exponent range: the rounds of antiderivative leave
+    # it on each of these, and the Euler test decides
+    u, v = da.u_jet(0), da.v_jet(0)
+    for f, want in (
+        (v ** da.MAX_V_EXP * da.v_jet(1), True),
+        (u ** da.MAX_EXP * da.u_jet(1), True),
+        (v ** da.MAX_V_EXP * da.v_jet(1) * u, False),
+        (da.u_jet(1) ** da.MAX_EXP * da.u_jet(2) * v, False),
+    ):
+        assert reference.is_total_derivative(f) == want
+        assert da.is_total_derivative(f) == want, f
+    f = da.v_pow(da.MIN_V_EXP) * da.v_jet(1) * da.v_jet(2)
+    for test in (reference.is_total_derivative, da.is_total_derivative):
+        with pytest.raises(ExponentOverflow):
+            test(f)
 
 
 def test_addmul_into_matches_the_naive_sum():
@@ -1045,7 +1108,7 @@ def _round_by_round_antiderivative(f):
             work = da.DiffFunction.from_acc(d)
         g = da.DiffFunction.from_acc(g)
     except ExponentOverflow:
-        if da.is_total_derivative(f):
+        if reference.is_total_derivative(f):
             raise
         return None
     return g
