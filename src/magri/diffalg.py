@@ -1268,10 +1268,11 @@ def _integrate_in_generator(b, var, order):
 
     For the Laurent/log pair (v, log v) this is an honest indefinite
     integral in v; every other generator is an ordinary polynomial
-    variable.  A term c * m free of log v, and in v free of v^-1, gains
-    one power of the generator and is divided by its new exponent: its
-    monomial m + unit is one int sum, and the sum of distinct monomials
-    shifted by one int stays sorted and distinct.
+    variable.  A term c * m gains one power of the generator and is
+    divided by its new exponent, so its monomial is m plus the unit of
+    the generator's slot, one int sum, and distinct sorted monomials
+    shifted by one int stay distinct and sorted.  In v, a term with
+    log v or with v^-1 goes through the recursive v-integral instead.
     """
     if var == V and order == 0:
         acc = Accumulator()
