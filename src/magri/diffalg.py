@@ -96,13 +96,22 @@ log v has weight 0.
 A factor g^e of a monomial m contributes e * m * g'/g to its total
 derivative, and g'/g is one packed int per slot: ``_DX_V`` for v,
 ``_DX_LOG`` for log v and ``_DX_STEP`` times the unit of the slot for
-a jet.  The memo ``_DX_MONO`` keeps, for each monomial differentiated,
-its entry: the tuple of its (g'/g, e) pairs, one per factor, and
-:func:`_dx_into` forms each m + g'/g as it reads them.  A pair is one
-object, kept in ``_DX_PAIRS`` and shared by every entry with that
-factor, so an entry costs its tuple and its dict slot: about 120 bytes
-with the key after a hierarchy run.  Both tables are cleared together
-when the memo reaches ``MEMO_CAP`` entries.
+a jet.  The factors of m are read off the fields of m + ``_OFF`` by
+:func:`_fields`, one view of its 16-bit fields, lowest first, on a
+host of either byte order.  Every total derivative, those of
+:func:`antiderivative` included, is taken by :func:`_dx_into`, which
+picks one of two ways by the length of the operand.  An operand of
+more than ``MEMO_TERMS`` terms (a tower level, a flow, a gradient)
+reads each monomial's fields as it goes (:func:`_dx_fields_into`): its
+monomials seldom recur, so a memo of them would mostly grow.  A
+shorter one, as the Poisson checks and the one-shot queries
+differentiate, looks each monomial up in the memo ``_DX_MONO``, whose
+entry is the tuple of its (g'/g, e) pairs, one per factor, read off
+its fields once; those monomials recur.  A pair is one object, kept in
+``_DX_PAIRS`` and shared by every entry with that factor, so an entry
+costs its tuple and its dict slot: about 130 bytes with the key.  Both
+tables are cleared together when the memo reaches ``MEMO_CAP``
+entries.
 
 Each value keeps its own derivative tower.  The ``_d`` slot of a
 :class:`DiffFunction` is None until :func:`total_derivative` first
@@ -158,6 +167,7 @@ forms.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -182,10 +192,22 @@ MIN_V_EXP, MAX_V_EXP = -_OFF, _OFF - 1
 _LOG = 1 << EXP_BITS  # log v to the first power
 
 # The memo of total derivatives of monomials, _DX_MONO, and its pair table
-# are cleared when the memo reaches this many entries; the hierarchy
-# benchmark's four chains fill 30,086, about 3.5 MB; a full memo at that
-# size per entry takes about 30 MB.
+# are cleared when the memo reaches this many entries, about 34 MB at
+# 130 bytes an entry; the hierarchy benchmark's four chains leave 5,842
+# entries in it.
 MEMO_CAP = 1 << 18
+
+# An operand of more than this many terms is differentiated straight off
+# its packed fields, and one of at most this many through the memo.  When
+# every operand went through the memo, 78% of the 41,339 terms that the
+# hierarchy benchmark differentiated (seed 1) and 88% of the involution
+# report's 24,718 lay in longer operands, whose lookups missed 57% and 45%
+# of the time and filled the memo; none of the Poisson checks' 30,503,
+# whose ~500 monomials recur across pencil members, did, nor any of the
+# one-shot queries' 23,338.
+MEMO_TERMS = 128
+
+_BYTEORDER = sys.byteorder
 
 _first = itemgetter(0)
 
@@ -752,15 +774,58 @@ _DX_MONO = {}
 _DX_PAIRS = {}  # each (g'/g, exponent) pair of the _DX_MONO entries, stored once
 
 
-def _dx_mono(m):
-    """Total derivative of a packed monomial by the product rule.
+def _fields(x):
+    """The EXP_BITS-bit fields of the int x >= 0, lowest first: a view of
+    at least two, the top one or two of them zero, each field one
+    unsigned short ("H"), as EXP_BITS is 16.
 
-    A factor g^e of m contributes e * m * g'/g.  Returns the tuple of
-    (packed g'/g, exponent) pairs, one per factor, in increasing order
-    of g'/g: the g'/g grow with the slot of g, except that log v's is
-    below v's, so the monomials m + g'/g are distinct and sorted.  Each
-    pair is the one object of ``_DX_PAIRS`` for its value, shared by
-    every entry that holds it.
+    The view reads its bytes in the host's order, so they are written in
+    it; on a big-endian host that puts the top field first, and the view
+    is read backwards.
+    """
+    v = memoryview(x.to_bytes((x.bit_length() >> 4) + 2 << 1, _BYTEORDER)).cast("H")
+    return v[::-1] if _BYTEORDER == "big" else v
+
+
+def _dx_fields_into(d, terms, k):
+    """Add k times the total derivative of ``terms``, a sorted tuple of
+    (packed monomial, int) pairs, into the dict d, by the product rule: a
+    factor g^e of a term c * m adds k * c * e at m + g'/g.
+
+    The factors are read off the fields of m + ``_OFF`` (:func:`_fields`),
+    and the monomials m + g'/g of one m come in increasing order: the
+    g'/g grow with the slot of g, except that log v's is below v's.
+    """
+    get = d.get
+    # the g'/g of each jet slot, up to the top field of the last, largest m
+    steps = [_DX_STEP << EXP_BITS * s for s in range(len(_fields(terms[-1][0] + _OFF)))]
+    for m, c in terms:
+        if k != 1:
+            c = c * k
+        x = _fields(m + _OFF)
+        e = x[1]
+        if e:
+            dm = m + _DX_LOG
+            d[dm] = get(dm, 0) + c * e
+        e = x[0] - _OFF
+        if e:
+            dm = m + _DX_V
+            d[dm] = get(dm, 0) + c * e
+        s = 2
+        for e in x[2:]:
+            if e:
+                dm = m + steps[s]
+                d[dm] = get(dm, 0) + c * e
+            s += 1
+
+
+def _dx_mono(m):
+    """The memo entry of a packed monomial m: the tuple of the (packed
+    g'/g, exponent) pairs of its factors g^e, read off its fields
+    (:func:`_fields`) as :func:`_dx_fields_into` reads them, in
+    increasing order of g'/g, so the monomials m + g'/g are distinct and
+    sorted.  Each pair is the one object of ``_DX_PAIRS`` for its value,
+    shared by every entry that holds it.
     """
     t = _DX_MONO.get(m)
     if t is None:
@@ -768,28 +833,21 @@ def _dx_mono(m):
         if len(_DX_MONO) >= MEMO_CAP:
             _DX_MONO.clear()
             pairs.clear()
+        x = _fields(m + _OFF)
         t = []
-        x = m + _OFF
-        e = (x & _MASK) - _OFF
-        x >>= EXP_BITS
-        if x & _MASK:
-            t.append((_DX_LOG, x & _MASK))
-        if e:
-            t.append((_DX_V, e))
-        x >>= EXP_BITS
-        step = _DX_STEP << 2 * EXP_BITS
-        while x:
-            e = x & _MASK
-            if not e:
-                # jump over the run of empty fields below the lowest set bit,
-                # so a high jet order costs one shift, not one per field
-                z = ((x & -x).bit_length() - 1) // EXP_BITS * EXP_BITS
-                x >>= z
-                step <<= z
-                e = x & _MASK
-            t.append((step, e))
-            x >>= EXP_BITS
-            step <<= EXP_BITS
+        if x[1]:
+            t.append((_DX_LOG, x[1]))
+        if x[0] != _OFF:
+            t.append((_DX_V, x[0] - _OFF))
+        # start at the lowest jet of m, so that a lone high jet, as the
+        # Horner sums of Euler derivatives differentiate, costs no step per
+        # empty field below it
+        jets = (m + _OFF) >> 2 * EXP_BITS
+        s = 2 + ((jets & -jets).bit_length() - 1) // EXP_BITS if jets else len(x)
+        for e in x[s:]:
+            if e:
+                t.append((_DX_STEP << EXP_BITS * s, e))
+            s += 1
         # total_derivative checks the exponents of the m + g'/g
         t = _DX_MONO[m] = tuple([pairs.setdefault(p, p) for p in t])
     return t
@@ -797,12 +855,21 @@ def _dx_mono(m):
 
 def _dx_into(acc, f, k=1):
     """Add k times the total derivative of f into ``acc``, as addmul_into
-    adds a product; k is an int."""
+    adds a product; k is an int.
+
+    An f of at most ``MEMO_TERMS`` terms reads the factors of each
+    monomial from the memo ``_DX_MONO``, filling it on a miss; a longer
+    f reads them off the packed fields (:func:`_dx_fields_into`) and
+    leaves the memo as it is.
+    """
     if f._den != acc.den:
         k *= acc.fit(f._den)
     d = acc.d
-    memo = _DX_MONO
+    if len(f._t) > MEMO_TERMS:
+        _dx_fields_into(d, f._t, k)
+        return
     get = d.get
+    memo = _DX_MONO
     for m, c in f._t:
         if k != 1:
             c = c * k
@@ -1335,10 +1402,12 @@ def antiderivative(f, tag=None):
 
     The remainder is one :class:`Accumulator` for the whole loop, with
     an index from jet order to its monomials.  Only the monomials of the
-    top order can hold v^(n) or u^(n), so a round reads those alone; it
-    subtracts the derivative of its primitive into the same dict, checks
-    the range of the monomials that are new there, and drops each term
-    that cancels, so the remainder never holds a zero.
+    top order can hold v^(n) or u^(n), so a round reads those alone.  It
+    differentiates its primitive by :func:`_dx_into`, as every total
+    derivative is taken, so a long primitive leaves the memo alone; the
+    derivative goes into a dict of its own, whose monomials are checked
+    for range before it is subtracted from the remainder, and each term
+    that cancels is dropped, so the remainder never holds a zero.
 
     The result is normalized to have zero constant term.  When ``tag``
     names a subspace, the primitive must land in its target space,
@@ -1355,7 +1424,6 @@ def antiderivative(f, tag=None):
     by_order = {}  # jet order -> the monomials of rest of that order
     for m, _c in f._t:
         by_order.setdefault(_mono_order(m), set()).add(m)
-    memo = _DX_MONO
     last_u = None  # the order of the last round in u
     try:
         while by_order:
@@ -1387,30 +1455,24 @@ def antiderivative(f, tag=None):
                 last_u = n
             p = _integrate_in_generator(_canon(coeff, rest.den), var, n - 1)
             add_into(g, p)
-            k = rest.fit(p._den)
-            new = []
-            for m, c in p._t:
-                c *= -k
-                t = memo.get(m)
-                if t is None:
-                    t = _dx_mono(m)
-                for step, e in t:
-                    dm = m + step
-                    old = get(dm)
-                    if old is None:
-                        d[dm] = c * e
+            # subtract the derivative of p, made in a dict of its own and
+            # checked before any order is read off its monomials
+            dp = Accumulator((), p._den)
+            _dx_into(dp, p, -rest.fit(p._den))
+            _check_range(dp.d)
+            for dm, c in dp.d.items():
+                old = get(dm)
+                if old is None:
+                    if c:
+                        d[dm] = c
                         by_order.setdefault(_mono_order(dm), set()).add(dm)
-                        new.append(dm)
+                else:
+                    old += c
+                    if old:
+                        d[dm] = old
                     else:
-                        old += c * e
-                        if old:
-                            d[dm] = old
-                        else:
-                            del d[dm]
-                            by_order[_mono_order(dm)].discard(dm)
-            # an order read off a monomial out of range is wrong, but the
-            # loop stops here before it reads one
-            _check_range(new)
+                        del d[dm]
+                        by_order[_mono_order(dm)].discard(dm)
         g = DiffFunction.from_acc(g)
     except ExponentOverflow:
         if _euler_exact(f):

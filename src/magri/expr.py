@@ -14,7 +14,12 @@ Separators are part of the grammar: a vector is ``expr (';' expr)*``
 and a matrix operator is rows separated by ';' of entries separated by
 ','.  Parentheses, D(...) included, nest at most ``MAX_NESTING`` deep,
 and a power of a rational coefficient has at most ``MAX_POWER_BITS``
-bits in its numerator and in its denominator.
+bits in its numerator and in its denominator.  A power of a function
+of two or more terms, or of an operator, is taken by squaring, and no
+product in it pairs more than ``MAX_POWER_PAIRS`` terms or multiplies
+coefficients of more than ``MAX_POWER_BITS`` bits together.  An
+exponent or jet order of more digits than ``int`` reads is out of
+range, an error placed at its digits.
 
 Example inputs:  "u'' + 4*u^2",  "1/v^2",  "-3/2*(v')^2*v^-4",
 "d^3 + 2*u*d + u'",  "D(u*u')",  "d, u; u, d".
@@ -76,6 +81,14 @@ MAX_NESTING = 249
 # million bits, took seconds to form.
 MAX_POWER_BITS = 1 << 16
 
+# A power of a function of two or more terms, or of an operator, is taken
+# by repeated squaring, and each product in it may pair at most this many
+# terms of its two factors, an operator's terms being those of all its
+# coefficients; the coefficients of the two factors together may have at
+# most MAX_POWER_BITS bits.  (2 + u)^2000 took 4.3 s and (2 + u)^4000 52 s,
+# and the operator (3*u*d)^100 ran out of memory; d^2000 pairs one term.
+MAX_POWER_PAIRS = 1 << 16
+
 # ASCII digit runs, runs of word characters that are not digits (names,
 # checked below against str.isalpha), runs of primes, and any other
 # character that is not white space
@@ -132,6 +145,18 @@ def _reduced(val):
 def _as_operator(val):
     """val as a scalar operator: a function becomes its multiplication."""
     return dop.multiplication(val) if isinstance(val, DiffFunction) else val
+
+
+def _size(val):
+    """(terms, bits) of a function or an operator: its terms, those of
+    every coefficient for an operator, and the largest bit length of a
+    numerator or denominator among them."""
+    fs = [val] if type(val) is DiffFunction else [f for _k, f in val.terms]
+    n = bits = 0
+    for f in fs:
+        n += len(f._t)
+        bits = max(bits, f._den.bit_length(), *[abs(c).bit_length() for _m, c in f._t])
+    return n, bits
 
 
 class _Parser:
@@ -262,7 +287,8 @@ class _Parser:
                     i += 1
                 elif t == "^" and toks[i + 1] == "(":
                     self.pos = i + 2
-                    order = int(self.expect("int"))
+                    self.expect("int")
+                    order = self._int(i + 2, "jet order")
                     self.expect(")")
                     i = self.pos
                 else:
@@ -283,12 +309,12 @@ class _Parser:
                 if not toks[i].isdigit():
                     self.pos = i
                     self.expect("int")
-                e = int(toks[i])
+                e = self._int(i, "exponent")
                 i += 1
                 if neg:
                     x = self._inverse(x, start, True)
                 if type(x) is not tuple:
-                    x = _reduced(x**e)
+                    x = _reduced(self._power(x, e, i - 1))
                 elif not e:
                     x = _ONE
                 elif x[0]:
@@ -320,6 +346,42 @@ class _Parser:
                 self.pos = i
                 return val
             i += 1
+
+    def _int(self, i, what):
+        """The int of the digits token i, an exponent or a jet order; one of
+        more digits than ``int`` reads is out of range, an error at token i."""
+        t = self.toks[i]
+        try:
+            return int(t)
+        except ValueError:
+            self.fail(f"{what} of {len(t)} digits is out of range", i)
+
+    def _power(self, x, e, i):
+        """x^e for a function of two or more terms or an operator x, by
+        repeated squaring as ``x**e`` takes it; each product is checked
+        against ``MAX_POWER_PAIRS`` and ``MAX_POWER_BITS`` before it is
+        formed, and errors are placed at token i, the exponent."""
+        if not e:
+            return x**0
+        out = None
+        while True:
+            if e & 1:
+                out = x if out is None else self._times(out, x, i)
+            e >>= 1
+            if not e:
+                return out
+            x = self._times(x, x, i)
+
+    def _times(self, a, b, i):
+        """a * b, a product of a power, unless it pairs more than
+        ``MAX_POWER_PAIRS`` terms or its factors' coefficients together
+        have more than ``MAX_POWER_BITS`` bits; errors at token i."""
+        (na, ba), (nb, bb) = _size(a), _size(b)
+        if na * nb > MAX_POWER_PAIRS:
+            self.fail(f"a power takes a product of more than {MAX_POWER_PAIRS} term pairs", i)
+        if ba + bb > MAX_POWER_BITS:
+            self.fail(f"a power has coefficients of more than {MAX_POWER_BITS} bits", i)
+        return a * b
 
     def _atom(self):
         """A parenthesized sum, log(v), D(...) or d, at token self.pos."""

@@ -134,7 +134,7 @@ class _Parser:
             neg = self.peek()[0] == "-"
             if neg:
                 self.pos += 1
-            e = int(self.take("int")[1])
+            e = self._int(self.take("int"), "exponent")
             val = (self._inverse(val, tok, power=True) if neg else val) ** e
         return val
 
@@ -177,9 +177,17 @@ class _Parser:
             order = len(self.take()[1])
         elif kind == "^" and self.peek(1)[0] == "(":
             self.pos += 2
-            order = int(self.take("int")[1])
+            order = self._int(self.take("int"), "jet order")
             self.take(")")
         return _unit(var, order)
+
+    def _int(self, tok, what):
+        """The int of an exponent or jet order token; one of more digits
+        than int() reads is out of range."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            self.fail(f"{what} of {len(tok[1])} digits is out of range", tok)
 
     def _inverse(self, val, tok, power=False):
         """1/val for a term c*v^e with c a nonzero rational, the values

@@ -88,7 +88,7 @@ def _outcome(fn, text):
     """fn(text), or the type, message, line and column of the error it raises."""
     try:
         return fn(text)
-    except (MagriError, ValueError) as exc:  # int() refuses over 4300 digits
+    except MagriError as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
 
 
@@ -149,7 +149,7 @@ def test_parser_fuzz_raises_only_syntax_errors():
             got = _outcome(fn, text)
             assert got == _outcome(ref, text), (fn.__name__, text)
             seen.add(got[0] if isinstance(got, tuple) and isinstance(got[0], type) else "value")
-    assert seen == {"value", ExprSyntaxError, ExponentError, ExponentOverflow, DimensionMismatch, ValueError}
+    assert seen == {"value", ExprSyntaxError, ExponentError, ExponentOverflow, DimensionMismatch}
 
 
 def test_syntax_error_positions_are_one_based():
@@ -409,6 +409,59 @@ def test_coefficient_powers_are_bounded_at_the_exponent(capsys):
         assert (type(err), err.message, err.line, err.col) == (ExprSyntaxError, message, 1, col), text
         assert _run(capsys, "fmt", text) == (4, "", f"SYNTAX_ERROR at 1:{col}: {message}\n")
     assert _run(capsys, "fmt", "(3*u)^70000") == (4, "", f"INPUT_ERROR: {_LEFT_RANGE}\n")
+
+
+def test_powers_of_sums_and_operators_are_bounded_at_the_exponent(capsys):
+    # a power of a sum or an operator is taken by squaring, and each product
+    # pairs at most MAX_POWER_PAIRS terms and multiplies coefficients of at
+    # most MAX_POWER_BITS bits together: a sum of 256 terms squares, one of
+    # 257 does not, and 2^32767, of 32768 bits, squares exactly at the bound
+    assert expr.MAX_POWER_PAIRS == 65536
+    s256 = " + ".join(f"u^{k}" for k in range(1, 257))
+    f = expr.parse(s256)
+    assert len(f) == 256 and expr.parse(f"({s256})^2") == f * f
+    g = expr.parse("2^32767*u + 1")
+    assert expr.parse("(2^32767*u + 1)^2") == g * g
+    assert expr.parse("(2 + u)^500") == (2 + da.u_jet(0)) ** 500
+    assert expr.parse_scalar_operator("d^2000") == dop.D**2000
+    assert expr.parse_scalar_operator("(d^2 + 1)^0") == dop.multiplication(da.ONE)
+    pairs = "a power takes a product of more than 65536 term pairs"
+    bits = "a power has coefficients of more than 65536 bits"
+    # (2 + u)^2000 took 4.3 s, (3*u*d)^100 ran out of memory and
+    # (3*d)^1000000 built a coefficient of 1.58 million bits
+    for fn, text, message in (
+        (expr.parse, f"({s256} + u^257)^2", pairs),
+        (expr.parse, "(2^32768*u + 1)^2", bits),
+        (expr.parse, "(2 + u)^2000", pairs),
+        (expr.parse, "v + (2 + u)^4000", pairs),
+        (expr.parse_scalar_operator, "(3*u*d)^100", pairs),
+        (expr.parse_scalar_operator, "(3*d)^1000000", bits),
+    ):
+        col = text.rindex("^") + 2
+        with pytest.raises(ExprSyntaxError) as info:
+            fn(text)
+        err = info.value
+        assert (type(err), err.message, err.line, err.col) == (ExprSyntaxError, message, 1, col), text
+        argv = ["--operator", text] if fn is expr.parse_scalar_operator else [text]
+        assert _run(capsys, "fmt", *argv) == (4, "", f"SYNTAX_ERROR at 1:{col}: {message}\n")
+
+
+def test_long_exponents_and_jet_orders_are_placed_errors(capsys):
+    # int() refuses more than 4300 digits; such an exponent or jet order is
+    # out of range, and the error names its line and column
+    nines = "9" * 4400
+    for text, line, col, what in (
+        (f"u^{nines}", 1, 3, "exponent"),
+        (f"u^({nines})", 1, 4, "jet order"),
+        (f"v'*(u + 1)^{nines}", 1, 12, "exponent"),
+        (f"u +\n  v^({nines})", 2, 6, "jet order"),
+    ):
+        message = f"{what} of 4400 digits is out of range"
+        with pytest.raises(ExprSyntaxError) as info:
+            expr.parse(text)
+        err = info.value
+        assert (err.message, err.line, err.col) == (message, line, col), text
+        assert _run(capsys, "fmt", text) == (4, "", f"SYNTAX_ERROR at {line}:{col}: {message}\n")
 
 
 def _digits_value(text):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -564,9 +565,9 @@ def _derivative_by_factors(f):
     return out
 
 
-def test_total_derivative_matches_the_product_rule():
+def test_total_derivative_matches_the_product_rule(monkeypatch):
     rng = random.Random(20261019)
-    # high jets leave runs of empty fields, which _dx_mono jumps over
+    # high jets leave runs of empty fields between the set ones
     u40 = da.u_jet(40)
     jets = [u40, u40**2 * da.v_pow(-3), da.v_jet(17) * u40 * da.log_v()]
     jets.append(da.jet(V, 63, 2) * da.u_jet(1))
@@ -575,12 +576,58 @@ def test_total_derivative_matches_the_product_rule():
     monos = [m for f in fs for m, _c in da.packed_terms(f)]
     assert any(da.mono_exp(m, V, 0) < 0 for m in monos)
     assert any(da.mono_exp(m, LOG_VAR, 0) for m in monos)
+    assert any(da.mono_exp(m, LOG_VAR, 0) > 1 for m in monos)
+    wants = []
     for f in fs:
-        want = f
-        for n in (1, 2, 3):
-            want = _derivative_by_factors(want)
-            # a new value each time, so that no kept tower answers
-            assert da.total_derivative(-(-f), n) == want, (da.to_text(f), n)
+        want = [f]
+        for _n in (1, 2, 3):
+            want.append(_derivative_by_factors(want[-1]))
+        wants.append(want)
+    # every operand here is short and goes through the memo; with no
+    # operand short, each is read off its packed fields
+    for memo_terms in (da.MEMO_TERMS, 0):
+        monkeypatch.setattr(da, "MEMO_TERMS", memo_terms)
+        for f, want in zip(fs, wants):
+            for n in (1, 2, 3):
+                # a new value each time, so that no kept tower answers
+                assert da.total_derivative(-(-f), n) == want[n], (da.to_text(f), n, memo_terms)
+        # v^-16384 packs to the m with m + _OFF = 0, whose fields are all
+        # zero; its derivative -16384*v^-16385*v' leaves the range
+        for f in (da.v_pow(-16384), da.v_pow(-16384) + da.u_jet(0)):
+            with pytest.raises(ExponentOverflow):
+                da.total_derivative(f)
+    assert da._dx_mono(da.pack_mono(((V, 0, -16384),))) == ((da._DX_V, -16384),)
+
+
+def test_fields_are_the_packed_groups_lowest_first(monkeypatch):
+    rng = random.Random(36)
+    xs = [0, 1, da._MASK, 1 << da.EXP_BITS, (1 << 2 * da.EXP_BITS) - 1, da._OFF]
+    xs += [rng.getrandbits(rng.randint(1, 700)) for _ in range(300)]
+    for x in xs:
+        got = list(da._fields(x))
+        assert got == [(x >> da.EXP_BITS * i) & da._MASK for i in range(len(got))], x
+        # at least two fields, and every field of x is there
+        assert len(got) >= 2 and x >> da.EXP_BITS * len(got) == 0
+    # the bytes are written in the host's order, which the view reads; with
+    # the other order each field would come out with its two bytes swapped
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(da, "_BYTEORDER", other)
+    assert list(da._fields(0x0102_0304_0506))[:3] == [0x0605, 0x0403, 0x0201]
+
+
+def test_long_operands_leave_the_memo_alone(monkeypatch):
+    monkeypatch.setattr(da, "_DX_MONO", {})
+    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    rng = random.Random(35)
+    f = ZERO
+    while len(f) <= da.MEMO_TERMS + 10:
+        f = f + helpers.rand_function(rng, terms=40, max_order=4)
+    short = da.DiffFunction.from_packed((c, m) for m, c in da.packed_terms(f)[:10])
+    df = da.total_derivative(f)
+    assert len(da._DX_MONO) == 0
+    # ten of its monomials in a short operand go through the memo
+    assert da.total_derivative(short) + da.total_derivative(f - short) == df
+    assert len(da._DX_MONO) == 10
 
 
 def test_dx_entries_share_their_pairs(monkeypatch):
