@@ -1170,6 +1170,9 @@ PINNED_EXPRS = [
 def _pinned_argvs(command, e, g):
     return {
         "fmt": ["fmt", e],
+        # a matrix operator with zero, constant, one-term and many-term
+        # coefficients and negative terms
+        "fmt-operator": ["fmt", "--operator", f"({e})*d^2 + d*({g}), {e}, 0; -d, d^3 + 2*d, ({g})*d"],
         "varder": ["varder", e],
         "frechet": ["frechet", f"--vec={e}; {g}"],
         "reduce": ["reduce", e],
@@ -1180,7 +1183,7 @@ def _pinned_argvs(command, e, g):
 
 # SHA-256 over the exit codes and stdout of each command and output form,
 # run on every input of PINNED_EXPRS (the second operand is the next input);
-# `reduce` has no LaTeX form.
+# `reduce` has no LaTeX form, and "fmt-operator" is `fmt --operator`.
 GOLDEN_CLI_SHA256 = {
     ("fmt", "plain"): "7b6ef0c09c5722dc17497b4917471009e893334f13d64333f3e86def2bcd4851",
     ("fmt", "json"): "e4905459e96dd3a8fafcfc443b238a2bfedca03e4bd706ff917d6f0f820276fd",
@@ -1199,6 +1202,9 @@ GOLDEN_CLI_SHA256 = {
     ("flow", "plain"): "15c4c4cf8214682c981f8da4062d2159317b7108526134b8ba0b5e3b7389f47d",
     ("flow", "json"): "3f0065c8ef67cbb6955c75bffa7de3c3ba34fa2da10abbe8424a5de98aa0a228",
     ("flow", "latex"): "bb0adc9b8cc0507ae13b7e9c533c431c89a432651fdc50a69b637613b1083d61",
+    ("fmt-operator", "plain"): "5c0688580405b2f09f16b5409d697d59c14b8620b97e0f2bcec037c539116783",
+    ("fmt-operator", "json"): "317316269501e706490d094602b3c43ff3f9ac89320ef7c216cd04f2865cfd38",
+    ("fmt-operator", "latex"): "5c142f87a3e5c34179a4e7cdf866c11d394dc634b68e4c72a5e0ab0bc4ece530",
 }
 
 
