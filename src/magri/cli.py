@@ -12,6 +12,13 @@ the expressions go through the one-pass parser of :mod:`magri.expr`,
 and text, LaTeX and JSON are written from the packed terms
 (:func:`magri.diffalg.text_terms`), with no ``Fraction`` and no tuple
 monomials made on the way.
+
+One formatter, :func:`_show`, writes the value of ``flow``, ``varder``,
+``frechet`` and ``fmt`` (a function, a vector or an operator) as LaTeX,
+JSON or text, as the command line asks; ``bracket``, ``reduce``,
+``casimir-check`` and ``hierarchy`` lay out payloads of their own.
+Every JSON text goes through :func:`magri.render.write_json`, which
+writes each function one term at a time.
 """
 
 from __future__ import annotations
@@ -43,90 +50,39 @@ from .errors import (
 OK, CLOSED, FAIL, NOSOL, BADINPUT = 0, 1, 2, 3, 4
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-# the text of a JSON leaf, by exact type
-_LEAF = {
-    str: _encode_str,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _none: "null",
-}
-
-
 def _same(f):
     return f
 
 
-def _json_into(write, obj, indent):
-    """Pass the text of json.dumps(obj, indent=2) to ``write`` piece by
-    piece, for str, int, bool, None, lists, tuples and str-keyed dicts,
-    with each DiffFunction f written as its render.function_to_json(f)
-    would be; any other type raises TypeError.  ``indent`` is the
-    indent of the line obj starts on.
-
-    Given an indent, json.dumps runs the json module's pure-Python
-    encoder over a tree of dicts and lists.  The payloads of the commands
-    carry their functions themselves instead, and each function's text
-    comes from render.function_json_text, written from its packed terms
-    with no intermediate tree.
-    """
-    leaf = _LEAF.get(type(obj))
-    if leaf is not None:
-        write(leaf(obj))
-    elif type(obj) is DiffFunction:
-        write(render.function_json_text(obj, indent))
-    elif isinstance(obj, (list, tuple, dict)):
-        if not obj:
-            write("{}" if isinstance(obj, dict) else "[]")
-            return
-        get = _LEAF.get
-        inner = indent + "  "
-        comma = ",\n" + inner
-        if isinstance(obj, dict):
-            sep = "{\n" + inner
-            for key, item in obj.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                write(sep + _encode_str(key) + ": ")
-                sep = comma
-                leaf = get(type(item))
-                if leaf is None:
-                    _json_into(write, item, inner)
-                else:
-                    write(leaf(item))
-            write("\n" + indent + "}")
-        else:
-            sep = "[\n" + inner
-            for item in obj:
-                write(sep)
-                sep = comma
-                leaf = get(type(item))
-                if leaf is None:
-                    _json_into(write, item, inner)
-                else:
-                    write(leaf(item))
-            write("\n" + indent + "]")
-    elif isinstance(obj, str):  # subclasses of the leaf types; bool has none
-        write(_encode_str(obj))
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _emit(args, payload):
-    """Write payload, a str or a JSON payload as :func:`_json_into` takes it,
-    and a newline to the --out file or to standard output.  The JSON text
-    goes out piece by piece as it is made: joined first, the text of a
-    depth-4 hierarchy run would need as much memory again as the run."""
+    """Write payload, a str or a JSON payload as :func:`render.write_json`
+    takes it, and a newline to the --out file or to standard output.  The
+    JSON text goes out term by term as it is made: joined first, the text
+    of a depth-4 hierarchy run would need as much memory again as the run."""
     out = getattr(args, "out", None)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         if isinstance(payload, str):
             fh.write(payload)
         else:
-            _json_into(fh.write, payload, "")
+            render.write_json(fh.write, payload)
         fh.write("\n")
+
+
+def _vector_text(vec):
+    return "\n".join(f"[{i}] {da.to_text(f)}" for i, f in enumerate(vec, 1))
+
+
+def _show(args, value):
+    """Write value, a function, a vector of functions or an operator, as
+    LaTeX, JSON or text, as the command line asks."""
+    if isinstance(value, DiffFunction):
+        latex, payload, text = render.latex, _same, da.to_text
+    elif isinstance(value, tuple):
+        latex, payload, text = render.latex_vector, _same, _vector_text
+    else:
+        latex, text = render.latex_operator, render.op_text
+        payload = functools.partial(render.operator_to_json, fun=_same)
+    _emit(args, latex(value) if args.latex else payload(value) if args.json else text(value))
 
 
 def _add_structure_args(p, count=1):
@@ -271,14 +227,7 @@ def cmd_bracket(args):
 def cmd_flow(args):
     h = _one_structure(args)
     f = da.LocalFunctional(expr.parse(args.density))
-    p = pva.hamiltonian_flow(h, f)
-    if args.latex:
-        _emit(args, render.latex_vector(p))
-    elif args.json:
-        _emit(args, p)
-    else:
-        for i, comp in enumerate(p):
-            print(f"[{i + 1}] {da.to_text(comp)}")
+    _show(args, pva.hamiltonian_flow(h, f))
     return OK
 
 
@@ -304,47 +253,17 @@ def cmd_reduce(args):
 
 
 def cmd_varder(args):
-    f = expr.parse(args.expr)
-    grad = vc.variational_derivative(f)
-    if args.latex:
-        _emit(args, render.latex_vector(grad))
-    elif args.json:
-        _emit(args, grad)
-    else:
-        for i, comp in enumerate(grad):
-            print(f"[{i + 1}] {da.to_text(comp)}")
+    _show(args, vc.variational_derivative(expr.parse(args.expr)))
     return OK
 
 
 def cmd_frechet(args):
-    vec = expr.parse_vector(args.vec)
-    m = vc.frechet(vec)
-    if args.latex:
-        _emit(args, render.latex_operator(m))
-    elif args.json:
-        _emit(args, render.operator_to_json(m, _same))
-    else:
-        print(render.op_text(m))
+    _show(args, vc.frechet(expr.parse_vector(args.vec)))
     return OK
 
 
 def cmd_fmt(args):
-    if args.operator:
-        val = expr.parse_operator(args.expr)
-        if args.latex:
-            _emit(args, render.latex_operator(val))
-        elif args.json:
-            _emit(args, render.operator_to_json(val, _same))
-        else:
-            print(render.op_text(val))
-    else:
-        val = expr.parse(args.expr)
-        if args.latex:
-            _emit(args, render.latex(val))
-        elif args.json:
-            _emit(args, val)
-        else:
-            print(da.to_text(val))
+    _show(args, (expr.parse_operator if args.operator else expr.parse)(args.expr))
     return OK
 
 

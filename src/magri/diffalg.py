@@ -20,7 +20,8 @@ u in slot 2, and for n >= 1 v^(n) in slot 2n + 1 and u^(n) in slot
 2n + 2.  The encoding is linear, so the product of two monomials is the
 sum of their ints, the factor g'/g of the total derivative is one
 integer per generator, and an exponent is read with one shift and one
-mask.  Jet orders are unbounded because Python ints are.
+mask.  A monomial read in has jet orders of at most ``MAX_ORDER``;
+derivatives may go past it, as Python ints have no width.
 
 The v field, in slot 0, is the only signed one; a negative exponent
 borrows from the fields above it, which is why v sits in the lowest
@@ -191,6 +192,14 @@ MAX_EXP = (1 << (EXP_BITS - 1)) - 1
 MIN_V_EXP, MAX_V_EXP = -_OFF, _OFF - 1
 _LOG = 1 << EXP_BITS  # log v to the first power
 
+# The highest jet order a monomial may be built with (pack_mono, so jet,
+# the constructors and the JSON reader; the text parser checks it too).
+# The deepest chains reach order 37, (1,0) at depth 6; u^(999999999999)
+# would pack to an int of 3.2e13 bits.  Decoding a monomial shifts the
+# whole int once per field (flat_mono), which is quadratic in its top
+# order; at this bound varder "u^(4096)*v" takes half a second.
+MAX_ORDER = 4096
+
 # The memo of total derivatives of monomials, _DX_MONO, and its pair table
 # are cleared when the memo reaches this many entries, about 34 MB at
 # 130 bytes an entry; the hierarchy benchmark's four chains leave 5,842
@@ -244,6 +253,8 @@ def pack_mono(mono):
             raise MagriError(f"unknown variable code {var!r}")
         if order < 0:
             raise MagriError("negative jet order")
+        if order > MAX_ORDER:
+            raise MagriError(f"jet order of {VAR_NAMES[var]} is above {MAX_ORDER}")
         if var == LOG_VAR and order != 0:
             raise MagriError("log generator has no jets")
         exps[var, order] = exps.get((var, order), 0) + exp

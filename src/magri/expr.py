@@ -19,7 +19,8 @@ of two or more terms, or of an operator, is taken by squaring, and no
 product in it pairs more than ``MAX_POWER_PAIRS`` terms or multiplies
 coefficients of more than ``MAX_POWER_BITS`` bits together.  An
 exponent or jet order of more digits than ``int`` reads is out of
-range, an error placed at its digits.
+range, an error placed at its digits, and so is a jet order above
+:data:`~magri.diffalg.MAX_ORDER`.
 
 Example inputs:  "u'' + 4*u^2",  "1/v^2",  "-3/2*(v')^2*v^-4",
 "d^3 + 2*u*d + u'",  "D(u*u')",  "d, u; u, d".
@@ -55,6 +56,7 @@ from . import diffop as dop
 from .diffalg import (
     _LOG,
     EXP_BITS,
+    MAX_ORDER,
     MAX_V_EXP,
     MIN_V_EXP,
     Accumulator,
@@ -282,17 +284,20 @@ class _Parser:
             i += 1
             if t == "u" or t == "v":  # a jet: its packed unit
                 t = toks[i]
+                at = i  # the token of the order
                 if t[:1] == "'":
                     order = len(t)
                     i += 1
                 elif t == "^" and toks[i + 1] == "(":
-                    self.pos = i + 2
+                    at = self.pos = i + 2
                     self.expect("int")
-                    order = self._int(i + 2, "jet order")
+                    order = self._int(at, "jet order")
                     self.expect(")")
                     i = self.pos
                 else:
                     order = 0
+                if order > MAX_ORDER:
+                    self.fail(f"jet order {order} is above {MAX_ORDER}", at)
                 x = 1, 1, 1 << EXP_BITS * _slot(U if toks[start] == "u" else V, order)
             elif t.isdigit():
                 try:

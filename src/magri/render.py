@@ -6,10 +6,19 @@ JSON shapes:
   operator  [[entry, ...], ...] with entry = [{"k": order, "c": function}, ...]
   run       {"eps", "alpha", "steps", "method", "gradients", "densities",
              "flows", "orders", "flow_orders", "checks"}
+
+The ``*_to_json`` functions build the trees of dicts and lists that the
+``json`` module takes; given ``fun``, the identity, they keep the
+functions themselves in the tree instead.  :func:`write_json` is the
+one writer of JSON text: it lays out such a payload as
+``json.dumps(..., indent=2)`` would, and writes each function straight
+from its packed terms, one term at a time, so that no function's whole
+text is ever held.  The command line writes every JSON output with it.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
 from . import diffalg as da
@@ -35,16 +44,77 @@ def function_to_json(f):
     return out
 
 
-def function_json_text(f, indent=""):
-    """The text json.dumps(function_to_json(f), indent=2) gives, laid out as
-    a value nested at ``indent``: its inner lines start with indent + "  ".
+_encode_str = json.encoder.encode_basestring_ascii
+
+# the text of a JSON leaf, by exact type
+_LEAF = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _none: "null",
+}
+
+
+def write_json(write, obj, indent=""):
+    """Pass the text of json.dumps(obj, indent=2) to ``write`` piece by
+    piece, for str, int, bool, None, lists, tuples and str-keyed dicts,
+    with each DiffFunction f written as json.dumps(function_to_json(f),
+    indent=2) would write it; any other type raises TypeError.
+    ``indent`` is the indent of the line obj starts on.
+
+    Given an indent, json.dumps runs the json module's pure-Python
+    encoder over a tree of dicts and lists.  A payload here carries its
+    functions themselves instead, and each function is written from its
+    packed terms (:func:`_write_function`), one term per piece, with no
+    tree and no text of the whole function made.
+    """
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        write(leaf(obj))
+    elif type(obj) is DiffFunction:
+        _write_function(write, obj, indent)
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            write("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = indent + "  "
+        comma = ",\n" + inner
+        if isinstance(obj, dict):
+            sep = "{\n" + inner
+            for key, item in obj.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                write(sep + _encode_str(key) + ": ")
+                sep = comma
+                write_json(write, item, inner)
+            write("\n" + indent + "}")
+        else:
+            sep = "[\n" + inner
+            for item in obj:
+                write(sep)
+                sep = comma
+                write_json(write, item, inner)
+            write("\n" + indent + "]")
+    elif isinstance(obj, str):  # subclasses of the leaf types; bool has none
+        write(_encode_str(obj))
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_function(write, f, indent):
+    """Pass the text json.dumps(function_to_json(f), indent=2) gives, laid
+    out as a value nested at ``indent``, to ``write``: each term's text,
+    with the separator before it, as soon as it is made.
 
     Written from :func:`diffalg.text_terms`, which decodes each packed
     monomial once and leaves the ``terms`` cache of f unfilled; each
     generator's text is looked up in a table local to this call.
     """
     if not f:
-        return "[]"
+        write("[]")
+        return
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
@@ -55,7 +125,8 @@ def function_json_text(f, indent=""):
     close_m = "\n" + i2 + "]\n" + i1 + "}"
     gen_sep = ",\n" + i3
     gens = {}  # (var, order, exp) -> the text of [name, order, exp]
-    rows = []
+    sep = "[\n" + i1 + head
+    comma = ",\n" + i1 + head
     for key, num, den in da.text_terms(f):
         try:
             c = str(num) if den == 1 else f"{num}/{den}"
@@ -72,10 +143,11 @@ def function_json_text(f, indent=""):
                         f'[\n{i4}"{_NAME[var]}",\n{i4}{order},\n{i4}{exp}\n{i3}]'
                     )
                 texts.append(text)
-            rows.append(head + c + open_m + gen_sep.join(texts) + close_m)
+            write(sep + c + open_m + gen_sep.join(texts) + close_m)
         else:
-            rows.append(head + c + empty_m)
-    return "[\n" + i1 + (",\n" + i1).join(rows) + "\n" + indent + "]"
+            write(sep + c + empty_m)
+        sep = comma
+    write("\n" + indent + "]")
 
 
 def _bad(msg):
@@ -191,9 +263,9 @@ def operator_from_json(data):
 def run_to_json(run, fun=function_to_json):
     """The JSON form of a hierarchy run, each differential function written
     by ``fun``.  The command line passes the identity, keeping the
-    functions themselves in the payload, and writes their text with
-    :func:`function_json_text`; so this is the one place the run's keys
-    are laid out."""
+    functions themselves in the payload, and writes its text with
+    :func:`write_json`; so this is the one place the run's keys are laid
+    out."""
     return {
         "eps": run.eps,
         "alpha": run.alpha,

@@ -464,6 +464,42 @@ def test_long_exponents_and_jet_orders_are_placed_errors(capsys):
         assert _run(capsys, "fmt", text) == (4, "", f"SYNTAX_ERROR at {line}:{col}: {message}\n")
 
 
+def test_jet_orders_are_bounded(capsys, tmp_path):
+    # u^(999999999999) packed to an int of 3.2e13 bits and ran out of
+    # memory; the bound lies far above the chains' orders (37 at most) and
+    # at or above the order 4000 that CI differentiates
+    n = da.MAX_ORDER
+    assert n >= 4000
+    assert _run(capsys, "fmt", f"u^({n})*v") == (0, f"u^({n})*v\n", "")
+    assert _run(capsys, "fmt", "v" + "'" * n) == (0, f"v^({n})\n", "")
+    for text, col, order in (
+        (f"u^({n + 1})*v", 4, n + 1),
+        ("v" + "'" * (n + 1), 2, n + 1),
+        ("u + v^(999999999999)", 8, 999999999999),
+    ):
+        want = f"SYNTAX_ERROR at 1:{col}: jet order {order} is above {n}\n"
+        assert _run(capsys, "fmt", text) == (4, "", want), text[:20]
+    # the JSON reader, the jet constructors and pack_mono hold the same bound
+    term = {"c": "1", "m": [["u", n, 1]]}
+    assert render.function_from_json([term]) == da.jet(da.U, n)
+    path = tmp_path / "op.json"
+    for order in (n + 1, 999999999999):
+        term["m"][0][1] = order
+        with pytest.raises(ExprSyntaxError, match=f"jet order of u is above {n}"):
+            render.function_from_json([term])
+        path.write_text(json.dumps([[[{"k": 0, "c": [term]}]]]))
+        code, out, err = _run(capsys, "verify-poisson", "--op", str(path))
+        assert (code, out, err) == (4, "", f"SYNTAX_ERROR: jet order of u is above {n}\n")
+    for make in (
+        lambda: da.jet(da.V, n + 1),
+        lambda: da.u_jet(n + 1),
+        lambda: da.DiffFunction([(((da.U, n + 1, 1),), 1)]),
+        lambda: da.pack_mono(((da.V, 999999999999, 1),)),
+    ):
+        with pytest.raises(MagriError, match=f"jet order of [uv] is above {n}"):
+            make()
+
+
 def _digits_value(text):
     """The int of a run of decimal digits, read digit by digit."""
     n = 0
@@ -980,10 +1016,11 @@ def test_eps0_alpha1_depth2_hierarchy_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_E0A1_2
 
 
-def _json_text(payload):
-    """The whole text the CLI writes for a JSON payload, newline aside."""
+def _json_text(payload, indent=""):
+    """The whole text the CLI writes for a JSON payload, newline aside, the
+    pieces of render.write_json joined."""
     out = []
-    cli._json_into(out.append, payload, "")
+    render.write_json(out.append, payload, indent)
     return "".join(out)
 
 
@@ -1043,7 +1080,7 @@ def test_function_text_writer_matches_the_json_module():
         for depth in range(6):
             indent = "  " * depth
             # a value nested at indent has each of its lines after the first indented by it
-            assert render.function_json_text(f, indent) == text.replace("\n", "\n" + indent)
+            assert _json_text(f, indent) == text.replace("\n", "\n" + indent)
     # the payload shapes of the commands: a function, a vector, an operator
     # and a run, with the functions themselves in them
     for f, g in zip(fs, fs[1:] + fs[:1]):
@@ -1063,7 +1100,7 @@ def test_function_text_writer_matches_the_json_module():
 def test_function_text_writer_leaves_the_terms_cache_empty():
     rng = random.Random(7)
     for f in _writer_functions(rng):
-        render.function_json_text(f, "  ")
+        _json_text(f, "  ")
         _json_text({"f": [f]})
         assert f._terms is None
 
@@ -1091,12 +1128,20 @@ def test_hierarchy_json_equals_the_json_module_text(capsys, tmp_path, monkeypatc
     code, out, err = _run(capsys, *argv, "--out", str(path))
     assert (code, out, err) == (0, "", "")
     assert path.read_bytes() == want.encode()
-    # the text goes out as it is made, never joined into one string first
+    # the text goes out term by term as it is made: no piece is longer than
+    # the longest term's text, with the separator before it, at the depth
+    # of a gradient's terms (a function of a run nests at most that deep)
     stdout = _Pieces()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert cli.main(argv) == 0
     assert "".join(stdout.pieces) == want
-    assert max(map(len, stdout.pieces)) < len(want) // 2
+    run = lenard.run_hierarchy(1, 1, 2)
+    longest = max(
+        len(",\n" + " " * 8 + json.dumps(term, indent=2).replace("\n", "\n" + " " * 8))
+        for f in _run_values(run)
+        for term in render.function_to_json(f)
+    )
+    assert max(map(len, stdout.pieces)) <= longest
 
 
 def _run_values(run):
