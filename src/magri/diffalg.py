@@ -192,12 +192,9 @@ MAX_EXP = (1 << (EXP_BITS - 1)) - 1
 MIN_V_EXP, MAX_V_EXP = -_OFF, _OFF - 1
 _LOG = 1 << EXP_BITS  # log v to the first power
 
-# The highest jet order a monomial may be built with (pack_mono, so jet,
-# the constructors and the JSON reader; the text parser checks it too).
-# The deepest chains reach order 37, (1,0) at depth 6; u^(999999999999)
-# would pack to an int of 3.2e13 bits.  Decoding a monomial shifts the
-# whole int once per field (flat_mono), which is quadratic in its top
-# order; at this bound varder "u^(4096)*v" takes half a second.
+# The highest jet order pack_mono (and the text parser) builds; the chains
+# reach 37.  flat_mono shifts the whole int once per field, quadratic in
+# the top order: at this bound varder "u^(4096)*v" takes half a second.
 MAX_ORDER = 4096
 
 # The memo of total derivatives of monomials, _DX_MONO, and its pair table

@@ -7,13 +7,10 @@ JSON shapes:
   run       {"eps", "alpha", "steps", "method", "gradients", "densities",
              "flows", "orders", "flow_orders", "checks"}
 
-The ``*_to_json`` functions build the trees of dicts and lists that the
-``json`` module takes; given ``fun``, the identity, they keep the
-functions themselves in the tree instead.  :func:`write_json` is the
-one writer of JSON text: it lays out such a payload as
-``json.dumps(..., indent=2)`` would, and writes each function straight
-from its packed terms, one term at a time, so that no function's whole
-text is ever held.  The command line writes every JSON output with it.
+The ``*_to_json`` functions build the trees that ``json`` takes, or,
+given the identity as ``fun``, keep the functions themselves in them.
+:func:`write_json`, the one writer of JSON text, writes such a payload
+as ``json.dumps(..., indent=2)`` would, each function term by term.
 """
 
 from __future__ import annotations
@@ -55,18 +52,20 @@ _LEAF = {
 }
 
 
+def _key(key):
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _encode_str(key) + ": "
+
+
 def write_json(write, obj, indent=""):
     """Pass the text of json.dumps(obj, indent=2) to ``write`` piece by
     piece, for str, int, bool, None, lists, tuples and str-keyed dicts,
-    with each DiffFunction f written as json.dumps(function_to_json(f),
-    indent=2) would write it; any other type raises TypeError.
-    ``indent`` is the indent of the line obj starts on.
-
-    Given an indent, json.dumps runs the json module's pure-Python
-    encoder over a tree of dicts and lists.  A payload here carries its
-    functions themselves instead, and each function is written from its
-    packed terms (:func:`_write_function`), one term per piece, with no
-    tree and no text of the whole function made.
+    with each DiffFunction f written as function_to_json(f) would be; any
+    other type raises TypeError.  ``indent`` is the indent of the line
+    obj starts on.  Each function is written by :func:`_write_function`,
+    with no tree made, where json.dumps would run the json module's
+    pure-Python encoder over one.
     """
     leaf = _LEAF.get(type(obj))
     if leaf is not None:
@@ -74,27 +73,20 @@ def write_json(write, obj, indent=""):
     elif type(obj) is DiffFunction:
         _write_function(write, obj, indent)
     elif isinstance(obj, (list, tuple, dict)):
+        if isinstance(obj, dict):
+            ends, items = "{}", ((_key(k), item) for k, item in obj.items())
+        else:
+            ends, items = "[]", (("", item) for item in obj)
         if not obj:
-            write("{}" if isinstance(obj, dict) else "[]")
+            write(ends)
             return
         inner = indent + "  "
-        comma = ",\n" + inner
-        if isinstance(obj, dict):
-            sep = "{\n" + inner
-            for key, item in obj.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                write(sep + _encode_str(key) + ": ")
-                sep = comma
-                write_json(write, item, inner)
-            write("\n" + indent + "}")
-        else:
-            sep = "[\n" + inner
-            for item in obj:
-                write(sep)
-                sep = comma
-                write_json(write, item, inner)
-            write("\n" + indent + "]")
+        sep = ends[0] + "\n" + inner
+        for head, item in items:
+            write(sep + head)
+            sep = ",\n" + inner
+            write_json(write, item, inner)
+        write("\n" + indent + ends[1])
     elif isinstance(obj, str):  # subclasses of the leaf types; bool has none
         write(_encode_str(obj))
     elif isinstance(obj, int):
