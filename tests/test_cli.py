@@ -1121,7 +1121,8 @@ class _Pieces:
 
 def test_hierarchy_json_equals_the_json_module_text(capsys, tmp_path, monkeypatch):
     argv = ["hierarchy", "--eps", "1", "--alpha", "1", "--steps", "2"]
-    want = json.dumps(render.run_to_json(lenard.run_hierarchy(1, 1, 2)), indent=2) + "\n"
+    run = lenard.run_hierarchy(1, 1, 2)
+    want = json.dumps(render.run_to_json(run), indent=2) + "\n"
     code, out, err = _run(capsys, *argv)
     assert (code, out, err) == (0, want, "")
     path = tmp_path / "chain.json"
@@ -1135,7 +1136,6 @@ def test_hierarchy_json_equals_the_json_module_text(capsys, tmp_path, monkeypatc
     monkeypatch.setattr(sys, "stdout", stdout)
     assert cli.main(argv) == 0
     assert "".join(stdout.pieces) == want
-    run = lenard.run_hierarchy(1, 1, 2)
     longest = max(
         len(",\n" + " " * 8 + json.dumps(term, indent=2).replace("\n", "\n" + " " * 8))
         for f in _run_values(run)
