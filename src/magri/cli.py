@@ -6,12 +6,14 @@ failed, or argparse refused the command line, 3 no solution exists in
 the searched space, 4 malformed input.
 
 A one-shot query spends most of its time outside the ring, so the path
-to the ring is kept short.  :func:`main` hands the words after the
-command straight to that command's sub-parser (:func:`_parse_args`),
-the expressions go through the one-pass parser of :mod:`magri.expr`,
-and text, LaTeX and JSON are written from the packed terms
-(:func:`magri.diffalg.text_terms`), with no ``Fraction`` and no tuple
-monomials made on the way.
+to the ring is kept short.  :func:`_parse_args` reads a command line
+in plain forms (``--opt value``, ``--opt=value``, ``--flag`` and the
+one positional word) off a table built once from the command's own
+argparse actions, and hands every other form to argparse, which writes
+every help text and usage error.  The expressions go through the
+one-pass parser of :mod:`magri.expr`, and text, LaTeX and JSON are
+written from the packed terms (:func:`magri.diffalg.text_terms`), with
+no ``Fraction`` and no tuple monomials made on the way.
 
 One formatter, :func:`_show`, writes the value of ``flow``, ``varder``,
 ``frechet`` and ``fmt`` (a function, a vector or an operator) as LaTeX,
@@ -346,31 +348,113 @@ def _shared_parser():
     return build_parser()
 
 
+def _table(sub):
+    """What :func:`_read` needs of the sub-parser ``sub``, from its own
+    actions: {option string: action} of the options it reads (a store
+    action, which takes one value, or a flag, which stores its const),
+    its positional, its required actions and the Namespace defaults that
+    parse_args starts from (no action here has a str default and a type,
+    which parse_args would convert)."""
+    options = {}
+    defaults = {}
+    for a in sub._actions:
+        if type(a) is argparse._StoreAction or isinstance(a, argparse._StoreConstAction):
+            options.update(dict.fromkeys(a.option_strings, a))
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            defaults.setdefault(a.dest, a.default)
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    positional = next((a for a in sub._actions if not a.option_strings and a.nargs is None), None)
+    required = [a for a in sub._actions if a.required]
+    return sub, options, positional, required, defaults
+
+
+@functools.cache
+def _commands():
+    """{command: :func:`_table` of its sub-parser}, of the shared parser."""
+    parser = _shared_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: _table(sub) for name, sub in action.choices.items()}
+
+
+def _read(table, words):
+    """The Namespace that the sub-parser of ``table`` gives for ``words``,
+    when each is in a plain form: ``--opt value``, ``--opt=value``,
+    ``--flag``, or the one positional word, which may follow a final
+    ``--``.  None for anything else, which argparse must answer: an
+    abbreviated, unknown or repeated option, a separate value that starts
+    with ``-``, ``--opt=--``, a value the action's type or choices refuse,
+    a missing required action, ``-h`` and left-over words."""
+    _sub, options, positional, required, defaults = table
+    got = {}
+    i, n = 0, len(words)
+    while i < n:
+        word = words[i]
+        i += 1
+        if word == "--" and i == n - 1:
+            action, text = positional, words[i]
+            i += 1
+        elif word[:1] != "-":
+            action, text = positional, word
+        else:
+            action = options.get(word)
+            if action is None:  # --opt=value, the one form left
+                opt, eq, text = word.partition("=")
+                action = options.get(opt) if eq else None
+                # argparse drops the value "--" of --opt=--
+                if action is None or action.nargs == 0 or text == "--":
+                    return None
+            elif action.nargs != 0:  # --opt value
+                if i == n or words[i][:1] == "-":
+                    return None
+                text = words[i]
+                i += 1
+        if action is None or action in got:
+            return None
+        if action.nargs == 0:
+            got[action] = action.const
+            continue
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        got[action] = value
+    if any(a not in got for a in required):
+        return None
+    args = argparse.Namespace(**defaults)
+    for action, value in got.items():
+        setattr(args, action.dest, value)
+    return args
+
+
 def _parse_args(argv):
     """The Namespace that parse_args(argv) of the shared parser gives.
 
-    When the first word names a command, the command's own sub-parser
-    reads the rest, as the top-level parser would hand it on, and the
-    top-level parser runs only when words are left over, to report them
-    as unrecognized arguments.  Help, a missing or unknown command and
-    every other usage error come from the parser that gives them at the
-    top level too, with the same text and exit code.  The top-level
-    parse took twice as long as the sub-parser's alone.
+    When the first word names a command, :func:`_read` reads the rest
+    against that command's table, which :func:`_commands` builds once
+    from the sub-parser's own actions.  A command line it does not read
+    goes to the command's sub-parser, as the top-level parser would hand
+    it on, and the top-level parser runs only when words are left over,
+    to report them as unrecognized arguments.  Help, a missing or unknown
+    command and every other usage error come from the parser that gives
+    them at the top level too, with the same text and exit code.  The
+    sub-parser's parse took five times as long as the table's read, and
+    the top-level parse twice as long again.
     """
-    parser = _shared_parser()
     if argv is None:
         argv = sys.argv[1:]
-    if argv:
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                sub = action.choices.get(argv[0])
-                if sub is not None:
-                    args, rest = sub.parse_known_args(argv[1:])
-                    if not rest:
-                        args.command = argv[0]
-                        return args
-                break
-    return parser.parse_args(argv)
+    table = _commands().get(argv[0]) if argv else None
+    if table is not None:
+        args = _read(table, argv[1:])
+        if args is None:
+            args, rest = table[0].parse_known_args(argv[1:])
+            if rest:
+                return _shared_parser().parse_args(argv)
+        args.command = argv[0]
+        return args
+    return _shared_parser().parse_args(argv)
 
 
 def main(argv=None):

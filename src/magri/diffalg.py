@@ -20,8 +20,9 @@ u in slot 2, and for n >= 1 v^(n) in slot 2n + 1 and u^(n) in slot
 2n + 2.  The encoding is linear, so the product of two monomials is the
 sum of their ints, the factor g'/g of the total derivative is one
 integer per generator, and an exponent is read with one shift and one
-mask.  A monomial read in has jet orders of at most ``MAX_ORDER``;
-derivatives may go past it, as Python ints have no width.
+mask.  A monomial has jet orders of at most ``MAX_ORDER``: one read in
+is refused above it, and so is a derivative that would go past it,
+with an :class:`~magri.errors.ExponentOverflow`.
 
 The v field, in slot 0, is the only signed one; a negative exponent
 borrows from the fields above it, which is why v sits in the lowest
@@ -192,9 +193,13 @@ MAX_EXP = (1 << (EXP_BITS - 1)) - 1
 MIN_V_EXP, MAX_V_EXP = -_OFF, _OFF - 1
 _LOG = 1 << EXP_BITS  # log v to the first power
 
-# The highest jet order pack_mono (and the text parser) builds; the chains
-# reach 37.  flat_mono shifts the whole int once per field, quadratic in
-# the top order: at this bound varder "u^(4096)*v" takes half a second.
+# The highest jet order a monomial holds; the chains reach 37.  pack_mono
+# and the text parser refuse a higher order where it is read, and every
+# other new monomial passes _check_range or _check_mono, which refuse a
+# field above the slot of u^(MAX_ORDER), so a derivative cannot go past
+# it either and every value reads back.  flat_mono shifts the whole int
+# once per field, quadratic in the top order: at this bound varder
+# "u^(4096)*v" takes half a second.
 MAX_ORDER = 4096
 
 # The memo of total derivatives of monomials, _DX_MONO, and its pair table
@@ -473,8 +478,16 @@ def _df(pairs, den=1):
     return f
 
 
-def _overflow():
-    """The error for an exponent that left its range."""
+# m + _OFF has at most this many bits for a monomial m of jet orders of at
+# most MAX_ORDER, whose top field is that of u^(MAX_ORDER)
+_MAX_BITS = EXP_BITS * (2 * MAX_ORDER + 3)
+
+
+def _overflow(bits=0):
+    """The error for an exponent out of range, or for a monomial m, with
+    bits = m + _OFF, out of range."""
+    if bits.bit_length() > _MAX_BITS:
+        return ExponentOverflow(f"a jet order left its range: at most {MAX_ORDER}")
     return ExponentOverflow(
         f"an exponent left its range: at most {MAX_EXP}, "
         f"or [{MIN_V_EXP}, {MAX_V_EXP}] for the power of v"
@@ -483,21 +496,24 @@ def _overflow():
 
 def _check_range(monos):
     """Raise ExponentOverflow unless every packed monomial of ``monos`` is
-    in range; each must be a sum of two in-range monomials (or one shifted
-    by a g'/g), so that no field has carried into the next."""
+    in range, its jet orders at most MAX_ORDER included; each must be a
+    sum of two in-range monomials (or one shifted by a g'/g), so that no
+    field has carried into the next."""
     # an exponent out of range sets the top bit of a field of m + _OFF,
     # or makes m + _OFF negative (see the module docstring)
     bits = reduce(or_, map(_OFF.__add__, monos), 0)
-    if bits < 0 or bits & _guard(-(-bits.bit_length() // EXP_BITS)):
-        raise _overflow()
+    n = bits.bit_length()
+    if bits < 0 or n > _MAX_BITS or bits & _guard(-(-n // EXP_BITS)):
+        raise _overflow(bits)
 
 
 def _check_mono(m):
     """Raise ExponentOverflow unless the packed monomial m, a sum of two
     in-range monomials, is in range: :func:`_check_range` for one monomial."""
     bits = m + _OFF
-    if bits < 0 or bits & _guard(-(-bits.bit_length() // EXP_BITS)):
-        raise _overflow()
+    n = bits.bit_length()
+    if bits < 0 or n > _MAX_BITS or bits & _guard(-(-n // EXP_BITS)):
+        raise _overflow(bits)
 
 
 def _mono_power(m, n):
@@ -926,7 +942,8 @@ def partial_derivative(f, gen):
     a nonnegative int; anything else (a bool included) raises
     MagriError.  Differentiating by v applies the chain rule to log v,
     which keeps the shift relation [d/dv, d] = d/dv' valid on the
-    extended ring.
+    extended ring.  No value holds a jet of order above ``MAX_ORDER``, so
+    the derivative by one is ZERO.
     """
     var, order = gen
     if isinstance(var, str) and var in VAR_NAMES:
@@ -935,7 +952,7 @@ def partial_derivative(f, gen):
         raise MagriError(f"unknown variable {var!r}: not one of u, v, log or 0, 1, 2")
     if type(order) is not int or order < 0:
         raise MagriError(f"a partial derivative's order must be a nonnegative int, got {order!r}")
-    if var == LOG_VAR and order:
+    if (var == LOG_VAR and order) or order > MAX_ORDER:
         return ZERO
     return DiffFunction.from_acc(_partial_acc(f._t, var, order, f._den))
 

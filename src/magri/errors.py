@@ -22,7 +22,7 @@ class NoSolution(MagriError):
 
 
 class ExponentOverflow(MagriError):
-    """An exponent left the range a packed monomial can hold."""
+    """An exponent or a jet order left the range a packed monomial can hold."""
 
 
 class ExprSyntaxError(MagriError):

@@ -86,7 +86,7 @@ def seed(eps, alpha):
         raise MagriError("seed gradient is not a Casimir of its structure")
     if vc.variational_derivative(dens) != grad:
         raise MagriError("seed density does not produce the seed gradient")
-    return HierarchySeed(eps, alpha, grad, LocalFunctional(dens))
+    return HierarchySeed(eps, alpha, grad, LocalFunctional._of_gradient(dens, grad))
 
 
 def structure(eps):

@@ -31,11 +31,15 @@ def variational_derivative(f, nvars=2):
     """The vector of Euler derivatives of a density.
 
     Accepts a DiffFunction or a LocalFunctional; the representative is
-    irrelevant because the Euler operators kill total derivatives.  The
-    ring has no jets of a field j > 1, so those components are zero.
+    irrelevant because the Euler operators kill total derivatives, and a
+    functional gives the gradient it holds (that of
+    :func:`integrate_exact`, checked exactly), or computes it from its
+    representative once.  The ring has no jets of a field j > 1, so those
+    components are zero.
     """
     if isinstance(f, LocalFunctional):
-        f = f.rep
+        grad = f.variational_gradient()
+        return tuple(grad[var] if var in (U, V) else ZERO for var in range(nvars))
     return tuple(da.euler_derivative(f, var) if var in (U, V) else ZERO for var in range(nvars))
 
 

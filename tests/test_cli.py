@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -500,6 +501,52 @@ def test_jet_orders_are_bounded(capsys, tmp_path):
             make()
 
 
+def test_no_value_goes_past_the_jet_order_bound(capsys):
+    # D(u^(4096)) printed u^(4097), which the JSON reader refused, and
+    # total_derivative went to any order
+    n = da.MAX_ORDER
+    message = f"a jet order left its range: at most {n}"
+    assert da.total_derivative(da.u_jet(n - 1)) == da.u_jet(n)
+    assert da.total_derivative(da.u_jet(0), n) == da.u_jet(n)
+    assert expr.parse(f"D(v^({n - 1}))") == da.v_jet(n)
+    code, out, err = _run(capsys, "fmt", "--json", f"D(u^({n - 1}))")
+    assert (code, err) == (0, "")
+    assert render.function_from_json(json.loads(out)) == da.u_jet(n)
+    for make in (
+        lambda: expr.parse(f"D(u^({n}))"),
+        lambda: expr.parse(f"D(v^({n})*u)"),
+        lambda: da.total_derivative(da.u_jet(0), 5000),
+        lambda: vc.variational_derivative(da.u_jet(n) ** 2),
+    ):
+        with pytest.raises(ExponentOverflow) as info:
+            make()
+        assert str(info.value) == message
+    for argv in (["fmt", "--json", f"D(u^({n}))"], ["varder", f"u^({n})^2"], ["reduce", f"u^({n})^2"]):
+        assert _run(capsys, *argv) == (4, "", f"INPUT_ERROR: {message}\n")
+
+
+def test_partial_derivative_by_an_order_past_the_bound_is_zero():
+    # the shift to the slot of u^(10^12) ran out of memory under a 2 GB
+    # address-space limit, with a bare MemoryError
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from magri import diffalg as da\n"
+        "f = da.u_jet(0) * da.v_jet(3)\n"
+        "for var in ('u', 'v', 0, 1):\n"
+        "    assert da.partial_derivative(f, (var, 10**12)) is da.ZERO\n"
+        f"    assert da.partial_derivative(f, (var, {da.MAX_ORDER + 1})) is da.ZERO\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def _digits_value(text):
     """The int of a run of decimal digits, read digit by digit."""
     n = 0
@@ -881,8 +928,9 @@ def _exit(capsys, argv):
 
 
 # command lines that argparse answers itself: help, a missing or unknown
-# command, left-over words, a missing option and a bad choice, and an
-# abbreviated option, which it takes
+# command, left-over words, a missing option, a bad type or choice, an
+# abbreviated or repeated option, which it takes, a separate value that
+# starts with '-', and a '--' that no one word follows
 USAGE_ARGVS = [
     [],
     ["-h"],
@@ -894,7 +942,17 @@ USAGE_ARGVS = [
     ["bracket", "--f", "u"],
     ["bracket", "--f=u", "--g=v", "--builtin", "h2"],
     ["fmt", "--js", "u"],
+    ["hierarchy", "--eps=2", "--alpha", "0", "--steps", "1"],
+    ["hierarchy", "--eps", "1", "--alpha", "1", "--steps", "x"],
+    ["varder", "--json", "--json", "u"],
+    ["bracket", "--f", "-u", "--g", "v", "--builtin", "h0"],
+    ["fmt", "--", "u", "v"],
+    ["varder", "--json", "--"],
 ]
+
+
+def _sub_parsers(top):
+    return next(a for a in top._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def test_main_goes_straight_to_the_command_parser(capsys, monkeypatch):
@@ -905,13 +963,130 @@ def test_main_goes_straight_to_the_command_parser(capsys, monkeypatch):
     top = cli._shared_parser()
     calls = []
     monkeypatch.setattr(top, "parse_args", lambda argv: calls.append(argv) or type(top).parse_args(top, argv))
+    sub_calls = []
+    for name, sub in _sub_parsers(top).items():
+        def spy(words, namespace=None, name=name, sub=sub):
+            sub_calls.append([name] + words)
+            return type(sub).parse_known_args(sub, words, namespace)
+
+        monkeypatch.setattr(sub, "parse_known_args", spy)
     direct = [_exit(capsys, argv) for argv in argvs]
-    # the top-level parser ran only for what it alone prints: its help, a
-    # missing or unknown command and left-over words
-    assert calls == [[], ["-h"], ["nope"], ["varder", "--bogus", "u"], ["varder", "u", "v"]]
+    # the table read every shape of the workload, and the command's
+    # sub-parser every other command line; the top-level parser ran only
+    # for what it alone prints: its help, a missing or unknown command and
+    # left-over words
+    assert not [argv for argv in shapes.values() if argv in sub_calls]
+    assert [argv for argv in USAGE_ARGVS if argv not in sub_calls] == [[], ["-h"], ["nope"]]
+    assert calls == [[], ["-h"], ["nope"], ["varder", "--bogus", "u"], ["varder", "u", "v"], ["fmt", "--", "u", "v"]]
     monkeypatch.setattr(cli, "_parse_args", lambda argv: type(top).parse_args(top, argv))
     assert direct == [_exit(capsys, argv) for argv in argvs]
-    assert [code for code, _o, _e in direct[: len(USAGE_ARGVS)]] == [2, 0, 2, 2, 0, 2, 2, 2, 2, 0]
+    codes = [code for code, _o, _e in direct[: len(USAGE_ARGVS)]]
+    assert codes == [2, 0, 2, 2, 0, 2, 2, 2, 2, 0, 2, 2, 0, 2, 2, 2]
+
+
+# values that each command runs in milliseconds: no --steps draws a chain
+# deeper than 0, as --method ansatz takes a minute on (0,1) at depth 1
+_WORDS = ["u", "v'*u", "-u*v", "v'; u", "d", "u + v", "", "--", "-", "-h"]
+_INTS = ["0", " 0", "-1", "x"]
+
+
+def _draw_value(rng, action):
+    """A value for the store action ``action``, valid or not."""
+    if action.choices is not None:
+        return rng.choice([str(c) for c in action.choices] * 2 + ["2", "h2"])
+    return rng.choice(_INTS if action.type is int else _WORDS)
+
+
+def _draw_argv(rng, name, sub):
+    """A command line for the sub-parser ``sub`` of command ``name``: its
+    required actions and some of its others, each in a plain form, then
+    one or two of the changes that argparse must answer."""
+    options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    groups = []
+    for a in options:
+        if not a.required and rng.random() > 0.3:
+            continue
+        opt = rng.choice(a.option_strings)
+        if a.nargs == 0:
+            groups.append([opt])
+        elif rng.random() < 0.5:
+            groups.append([f"{opt}={_draw_value(rng, a)}"])
+        else:
+            groups.append([opt, _draw_value(rng, a)])
+    rng.shuffle(groups)
+    words = [w for g in groups for w in g]
+    if any(not a.option_strings for a in sub._actions):  # the positional
+        text = rng.choice(["u", "v'*u", "-u", "--"])
+        tail = ["--", text] if text.startswith("-") or rng.random() < 0.3 else [text]
+        if tail == [text]:
+            words.insert(rng.randrange(len(words) + 1), text)
+        else:
+            words += tail
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        change = rng.randrange(9)
+        at = rng.randrange(len(words) + 1)
+        opts = [i for i, w in enumerate(words) if w.startswith("--") and len(w.split("=")[0]) > 3]
+        if change == 0 and opts:  # abbreviate an option
+            i = rng.choice(opts)
+            opt = words[i].split("=")[0]
+            words[i] = opt[: rng.randrange(3, len(opt))] + words[i][len(opt):]
+        elif change == 1 and groups:  # repeat an option, with its value
+            words[at:at] = rng.choice(groups)
+        elif change == 2:  # move or add a '--'
+            if "--" in words:
+                words.remove("--")
+            words.insert(at, "--")
+        elif change == 3 and options:  # a separate value with a leading '-'
+            words[at:at] = [rng.choice(options).option_strings[-1], "-u"]
+        elif change == 4 and options:  # a value of any kind, bad types and choices included
+            a = rng.choice(options)
+            words[at:at] = [a.option_strings[0]] if a.nargs == 0 else [a.option_strings[0], _draw_value(rng, a)]
+        elif change == 5 and opts:  # drop an option, perhaps a required one, and its value
+            i = rng.choice(opts)
+            del words[i : i + 1 + ("=" not in words[i] and words[i + 1 : i + 2] != ["--"])]
+        elif change == 6:  # a left-over word
+            words.insert(at, rng.choice(_WORDS))
+        elif change == 7:  # help
+            words.insert(at, rng.choice(["-h", "--help", "--he"]))
+        elif change == 8:  # a flag with an explicit value
+            words.insert(at, rng.choice(["--json=1", "--latex=", "--builtin=h0", "-"]))
+    return [name] + words
+
+
+def _main_outcome(capsys, argv):
+    """_exit(capsys, argv), or the type and text of the exception main
+    raised: where argparse drops the "--" of --opt=--, as it does up to
+    Python 3.13.0, it stores [] for the option, which a command may fail
+    on (expr.parse([]) raises TypeError)."""
+    try:
+        return _exit(capsys, argv)
+    except Exception as exc:
+        capsys.readouterr()
+        return type(exc).__name__, str(exc)
+
+
+def test_plain_command_lines_read_as_argparse_reads_them(capsys, monkeypatch, tmp_path):
+    # every command line that main reads off a sub-parser's table must give
+    # the exit code, stdout and stderr of the pure-argparse path, and every
+    # other must go to argparse; argparse's handling of '--' has varied
+    # between Python versions, so CI runs this on each of them
+    monkeypatch.chdir(tmp_path)  # where --out writes
+    top = cli._shared_parser()
+    rng = random.Random(20261020)
+    argvs = [
+        _draw_argv(rng, name, sub) for name, sub in _sub_parsers(top).items() for _ in range(40)
+    ]
+    read = []
+    plain = cli._read
+    monkeypatch.setattr(cli, "_read", lambda table, words: read.append(plain(table, words)) or read[-1])
+    fast = [_main_outcome(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: type(top).parse_args(top, argv))
+    for argv, got in zip(argvs, fast):
+        assert got == _main_outcome(capsys, argv), argv
+    # both paths ran often: the table read about a third of the lines
+    taken = sum(ns is not None for ns in read)
+    assert len(read) == len(argvs) and 100 < taken < 300
+    assert {got[0] for got in fast} >= {0, 2, 4}
 
 
 def test_packed_writers_match_the_terms_based_ones():

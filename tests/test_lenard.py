@@ -397,6 +397,25 @@ def test_involutivity_report_computes_each_unordered_pair_once(monkeypatch):
     assert calls == {"commutator": m * (m - 1) // 2, "exact": m * (m - 1)}
 
 
+def test_densities_of_a_run_give_their_checked_gradients(monkeypatch):
+    # seed and integrate_exact check each density's gradient exactly and
+    # keep it; the report and the Poisson bracket read it back, and only a
+    # functional that holds none computes its Euler derivatives
+    runs = [lenard.run_hierarchy(1, 0, 2), lenard.run_hierarchy(0, 1, 1)]
+    calls = []
+    euler = da.euler_derivative
+    monkeypatch.setattr(da, "euler_derivative", lambda f, var: calls.append(var) or euler(f, var))
+    assert lenard.involutivity_report(runs).all_ok
+    dens = [d for run in runs for d in run.densities]
+    assert [vc.variational_derivative(d) for d in dens] == [g for run in runs for g in run.gradients]
+    assert vc.variational_derivative(dens[1], 3) == runs[0].gradients[1] + (ZERO,)
+    assert pva.poisson_bracket(dens[0], dens[1], lenard.H0).is_zero()
+    assert calls == []
+    fresh = LocalFunctional(dens[1].rep)
+    assert vc.variational_derivative(fresh) == runs[0].gradients[1]
+    assert calls == [da.U, da.V]
+
+
 def test_involutivity_report_matches_the_full_square_pair_by_pair():
     # every entry, the diagonal and the lower triangle included, against
     # the public routines on the unscaled densities and flows
