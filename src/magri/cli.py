@@ -269,8 +269,20 @@ def cmd_fmt(args):
     return OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Gives ``--opt=--`` the value ``--``, as argparse does from Python
+    3.13 on (earlier, it stores []); the sub-parsers are of this class too."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="magri",
         description="Exact calculus for Hamiltonian operators on two-field "
         "differential polynomials, with Lenard-Magri hierarchy generation.",
@@ -383,7 +395,7 @@ def _read(table, words):
     ``--flag``, or the one positional word, which may follow a final
     ``--``.  None for anything else, which argparse must answer: an
     abbreviated, unknown or repeated option, a separate value that starts
-    with ``-``, ``--opt=--``, a value the action's type or choices refuse,
+    with ``-``, a value the action's type or choices refuse,
     a missing required action, ``-h`` and left-over words."""
     _sub, options, positional, required, defaults = table
     got = {}
@@ -401,8 +413,7 @@ def _read(table, words):
             if action is None:  # --opt=value, the one form left
                 opt, eq, text = word.partition("=")
                 action = options.get(opt) if eq else None
-                # argparse drops the value "--" of --opt=--
-                if action is None or action.nargs == 0 or text == "--":
+                if action is None or action.nargs == 0:
                     return None
             elif action.nargs != 0:  # --opt value
                 if i == n or words[i][:1] == "-":

@@ -60,16 +60,16 @@ returns a canonical form.
 The public face speaks tuples: a monomial read in or written out is a
 tuple of (variable, order, exponent) triples sorted by (variable,
 order), as taken by ``DiffFunction(terms)``, :meth:`~DiffFunction.from_terms`,
-:func:`normalize` and :func:`jet`.  :attr:`DiffFunction.terms` decodes
-the pairs once per value, sorts them by the tuple monomial and caches
-the result.  The plain-text, JSON and LaTeX writers read
-:func:`text_terms` instead: the same terms in the same order, each
-monomial decoded once into a flat tuple, which sorts as its tuple form
-does, and each coefficient as an int numerator and denominator, with
-no ``Fraction`` made and nothing cached.  The engine reads no
-``terms``: the linear solver keys its rows by packed
-monomials (:func:`integral_terms`), the kernel markers of the recursion
-are packed (:func:`packed_terms`), candidate spaces are packed
+:func:`normalize` and :func:`jet`.  One key, :func:`flat_mono`, a
+monomial's triples laid end to end, fixes the order of terms: the
+writers read :func:`text_terms`, the terms in that order with each
+coefficient as an int numerator and denominator, no ``Fraction`` made
+and nothing cached, and :attr:`DiffFunction.terms` is built once per
+value from the same rows.  Every int is written by :func:`int_text`
+and read by :func:`text_int`, at any length.  The engine reads no
+``terms``: the linear solver keys its rows by packed monomials
+(:func:`integral_terms`), the kernel markers of the recursion are
+packed (:func:`packed_terms`), candidate spaces are packed ints
 (:func:`monomials`) and solutions come back through
 :meth:`~DiffFunction.from_packed`.
 
@@ -163,8 +163,7 @@ affine_scaled(k); every other tag is its own target, except
 scaled_plus, which has none.  :func:`monomials` enumerates the
 monomials of one weight within a v-power interval (plus the pure power
 v^affine); the ansatz spaces of the recursion and the v-only candidates
-of exact integration both come from it, in the order of their tuple
-forms.
+of exact integration both come from it, sorted by :func:`flat_mono`.
 """
 
 from __future__ import annotations
@@ -621,7 +620,8 @@ class DiffFunction:
         t = self._terms
         if t is None:
             t = self._terms = tuple(
-                sorted(((unpack_mono(m), c) for m, c in packed_terms(self)), key=_first)
+                (tuple(zip(*[iter(key)] * 3)), _rational(num, den))
+                for key, num, den in text_terms(self)
             )
         return t
 
@@ -1251,34 +1251,35 @@ def monomials(weight, order_bound, lo, hi=None, affine=None, fields=(U, V), incl
     candidates, and so the densities and gradients they print.  A
     monomial with an exponent out of range raises ExponentOverflow.
     """
-    gens = [
-        (var, n)
+    # no exponent tried leaves [low, weight // 2 - low], where no field
+    # carries into the next: so _check_range sees each one out of range
+    low = min(lo, 0)
+    if low <= -_MASK // 2 or weight // 2 - low >= _MASK - _OFF:
+        raise _overflow()
+    units = [  # (the packed unit of a generator, its weight)
+        (1 << EXP_BITS * _slot(var, n), n + 2)
         for var in sorted(fields)
         for n in range(1 if var == V else 0, order_bound + 1)
     ]
     out = []
-    stack = [(0, weight, ())]  # (next generator, weight left, factors so far)
+    stack = [(0, weight, 0)]  # (next generator, weight left, product so far)
     while stack:
-        idx, rest, acc = stack.pop()
-        if idx == len(gens):
+        idx, rest, m = stack.pop()
+        if idx == len(units):
             e, odd = divmod(rest, 2)  # v^e weighs 2e
-            if not odd and (lo <= e and (hi is None or e <= hi) or not acc and e == affine):
-                out.append(tuple(sorted(acc + ((V, 0, e),))) if e else acc)
+            if not odd and (lo <= e and (hi is None or e <= hi) or not m and e == affine):
+                out.append(m + e)
+                if include_log and not e:
+                    out.append(m + _LOG)
             continue
-        var, n = gens[idx]
-        e = 0
-        # jets only add weight, so v must absorb what is left: 2 * lo <= rest
-        while rest - e * (n + 2) >= 2 * lo:
-            factors = acc + ((var, n, e),) if e else acc
-            stack.append((idx + 1, rest - e * (n + 2), factors))
-            e += 1
-    if include_log:
-        out += [
-            tuple(sorted(m + ((LOG_VAR, 0, 1),)))
-            for m in out
-            if not any(g[0] == V and g[1] == 0 for g in m)
-        ]
-    return tuple(map(pack_mono, sorted(out)))  # distinct by construction
+        unit, w = units[idx]
+        while rest >= 2 * lo:  # jets only add weight: v takes up what is left
+            stack.append((idx + 1, rest, m))
+            rest -= w
+            m += unit
+    _check_range(out)
+    out.sort(key=flat_mono)  # distinct by construction
+    return tuple(out)
 
 
 # -- integration -------------------------------------------------------------
@@ -1638,48 +1639,50 @@ def _gen_text(var, order, exp):
 
 
 def int_text(n):
-    """The decimal text of the int n, at any length.
+    """The decimal text of the int n, at any length; every writer calls this.
 
     ``str`` refuses an int of more digits than
     ``sys.get_int_max_str_digits()`` (4300 by default) with ValueError;
-    ``Decimal`` converts it exactly, and no process-wide setting
-    changes.  The writers call ``str`` and call this where it raises.
+    then ``Decimal`` converts it exactly, and no process-wide setting
+    changes.
     """
-    return str(Decimal(n))
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def frac_text(num, den):
     """The text "num", or "num/den" when den != 1, of ints of any length."""
-    try:
-        return str(num) if den == 1 else f"{num}/{den}"
-    except ValueError:
-        return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
+    return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
 
 
 def text_int(digits):
-    """The int of a run of ASCII digits, with an optional sign, at any length.
+    """The int of ASCII digits, with an optional sign, at any length; the readers call this.
 
     ``int`` refuses more digits than ``sys.get_int_max_str_digits()``
-    with ValueError, and ``Decimal`` reads them exactly.  The readers
-    call ``int`` and call this where it raises.
+    with ValueError; then ``Decimal`` reads them exactly.
     """
-    return int(Decimal(digits))
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
-def _text(f, num_text):
-    """The text of a nonzero f, each int written by ``num_text``."""
+def _text(f):
+    """The text of a nonzero f."""
     parts = []
     for key, num, den in text_terms(f):
         it = iter(key)
         frag = "*".join([_gen_text(var, order, exp) for var, order, exp in zip(it, it, it)])
         p = -num if num < 0 else num
         if not frag:
-            frag = num_text(p) if den == 1 else f"{num_text(p)}/{num_text(den)}"
+            frag = frac_text(p, den)
         else:
             if p != 1:
-                frag = f"{num_text(p)}*{frag}"
+                frag = f"{int_text(p)}*{frag}"
             if den != 1:
-                frag = f"{frag}/{num_text(den)}"
+                frag = f"{frag}/{int_text(den)}"
         parts.append((" - " if num < 0 else " + ") + frag)
     out = "".join(parts)
     return "-" + out[3:] if out[1] == "-" else out[3:]
@@ -1687,9 +1690,4 @@ def _text(f, num_text):
 
 def to_text(f):
     """Render in the grammar accepted by the expression parser."""
-    if not f:
-        return "0"
-    try:
-        return _text(f, str)
-    except ValueError:  # an int of more digits than str converts
-        return _text(f, int_text)
+    return _text(f) if f else "0"

@@ -300,10 +300,7 @@ class _Parser:
                     self.fail(f"jet order {order} is above {MAX_ORDER}", at)
                 x = 1, 1, 1 << EXP_BITS * _slot(U if toks[start] == "u" else V, order)
             elif t.isdigit():
-                try:
-                    x = int(t), 1, 0
-                except ValueError:  # more digits than int reads
-                    x = da.text_int(t), 1, 0
+                x = da.text_int(t), 1, 0
             else:
                 self.pos = start
                 x = self._atom()

@@ -120,10 +120,7 @@ def _write_function(write, f, indent):
     sep = "[\n" + i1 + head
     comma = ",\n" + i1 + head
     for key, num, den in da.text_terms(f):
-        try:
-            c = str(num) if den == 1 else f"{num}/{den}"
-        except ValueError:  # more digits than str converts
-            c = da.frac_text(num, den)
+        c = da.frac_text(num, den)
         if key:
             texts = []
             it = iter(key)
@@ -300,9 +297,8 @@ def _gen_latex(var, order, exp):
     return f"({base})^{_sup(exp)}"
 
 
-def _term_latex(key, num, den, num_text):
-    """The LaTeX of the term num/den times the monomial of the flat key,
-    each int written by ``num_text``."""
+def _term_latex(key, num, den):
+    """The LaTeX of the term num/den times the monomial of the flat key."""
     numer, denom = [], []
     it = iter(key)
     for var, order, exp in zip(it, it, it):
@@ -312,9 +308,9 @@ def _term_latex(key, num, den, num_text):
             numer.append(_gen_latex(var, order, exp))
     p = -num if num < 0 else num
     if p != 1 or not numer:
-        numer.insert(0, num_text(p))
+        numer.insert(0, da.int_text(p))
     if den != 1:
-        denom.insert(0, num_text(den))
+        denom.insert(0, da.int_text(den))
     sign = "-" if num < 0 else ""
     num_s = " ".join(numer)
     if denom:
@@ -322,11 +318,11 @@ def _term_latex(key, num, den, num_text):
     return sign + num_s
 
 
-def _latex_terms(f, num_text):
-    """The LaTeX of a nonzero f, each int written by ``num_text``."""
+def _latex_terms(f):
+    """The LaTeX of a nonzero f."""
     parts = []
     for key, num, den in da.text_terms(f):
-        t = _term_latex(key, num, den, num_text)
+        t = _term_latex(key, num, den)
         if not parts:
             parts.append(t)
         elif num < 0:
@@ -340,12 +336,7 @@ def latex(f):
     """Render a differential function (or a functional's representative)."""
     if isinstance(f, da.LocalFunctional):
         return rf"\textstyle\int {latex(f.rep)}\, dx"
-    if not f:
-        return "0"
-    try:
-        return _latex_terms(f, str)
-    except ValueError:  # an int of more digits than str converts
-        return _latex_terms(f, da.int_text)
+    return _latex_terms(f) if f else "0"
 
 
 def latex_vector(vec):

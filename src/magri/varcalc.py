@@ -208,14 +208,13 @@ def integrate_exact(vec):
     variational gradient is; so closedness is tested only when the
     integration fails, to tell a vector that is not a gradient
     (NotClosed, with the witness entry) from one outside the reach of
-    the candidate spaces (NoSolution).  The returned functional already
-    holds the gradient it was checked against.
+    the candidate spaces (NoSolution).  The returned functional holds
+    the components of vec themselves as its gradient, not an equal copy.
     """
     vec = tuple(vec)
     try:
         h = _integrate(vec)
-        got = variational_derivative(h, len(vec))
-        if got != vec:
+        if variational_derivative(h, len(vec)) != vec:
             raise NoSolution("reconstructed density fails to reproduce the gradient")
     except MagriError:
         # an empty vector has no Frechet derivative to test: its own error stands
@@ -226,5 +225,5 @@ def integrate_exact(vec):
             ) from None
         raise
     if len(vec) == 2:
-        return LocalFunctional._of_gradient(h, got)
+        return LocalFunctional._of_gradient(h, vec)
     return LocalFunctional(h)

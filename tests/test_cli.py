@@ -583,6 +583,54 @@ def test_integers_of_any_length_are_written_and_read_back(capsys):
     assert render.latex(f) == rf"-\frac{{{big} u}}{{{da.to_text(da.const(2**20000))}}} + v"
 
 
+def test_long_integers_take_one_pass_of_each_writer(monkeypatch):
+    # a numerator and a denominator of 4400 digits each, more than str()
+    # writes: to_text and latex write them in one pass, where each ran its
+    # whole writer a second time, and every form reads back exactly
+    n_text, d_text = "1" + "0" * 4398 + "1", "1" + "0" * 4399
+    c = Fraction(-(10**4399 + 1), 10**4399)
+    f = da.DiffFunction([(((da.U, 0, 1),), c), (((da.V, 1, 2),), 1)])
+    calls = []
+    for mod, name in ((da, "_text"), (render, "_latex_terms")):
+        def counted(*args, fn=getattr(mod, name), name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    text, tex = da.to_text(f), render.latex(f)
+    monkeypatch.undo()
+    assert calls == ["_text", "_latex_terms"]
+    assert text == f"-{n_text}*u/{d_text} + (v')^2"
+    assert tex == rf"-\frac{{{n_text} u}}{{{d_text}}} + (v')^2"
+    assert expr.parse(text) == f
+    pieces = []
+    render.write_json(pieces.append, f)
+    assert render.function_from_json(json.loads("".join(pieces))) == f
+    assert render.function_from_json(json.loads(json.dumps(render.function_to_json(f)))) == f
+
+
+def test_an_explicit_double_dash_is_the_value_of_its_option(capsys, monkeypatch, tmp_path):
+    # --opt=-- gives the option the string "--" on every Python version,
+    # off the table and through argparse (an abbreviated option takes that
+    # path); argparse up to 3.12 dropped it and stored [], on which these
+    # commands exited 1 with a TypeError
+    for argv in (
+        ["flow", "--density=--", "--builtin", "h0"],
+        ["flow", "--dens=--", "--builtin", "h0"],
+        ["frechet", "--vec=--"],
+        ["frechet", "--ve=--"],
+        ["bracket", "--f=--", "--g", "u", "--builtin", "h0"],
+    ):
+        assert _exit(capsys, argv) == (4, "", "SYNTAX_ERROR at 1:2: unexpected '-'\n"), argv
+    code, out, err = _exit(capsys, ["hierarchy", "--eps=--", "--alpha", "0", "--steps", "1"])
+    assert code == 2 and err.endswith("error: argument --eps: invalid int value: '--'\n")
+    monkeypatch.chdir(tmp_path)
+    argv = ["hierarchy", "--eps", "1", "--alpha", "1", "--steps", "1"]
+    code, out, _err = _exit(capsys, argv)
+    assert (code, _exit(capsys, argv + ["--out=--"])) == (0, (0, "", ""))
+    assert (tmp_path / "--").read_text() == out
+
+
 def test_negative_exponent_on_u_exits_four(capsys):
     code, _, err = _run(capsys, "varder", "u^-1")
     assert code == 4
@@ -1053,18 +1101,6 @@ def _draw_argv(rng, name, sub):
     return [name] + words
 
 
-def _main_outcome(capsys, argv):
-    """_exit(capsys, argv), or the type and text of the exception main
-    raised: where argparse drops the "--" of --opt=--, as it does up to
-    Python 3.13.0, it stores [] for the option, which a command may fail
-    on (expr.parse([]) raises TypeError)."""
-    try:
-        return _exit(capsys, argv)
-    except Exception as exc:
-        capsys.readouterr()
-        return type(exc).__name__, str(exc)
-
-
 def test_plain_command_lines_read_as_argparse_reads_them(capsys, monkeypatch, tmp_path):
     # every command line that main reads off a sub-parser's table must give
     # the exit code, stdout and stderr of the pure-argparse path, and every
@@ -1079,10 +1115,10 @@ def test_plain_command_lines_read_as_argparse_reads_them(capsys, monkeypatch, tm
     read = []
     plain = cli._read
     monkeypatch.setattr(cli, "_read", lambda table, words: read.append(plain(table, words)) or read[-1])
-    fast = [_main_outcome(capsys, argv) for argv in argvs]
+    fast = [_exit(capsys, argv) for argv in argvs]
     monkeypatch.setattr(cli, "_parse_args", lambda argv: type(top).parse_args(top, argv))
     for argv, got in zip(argvs, fast):
-        assert got == _main_outcome(capsys, argv), argv
+        assert got == _exit(capsys, argv), argv
     # both paths ran often: the table read about a third of the lines
     taken = sum(ns is not None for ns in read)
     assert len(read) == len(argvs) and 100 < taken < 300
@@ -1099,8 +1135,9 @@ def test_packed_writers_match_the_terms_based_ones():
         expr.parse("-(v')^2*v^-3/2 + u*v''*log(v) - 12"),
     ]
     for f in fs:
+        cached = f._terms  # da.ZERO's may be filled by an earlier test
         text, tex = da.to_text(f), render.latex(f)
-        assert f._terms is None
+        assert f._terms is cached
         assert (text, tex) == (reference.to_text(f), reference.latex(f))
     assert render.latex(da.LocalFunctional(fs[0])) == reference.latex(da.LocalFunctional(fs[0]))
 

@@ -1120,6 +1120,80 @@ def test_monomials_match_the_v_only_enumerator():
     assert da.monomials(4, 0, 0, fields=(V,)) == (da.pack_mono(((V, 0, 2),)),)
 
 
+def _ref_monomials(weight, order_bound, lo, hi=None, affine=None, fields=(U, V), include_log=False):
+    # the tuple-form enumerator that diffalg.monomials replaced, sorted
+    gens = [(var, n) for var in sorted(fields) for n in range(1 if var == V else 0, order_bound + 1)]
+    out = []
+
+    def rec(idx, rest, acc):
+        if idx == len(gens):
+            e, odd = divmod(rest, 2)
+            if not odd and (lo <= e and (hi is None or e <= hi) or not acc and e == affine):
+                out.append(tuple(sorted(acc + ((V, 0, e),))) if e else acc)
+            return
+        var, n = gens[idx]
+        e = 0
+        while rest - e * (n + 2) >= 2 * lo:
+            rec(idx + 1, rest - e * (n + 2), acc + ((var, n, e),) if e else acc)
+            e += 1
+
+    rec(0, weight, ())
+    if include_log:
+        out += [tuple(sorted(m + ((LOG_VAR, 0, 1),))) for m in out if not any(g[:2] == (V, 0) for g in m)]
+    return sorted(out)
+
+
+def test_monomials_are_packed_ints_in_the_order_of_their_tuple_forms(monkeypatch):
+    # monomials adds packed units, checks the range once and sorts by
+    # flat_mono: no tuple monomial is built and pack_mono is not called
+    def no_pack(mono):
+        raise AssertionError("pack_mono was called")
+
+    monkeypatch.setattr(da, "pack_mono", no_pack)
+    spaces = 0
+    for wt in range(-2, 11):
+        for order_bound in range(-1, 4):
+            for lo in (-2, 0, 1):
+                for hi, affine in ((None, None), (0, None), (1, -1), (-1, 0)):
+                    for fields, include_log in (((U, V), False), ((U, V), True), ((V,), True)):
+                        args = (wt, order_bound, lo, hi, affine, fields, include_log)
+                        got = da.monomials(*args)
+                        assert list(map(da.unpack_mono, got)) == _ref_monomials(*args), args
+                        spaces += len(got) > 1
+    assert spaces > 500
+    # a power of v out of range still raises, and so does a jet exponent
+    # that would carry into the next field (u^65536 packs as v')
+    for args in ((2 * (da.MAX_V_EXP + 1), 0, 0), (2 * (da.MIN_V_EXP - 1), 0, da.MIN_V_EXP - 1)):
+        with pytest.raises(ExponentOverflow):
+            da.monomials(*args, fields=(V,))
+    with pytest.raises(ExponentOverflow):
+        da.monomials(2 * 65536, 0, 0, hi=0)
+    assert da.monomials(2 * da.MAX_V_EXP, 0, 0, fields=(V,)) == (da.MAX_V_EXP,)
+    assert da.monomials(2 * da.MIN_V_EXP, 0, da.MIN_V_EXP, fields=(V,)) == (da.MIN_V_EXP,)
+
+
+def test_terms_are_built_from_the_text_rows(monkeypatch):
+    # DiffFunction.terms decodes and sorts each value once, through
+    # text_terms, and reads no unpack_mono; it equals the decode-and-sort
+    # it replaced on Laurent and log draws
+    rng = random.Random(20261020)
+    fs = [da.normalize(helpers.rand_pairs(rng, terms=6)) for _ in range(300)]
+    want = [
+        tuple(sorted(((da.unpack_mono(m), c) for m, c in da.packed_terms(f)), key=lambda t: t[0]))
+        for f in fs
+    ]
+
+    def no_unpack(m):
+        raise AssertionError("unpack_mono was called")
+
+    monkeypatch.setattr(da, "unpack_mono", no_unpack)
+    got = [f.terms for f in fs]
+    assert got == want
+    assert [[type(c) for _m, c in t] for t in got] == [[type(c) for _m, c in t] for t in want]
+    gens = [g[:2] for t in got for m, _c in t for g in m]
+    assert (LOG_VAR, 0) in gens and any(g[2] < 0 for t in got for m, _c in t for g in m)
+
+
 # -- one remainder across the rounds of antiderivative ------------------------
 
 

@@ -490,6 +490,16 @@ def test_the_engine_reads_no_tuple_terms(monkeypatch):
     assert step == want_step
 
 
+def test_each_density_keeps_the_runs_own_gradient():
+    # integrate_exact stores the gradient it was given in the density, not
+    # the equal copy its closing check computes
+    for eps, alpha, steps in ((1, 1, 2), (0, 0, 1)):
+        run = lenard.run_hierarchy(eps, alpha, steps)
+        assert len(run.densities) == steps + 1
+        for grad, dens in zip(run.gradients, run.densities):
+            assert all(a is b for a, b in zip(dens.variational_gradient(), grad, strict=True))
+
+
 def test_run_hierarchy_proves_each_gradient_closed_once(monkeypatch):
     calls = []
     is_closed = vc.is_closed
