@@ -1249,10 +1249,12 @@ def monomials(weight, order_bound, lo, hi=None, affine=None, fields=(U, V), incl
     ``include_log``, log(v) * m is added for every m with no power of v.
     The order fixes the pivot columns of the linear solves over these
     candidates, and so the densities and gradients they print.  A
-    monomial with an exponent out of range raises ExponentOverflow.
+    monomial with an exponent out of range raises ExponentOverflow, and so
+    does a space whose exponents could carry into the next field.
     """
-    # no exponent tried leaves [low, weight // 2 - low], where no field
-    # carries into the next: so _check_range sees each one out of range
+    # every exponent tried lies in [low, weight // 2 - low], but a pure
+    # power of v, which is its own packed int; there no field carries into
+    # the next, so _check_range sees each exponent out of range
     low = min(lo, 0)
     if low <= -_MASK // 2 or weight // 2 - low >= _MASK - _OFF:
         raise _overflow()
