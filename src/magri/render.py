@@ -33,10 +33,13 @@ def _frac_str(c):
 
 
 def function_to_json(f):
+    """The JSON tree of f, built from :func:`diffalg.text_terms`: the
+    ``terms`` cache of f is left unfilled."""
     out = []
-    for mono, c in f.terms:
+    for key, num, den in da.text_terms(f):
+        it = iter(key)
         out.append(
-            {"c": _frac_str(c), "m": [[_NAME[v], n, e] for v, n, e in mono]}
+            {"c": da.frac_text(num, den), "m": [[_NAME[v], n, e] for v, n, e in zip(it, it, it)]}
         )
     return out
 

@@ -1317,6 +1317,25 @@ def test_function_text_writer_leaves_the_terms_cache_empty():
         assert f._terms is None
 
 
+def test_function_to_json_leaves_the_terms_cache_empty():
+    # it read f.terms, a cache of 1.1 MB on the largest function of (1,1,3)
+    rng = random.Random(8)
+    fs = _writer_functions(rng) + [da.DiffFunction([((), 10**5000 + 1), (((da.U, 0, 1),), da.QQ(1, 3**9000))])]
+    trees = []
+    for f in fs:
+        trees.append(render.function_to_json(f))
+        assert f._terms is None
+    for f, tree in zip(fs, trees):
+        want = [
+            {"c": render._frac_str(c), "m": [[render._NAME[v], n, e] for v, n, e in mono]}
+            for mono, c in f.terms
+        ]
+        assert tree == want
+    run = lenard.run_hierarchy(1, 1, 2)
+    render.run_to_json(run)
+    assert all(f._terms is None for f in _run_values(run))
+
+
 class _Pieces:
     """A standard output that keeps each piece written to it."""
 

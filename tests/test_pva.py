@@ -105,6 +105,23 @@ def test_bracket_with_function_checks_the_generator_index():
         assert pva.bracket_with_function(H0, i, da.u_jet(0)) == pva.generator_bracket(H0, i, 1)
 
 
+def test_a_generator_index_is_an_int():
+    # a float raised a bare TypeError, and True was read as 1
+    u = da.u_jet(0)
+    calls = [
+        lambda: pva.generator_bracket(H0, 1.5, 1),
+        lambda: pva.generator_bracket(H0, 1, 2.0),
+        lambda: pva.jacobiator(H0, 1, 1, 1.0),
+        lambda: pva.jacobiator(H0, 1, True, 2),
+        lambda: pva.bracket_with_function(H0, 2.0, u),
+        lambda: pva.bracket_with_function(H0, False, u),
+        lambda: pva.bracket_with_function(H0, "1", u),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="generator index is an int"):
+            call()
+
+
 def test_sesquilinearity():
     rng = random.Random(13)
     for _ in range(8):
@@ -373,6 +390,7 @@ def test_is_poisson_derives_each_frechet_row_once(monkeypatch):
         del rows[:]
         ok = jacobi_holds(h)
         coeffs = {f for row in h.entries for op in row for _k, f in op.terms}
+        assert len(set(rows)) == len(rows) and set(rows) <= coeffs
         checks.append((len(rows), len(coeffs)))
         return ok
 
@@ -382,8 +400,8 @@ def test_is_poisson_derives_each_frechet_row_once(monkeypatch):
     assert pva.is_poisson(H1)
     assert pva.is_compatible(H0, H1)
     assert len(checks) == 5  # one per is_poisson, three inside is_compatible
-    for calls, distinct in checks:
-        assert calls == distinct
+    # the skipped triples (1,2,1) and (2,2,1) alone read one row of H1
+    assert checks[1] == (7, 8)
 
 
 def test_is_poisson_keeps_the_exponent_check():
@@ -475,7 +493,101 @@ def test_skew_symmetry_settles_the_mirrored_checks():
     assert nonzero >= 80  # 91 of the 96 jacobiators of the random operators
 
 
-def test_is_poisson_builds_only_the_triples_with_i_at_most_j(monkeypatch):
+def _cycle(poly):
+    """P(mu, -lambda-mu-d) for P(lambda, mu), d acting on the coefficients."""
+    out = []
+    for (a, b), f in poly.terms:
+        ders = [f]
+        for _ in range(b):
+            ders.append(da.total_derivative(ders[-1]))
+        for p in range(b + 1):
+            for q in range(b - p + 1):
+                c = (-1) ** b * comb(b, p) * comb(b - p, q)
+                out.append(((p, a + q), ders[b - p - q] * c))
+    return dop.SparsePoly(out)
+
+
+def _rand_skew3_operators(rng, count):
+    """Seeded 3x3 skew operators A - A* with Laurent and log coefficients."""
+    ops = []
+    for _ in range(count):
+        a = helpers.rand_matrix_op(rng, n=3, max_deg=1, terms=2, max_order=1, max_exp=2)
+        ops.append(a - dop.adjoint(a))
+    return ops
+
+
+def test_the_cyclic_identity_makes_zero_ness_constant_on_each_orbit():
+    # J(u_i, u_j, u_k)(lambda, mu) = J(u_j, u_k, u_i)(mu, -lambda-mu-d) for
+    # skew H: with the swap of the first two, zero-ness is constant on each
+    # orbit of S3, so is_poisson reads one sorted triple per orbit
+    rng = random.Random(29)
+    ops = [H0, H1] + _rand_skew_operators(rng, 6) + _rand_skew3_operators(rng, 3)
+    coeffs = [f for h in ops for row in h.entries for op in row for _k, f in op.terms]
+    text = " ".join(da.to_text(f) for f in coeffs)
+    assert "v^-" in text and "log(v)" in text
+    nonzero = mixed = 0
+    for h in ops:
+        assert dop.is_skew_adjoint(h)
+        n, _ = h.shape
+        table = pva._BracketTable(h)
+        jac = {
+            t: dop.SparsePoly.from_acc(table.jacobiator(*t))
+            for t in itertools.product(range(1, n + 1), repeat=3)
+        }
+        for (i, j, k), val in jac.items():
+            assert val == _cycle(jac[j, k, i])
+            assert _cycle(_cycle(_cycle(val))) == val
+            assert jac[j, i, k] == _swap_lambda_mu(val)
+            nonzero += bool(val)
+        for t in jac:
+            orbit = {bool(jac[p]) for p in itertools.permutations(t)}
+            assert len(orbit) == 1
+        mixed += len({bool(v) for v in jac.values()}) == 2
+    assert nonzero == 84 and mixed == 6  # of 145 jacobiators and 11 operators
+
+
+def _relabel(h, p):
+    """The skew operator whose (a, b) entry is the (p[a], p[b]) entry of h."""
+    return dop.MatrixDiffOp([[h.entries[a][b] for b in p] for a in p])
+
+
+def test_the_orbit_verdict_matches_every_triple():
+    # the reference builds all n^3 jacobiators; is_poisson builds one
+    # sorted triple per orbit of S3
+    zero = dop.ScalarDiffOp()
+    m1, m2 = _current_algebra_pair()
+    ops = [H0, H1, H0 + H1 * QQ(-5, 2), m1 + m2]
+    ops += _rand_skew_operators(random.Random(31), 8) + _rand_skew3_operators(random.Random(41), 2)
+    ops += [
+        parse_operator("d^3 + 2*u*d + u', v*d, 0; v' + v*d, 0, 0; 0, 0, d"),
+        parse_operator("d, u, 0; -u, d, v; 0, -v, d"),
+    ]
+    # operators whose nonzero jacobiators fill a single orbit: the
+    # relabelings of a Poisson block beside one that is not
+    bad = parse_operator("d^3 + 2*u^2*d + 2*u*u'").entries[0][0]
+    for h in (
+        dop.MatrixDiffOp([[dop.D, zero], [zero, bad]]),
+        parse_operator("d, 0; 0, d^3 + 2*v^2*d + 2*v*v'"),
+        parse_operator("u*v^-1*d + d*u*v^-1, d; d, 0"),
+        dop.MatrixDiffOp([[dop.D, zero, zero], [zero, dop.D, zero], [zero, zero, bad]]),
+    ):
+        n, _ = h.shape
+        ops += [_relabel(h, p) for p in itertools.permutations(range(n))]
+    lone = set()  # the orbits that alone hold every nonzero jacobiator of an operator
+    verdicts = set()
+    for h in ops:
+        n, _ = h.shape
+        triples = itertools.product(range(1, n + 1), repeat=3)
+        orbits = {tuple(sorted(t)) for t in triples if pva.jacobiator(h, *t)}
+        assert pva.is_poisson(h) is (not orbits)
+        verdicts.add((n, not orbits))
+        if len(orbits) == 1:
+            lone |= orbits
+    assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
+    assert lone == {(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 3, 3)}
+
+
+def test_is_poisson_builds_only_the_sorted_triples(monkeypatch):
     built = []
     jacobiator = pva._BracketTable.jacobiator
 
@@ -485,8 +597,11 @@ def test_is_poisson_builds_only_the_triples_with_i_at_most_j(monkeypatch):
 
     monkeypatch.setattr(pva._BracketTable, "jacobiator", counted)
     assert pva.is_poisson(H0)
-    assert sorted(built) == [(i, j, k) for i, j, k in itertools.product((1, 2), repeat=3) if i <= j]
-    assert len(built) == 6
+    assert built == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
+    del built[:]
+    assert pva.is_poisson(parse_operator("d, 0, 0; 0, d, 0; 0, 0, d"))
+    assert built == [t for t in itertools.product((1, 2, 3), repeat=3) if t[0] <= t[1] <= t[2]]
+    assert len(built) == 10
 
 
 def test_flow_and_bracket_of_a_three_row_operator():
