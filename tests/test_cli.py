@@ -1320,7 +1320,8 @@ def test_function_text_writer_leaves_the_terms_cache_empty():
 def test_function_to_json_leaves_the_terms_cache_empty():
     # it read f.terms, a cache of 1.1 MB on the largest function of (1,1,3)
     rng = random.Random(8)
-    fs = _writer_functions(rng) + [da.DiffFunction([((), 10**5000 + 1), (((da.U, 0, 1),), da.QQ(1, 3**9000))])]
+    long = da.DiffFunction([((), 10**5000 + 1), (((da.U, 0, 1),), da.QQ(1, 3**9000))])
+    fs = _writer_functions(rng) + [long]
     trees = []
     for f in fs:
         trees.append(render.function_to_json(f))
