@@ -103,9 +103,10 @@ a jet.  The factors of m are read off the fields of m + ``_OFF`` by
 host of either byte order.  Every total derivative, those of
 :func:`antiderivative` included, is taken by :func:`_dx_into`, which
 picks one of two ways by the length of the operand.  An operand of
-more than ``MEMO_TERMS`` terms (a tower level, a flow, a gradient)
-reads each monomial's fields as it goes (:func:`_dx_fields_into`): its
-monomials seldom recur, so a memo of them would mostly grow.  A
+more than ``MEMO_TERMS`` terms (a tower level, a gradient, a partial
+sum of a Horner chain) reads each monomial's fields as it goes
+(:func:`_dx_fields_into`): its monomials seldom recur, so a memo of
+them would mostly grow.  A
 shorter one, as the Poisson checks and the one-shot queries
 differentiate, looks each monomial up in the memo ``_DX_MONO``, whose
 entry is the tuple of its (g'/g, e) pairs, one per factor, read off
@@ -119,9 +120,13 @@ Each value keeps its own derivative tower.  The ``_d`` slot of a
 :class:`DiffFunction` is None until :func:`total_derivative` first
 differentiates it, and from then on holds f' (ZERO itself when f' is
 zero), so d^n f is a walk along f, f', f'', ... that computes each
-step once per value.  Operator application, composition and adjoints,
-the lambda-bracket tables and flow commutators all read derivatives
-through that one function.  The chain lives exactly as long as f does:
+step once per value.  Operator application, composition and adjoints
+and the lambda-bracket tables all read derivatives through that one
+function.  A Horner sum reads none: the Euler derivatives and the
+Horner chains of flow commutators (:func:`magri.diffop.apply_adjoints`)
+differentiate each partial sum once, straight into the next one
+(:func:`add_derivative_into`), and keep no tower on any value, the
+flows included.  The chain lives exactly as long as f does:
 no module-level table holds it, so it never outgrows the values in
 use.  The memo belongs to the object, not to its value: an equal
 function built elsewhere builds its own chain.  :func:`drop_derivatives`
@@ -903,6 +908,14 @@ def _dx_into(acc, f, k=1):
         for step, e in t:
             dm = m + step
             d[dm] = get(dm, 0) + c * e
+
+
+def add_derivative_into(acc, f, k=1):
+    """Add k times the total derivative of f into ``acc``, an
+    :class:`Accumulator`, as :func:`add_into` adds k*f; k is an int.
+    Nothing is kept on f: a Horner sum differentiates each partial sum
+    once, into the next one, and lets it go."""
+    _dx_into(acc, f, k)
 
 
 def total_derivative(f, n=1):

@@ -235,6 +235,32 @@ def apply_scalar(a, f):
     return DiffFunction.from_acc(acc)
 
 
+def apply_adjoints(pairs):
+    """The sum of B*(x) over (B, x) pairs of scalar operators and
+    functions, with no derivative of any x taken.
+
+    B = sum_k b_k d^k has the adjoint B*(x) = sum_k (-d)^k (b_k x), so
+    the sum is sum_k (-d)^k T_k with T_k = sum_t b_{t,k} x_t, taken in
+    Horner form as :func:`diffalg.euler_derivative` takes its own:
+    R <- T_k - d(R) for k from the top power down to 0, the derivative
+    of R subtracted straight into the accumulator of T_k.  Each product
+    b_{t,k} x_t is formed once, and only the partial sums R are
+    differentiated, once each; no x keeps a tower.
+    """
+    by_power = defaultdict(list)
+    for b, x in pairs:
+        for k, bk in b.terms:
+            by_power[k].append((bk, x))
+    r = ZERO
+    for k in range(max(by_power, default=-1), -1, -1):
+        acc = da.Accumulator()
+        da.add_derivative_into(acc, r, -1)
+        for bk, x in by_power[k]:
+            da.addmul_into(acc, bk, x)
+        r = DiffFunction.from_acc(acc)
+    return r
+
+
 class MatrixDiffOp:
     """A grid of scalar differential operators.
 

@@ -394,7 +394,9 @@ def involutivity_report(runs, include_flows=True):
 
     Every pair of distinct densities is bracketed under both built-in
     structures and every pair of distinct flows is commutated; the report
-    carries the full boolean matrices and the conjunction.
+    carries the full boolean matrices and the conjunction.  A run without
+    densities (``with_densities=False``) would give no label, and nothing
+    of it would be checked: it raises MagriError, naming the run.
 
     Antisymmetry decides the rest without computation.  The diagonal is
     True for any input: the bracket of h with itself is the integral of
@@ -404,10 +406,15 @@ def involutivity_report(runs, include_flows=True):
     arguments of the bracket or of the commutator changes only its sign.
 
     Work shared between pairs is done once per report: the gradient
-    grad h of each density and H grad h for each structure H.  The
-    derivatives that commutators read are kept on the flow components
-    themselves (see :func:`diffalg.total_derivative`), so each is
-    computed once across the flow's pairs.
+    grad h of each density, H grad h for each structure H, and the
+    adjoint D_P* of the Frechet derivative of each flow P, which goes
+    with the flow after its last pair.  A commutator is then one Horner
+    chain per component through the higher Euler operators
+    (:func:`varcalc.commutator_from_adjoints`): D_Q(P) - D_P(Q) =
+    sum_k d^k(E^(k)(Q) P - E^(k)(P) Q), E^(k) read off the adjoints.
+    The flows are never differentiated, and since the flows of the
+    chains commute, the two halves cancel as the chain runs and its
+    partial sums stay small.
     The bracket of h_i and h_j is the integral of grad h_j . H grad h_i.
     Every zero test runs on integral multiples of the gradients and
     flows: the bracket and the commutator are bilinear, so scaling an
@@ -418,6 +425,10 @@ def involutivity_report(runs, include_flows=True):
     densities = []
     flows = []
     for run in runs:
+        if not run.densities:
+            raise MagriError(
+                f"the ({run.eps}, {run.alpha}) run to depth {run.steps} has no densities to check"
+            )
         for n, dens in enumerate(run.densities):
             labels.append((run.eps, run.alpha, n))
             densities.append(dens)
@@ -430,6 +441,7 @@ def involutivity_report(runs, include_flows=True):
         tuple(f * da.denominator(p) for f in p) if include_flows and p is not None else None
         for p in flows
     ]
+    stars = [None if p is None else dop.adjoint(vc.frechet(p)) for p in flows]
     # the diagonal stays True, as the docstring shows
     b0 = [[True] * m for _ in range(m)]
     b1 = [[True] * m for _ in range(m)]
@@ -442,9 +454,9 @@ def involutivity_report(runs, include_flows=True):
                 mat[i][j] = mat[j][i] = val
                 ok = ok and val
             if flows[i] is not None and flows[j] is not None:
-                comm = vc.evolutionary_commutator(flows[i], flows[j])
+                comm = vc.commutator_from_adjoints(flows[i], stars[i], flows[j], stars[j])
                 val = not any(comm)
                 fc[i][j] = fc[j][i] = val
                 ok = ok and val
-        flows[i] = None  # pairs (i, j) with j > i were its last
+        flows[i] = stars[i] = None  # pairs (i, j) with j > i were its last
     return InvolutivityReport(labels, b0, b1, fc, ok)

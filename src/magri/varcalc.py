@@ -85,25 +85,41 @@ def is_closed(vec):
 def evolutionary_commutator(p, q):
     """Commutator of evolutionary vector fields: D_Q(P) - D_P(Q).
 
-    Entry (i, j) of a Frechet derivative is sum_n dF_i/du_j^(n) d^n, so
-    the commutator reads d^n P_j and d^n Q_j through
-    :func:`diffalg.total_derivative`, which keeps them on the components:
-    a field commutated with many others differentiates each component
-    once, for as long as the caller holds it.
+    Entry (i, j) of a Frechet derivative is D_ij = sum_n dF_i/du_j^(n) d^n,
+    the adjoint of entry (j, i) of its adjoint, so component i is the sum
+    of the adjoints of (D_Q*)_ji applied to P_j and of (D_P*)_ji applied
+    to -Q_j: :func:`commutator_from_adjoints`.  This is the higher Euler
+    identity D_Q(P) = sum_k d^k(E_j^(k)(Q_i) P_j) (Olver, *Applications
+    of Lie Groups to Differential Equations*, ch. 5), E_j^(k)(Q_i) being
+    (-1)^k times the coefficient of d^k in (D_Q*)_ji.  The fields are
+    never differentiated: one Horner chain per component differentiates
+    its partial sums alone (:func:`diffop.apply_adjoints`).  When the
+    fields commute, the two halves cancel as the chain runs, so its
+    partial sums stay small, where d^n P_j and d^n Q_j up to the orders of
+    Q and P would have been formed and multiplied out in full.
     """
     p, q = tuple(p), tuple(q)
     if len(p) != len(q):
         raise DimensionMismatch("commutated fields have different numbers of components")
-    out = []
-    for dq_row, dp_row in zip(frechet(q).entries, frechet(p).entries):
-        acc = da.Accumulator()
-        for pj, qj, dq, dp in zip(p, q, dq_row, dp_row):
-            for n, c in dq.terms:
-                da.addmul_into(acc, c, da.total_derivative(pj, n))
-            for n, c in dp.terms:
-                da.addmul_into(acc, c, da.total_derivative(qj, n), -1)
-        out.append(DiffFunction.from_acc(acc))
-    return tuple(out)
+    return commutator_from_adjoints(p, dop.adjoint(frechet(p)), q, dop.adjoint(frechet(q)))
+
+
+def commutator_from_adjoints(p, p_star, q, q_star):
+    """D_Q(P) - D_P(Q), as :func:`evolutionary_commutator` gives it, from
+    the adjoints p_star = D_P* and q_star = D_Q* of the Frechet
+    derivatives of the fields, which a caller that commutates one field
+    with many others builds once for it."""
+    p, q = tuple(p), tuple(q)
+    if not len(p) == len(q) == p_star.shape[0] == q_star.shape[0]:
+        raise DimensionMismatch("commutated fields have different numbers of components")
+    minus_q = [-f for f in q]
+    return tuple(
+        dop.apply_adjoints(
+            [(q_star.entries[j][i], pj) for j, pj in enumerate(p)]
+            + [(p_star.entries[j][i], qj) for j, qj in enumerate(minus_q)]
+        )
+        for i in range(len(p))
+    )
 
 
 # -- integration of exact vectors -------------------------------------------

@@ -7,7 +7,9 @@ read :attr:`DiffFunction.terms`, which :func:`magri.diffalg.to_text` and
 :func:`magri.diffalg.is_total_derivative` ran before it asked
 :func:`magri.diffalg.antiderivative`, and the one-generator integral
 that built each round's primitive from jets, products and the recursive
-v-integral.  Each gives the values, errors and
+v-integral.  The tower form of the flow commutator, which
+:func:`magri.varcalc.evolutionary_commutator` used before it went
+through the higher Euler operators.  Each gives the values, errors and
 text the package gave before; the tests compare the package with them.
 """
 
@@ -16,8 +18,9 @@ from __future__ import annotations
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import render
+from magri import varcalc as vc
 from magri.diffalg import EXP_BITS, LOG_VAR, MAX_V_EXP, MIN_V_EXP, DiffFunction, U, V, _df, _slot
-from magri.errors import ExponentError, ExprSyntaxError
+from magri.errors import DimensionMismatch, ExponentError, ExprSyntaxError
 
 _NAMES = ("u", "v", "d", "D", "log")
 _DIGITS = "0123456789"  # str.isdigit would also take '²', which int() rejects
@@ -335,3 +338,22 @@ def integrate_in_generator(b, var, order):
             da.addmul_into(acc, da._integrate_v_monomial(k, j), rest)
         return DiffFunction.from_acc(acc)
     return da.divide_terms(b, lambda m: da.mono_exp(m, var, order) + 1) * da.jet(var, order)
+
+
+def evolutionary_commutator(p, q):
+    """D_Q(P) - D_P(Q) in tower form: entry (i, j) of each Frechet
+    derivative, sum_n dF_i/du_j^(n) d^n, applied to d^n P_j and d^n Q_j,
+    which :func:`magri.diffalg.total_derivative` keeps on the components."""
+    p, q = tuple(p), tuple(q)
+    if len(p) != len(q):
+        raise DimensionMismatch("commutated fields have different numbers of components")
+    out = []
+    for dq_row, dp_row in zip(vc.frechet(q).entries, vc.frechet(p).entries):
+        acc = da.Accumulator()
+        for pj, qj, dq, dp in zip(p, q, dq_row, dp_row):
+            for n, c in dq.terms:
+                da.addmul_into(acc, c, da.total_derivative(pj, n))
+            for n, c in dp.terms:
+                da.addmul_into(acc, c, da.total_derivative(qj, n), -1)
+        out.append(DiffFunction.from_acc(acc))
+    return tuple(out)

@@ -377,10 +377,12 @@ def test_involutivity_report_shows_each_failing_pair():
 
 def test_involutivity_report_computes_each_unordered_pair_once(monkeypatch):
     # antisymmetry decides the diagonal and the mirrored pairs: a report on
-    # m labels makes m(m-1)/2 commutators and, under each of H0 and H1,
+    # m labels builds the adjoint Frechet matrix of each of its m flows
+    # once, makes m(m-1)/2 commutators from them, one Horner chain for
+    # each of a commutator's two components, and, under each of H0 and H1,
     # m(m-1)/2 exactness tests
     runs = [lenard.run_hierarchy(1, 0, 1), lenard.run_hierarchy(1, 1, 1)]
-    calls = {"commutator": 0, "exact": 0}
+    calls = dict.fromkeys(["frechet", "adjoint", "commutator", "chain", "exact"], 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -389,12 +391,43 @@ def test_involutivity_report_computes_each_unordered_pair_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(vc, "evolutionary_commutator", counted("commutator", vc.evolutionary_commutator))
+    monkeypatch.setattr(vc, "frechet", counted("frechet", vc.frechet))
+    monkeypatch.setattr(dop, "adjoint", counted("adjoint", dop.adjoint))
+    monkeypatch.setattr(vc, "commutator_from_adjoints", counted("commutator", vc.commutator_from_adjoints))
+    monkeypatch.setattr(dop, "apply_adjoints", counted("chain", dop.apply_adjoints))
     monkeypatch.setattr(da, "is_total_derivative", counted("exact", da.is_total_derivative))
     report = lenard.involutivity_report(runs)
     m = len(report.labels)
     assert m == 4 and report.all_ok
-    assert calls == {"commutator": m * (m - 1) // 2, "exact": m * (m - 1)}
+    pairs = m * (m - 1) // 2
+    assert calls == {
+        "frechet": m,
+        "adjoint": m,
+        "commutator": pairs,
+        "chain": 2 * pairs,
+        "exact": 2 * pairs,
+    }
+
+
+def test_involutivity_report_leaves_no_tower_on_the_flows():
+    # the commutators differentiate their Horner partial sums alone, so no
+    # flow component gets a derivative tower from the report (the first
+    # flow of each chain, which needs no scaling, once kept one)
+    runs = [lenard.run_hierarchy(1, 0, 2), lenard.run_hierarchy(1, 1, 1)]
+    flows = [f for run in runs for p in run.flows for f in p]
+    assert all(f._d is None for f in flows)
+    assert lenard.involutivity_report(runs).all_ok
+    assert all(f._d is None for f in flows)
+
+
+def test_involutivity_report_refuses_a_run_without_densities():
+    # such a run gives the report no label, so it would check none of its
+    # flows and pass
+    run = lenard.run_hierarchy(1, 0, 1, with_densities=False)
+    with pytest.raises(MagriError, match=r"the \(1, 0\) run to depth 1 has no densities"):
+        lenard.involutivity_report([run])
+    with pytest.raises(MagriError, match="no densities"):
+        lenard.involutivity_report([lenard.run_hierarchy(1, 1, 1), run], include_flows=False)
 
 
 def test_densities_of_a_run_give_their_checked_gradients(monkeypatch):

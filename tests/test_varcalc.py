@@ -9,8 +9,10 @@ import sympy as sp
 
 import helpers
 import oracle
+import reference
 from magri import diffalg as da
 from magri import diffop as dop
+from magri import lenard
 from magri import varcalc as vc
 from magri.diffalg import LocalFunctional, QQ, U, V, ZERO
 from magri.errors import DimensionMismatch, MagriError, NoSolution, NotClosed
@@ -310,8 +312,7 @@ def test_v_density_solves_only_the_blocks_the_right_side_reaches(monkeypatch):
 
 
 def test_commutator_of_plain_vectors_matches_frechet_applied():
-    # Laurent and log inputs; the same vectors serve several commutators,
-    # the derivatives kept on their components growing and then being reused
+    # Laurent and log inputs; the same vectors serve several commutators
     rng = random.Random(73)
     vecs = [helpers.rand_vector(rng, terms=2, max_order=3, max_exp=2) for _ in range(6)]
     for p in vecs:
@@ -327,6 +328,64 @@ def test_commutator_of_plain_vectors_matches_frechet_applied():
     assert da.total_derivative(f, 2) == da.total_derivative(-(-f), 2)
     with pytest.raises(DimensionMismatch):
         vc.evolutionary_commutator(vecs[0], vecs[1] + (ZERO,))
+    p, q = vecs[0], vecs[1] + (ZERO,)
+    with pytest.raises(DimensionMismatch):
+        vc.commutator_from_adjoints(p, dop.adjoint(vc.frechet(p)), q, dop.adjoint(vc.frechet(q)))
+
+
+def _rand_vec(rng, n, max_order=3):
+    return tuple(
+        helpers.rand_function(rng, terms=2, max_order=max_order, max_exp=2) for _ in range(n)
+    )
+
+
+def test_commutator_matches_the_tower_form():
+    # the Horner chains of the higher Euler operators against the tower
+    # form they replaced, on seeded Laurent and log vectors of one, two and
+    # three components, pairs that commute and pairs that do not, unequal
+    # orders and zero components; and antisymmetry on each pair
+    rng = random.Random(83)
+    u, v = da.u_jet(0), da.v_jet(0)
+    shift = (da.u_jet(1), da.v_jet(1))
+    pairs = []
+    for n in (1, 2, 3):
+        for _ in range(6):
+            pairs.append((_rand_vec(rng, n), _rand_vec(rng, n)))
+        p = _rand_vec(rng, n)
+        pairs += [(p, p), (p, tuple(f * QQ(-3, 2) for f in p))]
+        # orders 0 and up to 6; zero components
+        pairs.append((_rand_vec(rng, n, max_order=0), _rand_vec(rng, n, max_order=6)))
+        pairs.append(((ZERO,) * n, _rand_vec(rng, n)))
+        pairs.append(((ZERO,) + _rand_vec(rng, n - 1), _rand_vec(rng, n - 1) + (ZERO,)))
+    for _ in range(4):
+        p = _rand_vec(rng, 2)
+        pairs += [(shift, p), (tuple(a + b for a, b in zip(p, shift)), p)]
+    pairs.append(((u * v * da.log_v(), ZERO), (ZERO, da.v_pow(-3) * da.v_jet(4))))
+    text = " ".join(da.to_text(f) for pq in pairs for x in pq for f in x)
+    assert "v^-" in text and "log(v)" in text
+    zero = 0
+    for p, q in pairs:
+        want = reference.evolutionary_commutator(p, q)
+        got = vc.evolutionary_commutator(p, q)
+        assert got == want, (p, q)
+        assert vc.evolutionary_commutator(q, p) == tuple(-f for f in want)
+        zero += not any(want)
+    assert (zero, len(pairs)) == (20, 42)
+
+
+def test_commutator_matches_the_tower_form_on_the_chain_flows():
+    # every pair of distinct flows of four chains: they all commute, which
+    # the tower form shows by multiplying out each flow's derivatives
+    flows = [
+        p
+        for chain in ((1, 0, 2), (1, 1, 1), (0, 0, 1), (0, 1, 1))
+        for p in lenard.run_hierarchy(*chain, with_densities=False).flows
+    ]
+    assert len(flows) == 9
+    for a in range(9):
+        for b in range(a + 1, 9):
+            want = reference.evolutionary_commutator(flows[a], flows[b])
+            assert vc.evolutionary_commutator(flows[a], flows[b]) == want == (ZERO, ZERO)
 
 
 def test_memo_tables_stay_under_the_cap(monkeypatch):
