@@ -33,7 +33,6 @@ import os
 import sys
 
 from . import diffalg as da
-from . import diffop as dop
 from . import expr
 from . import lenard
 from . import pva
@@ -127,7 +126,7 @@ def _one_structure(args):
 
 def _two_structures(args):
     if args.builtin:
-        return dop.builtin_pair()
+        return lenard.structure(0), lenard.structure(1)
     h = _load_operator(args.op, args.op_expr)
     k = _load_operator(args.op2, args.op2_expr, suffix="2")
     return h, k
@@ -136,26 +135,24 @@ def _two_structures(args):
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_verify_poisson(args):
-    h = _one_structure(args)
+def _verdict(name, check, *ops):
+    """Print name, NOT_name or NOT_SKEW, as check(*ops) decides, and
+    return the exit code."""
     try:
-        ok = pva.is_poisson(h)
+        ok = check(*ops)
     except NotSkewAdjoint:
         print("NOT_SKEW")
         return FAIL
-    print("POISSON" if ok else "NOT_POISSON")
+    print(name if ok else "NOT_" + name)
     return OK if ok else FAIL
+
+
+def cmd_verify_poisson(args):
+    return _verdict("POISSON", pva.is_poisson, _one_structure(args))
 
 
 def cmd_verify_compatible(args):
-    h, k = _two_structures(args)
-    try:
-        ok = pva.is_compatible(h, k)
-    except NotSkewAdjoint:
-        print("NOT_SKEW")
-        return FAIL
-    print("COMPATIBLE" if ok else "NOT_COMPATIBLE")
-    return OK if ok else FAIL
+    return _verdict("COMPATIBLE", pva.is_compatible, *_two_structures(args))
 
 
 def cmd_casimir_check(args):
@@ -236,12 +233,13 @@ def cmd_flow(args):
 def cmd_reduce(args):
     f = expr.parse(args.expr)
     g = da.antiderivative(f)
+    c = f.constant_term()
     payload = {
         "in_derivative_image": g is not None,
         "antiderivative": g,
         "euler_u": da.euler_derivative(f, da.U),
         "euler_v": da.euler_derivative(f, da.V),
-        "constant_term": render._frac_str(f.constant_term()),
+        "constant_term": da.frac_text(c.numerator, c.denominator),
     }
     if args.json:
         _emit(args, payload)

@@ -100,21 +100,21 @@ derivative, and g'/g is one packed int per slot: ``_DX_V`` for v,
 ``_DX_LOG`` for log v and ``_DX_STEP`` times the unit of the slot for
 a jet.  The factors of m are read off the fields of m + ``_OFF`` by
 :func:`_fields`, one view of its 16-bit fields, lowest first, on a
-host of either byte order.  Every total derivative, those of
-:func:`antiderivative` included, is taken by :func:`_dx_into`, which
-picks one of two ways by the length of the operand.  An operand of
-more than ``MEMO_TERMS`` terms (a tower level, a gradient, a partial
-sum of a Horner chain) reads each monomial's fields as it goes
-(:func:`_dx_fields_into`): its monomials seldom recur, so a memo of
-them would mostly grow.  A
-shorter one, as the Poisson checks and the one-shot queries
-differentiate, looks each monomial up in the memo ``_DX_MONO``, whose
-entry is the tuple of its (g'/g, e) pairs, one per factor, read off
-its fields once; those monomials recur.  A pair is one object, kept in
-``_DX_PAIRS`` and shared by every entry with that factor, so an entry
-costs its tuple and its dict slot: about 130 bytes with the key.  Both
-tables are cleared together when the memo reaches ``MEMO_CAP``
-entries.
+host of either byte order, by one loop, :func:`_dx_fields_into`.
+Every total derivative, those of :func:`antiderivative` included, is
+taken by one kernel, :func:`add_derivative_into`, which picks one of
+two ways by the length of the operand.  An operand of more than
+``MEMO_TERMS`` terms (a tower level, a gradient, a partial sum of a
+Horner chain) goes through that loop term by term: its monomials
+seldom recur, so a memo of them would mostly grow.  A shorter one, as
+the Poisson checks and the one-shot queries differentiate, looks each
+monomial up in the memo ``_DX_MONO``, whose entry is the tuple of its
+(g'/g, e) pairs, one per factor, read back off the derivative that the
+same loop takes of the monomial alone, once; those monomials recur.  A
+pair is one object, kept in ``_DX_PAIRS`` and shared by every entry
+with that factor, so an entry costs its tuple and its dict slot: about
+130 bytes with the key.  Both tables are cleared together when the
+memo reaches ``MEMO_CAP`` entries.
 
 Each value keeps its own derivative tower.  The ``_d`` slot of a
 :class:`DiffFunction` is None until :func:`total_derivative` first
@@ -181,7 +181,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import itemgetter, or_
 
-from .errors import ExponentOverflow, MagriError
+from .errors import DimensionMismatch, ExponentOverflow, MagriError
 
 U, V, LOG_VAR = 0, 1, 2
 VAR_NAMES = ("u", "v", "log")
@@ -355,8 +355,11 @@ def coeff_div(a, b):
     """The exact quotient a / b of two coefficients, in canonical form.
 
     The one place coefficients are divided, so that int / int never
-    gives a float.  Raises ZeroDivisionError when b is zero.
+    gives a float, and the one reader of a numerator over a denominator
+    at the public face.  Raises ZeroDivisionError when b is zero.
     """
+    if b == 1 and type(a) is int:
+        return a
     return _as_coeff(Fraction(a, b))
 
 
@@ -425,7 +428,10 @@ def add_into(acc, f, k=1):
 
 
 def dot(a, b):
-    """The sum of the products a_i * b_i of two vectors of functions."""
+    """The sum of the products a_i * b_i of two vectors of functions of
+    one length; vectors of unequal lengths raise DimensionMismatch."""
+    if len(a) != len(b):
+        raise DimensionMismatch(f"a dot product of vectors of {len(a)} and {len(b)} components")
     acc = Accumulator()
     for x, y in zip(a, b):
         addmul_into(acc, x, y)
@@ -450,7 +456,7 @@ def packed_terms(f):
     """The (packed monomial, coefficient) pairs of f in increasing packed
     order; a coefficient is an int when integral, else a Fraction."""
     den = f._den
-    return f._t if den == 1 else [(m, _rational(c, den)) for m, c in f._t]
+    return f._t if den == 1 else [(m, coeff_div(c, den)) for m, c in f._t]
 
 
 def integral_terms(f, den):
@@ -458,14 +464,6 @@ def integral_terms(f, den):
     the denominator of f."""
     s = den // f._den
     return f._t if s == 1 else [(m, c * s) for m, c in f._t]
-
-
-def _rational(c, den):
-    """The coefficient c/den at the public face: an int when integral, else a Fraction."""
-    if den == 1:
-        return c
-    q = Fraction(c, den)
-    return q.numerator if q.denominator == 1 else q
 
 
 _new = object.__new__
@@ -625,7 +623,7 @@ class DiffFunction:
         t = self._terms
         if t is None:
             t = self._terms = tuple(
-                (tuple(zip(*[iter(key)] * 3)), _rational(num, den))
+                (tuple(zip(*[iter(key)] * 3)), coeff_div(num, den))
                 for key, num, den in text_terms(self)
             )
         return t
@@ -634,14 +632,14 @@ class DiffFunction:
         m = pack_mono(mono)
         for mm, c in self._t:
             if mm == m:
-                return _rational(c, self._den)
+                return coeff_div(c, self._den)
         return 0
 
     def constant_term(self):
         # only pure negative powers of v sort before the empty monomial 0
         for m, c in self._t:
             if m >= 0:
-                return _rational(c, self._den) if m == 0 else 0
+                return coeff_div(c, self._den) if m == 0 else 0
         return 0
 
     def __bool__(self):
@@ -816,18 +814,21 @@ def _fields(x):
     return v[::-1] if _BYTEORDER == "big" else v
 
 
-def _dx_fields_into(d, terms, k):
+def _dx_fields_into(d, terms, k, low=2):
     """Add k times the total derivative of ``terms``, a sorted tuple of
     (packed monomial, int) pairs, into the dict d, by the product rule: a
     factor g^e of a term c * m adds k * c * e at m + g'/g.
 
     The factors are read off the fields of m + ``_OFF`` (:func:`_fields`),
-    and the monomials m + g'/g of one m come in increasing order: the
-    g'/g grow with the slot of g, except that log v's is below v's.
+    the jets from slot ``low`` up: a caller that knows no term to hold a
+    jet below that slot passes it, so that a lone high jet costs no step
+    per empty field below it.  The monomials m + g'/g of one m come in
+    increasing order: the g'/g grow with the slot of g, except that log
+    v's is below v's.
     """
     get = d.get
-    # the g'/g of each jet slot, up to the top field of the last, largest m
-    steps = [_DX_STEP << EXP_BITS * s for s in range(len(_fields(terms[-1][0] + _OFF)))]
+    # the g'/g of each jet slot from low up to the top field of the last, largest m
+    steps = [_DX_STEP << EXP_BITS * s for s in range(low, len(_fields(terms[-1][0] + _OFF)))]
     for m, c in terms:
         if k != 1:
             c = c * k
@@ -840,8 +841,8 @@ def _dx_fields_into(d, terms, k):
         if e:
             dm = m + _DX_V
             d[dm] = get(dm, 0) + c * e
-        s = 2
-        for e in x[2:]:
+        s = 0
+        for e in x[low:]:
             if e:
                 dm = m + steps[s]
                 d[dm] = get(dm, 0) + c * e
@@ -850,11 +851,12 @@ def _dx_fields_into(d, terms, k):
 
 def _dx_mono(m):
     """The memo entry of a packed monomial m: the tuple of the (packed
-    g'/g, exponent) pairs of its factors g^e, read off its fields
-    (:func:`_fields`) as :func:`_dx_fields_into` reads them, in
-    increasing order of g'/g, so the monomials m + g'/g are distinct and
-    sorted.  Each pair is the one object of ``_DX_PAIRS`` for its value,
-    shared by every entry that holds it.
+    g'/g, exponent) pairs of its factors g^e, in increasing order of g'/g,
+    so the monomials m + g'/g are distinct and sorted.  A miss reads them
+    back off the derivative that :func:`_dx_fields_into` takes of m
+    alone, as (m + g'/g - m, e) in the order it adds them.  Each pair is
+    the one object of ``_DX_PAIRS`` for its value, shared by every entry
+    that holds it.
     """
     t = _DX_MONO.get(m)
     if t is None:
@@ -862,29 +864,24 @@ def _dx_mono(m):
         if len(_DX_MONO) >= MEMO_CAP:
             _DX_MONO.clear()
             pairs.clear()
-        x = _fields(m + _OFF)
-        t = []
-        if x[1]:
-            t.append((_DX_LOG, x[1]))
-        if x[0] != _OFF:
-            t.append((_DX_V, x[0] - _OFF))
-        # start at the lowest jet of m, so that a lone high jet, as the
-        # Horner sums of Euler derivatives differentiate, costs no step per
-        # empty field below it
+        # from the lowest jet of m, as the Horner sums of Euler derivatives
+        # differentiate lone high jets
         jets = (m + _OFF) >> 2 * EXP_BITS
-        s = 2 + ((jets & -jets).bit_length() - 1) // EXP_BITS if jets else len(x)
-        for e in x[s:]:
-            if e:
-                t.append((_DX_STEP << EXP_BITS * s, e))
-            s += 1
+        low = 2 + ((jets & -jets).bit_length() - 1) // EXP_BITS if jets else 2
+        d = {}
+        _dx_fields_into(d, ((m, 1),), 1, low)
+        t = [(dm - m, e) for dm, e in d.items()]
         # total_derivative checks the exponents of the m + g'/g
         t = _DX_MONO[m] = tuple([pairs.setdefault(p, p) for p in t])
     return t
 
 
-def _dx_into(acc, f, k=1):
-    """Add k times the total derivative of f into ``acc``, as addmul_into
-    adds a product; k is an int.
+def add_derivative_into(acc, f, k=1):
+    """Add k times the total derivative of f into ``acc``, an
+    :class:`Accumulator`, as :func:`add_into` adds k*f; k is an int.
+    This is the one kernel of total derivatives, and it keeps nothing on
+    f: :func:`total_derivative` keeps its result in the tower of f, and a
+    Horner sum differentiates each partial sum once, into the next one.
 
     An f of at most ``MEMO_TERMS`` terms reads the factors of each
     monomial from the memo ``_DX_MONO``, filling it on a miss; a longer
@@ -910,14 +907,6 @@ def _dx_into(acc, f, k=1):
             d[dm] = get(dm, 0) + c * e
 
 
-def add_derivative_into(acc, f, k=1):
-    """Add k times the total derivative of f into ``acc``, an
-    :class:`Accumulator`, as :func:`add_into` adds k*f; k is an int.
-    Nothing is kept on f: a Horner sum differentiates each partial sum
-    once, into the next one, and lets it go."""
-    _dx_into(acc, f, k)
-
-
 def total_derivative(f, n=1):
     """Apply the total derivative ``n`` times.
 
@@ -932,7 +921,7 @@ def total_derivative(f, n=1):
         d = f._d
         if d is None:
             acc = Accumulator()
-            _dx_into(acc, f)
+            add_derivative_into(acc, f)
             d = f._d = DiffFunction.from_acc(acc) or ZERO
         if d is ZERO:
             return d
@@ -1315,7 +1304,7 @@ def euler_derivative(f, var):
     acc = ZERO
     for k in range(len(buckets) - 1, -1, -1):
         d = _partial_acc(buckets.pop(), var, k, f._den)
-        _dx_into(d, acc, -1)
+        add_derivative_into(d, acc, -1)
         acc = DiffFunction.from_acc(d)
     return acc
 
@@ -1444,8 +1433,8 @@ def antiderivative(f, tag=None):
     The remainder is one :class:`Accumulator` for the whole loop, with
     an index from jet order to its monomials.  Only the monomials of the
     top order can hold v^(n) or u^(n), so a round reads those alone.  It
-    differentiates its primitive by :func:`_dx_into`, as every total
-    derivative is taken, so a long primitive leaves the memo alone; the
+    differentiates its primitive by :func:`add_derivative_into`, as every
+    total derivative is taken, so a long primitive leaves the memo alone; the
     derivative goes into a dict of its own, whose monomials are checked
     for range before it is subtracted from the remainder, and each term
     that cancels is dropped, so the remainder never holds a zero.
@@ -1499,7 +1488,7 @@ def antiderivative(f, tag=None):
             # subtract the derivative of p, made in a dict of its own and
             # checked before any order is read off its monomials
             dp = Accumulator((), p._den)
-            _dx_into(dp, p, -rest.fit(p._den))
+            add_derivative_into(dp, p, -rest.fit(p._den))
             _check_range(dp.d)
             for dm, c in dp.d.items():
                 old = get(dm)

@@ -293,6 +293,10 @@ class MatrixDiffOp:
         i, j = ij
         return self.entries[i][j]
 
+    def __bool__(self):
+        """False exactly when every entry is the zero operator."""
+        return any(e for row in self.entries for e in row)
+
     def __eq__(self, other):
         if isinstance(other, MatrixDiffOp):
             return self.entries == other.entries
@@ -345,6 +349,11 @@ class MatrixDiffOp:
         return f"MatrixDiffOp({self.shape[0]}x{self.shape[1]})"
 
 
+def as_matrix(h):
+    """h, or the 1x1 matrix of h when h is a ScalarDiffOp."""
+    return MatrixDiffOp([[h]]) if isinstance(h, ScalarDiffOp) else h
+
+
 def adjoint(h):
     """Formal adjoint (transpose of entrywise adjoints)."""
     if isinstance(h, ScalarDiffOp):
@@ -380,8 +389,7 @@ def apply(h, vec):
     2-term vectors and 9% longer on the gradients of the benchmark's
     hierarchy chains, and copied vec[0], whose derivative H0 had built.
     """
-    if isinstance(h, ScalarDiffOp):
-        h = MatrixDiffOp([[h]])
+    h = as_matrix(h)
     vec = tuple(vec)
     n, m = h.shape
     if len(vec) != m:

@@ -155,18 +155,14 @@ def _vec_weight(vec):
     return w
 
 
-def _h0_row1(f):
-    # (d^3 + d.u + u d) f
-    return dop.apply_scalar(H0.entries[0][0], f)
-
-
 def _step_recursion(eps, b):
     if eps == 0:
         a = da.antiderivative(b[1])
         if a is None:
             raise NoSolution("second component of the step is not a total derivative")
         f = a * da.v_pow(-1)
-        rhs = (b[0] - _h0_row1(f)) * da.v_pow(-1)
+        # the first row of H0 is (d^3 + d.u + u d, v d)
+        rhs = (b[0] - dop.apply_scalar(H0.entries[0][0], f)) * da.v_pow(-1)
         g = da.antiderivative(rhs)
         if g is None:
             raise NoSolution("first component of the step is not a total derivative")
@@ -319,9 +315,14 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True):
 
     Returns gradients xi_0 .. xi_N, densities integral(h_n) with
     variational gradient xi_n, and flows P_n = H_{1-eps} xi_n (each also
-    equal to H_eps xi_{n+1}, which lm_step verifies).  Runtime checks
-    record closedness, subspace memberships, density consistency and
-    Casimir conservation for the alpha = 1 chains.  With densities, each
+    equal to H_eps xi_{n+1}, which lm_step verifies).  ``checks`` holds
+    three verdicts: "memberships", that each gradient lies in the
+    subspaces of its chain; "densities", that on the eps = 0 chains no
+    density holds log v (a density whose gradient is not xi_n never gets
+    this far, as :func:`varcalc.integrate_exact` raises); and
+    "casimir_pairing", that on the alpha = 1 chains each flow conserves
+    the alpha = 0 Casimir, whose gradient :func:`seed` checks to lie in
+    the kernel of H_eps.  With densities, each
     gradient is proved closed once, before it is stepped from: xi_0 by
     :func:`seed`, and every later xi_n by the closing check
     variational_derivative(h) == xi_n of :func:`varcalc.integrate_exact`;
@@ -349,13 +350,12 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True):
         ok = all(map(da.subalgebra_member, nxt, _GRADIENT_TAGS[eps]))
         checks["memberships"] = checks["memberships"] and ok
         if with_densities:
+            # integrate_exact raises unless dens has the gradient nxt
             dens = vc.integrate_exact(nxt)
             densities.append(dens)
-            # integrate_exact checked this gradient and kept it in dens
-            okd = dens.variational_gradient() == nxt
             if eps == 0:  # free of log v
-                okd = okd and not da.partial_derivative(dens.rep, (LOG_VAR, 0))
-            checks["densities"] = checks["densities"] and okd
+                okd = not da.partial_derivative(dens.rep, (LOG_VAR, 0))
+                checks["densities"] = checks["densities"] and okd
     flows.append(dop.apply(structure(1 - eps), gradients[-1]))
     if alpha == 1:
         other = seed(eps, 0).gradient
@@ -396,7 +396,8 @@ def involutivity_report(runs, include_flows=True):
     structures and every pair of distinct flows is commutated; the report
     carries the full boolean matrices and the conjunction.  A run without
     densities (``with_densities=False``) would give no label, and nothing
-    of it would be checked: it raises MagriError, naming the run.
+    of it would be checked: it raises MagriError, naming the run; so does
+    an empty list of runs.
 
     Antisymmetry decides the rest without computation.  The diagonal is
     True for any input: the bracket of h with itself is the integral of
@@ -433,6 +434,8 @@ def involutivity_report(runs, include_flows=True):
             labels.append((run.eps, run.alpha, n))
             densities.append(dens)
             flows.append(run.flows[n] if n < len(run.flows) else None)
+    if not densities:
+        raise MagriError("an involutivity report needs at least one run")
     m = len(densities)
     grads = [vc.variational_derivative(d) for d in densities]
     grads = [tuple(f * da.denominator(x) for f in x) for x in grads]

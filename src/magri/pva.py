@@ -74,12 +74,6 @@ def _require_skew(h):
         raise NotSkewAdjoint("bracket structure must be skew-adjoint")
 
 
-def _as_matrix(h):
-    if isinstance(h, dop.ScalarDiffOp):
-        return dop.MatrixDiffOp([[h]])
-    return h
-
-
 def _require_generators(h, *indices):
     """Raise DimensionMismatch unless each 1-based index is an int (not a
     bool) that names a generator of h."""
@@ -93,7 +87,7 @@ def _require_generators(h, *indices):
 
 def generator_bracket(h, i, j):
     """{u_i lambda u_j} for 1-based generator indices: the operator H_ji as its symbol."""
-    h = _as_matrix(h)
+    h = dop.as_matrix(h)
     _require_skew(h)
     _require_generators(h, i, j)
     return h.entries[j - 1][i - 1]
@@ -185,7 +179,7 @@ class _BracketTable:
 
 def bracket_with_function(h, i, g):
     """{u_i lambda g} for a differential function g and a 1-based generator index i."""
-    h = _as_matrix(h)
+    h = dop.as_matrix(h)
     _require_skew(h)
     _require_generators(h, i)
     return _BracketTable(h).gen_fun(i, g)
@@ -193,7 +187,7 @@ def bracket_with_function(h, i, g):
 
 def lambda_bracket(h, f, g):
     """{f lambda g} = sum_k D_{g,k} . {f lambda u_k}, by the master formula."""
-    h = _as_matrix(h)
+    h = dop.as_matrix(h)
     _require_skew(h)
     table = _BracketTable(h)
     acc = dop.accumulators()
@@ -205,7 +199,7 @@ def lambda_bracket(h, f, g):
 
 def jacobiator(h, i, j, k):
     """The PVA Jacobi defect of three generators, as a lambda-mu polynomial."""
-    h = _as_matrix(h)
+    h = dop.as_matrix(h)
     _require_skew(h)
     _require_generators(h, i, j, k)
     return dop.SparsePoly.from_acc(_BracketTable(h).jacobiator(i, j, k))
@@ -229,7 +223,7 @@ def is_poisson(h):
     rest, because a jacobiator vanishes exactly when that of any
     permutation of its triple does (see the module docstring).
     """
-    h = _as_matrix(h)
+    h = dop.as_matrix(h)
     _require_skew(h)
     return _jacobi_holds(h)
 
@@ -243,8 +237,8 @@ def is_compatible(h, k):
     is when h, h + k and k are Poisson.  h and k are checked to be skew
     once: the adjoint is linear, so every pencil member is skew too.
     """
-    h = _as_matrix(h)
-    k = _as_matrix(k)
+    h = dop.as_matrix(h)
+    k = dop.as_matrix(k)
     _require_skew(h)
     _require_skew(k)
     if h.shape != k.shape:
@@ -254,7 +248,7 @@ def is_compatible(h, k):
 
 def poisson_bracket(f, g, h):
     """{integral f, integral g} = integral of (gradient g) . H (gradient f)."""
-    h = _as_matrix(h)
+    h = dop.as_matrix(h)
     _require_skew(h)
     n, _ = h.shape
     xf = vc.variational_derivative(f, n)
@@ -264,7 +258,7 @@ def poisson_bracket(f, g, h):
 
 def hamiltonian_flow(h, f):
     """The evolutionary vector field H applied to the gradient of f."""
-    h = _as_matrix(h)
+    h = dop.as_matrix(h)
     _require_skew(h)
     n, _ = h.shape
     return dop.apply(h, vc.variational_derivative(f, n))

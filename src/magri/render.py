@@ -20,16 +20,11 @@ import re
 
 from . import diffalg as da
 from . import diffop as dop
-from .diffalg import DiffFunction, LOG_VAR, QQ, U, V
+from .diffalg import DiffFunction, LOG_VAR, QQ, VAR_NAMES
 from .errors import ExprSyntaxError, MagriError
 
-_NAME = {U: "u", V: "v", LOG_VAR: "log"}
-_CODE = {"u": U, "v": V, "log": LOG_VAR}
+_CODE = {name: code for code, name in enumerate(VAR_NAMES)}
 _LONG_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
-
-
-def _frac_str(c):
-    return da.frac_text(c.numerator, c.denominator)
 
 
 def function_to_json(f):
@@ -38,9 +33,8 @@ def function_to_json(f):
     out = []
     for key, num, den in da.text_terms(f):
         it = iter(key)
-        out.append(
-            {"c": da.frac_text(num, den), "m": [[_NAME[v], n, e] for v, n, e in zip(it, it, it)]}
-        )
+        mono = [[VAR_NAMES[v], n, e] for v, n, e in zip(it, it, it)]
+        out.append({"c": da.frac_text(num, den), "m": mono})
     return out
 
 
@@ -132,7 +126,7 @@ def _write_function(write, f, indent):
                 if text is None:
                     var, order, exp = gen
                     text = gens[gen] = (
-                        f'[\n{i4}"{_NAME[var]}",\n{i4}{order},\n{i4}{exp}\n{i3}]'
+                        f'[\n{i4}"{VAR_NAMES[var]}",\n{i4}{order},\n{i4}{exp}\n{i3}]'
                     )
                 texts.append(text)
             write(sep + c + open_m + gen_sep.join(texts) + close_m)
@@ -234,9 +228,7 @@ def scalar_op_from_json(data):
 def operator_to_json(h, fun=function_to_json):
     """The JSON form of h, each coefficient written by ``fun`` (as for
     :func:`run_to_json`)."""
-    if isinstance(h, dop.ScalarDiffOp):
-        h = dop.MatrixDiffOp([[h]])
-    return [[scalar_op_to_json(e, fun) for e in row] for row in h.entries]
+    return [[scalar_op_to_json(e, fun) for e in row] for row in dop.as_matrix(h).entries]
 
 
 def operator_from_json(data):
@@ -284,7 +276,7 @@ def _gen_latex(var, order, exp):
     if var == LOG_VAR:
         base, atomic = r"\log v", False
     else:
-        name = _NAME[var]
+        name = VAR_NAMES[var]
         if order == 0:
             base, atomic = name, True
         elif order <= 2:

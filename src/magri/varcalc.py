@@ -14,6 +14,8 @@ raises NoSolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+
 from . import diffalg as da
 from . import diffop as dop
 from . import linsolve
@@ -30,16 +32,21 @@ from .errors import DimensionMismatch, MagriError, NoSolution, NotClosed
 def variational_derivative(f, nvars=2):
     """The vector of Euler derivatives of a density.
 
-    Accepts a DiffFunction or a LocalFunctional; the representative is
-    irrelevant because the Euler operators kill total derivatives, and a
-    functional gives the gradient it holds (that of
-    :func:`integrate_exact`, checked exactly), or computes it from its
-    representative once.  The ring has no jets of a field j > 1, so those
-    components are zero.
+    Accepts a DiffFunction, a LocalFunctional or a constant (an int or a
+    Fraction, whose gradient is zero), and raises MagriError for anything
+    else.  The representative is irrelevant because the Euler operators
+    kill total derivatives, and a functional gives the gradient it holds
+    (that of :func:`integrate_exact`, checked exactly), or computes it
+    from its representative once.  The ring has no jets of a field
+    j > 1, so those components are zero.
     """
     if isinstance(f, LocalFunctional):
         grad = f.variational_gradient()
         return tuple(grad[var] if var in (U, V) else ZERO for var in range(nvars))
+    if isinstance(f, (int, Fraction)):
+        return (ZERO,) * nvars
+    if not isinstance(f, DiffFunction):
+        raise MagriError(f"a density is a function or a functional, not {type(f).__name__}")
     return tuple(da.euler_derivative(f, var) if var in (U, V) else ZERO for var in range(nvars))
 
 
@@ -137,7 +144,7 @@ def _poly_homotopy(vec):
     Valid when every component stays polynomial (no negative v powers,
     no log); each monomial m of F_i contributes x_i * m / (deg m + 1).
     """
-    return da.dot((da.u_jet(0), da.v_jet(0)), [_homotopy(f) for f in vec])
+    return da.dot((da.u_jet(0), da.v_jet(0))[: len(vec)], [_homotopy(f) for f in vec])
 
 
 def _u_homotopy(f):

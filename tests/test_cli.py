@@ -358,6 +358,18 @@ def test_verify_compatible_builtin_pair(capsys):
     assert out.strip() == "COMPATIBLE"
 
 
+def test_builtin_structures_are_the_recursion_pair(capsys, monkeypatch):
+    # --builtin with one structure or two reads the pair the recursion uses
+    seen = []
+    monkeypatch.setattr(pva, "is_poisson", lambda h: seen.append((h,)) or True)
+    monkeypatch.setattr(pva, "is_compatible", lambda h, k: seen.append((h, k)) or True)
+    for argv in (("verify-poisson", "--builtin", "h0"), ("verify-poisson", "--builtin", "h1")):
+        assert _run(capsys, *argv)[:2] == (0, "POISSON\n")
+    assert _run(capsys, "verify-compatible", "--builtin")[:2] == (0, "COMPATIBLE\n")
+    want = [(lenard.H0,), (lenard.H1,), (lenard.H0, lenard.H1)]
+    assert [list(map(id, ops)) for ops in seen] == [list(map(id, ops)) for ops in want]
+
+
 def test_verify_compatible_detects_a_broken_pencil(capsys):
     code, out, _ = _run(
         capsys,
@@ -1328,7 +1340,10 @@ def test_function_to_json_leaves_the_terms_cache_empty():
         assert f._terms is None
     for f, tree in zip(fs, trees):
         want = [
-            {"c": render._frac_str(c), "m": [[render._NAME[v], n, e] for v, n, e in mono]}
+            {
+                "c": da.frac_text(c.numerator, c.denominator),
+                "m": [[da.VAR_NAMES[v], n, e] for v, n, e in mono],
+            }
             for mono, c in f.terms
         ]
         assert tree == want

@@ -24,7 +24,7 @@ from magri.diffalg import (
     V,
     ZERO,
 )
-from magri.errors import ExponentOverflow, MagriError
+from magri.errors import DimensionMismatch, ExponentOverflow, MagriError
 
 rng_strategy = st.integers(min_value=0, max_value=10**9).map(random.Random)
 
@@ -85,13 +85,13 @@ def test_total_derivative_is_a_derivation(a, b):
 
 def test_total_derivative_keeps_the_tower_on_the_value(monkeypatch):
     calls = []
-    dx_into = da._dx_into
+    dx_into = da.add_derivative_into
 
     def counting(acc, f):
         calls.append(f)
         return dx_into(acc, f)
 
-    monkeypatch.setattr(da, "_dx_into", counting)
+    monkeypatch.setattr(da, "add_derivative_into", counting)
     u, v = da.u_jet(0), da.v_jet(0)
     f = u * u * da.v_pow(-1) + da.log_v() * v
     d3 = da.total_derivative(f, 3)
@@ -1225,7 +1225,7 @@ def _round_by_round_antiderivative(f):
             p = da._integrate_in_generator(top, var, n - 1)
             da.add_into(g, p)
             d = da.Accumulator(work._t, work._den)
-            da._dx_into(d, p, -1)
+            da.add_derivative_into(d, p, -1)
             work = da.DiffFunction.from_acc(d)
         g = da.DiffFunction.from_acc(g)
     except ExponentOverflow:
@@ -1356,3 +1356,34 @@ def test_jets_take_only_int_orders_and_exponents():
         assert shown in str(info.value)
     with pytest.raises(MagriError, match="negative jet order"):
         da.u_jet(-1)
+
+
+def test_dot_refuses_vectors_of_unequal_lengths():
+    u, v = da.u_jet(0), da.v_jet(0)
+    # it used to stop at the shorter vector: dot((u,), (u, v)) was u^2
+    for a, b in (((u,), (u, v)), ((u, v), (u,)), ((), (u,))):
+        with pytest.raises(DimensionMismatch):
+            da.dot(a, b)
+    assert da.dot((u, v), (v, da.log_v())) == u * v + v * da.log_v()
+    assert da.dot((), ()) == ZERO
+
+
+def test_dx_mono_reads_through_the_field_loop(monkeypatch):
+    # a miss fills its entry from the one loop that reads a monomial's
+    # factors, on the one-term operand of the monomial alone
+    monkeypatch.setattr(da, "_DX_MONO", {})
+    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    calls = []
+    fields_into = da._dx_fields_into
+
+    def counting(d, terms, k, low=2):
+        calls.append((terms, low))
+        return fields_into(d, terms, k, low)
+
+    monkeypatch.setattr(da, "_dx_fields_into", counting)
+    m = da.pack_mono(((U, 3, 1), (V, 0, -2), (V, 5, 2), (LOG_VAR, 0, 1)))
+    entry = da._dx_mono(m)
+    # read from the lowest jet of m, u^(3) in slot 8
+    assert calls == [(((m, 1),), 8)]
+    assert [e for _step, e in entry] == [1, -2, 1, 2]
+    assert da._dx_mono(m) is entry and len(calls) == 1

@@ -81,13 +81,13 @@ def test_apply_differentiates_each_vector_once(monkeypatch):
     first = dop.apply(expanded, v)
     assert dop.apply(h1, v) == first
     calls = []
-    dx_into = da._dx_into
+    dx_into = da.add_derivative_into
 
     def counting(acc, f):
         calls.append(f)
         return dx_into(acc, f)
 
-    monkeypatch.setattr(da, "_dx_into", counting)
+    monkeypatch.setattr(da, "add_derivative_into", counting)
     # through its entries, a second application reads every derivative of
     # v from the towers kept on its components
     assert dop.apply(expanded, v) == first
@@ -252,3 +252,25 @@ def test_factored_apply_matches_the_expanded_entries():
         assert dop.apply(ab, x) == dop.apply(a, dop.apply(b, x)) == dop.apply(a * b, x)
     with pytest.raises(DimensionMismatch):
         dop.apply(h1, (da.ONE,))
+
+
+def test_a_matrix_operator_is_false_exactly_when_every_entry_is_zero():
+    zero = dop.ScalarDiffOp()
+    assert not dop.MatrixDiffOp([[zero]])
+    assert not dop.MatrixDiffOp([[zero, zero], [zero, zero]])
+    assert dop.MatrixDiffOp([[zero, zero], [zero, dop.D]])
+    assert dop.MatrixDiffOp([[dop.multiplication(da.log_v())]])
+    h0, h1 = dop.builtin_pair()
+    assert h0 and h1 and not (h1 - h1) and not h0 * 0
+    # as a ScalarDiffOp and a DiffFunction are
+    assert not zero and not da.ZERO
+
+
+def test_a_scalar_operator_is_promoted_to_one_by_one():
+    a = dop.D * dop.multiplication(da.u_jet(0))
+    m = dop.as_matrix(a)
+    assert m.shape == (1, 1) and m.entries[0][0] is a
+    h0, _h1 = dop.builtin_pair()
+    assert dop.as_matrix(h0) is h0
+    f = da.v_jet(2) * da.log_v()
+    assert dop.apply(a, (f,)) == dop.apply(m, (f,)) == (dop.apply_scalar(a, f),)

@@ -560,3 +560,28 @@ def test_run_hierarchy_proves_each_gradient_closed_once(monkeypatch):
     assert calls == [run.gradients[1]]
     with pytest.raises(NotClosed):
         lenard.lm_step(1, (da.u_jet(1), ZERO))
+
+
+def test_involutivity_report_refuses_an_empty_list_of_runs():
+    # no runs give no labels, and an empty report would pass with nothing checked
+    with pytest.raises(MagriError, match="at least one run"):
+        lenard.involutivity_report([])
+    with pytest.raises(MagriError, match="at least one run"):
+        lenard.involutivity_report(iter(()), include_flows=False)
+
+
+def test_run_hierarchy_records_log_free_densities_on_eps_0(monkeypatch):
+    # integrate_exact decides each density's gradient; the run's own check
+    # is that no eps = 0 density holds log v
+    for eps, alpha in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert lenard.run_hierarchy(eps, alpha, 1).checks["densities"] is True
+    integrate = vc.integrate_exact
+    # the same functional, through a representative that holds log v
+    exact = da.total_derivative(da.u_jet(0) * da.log_v())
+
+    def with_log(vec):
+        return LocalFunctional(integrate(vec).rep + exact)
+
+    monkeypatch.setattr(vc, "integrate_exact", with_log)
+    assert lenard.run_hierarchy(0, 1, 1).checks["densities"] is False
+    assert lenard.run_hierarchy(1, 1, 1).checks["densities"] is True

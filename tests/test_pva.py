@@ -96,7 +96,7 @@ def test_a_scalar_operator_is_decided_on_every_call(adjoint_calls):
 def test_bracket_with_function_checks_the_generator_index():
     g = da.u_jet(0) * da.v_jet(1)
     for h in (H0, dop.D):
-        n, _ = pva._as_matrix(h).shape
+        n, _ = dop.as_matrix(h).shape
         for i in (0, -1, n + 1):
             with pytest.raises(DimensionMismatch):
                 pva.bracket_with_function(h, i, g)

@@ -10,6 +10,7 @@ import sympy as sp
 import helpers
 import oracle
 import reference
+import magri
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import lenard
@@ -527,3 +528,26 @@ def test_integrate_exact_of_no_components_names_its_own_error():
         with pytest.raises(DimensionMismatch) as info:
             vc.integrate_exact(vec)
         assert str(info.value) == "a gradient here has one or two components, for u and v"
+
+
+def test_a_constant_density_has_the_zero_gradient():
+    u = da.u_jet(0)
+    for c in (3, 0, QQ(-2, 7)):
+        assert vc.variational_derivative(c) == (ZERO, ZERO)
+        assert vc.variational_derivative(c, 3) == (ZERO, ZERO, ZERO)
+        assert vc.variational_derivative(c) == vc.variational_derivative(LocalFunctional(c))
+        assert magri.poisson_bracket(c, u, lenard.H0).is_zero()
+        assert magri.poisson_bracket(u * u, c, lenard.H1).is_zero()
+    for bad in ("u", 1.5, None, (u,), dop.D):
+        with pytest.raises(MagriError, match="a density is"):
+            vc.variational_derivative(bad)
+
+
+def test_one_component_vectors_integrate_in_u():
+    # the polynomial homotopy pairs F_i with u or v; dot no longer truncates,
+    # so a one-component vector pairs with u alone
+    u = da.u_jet(0)
+    h = vc.integrate_exact((2 * u,))
+    assert h.rep == u * u
+    h = vc.integrate_exact((da.total_derivative(u, 2) * -2 + 3 * u * u,))
+    assert vc.variational_derivative(h.rep, 1) == (da.total_derivative(u, 2) * -2 + 3 * u * u,)
