@@ -1360,7 +1360,7 @@ def test_jets_take_only_int_orders_and_exponents():
 
 def test_dot_refuses_vectors_of_unequal_lengths():
     u, v = da.u_jet(0), da.v_jet(0)
-    # it used to stop at the shorter vector: dot((u,), (u, v)) was u^2
+    # zip alone would stop at the shorter vector and make dot((u,), (u, v)) u^2
     for a, b in (((u,), (u, v)), ((u, v), (u,)), ((), (u,))):
         with pytest.raises(DimensionMismatch):
             da.dot(a, b)

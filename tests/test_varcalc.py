@@ -544,8 +544,8 @@ def test_a_constant_density_has_the_zero_gradient():
 
 
 def test_one_component_vectors_integrate_in_u():
-    # the polynomial homotopy pairs F_i with u or v; dot no longer truncates,
-    # so a one-component vector pairs with u alone
+    # the polynomial homotopy pairs F_i with u or v, so a one-component
+    # vector pairs with u alone
     u = da.u_jet(0)
     h = vc.integrate_exact((2 * u,))
     assert h.rep == u * u
