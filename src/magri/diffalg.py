@@ -19,10 +19,16 @@ Slot 0 holds v, slot 1 log v, and the jets follow interleaved by order:
 u in slot 2, and for n >= 1 v^(n) in slot 2n + 1 and u^(n) in slot
 2n + 2.  The encoding is linear, so the product of two monomials is the
 sum of their ints, the factor g'/g of the total derivative is one
-integer per generator, and an exponent is read with one shift and one
-mask.  A monomial has jet orders of at most ``MAX_ORDER``: one read in
-is refused above it, and so is a derivative that would go past it,
-with an :class:`~magri.errors.ExponentOverflow`.
+integer per generator, and one exponent is read with one shift and one
+mask (:func:`mono_exp`).  A whole monomial is read through one view,
+:func:`_fields`, of the fields of m + ``_OFF``, lowest first: slot 0 is
+v, slot 1 log v, ``x[2::2]`` holds u^(n) and ``x[3::2]`` v^(n+1).  The
+decoders :func:`flat_mono`, :func:`mono_weight` and :func:`mono_degree`
+and the total-derivative loop all read it, once per monomial, so
+decoding is linear in the top jet order.  A monomial has jet orders of
+at most ``MAX_ORDER``: one read in is refused above it, and so is a
+derivative that would go past it, with an
+:class:`~magri.errors.ExponentOverflow`.
 
 The v field, in slot 0, is the only signed one; a negative exponent
 borrows from the fields above it, which is why v sits in the lowest
@@ -32,11 +38,14 @@ must stay in range: 0 <= e <= ``MAX_EXP`` = 2^(W-1) - 1 for every field
 but v, and ``MIN_V_EXP`` <= e <= ``MAX_V_EXP`` (+-2^(W-2)) for v.  The
 sum of two in-range monomials, or a monomial shifted by one g'/g,
 stays exact, and an exponent out of range sets the top bit of a field
-once ``_OFF`` is added (or makes the sum negative).  So the range is
-checked once per distinct result monomial, where a sum of products is
-made canonical (:meth:`DiffFunction.from_acc`), never per product; an
-exponent out of range raises :class:`~magri.errors.ExponentOverflow`, a
-``MagriError``, and never yields a wrong monomial.
+once ``_OFF`` is added (or makes the sum negative).  One constant mask,
+``_GUARD``, holds the top bit of every field that a monomial of jet
+order at most ``MAX_ORDER`` has, and :func:`_check_range` tests the OR
+of its monomials against it.  So the range is checked once per distinct
+result monomial, where a sum of products is made canonical
+(:meth:`DiffFunction.from_acc`), never per product; an exponent out of
+range raises :class:`~magri.errors.ExponentOverflow`, a ``MagriError``,
+and never yields a wrong monomial.
 
 A :class:`DiffFunction` holds a tuple of (packed monomial, int numerator)
 pairs sorted by the monomial, with no zero numerators, and one positive
@@ -98,8 +107,7 @@ log v has weight 0.
 A factor g^e of a monomial m contributes e * m * g'/g to its total
 derivative, and g'/g is one packed int per slot: ``_DX_V`` for v,
 ``_DX_LOG`` for log v and ``_DX_STEP`` times the unit of the slot for
-a jet.  The factors of m are read off the fields of m + ``_OFF`` by
-:func:`_fields`, one view of its 16-bit fields, lowest first, on a
+a jet.  The factors of m are read off its view :func:`_fields`, on a
 host of either byte order, by one loop, :func:`_dx_fields_into`.
 Every total derivative, those of :func:`antiderivative` included, is
 taken by one kernel, :func:`add_derivative_into`, which picks one of
@@ -177,7 +185,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import gcd, lcm
 from operator import itemgetter, or_
 
@@ -199,11 +207,10 @@ _LOG = 1 << EXP_BITS  # log v to the first power
 
 # The highest jet order a monomial holds; the chains reach 37.  pack_mono
 # and the text parser refuse a higher order where it is read, and every
-# other new monomial passes _check_range or _check_mono, which refuse a
-# field above the slot of u^(MAX_ORDER), so a derivative cannot go past
-# it either and every value reads back.  flat_mono shifts the whole int
-# once per field, quadratic in the top order: at this bound varder
-# "u^(4096)*v" takes half a second.
+# other new monomial passes _check_range, which refuses a field above the
+# slot of u^(MAX_ORDER), so a derivative cannot go past it either and
+# every value reads back.  Each decoder reads a monomial's fields once,
+# through one view (_fields), so decoding is linear in the top order.
 MAX_ORDER = 4096
 
 # The memo of total derivatives of monomials, _DX_MONO, and its pair table
@@ -234,12 +241,6 @@ def _slot(var, order):
     if var == V:
         return 2 * order + 1 if order else 0
     return 1
-
-
-@lru_cache(maxsize=64)
-def _guard(nfields):
-    """The mask of the top bit of each of the lowest ``nfields`` fields."""
-    return ((1 << EXP_BITS * nfields) - 1) // _MASK << (EXP_BITS - 1)
 
 
 def pack_mono(mono):
@@ -284,26 +285,18 @@ def flat_mono(m):
     As sort keys, flat tuples order monomials as their tuple forms do,
     and they compare in about half the time.
     """
-    x = m + _OFF
-    e = (x & _MASK) - _OFF
-    vs = [V, 0, e] if e else []
-    x >>= EXP_BITS
-    log = x & _MASK
-    x >>= EXP_BITS
+    x = _fields(m + _OFF)
     us = []
-    n = 0
-    while x:  # u^(n) in slot 2n + 2, then v^(n + 1) in slot 2n + 3
-        e = x & _MASK
+    for n, e in enumerate(x[2::2]):  # u^(n) in slot 2n + 2
         if e:
             us += U, n, e
-        x >>= EXP_BITS
-        n += 1
-        e = x & _MASK
+    e = x[0] - _OFF
+    vs = [V, 0, e] if e else []
+    for n, e in enumerate(x[3::2], 1):  # v^(n) in slot 2n + 1
         if e:
             vs += V, n, e
-        x >>= EXP_BITS
-    if log:
-        vs += LOG_VAR, 0, log
+    if x[1]:
+        vs += LOG_VAR, 0, x[1]
     return tuple(us + vs)
 
 
@@ -481,8 +474,10 @@ def _df(pairs, den=1):
 
 
 # m + _OFF has at most this many bits for a monomial m of jet orders of at
-# most MAX_ORDER, whose top field is that of u^(MAX_ORDER)
+# most MAX_ORDER, whose top field is that of u^(MAX_ORDER); _GUARD holds the
+# top bit of each of those fields, which an exponent out of range sets
 _MAX_BITS = EXP_BITS * (2 * MAX_ORDER + 3)
+_GUARD = ((1 << _MAX_BITS) - 1) // _MASK << (EXP_BITS - 1)
 
 
 def _overflow(bits=0):
@@ -504,17 +499,7 @@ def _check_range(monos):
     # an exponent out of range sets the top bit of a field of m + _OFF,
     # or makes m + _OFF negative (see the module docstring)
     bits = reduce(or_, map(_OFF.__add__, monos), 0)
-    n = bits.bit_length()
-    if bits < 0 or n > _MAX_BITS or bits & _guard(-(-n // EXP_BITS)):
-        raise _overflow(bits)
-
-
-def _check_mono(m):
-    """Raise ExponentOverflow unless the packed monomial m, a sum of two
-    in-range monomials, is in range: :func:`_check_range` for one monomial."""
-    bits = m + _OFF
-    n = bits.bit_length()
-    if bits < 0 or n > _MAX_BITS or bits & _guard(-(-n // EXP_BITS)):
+    if bits < 0 or bits.bit_length() > _MAX_BITS or bits & _GUARD:
         raise _overflow(bits)
 
 
@@ -528,7 +513,7 @@ def _mono_power(m, n):
     """
     e = ((m + _OFF) & _MASK) - _OFF  # the power of v
     rest = (m - e) >> EXP_BITS  # the other fields, each in [0, MAX_EXP]
-    top = _guard(-(-rest.bit_length() // EXP_BITS))
+    top = _GUARD & ((1 << rest.bit_length() + EXP_BITS) - 1)
     # a field f of rest has f * n > MAX_EXP exactly when f + MAX_EXP - MAX_EXP // n
     # sets its top bit; that sum stays below 2^EXP_BITS, so nothing carries
     bump = (top >> (EXP_BITS - 1)) * (MAX_EXP - MAX_EXP // n)
@@ -748,6 +733,16 @@ def const(q):
     return _term(0, q)
 
 
+def as_function(f):
+    """f as a DiffFunction: f itself, or the constant f for an int or a
+    Fraction; anything else raises MagriError."""
+    if isinstance(f, DiffFunction):
+        return f
+    if isinstance(f, (int, Fraction)):
+        return const(f)
+    raise MagriError(f"a differential function or a constant, not {type(f).__name__}")
+
+
 def jet(var, order, exp=1):
     """The generator (var, order) raised to ``exp``.
 
@@ -915,6 +910,7 @@ def total_derivative(f, n=1):
     itself, which ends the walk.  An ``n`` that is not a nonnegative int
     (a bool included) raises MagriError.
     """
+    f = as_function(f)
     if type(n) is not int or n < 0:
         raise MagriError("the order of a total derivative must be a nonnegative integer")
     for _ in range(n):
@@ -947,6 +943,7 @@ def partial_derivative(f, gen):
     extended ring.  No value holds a jet of order above ``MAX_ORDER``, so
     the derivative by one is ZERO.
     """
+    f = as_function(f)
     var, order = gen
     if isinstance(var, str) and var in VAR_NAMES:
         var = VAR_NAMES.index(var)
@@ -1036,6 +1033,7 @@ def partial_derivatives(f, var):
     pass over f sorts its terms by the jets they hold, and each partial
     then reads only its own terms.
     """
+    f = as_function(f)
     var = _field(var)
     buckets = _partial_buckets(f, var)
     return [DiffFunction.from_acc(_partial_acc(b, var, k, f._den)) for k, b in enumerate(buckets)]
@@ -1048,6 +1046,7 @@ def max_order(f, var=None):
     since it depends on v.  ``var`` is None for every jet, or one field,
     U, V, "u" or "v"; anything else raises MagriError.
     """
+    f = as_function(f)
     if var is not None:
         var = _field(var)
     has_v = False
@@ -1075,15 +1074,12 @@ def max_order(f, var=None):
 def differential_order(f):
     """Max jet order with a nonvanishing partial derivative.
 
-    Accepts a DiffFunction or a sequence of them; returns None when no
-    generator appears at all (the order of a constant is minus infinity).
+    Accepts a function or a constant (see :func:`as_function`), or a
+    tuple or list of them; returns None when no generator appears at all
+    (the order of a constant is minus infinity).
     """
-    if isinstance(f, DiffFunction):
-        comps = (f,)
-    else:
-        comps = tuple(f)
     best = None
-    for g in comps:
+    for g in f if isinstance(f, (tuple, list)) else (f,):
         o = max_order(g)
         if o is not None and (best is None or o > best):
             best = o
@@ -1102,28 +1098,21 @@ INHOMOGENEOUS = _Inhomogeneous()
 
 def mono_weight(m):
     """Weight of a packed monomial: order + 2 per jet factor, 0 for log v."""
-    x = m + _OFF
-    w = 2 * ((x & _MASK) - _OFF)
-    x >>= 2 * EXP_BITS  # log v weighs 0
-    s = 2
-    while x:  # slots 2, 3, 4, 5, ... hold u, v', u', v'', ... of weight 2, 3, 3, 4, ...
-        w += (x & _MASK) * ((s + 1) // 2 + 1)
-        x >>= EXP_BITS
-        s += 1
+    x = _fields(m + _OFF)
+    w = 2 * (x[0] - _OFF)  # log v, in slot 1, weighs 0
+    for s, e in enumerate(x[2:], 2):  # u, v', u', v'', ... weigh 2, 3, 3, 4, ...
+        if e:
+            w += (s + 3) // 2 * e
     return w
 
 
 def mono_degree(m, var=None):
     """The sum of the exponents of the jets of ``var`` in a packed
     monomial, or of every generator, log v included, when ``var`` is None."""
-    x = m + _OFF
-    deg = 0 if var == U else (x & _MASK) - _OFF
-    skip, step = {None: (1, 1), U: (2, 2), V: (3, 2)}[var]
-    x >>= EXP_BITS * skip  # past v, and past log v unless var is None
-    while x:  # every field, or every other one: u^(n) and v^(n+1) alternate
-        deg += x & _MASK
-        x >>= EXP_BITS * step
-    return deg
+    x = _fields(m + _OFF)
+    if var == U:
+        return sum(x[2::2])
+    return x[0] - _OFF + sum(x[1:] if var is None else x[3::2])
 
 
 def weight(f):
@@ -1132,6 +1121,7 @@ def weight(f):
     Jets of order n weigh n + 2, v^-1 weighs -2, log v weighs 0.  The
     zero function counts as homogeneous of weight 0.
     """
+    f = as_function(f)
     w = None
     for m, _ in f._t:
         mw = mono_weight(m)
@@ -1154,6 +1144,7 @@ def homogeneous_parts(f, grade=mono_weight):
 
 def min_v_exponent(f):
     """Smallest exponent of v^0 over all monomials (0 for zero/absent)."""
+    f = as_function(f)
     best = 0
     for m, _ in f._t:
         e = ((m + _OFF) & _MASK) - _OFF
@@ -1236,6 +1227,7 @@ def _mono_in(m, lo, hi, affine):
 
 def subalgebra_member(f, tag):
     """Exact membership test for the tagged subspace."""
+    f = as_function(f)
     bounds = tag.bounds
     return all(_mono_in(m, *bounds) for m, _ in f._t)
 
@@ -1299,6 +1291,7 @@ def euler_derivative(f, var):
     in its own dict, from its own terms, only when its turn comes, and
     the derivative of acc is subtracted straight into it.
     """
+    f = as_function(f)
     var = _field(var)
     buckets = _partial_buckets(f, var)
     acc = ZERO
@@ -1342,6 +1335,7 @@ def is_total_derivative(f):
     as on v^-16384*v'*v'', ExponentOverflow is raised: the ring cannot
     decide.
     """
+    f = as_function(f)
     try:
         return antiderivative(f) is not None
     except ExponentOverflow:
@@ -1447,6 +1441,7 @@ def antiderivative(f, tag=None):
     every other tag is its own target; scaled_plus has no target and
     raises MagriError.
     """
+    f = as_function(f)
     g = Accumulator()  # the primitive so far
     rest = Accumulator(f._t, f._den)  # what is left
     d = rest.d
@@ -1534,11 +1529,7 @@ class LocalFunctional:
     __slots__ = ("rep", "_key")
 
     def __init__(self, rep):
-        if isinstance(rep, (int, Fraction)):
-            rep = const(rep)
-        if not isinstance(rep, DiffFunction):
-            raise MagriError("a local functional wraps a differential function")
-        self.rep = rep
+        self.rep = as_function(rep)
         self._key = None
 
     def _invariant(self):

@@ -63,7 +63,7 @@ from .diffalg import (
     DiffFunction,
     U,
     V,
-    _check_mono,
+    _check_range,
     _df,
     _mono_power,
     _slot,
@@ -335,7 +335,7 @@ class _Parser:
                 val = _reduced(_value(val) * _value(x))
             elif val[0] and x[0]:  # as the ring forms a product of one-term factors
                 m = val[2] + x[2]
-                _check_mono(m)
+                _check_range((m,))
                 val = val[0] * x[0], val[1] * x[1], m
             else:  # the ring's product by zero makes no monomial
                 val = _ZERO

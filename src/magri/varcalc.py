@@ -43,9 +43,7 @@ def variational_derivative(f, nvars=2):
     if isinstance(f, LocalFunctional):
         grad = f.variational_gradient()
         return tuple(grad[var] if var in (U, V) else ZERO for var in range(nvars))
-    if isinstance(f, (int, Fraction)):
-        return (ZERO,) * nvars
-    if not isinstance(f, DiffFunction):
+    if not isinstance(f, (DiffFunction, int, Fraction)):
         raise MagriError(f"a density is a function or a functional, not {type(f).__name__}")
     return tuple(da.euler_derivative(f, var) if var in (U, V) else ZERO for var in range(nvars))
 
@@ -61,8 +59,9 @@ def frechet_row(f, nvars=2):
 
 
 def frechet(vec):
-    """Frechet derivative of a vector: entry (i, j) is sum_n dF_i/du_j^(n) d^n."""
-    vec = tuple(vec)
+    """Frechet derivative of a vector: entry (i, j) is sum_n dF_i/du_j^(n) d^n;
+    each component is a function or a constant (see :func:`diffalg.as_function`)."""
+    vec = tuple(map(da.as_function, vec))
     return dop.MatrixDiffOp([frechet_row(fi, len(vec)) for fi in vec])
 
 
@@ -172,8 +171,6 @@ def _solve_v_density(g, wt):
     every other block are zero.  Raises NoSolution when a block has no
     solution.
     """
-    if not g:
-        return ZERO
     base_order = da.max_order(g, V) or 0
     order_bound = max(1, (base_order + 1) // 2 + 1)
     v_floor = min(da.min_v_exponent(g) + 1, 0)
@@ -232,9 +229,10 @@ def integrate_exact(vec):
     integration fails, to tell a vector that is not a gradient
     (NotClosed, with the witness entry) from one outside the reach of
     the candidate spaces (NoSolution).  The returned functional holds
-    the components of vec themselves as its gradient, not an equal copy.
+    the components of vec themselves as its gradient, not an equal copy;
+    an int or Fraction component is its constant.
     """
-    vec = tuple(vec)
+    vec = tuple(map(da.as_function, vec))
     try:
         h = _integrate(vec)
         if variational_derivative(h, len(vec)) != vec:

@@ -9,8 +9,12 @@ read :attr:`DiffFunction.terms`, which :func:`magri.diffalg.to_text` and
 that built each round's primitive from jets, products and the recursive
 v-integral.  The tower form of the flow commutator, which
 :func:`magri.varcalc.evolutionary_commutator` used before it went
-through the higher Euler operators.  Each gives the values, errors and
-text the package gave before; the tests compare the package with them.
+through the higher Euler operators.  The shift-and-mask decoders of
+packed monomials, which :func:`magri.diffalg.flat_mono`,
+:func:`magri.diffalg.mono_weight` and :func:`magri.diffalg.mono_degree`
+were before they read the fields through one view.  Each gives the
+values, errors and text the package gave before; the tests compare the
+package with them.
 """
 
 from __future__ import annotations
@@ -19,7 +23,19 @@ from magri import diffalg as da
 from magri import diffop as dop
 from magri import render
 from magri import varcalc as vc
-from magri.diffalg import EXP_BITS, LOG_VAR, MAX_V_EXP, MIN_V_EXP, DiffFunction, U, V, _df, _slot
+from magri.diffalg import (
+    _MASK,
+    _OFF,
+    EXP_BITS,
+    LOG_VAR,
+    MAX_V_EXP,
+    MIN_V_EXP,
+    DiffFunction,
+    U,
+    V,
+    _df,
+    _slot,
+)
 from magri.errors import DimensionMismatch, ExponentError, ExprSyntaxError
 
 _NAMES = ("u", "v", "d", "D", "log")
@@ -357,3 +373,58 @@ def evolutionary_commutator(p, q):
                 da.addmul_into(acc, c, da.total_derivative(qj, n), -1)
         out.append(DiffFunction.from_acc(acc))
     return tuple(out)
+
+
+# -- the shift-and-mask decoders of packed monomials ----------------------------
+
+
+def flat_mono(m):
+    """The triples of the packed monomial m laid end to end, by one shift
+    of the whole int per field."""
+    x = m + _OFF
+    e = (x & _MASK) - _OFF
+    vs = [V, 0, e] if e else []
+    x >>= EXP_BITS
+    log = x & _MASK
+    x >>= EXP_BITS
+    us = []
+    n = 0
+    while x:  # u^(n) in slot 2n + 2, then v^(n + 1) in slot 2n + 3
+        e = x & _MASK
+        if e:
+            us += U, n, e
+        x >>= EXP_BITS
+        n += 1
+        e = x & _MASK
+        if e:
+            vs += V, n, e
+        x >>= EXP_BITS
+    if log:
+        vs += LOG_VAR, 0, log
+    return tuple(us + vs)
+
+
+def mono_weight(m):
+    """Weight of a packed monomial: order + 2 per jet factor, 0 for log v."""
+    x = m + _OFF
+    w = 2 * ((x & _MASK) - _OFF)
+    x >>= 2 * EXP_BITS  # log v weighs 0
+    s = 2
+    while x:  # slots 2, 3, 4, 5, ... hold u, v', u', v'', ... of weight 2, 3, 3, 4, ...
+        w += (x & _MASK) * ((s + 1) // 2 + 1)
+        x >>= EXP_BITS
+        s += 1
+    return w
+
+
+def mono_degree(m, var=None):
+    """The sum of the exponents of the jets of ``var`` in a packed
+    monomial, or of every generator, log v included, when ``var`` is None."""
+    x = m + _OFF
+    deg = 0 if var == U else (x & _MASK) - _OFF
+    skip, step = {None: (1, 1), U: (2, 2), V: (3, 2)}[var]
+    x >>= EXP_BITS * skip  # past v, and past log v unless var is None
+    while x:  # every field, or every other one: u^(n) and v^(n+1) alternate
+        deg += x & _MASK
+        x >>= EXP_BITS * step
+    return deg

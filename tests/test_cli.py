@@ -1511,3 +1511,82 @@ def test_one_shot_cli_output_is_pinned(capsys):
             h.update(f"{code}\n{out}\0".encode())
         got[command, form] = h.hexdigest()
     assert got == GOLDEN_CLI_SHA256
+
+
+def test_a_failed_run_check_exits_two(capsys, monkeypatch):
+    # tags that the (1,0) chain's first gradient does not lie in make the
+    # memberships check fail; the run is still written in full
+    tags = dict(lenard._GRADIENT_TAGS)
+    tags[1] = (da.V_MINUS, da.V_MINUS)
+    monkeypatch.setattr(lenard, "_GRADIENT_TAGS", tags)
+    code, out, err = _run(capsys, "hierarchy", "--eps", "1", "--alpha", "0", "--steps", "1")
+    assert (code, err) == (2, "failed checks: memberships\n")
+    data = json.loads(out)
+    assert data["checks"] == {"memberships": False, "densities": True, "casimir_pairing": True}
+    run = lenard.run_hierarchy(1, 0, 1)
+    assert render.vector_from_json(data["gradients"][1]) == run.gradients[1]
+
+
+# every refusal of the JSON readers: (reader, payload, message)
+_ONE_TERM = {"c": "1", "m": []}
+JSON_REFUSALS = [
+    ("function", {}, "function JSON must be a list of terms"),
+    ("function", [5], "each term needs 'c' and 'm'"),
+    ("function", [{"c": "1"}], "each term needs 'c' and 'm'"),
+    ("function", [{"c": 0.5, "m": []}], "bad coefficient 0.5: a coefficient is a string or an integer"),
+    ("function", [{"c": "x", "m": []}], "bad coefficient 'x'"),
+    ("function", [{"c": "1/0", "m": []}], "bad coefficient '1/0'"),
+    ("function", [{"c": "1", "m": 5}], "each term's 'm' is a list of generators"),
+    ("function", [{"c": "1", "m": [["u", 0]]}], "each generator is [name, order, exp]"),
+    ("function", [{"c": "1", "m": [["w", 0, 1]]}], "unknown generator name 'w'"),
+    (
+        "function",
+        [{"c": "1", "m": [["u", 0.5, 1]]}],
+        "bad generator ['u', 0.5, 1]: order and exponent must be integers",
+    ),
+    ("function", [{"c": "1", "m": [["u", 0, -1]]}], "negative exponent on u^(0)"),
+    ("vector", {}, "vector JSON must be a list of functions"),
+    ("scalar_op", {}, "operator entry JSON must be a list of {'k', 'c'}"),
+    ("scalar_op", [{"k": 0}], "each operator term needs 'k' and 'c'"),
+    ("scalar_op", [{"k": "1", "c": [_ONE_TERM]}], "operator order must be an integer, got '1'"),
+    ("scalar_op", [{"k": -1, "c": [_ONE_TERM]}], "operator order must be nonnegative"),
+    ("operator", [], "operator JSON must be a nonempty matrix"),
+    ("operator", {}, "operator JSON must be a nonempty matrix"),
+    ("operator", [5], "each operator row is a list of entries"),
+    ("operator", [[[]], [[], []]], "operator rows have unequal lengths"),
+]
+
+
+@pytest.mark.parametrize("reader, payload, message", JSON_REFUSALS)
+def test_json_readers_refuse_each_malformed_payload(capsys, tmp_path, reader, payload, message):
+    with pytest.raises(ExprSyntaxError) as info:
+        getattr(render, f"{reader}_from_json")(payload)
+    assert (str(info.value), info.value.line, info.value.col) == (message, None, None)
+    # every reader but the vector's is reached from an --op file
+    op = {
+        "function": lambda p: [[[{"k": 0, "c": p}]]],
+        "scalar_op": lambda p: [[p]],
+        "operator": lambda p: p,
+    }.get(reader)
+    if op is not None:
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(op(payload)))
+        code, out, err = _run(capsys, "verify-poisson", "--op", str(path))
+        assert (code, out, err) == (4, "", f"SYNTAX_ERROR: {message}\n")
+
+
+def test_high_jet_orders_decode_in_linear_time(capsys):
+    # each decoder reads a monomial's packed fields once, through one view;
+    # one shift of the whole monomial per field made fmt of these 200 terms
+    # take seconds
+    text = " + ".join(f"u^({n})*v^({n})" for n in range(3800, 4000))
+    want = expr.parse(text)
+    for flag in ((), ("--json",), ("--latex",)):
+        t0 = time.perf_counter()
+        code, out, err = _run(capsys, "fmt", *flag, text)
+        assert time.perf_counter() - t0 < 1, flag
+        assert (code, err) == (0, ""), flag
+        if flag == ("--json",):
+            assert render.function_from_json(json.loads(out)) == want
+        elif not flag:
+            assert expr.parse(out) == want

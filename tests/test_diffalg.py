@@ -1387,3 +1387,102 @@ def test_dx_mono_reads_through_the_field_loop(monkeypatch):
     assert calls == [(((m, 1),), 8)]
     assert [e for _step, e in entry] == [1, -2, 1, 2]
     assert da._dx_mono(m) is entry and len(calls) == 1
+
+
+def _decoder_monomials():
+    # seeded Laurent and log monomials with jets up to order 40, every
+    # monomial of a chain, and the extremes of each field
+    rng = random.Random(42)
+    monos = set()
+    while len(monos) < 20000:
+        top = rng.choice((0, 1, 3, 8, 40))
+        mono = [(rng.choice((U, V)), rng.randint(0, top), rng.randint(1, 40)) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            mono.append((V, 0, rng.randint(-40, -1)))
+        if rng.random() < 0.3:
+            mono.append((LOG_VAR, 0, rng.randint(1, 5)))
+        monos.add(da.pack_mono(mono))
+    run = magri.run_hierarchy(1, 1, 2)
+    for vec in run.gradients + run.flows:
+        monos.update(m for f in vec for m, _c in f._t)
+    for mono in (
+        ((V, 0, da.MIN_V_EXP),),
+        ((V, 0, da.MAX_V_EXP),),
+        ((LOG_VAR, 0, da.MAX_EXP),),
+        ((LOG_VAR, 0, 3), (V, 0, -2), (U, 0, 1)),
+        ((U, da.MAX_ORDER, 1), (V, 0, 1)),
+        ((V, da.MAX_ORDER, da.MAX_EXP), (U, 0, da.MAX_EXP), (V, 0, da.MIN_V_EXP)),
+    ):
+        monos.add(da.pack_mono(mono))
+    return sorted(monos)
+
+
+def test_decoders_read_one_view_as_the_shift_loops_did():
+    # flat_mono, mono_weight and mono_degree read the fields of a monomial
+    # through _fields, once; the shift-and-mask loops they replaced are the
+    # reference, on every field, sign and jet order
+    monos = _decoder_monomials()
+    assert len(monos) > 20000
+    for m in monos:
+        assert da.flat_mono(m) == reference.flat_mono(m), m
+        assert da.mono_weight(m) == reference.mono_weight(m), m
+        for var in (None, U, V):
+            assert da.mono_degree(m, var) == reference.mono_degree(m, var), (m, var)
+
+
+def test_one_guard_mask_bounds_every_field():
+    # _GUARD holds the top bit of each field up to that of u^(MAX_ORDER):
+    # an exponent out of range in any of them is refused, and a field
+    # above them is a jet order out of range
+    assert da._GUARD.bit_length() == da._MAX_BITS
+    top = da.pack_mono(((U, da.MAX_ORDER, da.MAX_EXP),))
+    da._check_range((top, da.MIN_V_EXP, da.MAX_V_EXP))
+    for m in (top + (1 << da._MAX_BITS - da.EXP_BITS), da.MAX_V_EXP + 1, da.MIN_V_EXP - 1):
+        with pytest.raises(ExponentOverflow, match="an exponent left its range"):
+            da._check_range((0, m))
+    with pytest.raises(ExponentOverflow, match="a jet order left its range"):
+        da._check_range((1 << da._MAX_BITS,))
+    assert da._mono_power(top, 1) == top
+    with pytest.raises(ExponentOverflow):
+        da._mono_power(top, 2)
+
+
+def _constant_calls():
+    # each routine of the ring on a constant c, and whether it takes a vector
+    from magri import varcalc as vc
+
+    return [
+        ("euler_derivative", lambda c: da.euler_derivative(c, U)),
+        ("total_derivative", lambda c: da.total_derivative(c)),
+        ("partial_derivative", lambda c: da.partial_derivative(c, (U, 0))),
+        ("partial_derivatives", lambda c: da.partial_derivatives(c, V)),
+        ("antiderivative", lambda c: da.antiderivative(c)),
+        ("is_total_derivative", lambda c: da.is_total_derivative(c)),
+        ("integrate_exact", lambda c: vc.integrate_exact((c,))),
+        ("frechet", lambda c: vc.frechet((c,))),
+        ("is_closed", lambda c: vc.is_closed((c,))),
+        ("max_order", lambda c: da.max_order(c)),
+        ("weight", lambda c: da.weight(c)),
+        ("min_v_exponent", lambda c: da.min_v_exponent(c)),
+        ("subalgebra_member", lambda c: da.subalgebra_member(c, da.V_PLUS)),
+        ("differential_order", lambda c: da.differential_order(c)),
+    ]
+
+
+def _result(call, c):
+    try:
+        return "value", call(c)
+    except MagriError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name, call", _constant_calls(), ids=[n for n, _c in _constant_calls()])
+def test_ring_routines_take_a_constant_as_its_function(name, call):
+    # an int or a Fraction is its constant, as LocalFunctional and
+    # variational_derivative take it; anything else is a MagriError, not
+    # an AttributeError or a TypeError
+    for c in (3, QQ(1, 2), 0):
+        assert _result(call, c) == _result(call, da.const(c)), c
+    for bad in ("u", 1.5, None):
+        with pytest.raises(MagriError, match="a differential function or a constant"):
+            call(bad)

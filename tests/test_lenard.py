@@ -585,3 +585,17 @@ def test_run_hierarchy_records_log_free_densities_on_eps_0(monkeypatch):
     monkeypatch.setattr(vc, "integrate_exact", with_log)
     assert lenard.run_hierarchy(0, 1, 1).checks["densities"] is False
     assert lenard.run_hierarchy(1, 1, 1).checks["densities"] is True
+
+
+@pytest.mark.parametrize("method", ["recursion", "ansatz"])
+def test_lm_step_on_the_other_structures_casimir_is_zero(method):
+    # (1, 0) lies in ker H1 and (0, 1) in ker H0, so the flow H_{1-eps} xi
+    # is zero and the step returns the zero gradient without solving
+    one = da.ONE
+    assert dop.apply(lenard.structure(1), (one, ZERO)) == (ZERO, ZERO)
+    assert lenard.lm_step(0, (one, ZERO), method) == (ZERO, ZERO)
+    assert dop.apply(lenard.structure(0), (ZERO, one)) == (ZERO, ZERO)
+    assert lenard.lm_step(1, (ZERO, one), method) == (ZERO, ZERO)
+    for grad in ((one, ZERO, ZERO), (one,)):
+        with pytest.raises(MagriError, match="gradients here have two components"):
+            lenard.lm_step(0, grad, method)
