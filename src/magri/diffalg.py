@@ -120,9 +120,11 @@ monomial up in the memo ``_DX_MONO``, whose entry is the tuple of its
 (g'/g, e) pairs, one per factor, read back off the derivative that the
 same loop takes of the monomial alone, once; those monomials recur.  A
 pair is one object, kept in ``_DX_PAIRS`` and shared by every entry
-with that factor, so an entry costs its tuple and its dict slot: about
-130 bytes with the key.  Both tables are cleared together when the
-memo reaches ``MEMO_CAP`` entries.
+with that factor, so an entry costs its key, its tuple and its dict
+slot: about 160 bytes for a monomial of the chains.  Both tables are
+cleared together when the memo's bytes would pass ``MEMO_CAP``, each
+entry counting its key's bytes and a fixed ``_DX_ENTRY``, so lone
+high jets, whose keys are long, clear it sooner.
 
 Each value keeps its own derivative tower.  The ``_d`` slot of a
 :class:`DiffFunction` is None until :func:`total_derivative` first
@@ -186,6 +188,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import gcd, lcm
 from operator import itemgetter, or_
 
@@ -214,10 +217,16 @@ _LOG = 1 << EXP_BITS  # log v to the first power
 MAX_ORDER = 4096
 
 # The memo of total derivatives of monomials, _DX_MONO, and its pair table
-# are cleared when the memo reaches this many entries, about 34 MB at
-# 130 bytes an entry; the hierarchy benchmark's four chains leave 5,842
-# entries in it.
-MEMO_CAP = 1 << 18
+# are cleared when the memo's entries would pass this many bytes, each
+# counting the bytes of its key and _DX_ENTRY for its tuple and dict slot
+# (an entry of the chains takes about 160 bytes in all).  As counted here,
+# the calculus benchmark's queries (seed 1) leave 10,282 entries in it,
+# 1.7 MB, and the hierarchy's four chains 5,842, 1.0 MB; a key holds at
+# most the 16 KB of a monomial of jet order MAX_ORDER, and the Euler
+# derivative of u^(4096)*v alone filled 36 MB when the cap counted 2^18
+# entries.
+MEMO_CAP = 1 << 23
+_DX_ENTRY = 120
 
 # An operand of more than this many terms is differentiated straight off
 # its packed fields, and one of at most this many through the memo.  When
@@ -496,9 +505,14 @@ def _check_range(monos):
     in range, its jet orders at most MAX_ORDER included; each must be a
     sum of two in-range monomials (or one shifted by a g'/g), so that no
     field has carried into the next."""
+    _check_bits(reduce(or_, map(_OFF.__add__, monos), 0))
+
+
+def _check_bits(bits):
+    """Raise ExponentOverflow unless ``bits``, the OR of m + _OFF over
+    packed monomials m, is that of monomials in range (:func:`_check_range`)."""
     # an exponent out of range sets the top bit of a field of m + _OFF,
     # or makes m + _OFF negative (see the module docstring)
-    bits = reduce(or_, map(_OFF.__add__, monos), 0)
     if bits < 0 or bits.bit_length() > _MAX_BITS or bits & _GUARD:
         raise _overflow(bits)
 
@@ -524,8 +538,17 @@ def _mono_power(m, n):
 
 def _times_term(f, g):
     """f * g for a g of one term c * m: each monomial of f shifts by m,
-    which keeps them distinct and in order."""
+    which keeps them distinct and in order; an f of one term too makes
+    its one product term with no list."""
     (m0, c0), = g._t
+    if len(f._t) == 1:
+        (m, c), = f._t
+        m += m0
+        _check_bits(m + _OFF)
+        c *= c0
+        den = f._den * g._den
+        q = gcd(c, den)
+        return _df(((m, c // q),), den // q)
     items = [(m + m0, c * c0) for m, c in f._t]
     _check_range([m for m, _c in items])
     return _canon(items, f._den * g._den)
@@ -671,7 +694,9 @@ class DiffFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not DiffFunction:  # before the ABC test of Fraction
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             k = _as_coeff(other)
             if not k:
                 return ZERO
@@ -680,8 +705,6 @@ class DiffFunction:
             return _canon(
                 [(m, c * k.numerator) for m, c in self._t], self._den * k.denominator
             )
-        if not isinstance(other, DiffFunction):
-            return NotImplemented
         if len(other._t) == 1:
             return _times_term(self, other)
         if len(self._t) == 1:
@@ -700,7 +723,9 @@ class DiffFunction:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise MagriError("powers of differential functions must be nonnegative integers")
-        if n and len(self._t) == 1:  # (c * m)^n = c^n * m^n, in closed form
+        if n and len(self._t) < 2:  # 0^n = 0 and (c * m)^n = c^n * m^n, in closed form
+            if not self._t:
+                return self
             (m, c), = self._t
             return _df(((_mono_power(m, n), c**n),), self._den**n)
         out = ONE
@@ -794,6 +819,7 @@ _DX_STEP = (1 << 2 * EXP_BITS) - 1
 
 _DX_MONO = {}
 _DX_PAIRS = {}  # each (g'/g, exponent) pair of the _DX_MONO entries, stored once
+_dx_bytes = 0  # the bytes of the _DX_MONO entries, as MEMO_CAP counts them
 
 
 def _fields(x):
@@ -809,21 +835,20 @@ def _fields(x):
     return v[::-1] if _BYTEORDER == "big" else v
 
 
-def _dx_fields_into(d, terms, k, low=2):
+def _dx_fields_into(d, terms, k):
     """Add k times the total derivative of ``terms``, a sorted tuple of
     (packed monomial, int) pairs, into the dict d, by the product rule: a
     factor g^e of a term c * m adds k * c * e at m + g'/g.
 
-    The factors are read off the fields of m + ``_OFF`` (:func:`_fields`),
-    the jets from slot ``low`` up: a caller that knows no term to hold a
-    jet below that slot passes it, so that a lone high jet costs no step
-    per empty field below it.  The monomials m + g'/g of one m come in
-    increasing order: the g'/g grow with the slot of g, except that log
-    v's is below v's.
+    The factors are read off the fields of m + ``_OFF`` (:func:`_fields`);
+    ``itertools.compress`` skips the empty jet fields, so only a jet of m
+    takes a step of this loop, and the g'/g of a jet slot is made when a
+    term first holds that jet.  The monomials m + g'/g of one
+    m come in increasing order: the g'/g grow with the slot of g, except
+    that log v's is below v's.
     """
     get = d.get
-    # the g'/g of each jet slot from low up to the top field of the last, largest m
-    steps = [_DX_STEP << EXP_BITS * s for s in range(low, len(_fields(terms[-1][0] + _OFF)))]
+    steps = {}  # the g'/g of each jet slot met so far
     for m, c in terms:
         if k != 1:
             c = c * k
@@ -836,12 +861,13 @@ def _dx_fields_into(d, terms, k, low=2):
         if e:
             dm = m + _DX_V
             d[dm] = get(dm, 0) + c * e
-        s = 0
-        for e in x[low:]:
-            if e:
-                dm = m + steps[s]
-                d[dm] = get(dm, 0) + c * e
-            s += 1
+        jets = x[2:]
+        for s, e in compress(enumerate(jets, 2), jets):
+            step = steps.get(s)
+            if step is None:
+                step = steps[s] = _DX_STEP << EXP_BITS * s
+            dm = m + step
+            d[dm] = get(dm, 0) + c * e
 
 
 def _dx_mono(m):
@@ -851,20 +877,21 @@ def _dx_mono(m):
     back off the derivative that :func:`_dx_fields_into` takes of m
     alone, as (m + g'/g - m, e) in the order it adds them.  Each pair is
     the one object of ``_DX_PAIRS`` for its value, shared by every entry
-    that holds it.
+    that holds it.  Both tables are cleared when the entry would take the
+    memo past ``MEMO_CAP`` bytes.
     """
+    global _dx_bytes
     t = _DX_MONO.get(m)
     if t is None:
         pairs = _DX_PAIRS
-        if len(_DX_MONO) >= MEMO_CAP:
+        size = sys.getsizeof(m) + _DX_ENTRY
+        if _dx_bytes + size > MEMO_CAP:
             _DX_MONO.clear()
             pairs.clear()
-        # from the lowest jet of m, as the Horner sums of Euler derivatives
-        # differentiate lone high jets
-        jets = (m + _OFF) >> 2 * EXP_BITS
-        low = 2 + ((jets & -jets).bit_length() - 1) // EXP_BITS if jets else 2
+            _dx_bytes = 0
+        _dx_bytes += size
         d = {}
-        _dx_fields_into(d, ((m, 1),), 1, low)
+        _dx_fields_into(d, ((m, 1),), 1)
         t = [(dm - m, e) for dm, e in d.items()]
         # total_derivative checks the exponents of the m + g'/g
         t = _DX_MONO[m] = tuple([pairs.setdefault(p, p) for p in t])

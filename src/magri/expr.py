@@ -31,25 +31,23 @@ only then, or when the parser raises, are the tokens walked again to
 find the line and column of the error, which count from the start of
 the whole input.
 
-A value with at most one term is kept as a triple (numerator,
-denominator, packed monomial) (see :mod:`magri.diffalg`), with a zero
-numerator for 0: a jet or log(v) is its packed unit 1 << EXP_BITS*slot,
-an integer n is (n, 1, 0), the inverse of c*v^e is read off the triple
-and a power is closed-form.  So a product of such factors is one sum of
-ints per factor and the terms of a sum go into one
-:class:`~magri.diffalg.Accumulator`; parenthesized sums, D(...) and
-operators use the ring's own arithmetic.  Products are still formed
-left to right, each exponent checked as it is made, and a zero factor
-ends the checks as the ring's product does, so an exponent that leaves
-its range raises ExponentOverflow on the same inputs, with the same
-message, as when every product went through the ring.  The parser
-before this one is kept in the tests as the reference.
+Values are ring values: every function is a
+:class:`~magri.diffalg.DiffFunction` and every operator a
+:class:`~magri.diffop.ScalarDiffOp`.  A jet or log(v) is the one-term
+function of its packed unit (see :mod:`magri.diffalg`), an integer
+literal a one-term constant, a product the ring's ``*`` and the inverse
+of c*v^e a one-term function; the terms of a sum go into one
+:class:`~magri.diffalg.Accumulator`.  Products are formed left to
+right, and the ring checks each exponent as it forms it, so an exponent
+that leaves its range raises ExponentOverflow there.  The parser's own
+guards are the coefficient-size and term-pair bounds on powers above,
+checked before the ring forms the power.  The parser before this one
+is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 import re
-from math import gcd
 
 from . import diffalg as da
 from . import diffop as dop
@@ -63,7 +61,6 @@ from .diffalg import (
     DiffFunction,
     U,
     V,
-    _check_range,
     _df,
     _mono_power,
     _slot,
@@ -98,8 +95,6 @@ _TOKEN = re.compile(r"[0-9]+|[^\W\d_]+|'+|\S")
 _NAMES = frozenset(("u", "v", "d", "D", "log"))
 _KNOWN = _NAMES | frozenset("+-*/^(),;")
 _END = ""  # the token after the last one
-_ONE = (1, 1, 0)
-_ZERO = (0, 1, 0)
 _SIGNS = {"+": 1, "-": -1}
 
 
@@ -123,27 +118,6 @@ def _bad_token(text, bad):
             return ExprSyntaxError(f"unexpected character {t[k]!r}", *_place(text, p + k))
 
 
-def _value(val):
-    """val as a DiffFunction or ScalarDiffOp: a triple becomes its one-term function."""
-    if type(val) is not tuple:
-        return val
-    c, q, m = val
-    if not c:
-        return da.ZERO
-    g = gcd(c, q)
-    return _df(((m, c // g),), q // g)
-
-
-def _reduced(val):
-    """val with a DiffFunction of at most one term as its triple."""
-    if type(val) is DiffFunction and len(val._t) < 2:
-        if not val._t:
-            return _ZERO
-        (m, c), = val._t
-        return c, val._den, m
-    return val
-
-
 def _as_operator(val):
     """val as a scalar operator: a function becomes its multiplication."""
     return dop.multiplication(val) if isinstance(val, DiffFunction) else val
@@ -164,9 +138,10 @@ def _size(val):
 class _Parser:
     """Recursive descent over the token list of one text.
 
-    ``_sum``, ``_term`` and ``_atom`` return a triple for a function of
-    at most one term, a DiffFunction of two or more terms, or, in
-    operator mode, a ScalarDiffOp.
+    ``_sum``, ``_term`` and ``_atom`` return a DiffFunction or, in
+    operator mode, a ScalarDiffOp, built by the ring's own arithmetic;
+    the bounds on powers (``MAX_POWER_BITS``, ``MAX_POWER_PAIRS``) are
+    the only checks of its own.
     """
 
     def __init__(self, text, operator_mode):
@@ -220,7 +195,7 @@ class _Parser:
     # items := expr, or items separated by seps[0] (the rest of seps inside)
     def items(self, seps):
         if not seps:
-            val = _value(self._sum())
+            val = self._sum()
             return _as_operator(val) if self.operator_mode else val
         vals = [self.items(seps[1:])]
         while self.toks[self.pos] == seps[0]:
@@ -238,22 +213,11 @@ class _Parser:
         val = self._term()
         more = _SIGNS.get(toks[self.pos])
         if more is None:  # one term
-            if sign == 1:
-                return val
-            if type(val) is tuple:
-                return -val[0], val[1], val[2]
-            return -val
+            return val if sign == 1 else -val
         acc = Accumulator()
-        d = acc.d
         ops = None  # the sum of the operator terms
         while True:
-            if type(val) is tuple:
-                c, q, m = val
-                if c:
-                    if q != acc.den:
-                        c *= acc.fit(q)
-                    d[m] = d.get(m, 0) + sign * c
-            elif type(val) is DiffFunction:
+            if type(val) is DiffFunction:
                 add_into(acc, val, sign)
             elif ops is None:
                 ops = val if sign == 1 else -val
@@ -267,7 +231,7 @@ class _Parser:
             more = _SIGNS.get(toks[self.pos])
         f = DiffFunction.from_acc(acc)
         if ops is None:
-            return _reduced(f)
+            return f
         return dop.multiplication(f) + ops
 
     # term := factor (('*'|'/') factor)*, factor := atom ['^' ['-'] int];
@@ -282,7 +246,7 @@ class _Parser:
             start = i
             t = toks[i]
             i += 1
-            if t == "u" or t == "v":  # a jet: its packed unit
+            if t == "u" or t == "v":  # a jet: the one-term function of its packed unit
                 t = toks[i]
                 at = i  # the token of the order
                 if t[:1] == "'":
@@ -298,9 +262,10 @@ class _Parser:
                     order = 0
                 if order > MAX_ORDER:
                     self.fail(f"jet order {order} is above {MAX_ORDER}", at)
-                x = 1, 1, 1 << EXP_BITS * _slot(U if toks[start] == "u" else V, order)
+                x = _df(((1 << EXP_BITS * _slot(U if toks[start] == "u" else V, order), 1),))
             elif t.isdigit():
-                x = da.text_int(t), 1, 0
+                n = da.text_int(t)
+                x = _df(((0, n),)) if n else da.ZERO
             else:
                 self.pos = start
                 x = self._atom()
@@ -315,30 +280,21 @@ class _Parser:
                 i += 1
                 if neg:
                     x = self._inverse(x, start, True)
-                if type(x) is not tuple:
-                    x = _reduced(self._power(x, e, i - 1))
-                elif not e:
-                    x = _ONE
-                elif x[0]:
-                    m = _mono_power(x[2], e)  # checked before c**e, which may be large
-                    # c**e has at most e * c.bit_length() bits, and is 1 or -1
-                    # for a c of bit length 1
-                    b = max(x[0].bit_length(), x[1].bit_length())
-                    if b > 1 and b * e > MAX_POWER_BITS:
-                        self.fail(f"a coefficient power has more than {MAX_POWER_BITS} bits", i - 1)
-                    x = x[0] ** e, x[1] ** e, m
+                if type(x) is not DiffFunction or len(x._t) > 1:
+                    x = self._power(x, e, i - 1)
+                else:
+                    if x._t:
+                        (m, c), = x._t
+                        # c**e has at most e * c.bit_length() bits, and is 1 or -1
+                        # for a c of bit length 1
+                        b = max(c.bit_length(), x._den.bit_length())
+                        if b > 1 and b * e > MAX_POWER_BITS:
+                            _mono_power(m, e)  # an exponent out of range is the error first
+                            self.fail(f"a coefficient power has more than {MAX_POWER_BITS} bits", i - 1)
+                    x = x**e
             if div:
                 x = self._inverse(x, start, False)
-            if val is None:
-                val = x
-            elif type(val) is not tuple or type(x) is not tuple:
-                val = _reduced(_value(val) * _value(x))
-            elif val[0] and x[0]:  # as the ring forms a product of one-term factors
-                m = val[2] + x[2]
-                _check_range((m,))
-                val = val[0] * x[0], val[1] * x[1], m
-            else:  # the ring's product by zero makes no monomial
-                val = _ZERO
+            val = x if val is None else val * x
             t = toks[i]
             if t == "*":
                 div = False
@@ -403,14 +359,14 @@ class _Parser:
                 return val
             if isinstance(val, dop.ScalarDiffOp):
                 self.fail("D(...) takes a function", i)
-            return _reduced(da.total_derivative(_value(val)))
+            return da.total_derivative(val)
         if t == "log":
             self.expect("(")
             j = self.pos
             if self.expect("name") != "v":
                 self.fail("log takes v only", j)
             self.expect(")")
-            return 1, 1, _LOG
+            return _df(((_LOG, 1),))
         if t == "d":
             if not self.operator_mode:
                 self.fail("the operator symbol d needs an operator context", i)
@@ -421,20 +377,21 @@ class _Parser:
         """1/val for a term c*v^e with c a nonzero rational, the values
         that division (or, with ``power``, a negative power) accepts;
         errors are placed at token i."""
-        if type(val) is tuple:
-            c, q, m = val
-            if c and MIN_V_EXP <= m <= MAX_V_EXP:  # a pure power v^e packs to the int e
+        if type(val) is not DiffFunction:
+            self.fail("operators take nonnegative powers only" if power else "cannot divide by an operator", i)
+        if len(val._t) == 1:
+            (m, c), = val._t
+            if MIN_V_EXP <= m <= MAX_V_EXP:  # a pure power v^e packs to the int e
                 if m == MIN_V_EXP:
                     da.v_pow(-m)  # out of range: pack_mono raises its error
-                return (q if c > 0 else -q), abs(c), -m
-        elif isinstance(val, dop.ScalarDiffOp):
-            self.fail("operators take nonnegative powers only" if power else "cannot divide by an operator", i)
+                q = val._den
+                return _df(((-m, q if c > 0 else -q),), abs(c))
         if power:
             raise self.error(ExponentError, "negative exponents are allowed on v only", i)
-        if type(val) is not tuple:
-            self.fail("division needs a single invertible factor", i)
-        if not val[0]:
+        if not val._t:
             self.fail("division by zero", i)
+        if len(val._t) > 1:
+            self.fail("division needs a single invertible factor", i)
         self.fail("only rationals and powers of v can be inverted", i)
 
 

@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 import random
+import sys
 from math import gcd, lcm
 
 from magri import diffalg as da
 from magri.diffalg import LOG_VAR, QQ, U, V
+
+
+def fresh_dx_memo(monkeypatch):
+    """Give the derivative memo of diffalg, its pair table and its byte
+    count fresh empty values for the rest of one test."""
+    monkeypatch.setattr(da, "_DX_MONO", {})
+    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    monkeypatch.setattr(da, "_dx_bytes", 0)
+
+
+def dx_memo_bytes():
+    """The bytes of the derivative memo's entries, as diffalg.MEMO_CAP counts them."""
+    return sum(sys.getsizeof(m) + da._DX_ENTRY for m in da._DX_MONO)
 
 
 def rand_coeff(rng, num=9, den=4):

@@ -103,7 +103,10 @@ _PARSERS = [
 
 # texts at the edges: the exponent range, tokens outside the grammar
 # (names are runs of str.isalpha characters, integers ASCII digits),
-# white space that is not ASCII, and errors on later lines
+# white space that is not ASCII, errors on later lines, and one-term
+# powers, products and inverses whose checks come in a fixed order (an
+# exponent out of range before the coefficient-size bound, each factor's
+# range before a product by zero)
 _EDGE_TEXTS = [
     "u^32767*v^-16384", "u^32768", "v^16383*v", "v^-16384", "v^-16385", "1/v^-16384",
     "(v^-1)^16384", "(v^-1)^16385", "(2*v)^-16384", "0*v^16383*v", "v^16383*v*0",
@@ -112,6 +115,8 @@ _EDGE_TEXTS = [
     "u²", "x²", "²u", "uv", "ué", "é", "u_v", "٣", "v\u00a0+ u", "u\u2028+ v", "log(x)",
     "u +\n\n  v*q", "u +\n* v", "(u\n", "u;\n;v", "d,\nx", "1" * 4400,
     "u^" + "9" * 4400, "D(d)", "d^3*u - u*d^3", "(d + u)^2", "d/(2*v^-1)", "d^-1", "-d*(u + 1)",
+    "(2*u)^70000", "u^70000*3^70000", "0*u^70000", "(3/4*v^2)^-1", "(2/4)^2*u", "u/2/3*6", "D(0)^2",
+    "log(v)^0",
 ]
 
 
@@ -318,6 +323,21 @@ def test_high_jet_orders_differentiate_in_linear_time(capsys):
     assert (code, out, err) == (0, "[1] v^(2000)\n[2] u^(2000)\n", "")
 
 
+def test_high_jet_memo_stays_within_its_byte_budget(capsys, monkeypatch):
+    # the Euler derivative of a lone high jet memoizes monomials with long
+    # keys that never recur: when MEMO_CAP counted 2^18 entries, the memo
+    # held 4,113 of them after this command, with 36 MB of keys
+    helpers.fresh_dx_memo(monkeypatch)
+    want = _run(capsys, "varder", "u^(4096)*v")
+    assert want == (0, "[1] v^(4096)\n[2] u^(4096)\n", "")
+    assert 0 < helpers.dx_memo_bytes() == da._dx_bytes <= da.MEMO_CAP
+    for budget in (1 << 20, 1 << 17):
+        helpers.fresh_dx_memo(monkeypatch)
+        monkeypatch.setattr(da, "MEMO_CAP", budget)
+        assert _run(capsys, "varder", "u^(4096)*v") == want
+        assert 0 < helpers.dx_memo_bytes() == da._dx_bytes <= budget
+
+
 def test_json_coefficients_are_strings_or_integers(capsys, tmp_path):
     assert render.function_from_json([{"c": 3, "m": [["u", 0, 1]]}]) == 3 * da.u_jet()
     assert render.function_from_json([{"c": "-1/10", "m": []}]) == da.const(Fraction(-1, 10))
@@ -414,6 +434,7 @@ def test_coefficient_powers_are_bounded_at_the_exponent(capsys):
         ("3^10000000*u", 3),
         ("u + (3/2)^-32769*v", 12),
         ("v*(2^3)^21846", 9),
+        ("3^40000/3^40000", 3),  # refused before the quotient, which is 1
         ("(" + "1" * 4400 + ")^5", 4404),
     ):
         with pytest.raises(ExprSyntaxError) as info:

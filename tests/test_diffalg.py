@@ -524,6 +524,38 @@ def test_addmul_into_matches_the_naive_sum():
     assert da.DiffFunction.from_acc(acc) == ZERO
 
 
+def test_one_term_times_one_term_is_the_general_product():
+    # _times_term forms the product of two one-term factors with no list
+    # and one gcd; it gives what the multiply-accumulate gives, canonical
+    # form included, on Laurent and log terms with fractional coefficients
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(600):
+        f, g = (helpers.rand_function(rng, terms=1, max_exp=5) for _ in range(2))
+        assert len(f) == len(g) == 1
+        acc = da.Accumulator()
+        da.addmul_into(acc, f, g)
+        want = da.DiffFunction.from_acc(acc)
+        got = da._times_term(f, g)
+        assert got == want == f * g == g * f, (f, g)
+        assert _canonical_coeffs(got), got.terms
+        (m, _c), = got._t
+        seen.update(
+            kind for kind, hit in (
+                ("fraction", got._den != 1), ("cancels", f._den * g._den != got._den),
+                ("log", da.mono_exp(m, LOG_VAR, 0)), ("v^-k", da.mono_exp(m, V, 0) < 0),
+            ) if hit
+        )
+    assert seen == {"fraction", "cancels", "log", "v^-k"}
+    # a zero factor makes no monomial, and a product out of range raises
+    g = QQ(-3, 4) * da.v_pow(-2) * da.log_v()
+    assert da._times_term(ZERO, g) == ZERO == ZERO * g == g * ZERO
+    top, v = da.v_pow(da.MAX_V_EXP), da.v_jet(0)
+    for product in (lambda: da._times_term(top, v), lambda: top * v, lambda: v * top):
+        with pytest.raises(ExponentOverflow):
+            product()
+
+
 def _dx_mono_by_factors(m):
     """The total derivative of a tuple monomial, one DiffFunction mul and add per factor."""
     acc = ZERO
@@ -616,8 +648,7 @@ def test_fields_are_the_packed_groups_lowest_first(monkeypatch):
 
 
 def test_long_operands_leave_the_memo_alone(monkeypatch):
-    monkeypatch.setattr(da, "_DX_MONO", {})
-    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    helpers.fresh_dx_memo(monkeypatch)
     rng = random.Random(35)
     f = ZERO
     while len(f) <= da.MEMO_TERMS + 10:
@@ -631,8 +662,7 @@ def test_long_operands_leave_the_memo_alone(monkeypatch):
 
 
 def test_dx_entries_share_their_pairs(monkeypatch):
-    monkeypatch.setattr(da, "_DX_MONO", {})
-    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    helpers.fresh_dx_memo(monkeypatch)
     # u'^2*v^-1*log(v), u'^2*u''*v^-1 and u'^3*v^-1*log(v)
     a = da.pack_mono(((U, 1, 2), (V, 0, -1), (LOG_VAR, 0, 1)))
     b = da.pack_mono(((U, 1, 2), (U, 2, 1), (V, 0, -1)))
@@ -1370,21 +1400,19 @@ def test_dot_refuses_vectors_of_unequal_lengths():
 
 def test_dx_mono_reads_through_the_field_loop(monkeypatch):
     # a miss fills its entry from the one loop that reads a monomial's
-    # factors, on the one-term operand of the monomial alone
-    monkeypatch.setattr(da, "_DX_MONO", {})
-    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    # factors, run once on the one-term operand of the monomial alone
+    helpers.fresh_dx_memo(monkeypatch)
     calls = []
     fields_into = da._dx_fields_into
 
-    def counting(d, terms, k, low=2):
-        calls.append((terms, low))
-        return fields_into(d, terms, k, low)
+    def counting(d, terms, k):
+        calls.append(terms)
+        return fields_into(d, terms, k)
 
     monkeypatch.setattr(da, "_dx_fields_into", counting)
     m = da.pack_mono(((U, 3, 1), (V, 0, -2), (V, 5, 2), (LOG_VAR, 0, 1)))
     entry = da._dx_mono(m)
-    # read from the lowest jet of m, u^(3) in slot 8
-    assert calls == [(((m, 1),), 8)]
+    assert calls == [((m, 1),)]
     assert [e for _step, e in entry] == [1, -2, 1, 2]
     assert da._dx_mono(m) is entry and len(calls) == 1
 

@@ -398,15 +398,15 @@ def test_memo_tables_stay_under_the_cap(monkeypatch):
         for f in fs:
             got.append(da.total_derivative(f, 2))
             got.extend(vc.variational_derivative(f))
-            assert len(da._DX_MONO) <= da.MEMO_CAP
+            assert helpers.dx_memo_bytes() == da._dx_bytes <= da.MEMO_CAP
         return got
 
     want = compute()
-    monkeypatch.setattr(da, "MEMO_CAP", 5)
-    monkeypatch.setattr(da, "_DX_MONO", {})
-    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    # MEMO_CAP counts bytes: room for about five entries
+    helpers.fresh_dx_memo(monkeypatch)
+    monkeypatch.setattr(da, "MEMO_CAP", 800)
     assert compute() == want
-    assert 0 < len(da._DX_MONO) <= 5
+    assert 0 < len(da._DX_MONO) <= 800 // da._DX_ENTRY
     # the pair table is cleared with the memo: it holds only the pairs of the entries left
     held = {id(p) for t in da._DX_MONO.values() for p in t}
     assert {id(p) for p in da._DX_PAIRS.values()} == held
