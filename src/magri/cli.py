@@ -188,14 +188,13 @@ def cmd_hierarchy(args):
     )
     # writing the run reads no derivatives
     values = [f for vec in run.gradients + run.flows for f in vec]
-    da.drop_derivatives(values + [h.rep for h in run.densities if h is not None])
+    da.drop_derivatives(values + [h.rep for h in run.densities])
     if args.latex:
         lines = []
         for n, grad in enumerate(run.gradients):
             lines.append(rf"\xi_{{{n}}} = {render.latex_vector(grad)}")
         for n, h in enumerate(run.densities):
-            if h is not None:
-                lines.append(rf"h_{{{n}}} = {render.latex(h)}")
+            lines.append(rf"h_{{{n}}} = {render.latex(h)}")
         for n, p in enumerate(run.flows):
             lines.append(rf"P_{{{n}}} = {render.latex_vector(p)}")
         _emit(args, "\n".join(lines))

@@ -20,13 +20,13 @@ u in slot 2, and for n >= 1 v^(n) in slot 2n + 1 and u^(n) in slot
 2n + 2.  The encoding is linear, so the product of two monomials is the
 sum of their ints, the factor g'/g of the total derivative is one
 integer per generator, and one exponent is read with one shift and one
-mask (:func:`mono_exp`).  A whole monomial is read through one view,
-:func:`_fields`, of the fields of m + ``_OFF``, lowest first: slot 0 is
-v, slot 1 log v, ``x[2::2]`` holds u^(n) and ``x[3::2]`` v^(n+1).  The
-decoders :func:`flat_mono`, :func:`mono_weight` and :func:`mono_degree`
-and the total-derivative loop all read it, once per monomial, so
-decoding is linear in the top jet order.  A monomial has jet orders of
-at most ``MAX_ORDER``: one read in is refused above it, and so is a
+mask (:func:`mono_exp`).  Every reader of a monomial's jets walks only
+its nonzero jet fields, one step per jet whatever the order: two
+constant masks, ``_U_JETS`` and ``_V_JETS``, pick out the jet fields of
+u and those of log v and v, and each step reads and clears the field
+of the top set bit; :func:`max_order` reads the top set bit of the
+masked OR of the monomials of f.  A monomial has jet orders of at
+most ``MAX_ORDER``: one read in is refused above it, and so is a
 derivative that would go past it, with an
 :class:`~magri.errors.ExponentOverflow`.
 
@@ -107,8 +107,9 @@ log v has weight 0.
 A factor g^e of a monomial m contributes e * m * g'/g to its total
 derivative, and g'/g is one packed int per slot: ``_DX_V`` for v,
 ``_DX_LOG`` for log v and ``_DX_STEP`` times the unit of the slot for
-a jet.  The factors of m are read off its view :func:`_fields`, on a
-host of either byte order, by one loop, :func:`_dx_fields_into`.
+a jet.  The factors of m are read off m + ``_OFF`` by one loop,
+:func:`_dx_fields_into`: v and log v by a shift and a mask, and the jets
+by the walk of the fields above them, one step per jet.
 Every total derivative, those of :func:`antiderivative` included, is
 taken by one kernel, :func:`add_derivative_into`, which picks one of
 two ways by the length of the operand.  An operand of more than
@@ -188,7 +189,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from math import gcd, lcm
 from operator import itemgetter, or_
 
@@ -212,8 +212,8 @@ _LOG = 1 << EXP_BITS  # log v to the first power
 # and the text parser refuse a higher order where it is read, and every
 # other new monomial passes _check_range, which refuses a field above the
 # slot of u^(MAX_ORDER), so a derivative cannot go past it either and
-# every value reads back.  Each decoder reads a monomial's fields once,
-# through one view (_fields), so decoding is linear in the top order.
+# every value reads back.  A reader takes one step per nonzero jet field of
+# a monomial (_U_JETS, _V_JETS), so reading is linear in its jets.
 MAX_ORDER = 4096
 
 # The memo of total derivatives of monomials, _DX_MONO, and its pair table
@@ -238,7 +238,15 @@ _DX_ENTRY = 120
 # one-shot queries' 23,338.
 MEMO_TERMS = 128
 
-_BYTEORDER = sys.byteorder
+# The jet fields of each field, in closed form from the repunit of
+# 2 * EXP_BITS-bit digits: _V_JETS those of log v, v', ..., v^(MAX_ORDER)
+# (slots 1, 3, ...), _U_JETS those of u, u', ..., u^(MAX_ORDER) (slots 2, 4,
+# ...).  A reader ANDs m + _OFF with one, which CPython sizes by the shorter
+# operand, never shifting or combining a mask, and walks down the nonzero
+# fields: the top one starts at bit b, the top set bit less b % EXP_BITS,
+# and is y >> b.
+_V_JETS = ((1 << 2 * EXP_BITS * (MAX_ORDER + 1)) - 1) // ((1 << 2 * EXP_BITS) - 1) * _MASK << EXP_BITS
+_U_JETS = _V_JETS << EXP_BITS
 
 _first = itemgetter(0)
 
@@ -294,19 +302,29 @@ def flat_mono(m):
     As sort keys, flat tuples order monomials as their tuple forms do,
     and they compare in about half the time.
     """
-    x = _fields(m + _OFF)
-    us = []
-    for n, e in enumerate(x[2::2]):  # u^(n) in slot 2n + 2
-        if e:
-            us += U, n, e
-    e = x[0] - _OFF
-    vs = [V, 0, e] if e else []
-    for n, e in enumerate(x[3::2], 1):  # v^(n) in slot 2n + 1
-        if e:
-            vs += V, n, e
-    if x[1]:
-        vs += LOG_VAR, 0, x[1]
-    return tuple(us + vs)
+    x = m + _OFF
+    log = (x >> EXP_BITS) & _MASK
+    # the walks go down the fields, so the tuple is built back to front
+    out = [log, 0, LOG_VAR] if log else []
+    y = (x & _V_JETS) ^ (log << EXP_BITS)
+    while y:  # v^(n) in slot 2n + 1
+        b = y.bit_length() - 1
+        b -= b % EXP_BITS
+        e = y >> b
+        y ^= e << b
+        out += e, b // (2 * EXP_BITS), V
+    e = (x & _MASK) - _OFF
+    if e:
+        out += e, 0, V
+    y = x & _U_JETS
+    while y:  # u^(n) in slot 2n + 2
+        b = y.bit_length() - 1
+        b -= b % EXP_BITS
+        e = y >> b
+        y ^= e << b
+        out += e, b // (2 * EXP_BITS) - 1, U
+    out.reverse()
+    return tuple(out)
 
 
 def unpack_mono(m):
@@ -822,51 +840,37 @@ _DX_PAIRS = {}  # each (g'/g, exponent) pair of the _DX_MONO entries, stored onc
 _dx_bytes = 0  # the bytes of the _DX_MONO entries, as MEMO_CAP counts them
 
 
-def _fields(x):
-    """The EXP_BITS-bit fields of the int x >= 0, lowest first: a view of
-    at least two, the top one or two of them zero, each field one
-    unsigned short ("H"), as EXP_BITS is 16.
-
-    The view reads its bytes in the host's order, so they are written in
-    it; on a big-endian host that puts the top field first, and the view
-    is read backwards.
-    """
-    v = memoryview(x.to_bytes((x.bit_length() >> 4) + 2 << 1, _BYTEORDER)).cast("H")
-    return v[::-1] if _BYTEORDER == "big" else v
-
-
 def _dx_fields_into(d, terms, k):
     """Add k times the total derivative of ``terms``, a sorted tuple of
     (packed monomial, int) pairs, into the dict d, by the product rule: a
     factor g^e of a term c * m adds k * c * e at m + g'/g.
 
-    The factors are read off the fields of m + ``_OFF`` (:func:`_fields`);
-    ``itertools.compress`` skips the empty jet fields, so only a jet of m
-    takes a step of this loop, and the g'/g of a jet slot is made when a
-    term first holds that jet.  The monomials m + g'/g of one
-    m come in increasing order: the g'/g grow with the slot of g, except
-    that log v's is below v's.
+    The jets of m + ``_OFF`` are read by the walk of the nonzero fields
+    above those of v and log v (see ``_U_JETS``), so a term takes one step
+    per jet it holds, and then v and log v by a shift and a mask.  The
+    monomials m + g'/g of one m come in decreasing order: the g'/g grow
+    with the slot of g, except that log v's is below v's.
     """
     get = d.get
-    steps = {}  # the g'/g of each jet slot met so far
     for m, c in terms:
         if k != 1:
             c = c * k
-        x = _fields(m + _OFF)
-        e = x[1]
-        if e:
-            dm = m + _DX_LOG
+        x = m + _OFF
+        y = x >> 2 * EXP_BITS << 2 * EXP_BITS  # the jets, u in slot 2
+        while y:
+            b = y.bit_length() - 1
+            b -= b % EXP_BITS
+            e = y >> b
+            y ^= e << b
+            dm = m + (_DX_STEP << b)
             d[dm] = get(dm, 0) + c * e
-        e = x[0] - _OFF
+        e = (x & _MASK) - _OFF
         if e:
             dm = m + _DX_V
             d[dm] = get(dm, 0) + c * e
-        jets = x[2:]
-        for s, e in compress(enumerate(jets, 2), jets):
-            step = steps.get(s)
-            if step is None:
-                step = steps[s] = _DX_STEP << EXP_BITS * s
-            dm = m + step
+        e = (x >> EXP_BITS) & _MASK
+        if e:
+            dm = m + _DX_LOG
             d[dm] = get(dm, 0) + c * e
 
 
@@ -875,9 +879,9 @@ def _dx_mono(m):
     g'/g, exponent) pairs of its factors g^e, in increasing order of g'/g,
     so the monomials m + g'/g are distinct and sorted.  A miss reads them
     back off the derivative that :func:`_dx_fields_into` takes of m
-    alone, as (m + g'/g - m, e) in the order it adds them.  Each pair is
-    the one object of ``_DX_PAIRS`` for its value, shared by every entry
-    that holds it.  Both tables are cleared when the entry would take the
+    alone, as (m + g'/g - m, e) in the reverse of the order it adds them.
+    Each pair is the one object of ``_DX_PAIRS`` for its value, shared by
+    every entry that holds it.  Both tables are cleared when the entry would take the
     memo past ``MEMO_CAP`` bytes.
     """
     global _dx_bytes
@@ -892,7 +896,7 @@ def _dx_mono(m):
         _dx_bytes += size
         d = {}
         _dx_fields_into(d, ((m, 1),), 1)
-        t = [(dm - m, e) for dm, e in d.items()]
+        t = [(dm - m, e) for dm, e in reversed(d.items())]
         # total_derivative checks the exponents of the m + g'/g
         t = _DX_MONO[m] = tuple([pairs.setdefault(p, p) for p in t])
     return t
@@ -999,25 +1003,20 @@ def _partial_buckets(f, var):
     order, the very (monomial, numerator) pairs of f that hold x^(k), or
     for v^(0) a power of v or log v.  The list ends at the top order."""
     buckets = []
-    start = EXP_BITS * _slot(var, 1 if var == V else 0)
-    stride = 2 * EXP_BITS  # from x^(n) to x^(n+1): the fields alternate u, v
+    mask = _V_JETS if var == V else _U_JETS
     for t in f._t:
         x = t[0] + _OFF
-        k = 0
-        if var == V:
-            if (x & _MASK) != _OFF or (x >> EXP_BITS) & _MASK:
-                if not buckets:
-                    buckets.append([])
-                buckets[0].append(t)
-            k = 1
-        x >>= start
-        while x:
-            if x & _MASK:
-                while len(buckets) <= k:
-                    buckets.append([])
-                buckets[k].append(t)
-            x >>= stride
-            k += 1
+        y = x & mask
+        if var == V and (x & _MASK) != _OFF:
+            y |= _LOG  # a power of v goes with log v, into buckets[0]
+        while y:  # x^(k) in slot 2k + 1 or 2k + 2, log v in slot 1
+            b = y.bit_length() - 1
+            b -= b % EXP_BITS
+            y ^= y >> b << b
+            k = (b - EXP_BITS) // (2 * EXP_BITS)
+            while len(buckets) <= k:
+                buckets.append([])
+            buckets[k].append(t)
     return buckets
 
 
@@ -1074,28 +1073,16 @@ def max_order(f, var=None):
     U, V, "u" or "v"; anything else raises MagriError.
     """
     f = as_function(f)
+    bits = reduce(or_, [m + _OFF for m, _ in f._t], 0)
     if var is not None:
         var = _field(var)
-    has_v = False
-    bits = 0  # the fields from slot 1 up, or-ed over all monomials
-    for m, _ in f._t:
-        x = (m + _OFF) >> EXP_BITS
-        bits |= x
-        if m != x << EXP_BITS:
-            has_v = True
-    if var is None:
-        if bits:
-            return (bits.bit_length() - 1) // EXP_BITS // 2
-        return 0 if has_v else None
-    # field i of bits is slot i + 1: v jets (and log v) in odd slots, u in even ones
-    i = (bits.bit_length() - 1) // EXP_BITS
-    if (i + 1) % 2 != (var == V):
-        i -= 1
-    while i >= 0:
-        if (bits >> (EXP_BITS * i)) & _MASK:
-            return i // 2
-        i -= 2
-    return 0 if var == V and has_v else None
+        bits &= _V_JETS if var == V else _U_JETS
+    top = (bits.bit_length() - 1) // EXP_BITS  # the top nonzero field
+    if top > 0:  # x^(k) in slot 2k + 1 or 2k + 2, log v in slot 1
+        return (top - 1) // 2
+    if var != U and any(((m + _OFF) & _MASK) != _OFF for m, _ in f._t):
+        return 0  # a power of v
+    return None
 
 
 def differential_order(f):
@@ -1125,21 +1112,35 @@ INHOMOGENEOUS = _Inhomogeneous()
 
 def mono_weight(m):
     """Weight of a packed monomial: order + 2 per jet factor, 0 for log v."""
-    x = _fields(m + _OFF)
-    w = 2 * (x[0] - _OFF)  # log v, in slot 1, weighs 0
-    for s, e in enumerate(x[2:], 2):  # u, v', u', v'', ... weigh 2, 3, 3, 4, ...
-        if e:
-            w += (s + 3) // 2 * e
+    x = m + _OFF
+    w = 2 * ((x & _MASK) - _OFF)
+    y = x >> 2 * EXP_BITS << 2 * EXP_BITS  # log v, in slot 1, weighs 0
+    while y:  # slots 2, 3, 4, 5, ... hold u, v', u', v'', ... of weight 2, 3, 3, 4, ...
+        b = y.bit_length() - 1
+        b -= b % EXP_BITS
+        e = y >> b
+        y ^= e << b
+        w += (b // EXP_BITS + 3) // 2 * e
     return w
 
 
 def mono_degree(m, var=None):
     """The sum of the exponents of the jets of ``var`` in a packed
     monomial, or of every generator, log v included, when ``var`` is None."""
-    x = _fields(m + _OFF)
+    x = m + _OFF
     if var == U:
-        return sum(x[2::2])
-    return x[0] - _OFF + sum(x[1:] if var is None else x[3::2])
+        deg, y = 0, x & _U_JETS
+    elif var == V:  # less log v, which the walk of _V_JETS counts
+        deg, y = (x & _MASK) - _OFF - ((x >> EXP_BITS) & _MASK), x & _V_JETS
+    else:
+        deg, y = (x & _MASK) - _OFF, x >> EXP_BITS
+    while y:
+        b = y.bit_length() - 1
+        b -= b % EXP_BITS
+        e = y >> b
+        y ^= e << b
+        deg += e
+    return deg
 
 
 def weight(f):

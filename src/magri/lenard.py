@@ -128,7 +128,6 @@ def _marker(vec):
     for i, comp in enumerate(vec):
         if comp:
             return (i, *da.packed_terms(comp)[0])
-    return None
 
 
 def _normalize_kernel(eps, vec):
@@ -433,17 +432,14 @@ def involutivity_report(runs, include_flows=True):
         for n, dens in enumerate(run.densities):
             labels.append((run.eps, run.alpha, n))
             densities.append(dens)
-            flows.append(run.flows[n] if n < len(run.flows) else None)
+            flows.append(run.flows[n])
     if not densities:
         raise MagriError("an involutivity report needs at least one run")
     m = len(densities)
     grads = [vc.variational_derivative(d) for d in densities]
     grads = [tuple(f * da.denominator(x) for f in x) for x in grads]
     hgrads = [[dop.apply(h, x) for x in grads] for h in (H0, H1)]
-    flows = [
-        tuple(f * da.denominator(p) for f in p) if include_flows and p is not None else None
-        for p in flows
-    ]
+    flows = [tuple(f * da.denominator(p) for f in p) if include_flows else None for p in flows]
     stars = [None if p is None else dop.adjoint(vc.frechet(p)) for p in flows]
     # the diagonal stays True, as the docstring shows
     b0 = [[True] * m for _ in range(m)]

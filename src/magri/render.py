@@ -256,7 +256,7 @@ def run_to_json(run, fun=function_to_json):
         "steps": run.steps,
         "method": run.method,
         "gradients": [[fun(f) for f in g] for g in run.gradients],
-        "densities": [None if h is None else fun(h.rep) for h in run.densities],
+        "densities": [fun(h.rep) for h in run.densities],
         "flows": [[fun(f) for f in p] for p in run.flows],
         "orders": [list(pair) for pair in run.orders],
         "flow_orders": list(run.flow_orders),

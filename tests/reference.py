@@ -9,10 +9,13 @@ read :attr:`DiffFunction.terms`, which :func:`magri.diffalg.to_text` and
 that built each round's primitive from jets, products and the recursive
 v-integral.  The tower form of the flow commutator, which
 :func:`magri.varcalc.evolutionary_commutator` used before it went
-through the higher Euler operators.  The shift-and-mask decoders of
-packed monomials, which :func:`magri.diffalg.flat_mono`,
-:func:`magri.diffalg.mono_weight` and :func:`magri.diffalg.mono_degree`
-were before they read the fields through one view.  Each gives the
+through the higher Euler operators.  The shift-and-mask readers of
+packed monomials, one step per field: the decoders that
+:func:`magri.diffalg.flat_mono`, :func:`magri.diffalg.mono_weight` and
+:func:`magri.diffalg.mono_degree` were, the stride loop that sorted the
+terms of :func:`magri.diffalg.partial_derivatives` and the scan of
+:func:`magri.diffalg.max_order`, before each walked only the nonzero
+fields of one mask.  Each gives the
 values, errors and text the package gave before; the tests compare the
 package with them.
 """
@@ -375,7 +378,7 @@ def evolutionary_commutator(p, q):
     return tuple(out)
 
 
-# -- the shift-and-mask decoders of packed monomials ----------------------------
+# -- the shift-and-mask readers of packed monomials -----------------------------
 
 
 def flat_mono(m):
@@ -428,3 +431,60 @@ def mono_degree(m, var=None):
         deg += x & _MASK
         x >>= EXP_BITS * step
     return deg
+
+
+def partial_buckets(f, var):
+    """The terms of f by the jet x^(k) of the field ``var`` they hold, or
+    for v^(0) a power of v or log v, by a stride loop over every field."""
+    buckets = []
+    start = EXP_BITS * _slot(var, 1 if var == V else 0)
+    stride = 2 * EXP_BITS  # from x^(n) to x^(n+1): the fields alternate u, v
+    for t in f._t:
+        x = t[0] + _OFF
+        k = 0
+        if var == V:
+            if (x & _MASK) != _OFF or (x >> EXP_BITS) & _MASK:
+                if not buckets:
+                    buckets.append([])
+                buckets[0].append(t)
+            k = 1
+        x >>= start
+        while x:
+            if x & _MASK:
+                while len(buckets) <= k:
+                    buckets.append([])
+                buckets[k].append(t)
+            x >>= stride
+            k += 1
+    return buckets
+
+
+def partial_derivatives(f, var):
+    """The partial derivatives of f by every jet of the field ``var``,
+    from the buckets of :func:`partial_buckets`."""
+    return [DiffFunction.from_acc(da._partial_acc(b, var, k, f._den)) for k, b in enumerate(partial_buckets(f, var))]
+
+
+def max_order(f, var=None):
+    """The top jet order of f (of the field ``var``), by a scan down the
+    fields of the OR of its monomials."""
+    has_v = False
+    bits = 0  # the fields from slot 1 up, or-ed over all monomials
+    for m, _ in f._t:
+        x = (m + _OFF) >> EXP_BITS
+        bits |= x
+        if m != x << EXP_BITS:
+            has_v = True
+    if var is None:
+        if bits:
+            return (bits.bit_length() - 1) // EXP_BITS // 2
+        return 0 if has_v else None
+    # field i of bits is slot i + 1: v jets (and log v) in odd slots, u in even ones
+    i = (bits.bit_length() - 1) // EXP_BITS
+    if (i + 1) % 2 != (var == V):
+        i -= 1
+    while i >= 0:
+        if (bits >> (EXP_BITS * i)) & _MASK:
+            return i // 2
+        i -= 2
+    return 0 if var == V and has_v else None

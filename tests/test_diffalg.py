@@ -54,6 +54,14 @@ def test_invalid_monomials_rejected():
         da.normalize([(QQ(1), ((V, 1, -2),))])
     with pytest.raises(MagriError):
         da.normalize([(QQ(1), ((LOG_VAR, 1, 1),))])
+    for mono in (((U, 0),), ((U, 0, 1, 1),), ((V, 1, 1), ())):
+        with pytest.raises(MagriError, match="bad generator triple"):
+            da.pack_mono(mono)
+    for var in (3, -1, "u"):
+        with pytest.raises(MagriError, match="unknown variable code"):
+            da.pack_mono(((var, 0, 1),))
+    with pytest.raises(MagriError, match="unknown variable code 3"):
+        da.DiffFunction([(((3, 0, 1),), 1)])
 
 
 def test_zero_and_one_singletons():
@@ -252,6 +260,40 @@ def test_functional_arithmetic_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert (a - b).is_zero()
+
+
+def test_functional_operators_work_modulo_total_derivatives():
+    # seeded Laurent and log densities, each operand shifted by a total
+    # derivative; every operator's result is the functional of the same
+    # operation on the densities
+    rng = random.Random(44)
+    fs = []
+    for _ in range(25):
+        f, g, h = (helpers.rand_function(rng, terms=3, max_order=2) for _ in range(3))
+        k = helpers.rand_coeff(rng)
+        a = LocalFunctional(f + da.total_derivative(h))
+        b = LocalFunctional(g - da.total_derivative(h * g))
+        assert a + b == LocalFunctional(f + g)
+        assert a - b == LocalFunctional(f - g)
+        assert -a == LocalFunctional(-f)
+        assert a * k == k * a == LocalFunctional(k * f)
+        assert a * 3 == LocalFunctional(3 * f)
+        # a DiffFunction or an int operand is its functional
+        assert a + g == LocalFunctional(f + g) and a - 2 == LocalFunctional(f - 2)
+        assert a == f and a - b == f - g and (a - a) == 0
+        assert a + da.total_derivative(g) == f and LocalFunctional(da.total_derivative(f) + 5) == 5
+        fs += [f, g]
+    assert any(da.mono_exp(m, V, 0) < 0 for f in fs for m, _c in da.packed_terms(f))
+    assert any(da.mono_exp(m, LOG_VAR, 0) for f in fs for m, _c in da.packed_terms(f))
+    a = LocalFunctional(da.u_jet(0))
+    assert a != 1 and a != da.v_jet(0) and a != "u"
+    for bad in ("u", 1.5, None):
+        with pytest.raises(TypeError):
+            a + bad
+        with pytest.raises(TypeError):
+            a - bad
+        with pytest.raises(TypeError):
+            a * bad
 
 
 def test_is_zero_agrees_with_the_full_invariant():
@@ -631,20 +673,20 @@ def test_total_derivative_matches_the_product_rule(monkeypatch):
     assert da._dx_mono(da.pack_mono(((V, 0, -16384),))) == ((da._DX_V, -16384),)
 
 
-def test_fields_are_the_packed_groups_lowest_first(monkeypatch):
-    rng = random.Random(36)
-    xs = [0, 1, da._MASK, 1 << da.EXP_BITS, (1 << 2 * da.EXP_BITS) - 1, da._OFF]
-    xs += [rng.getrandbits(rng.randint(1, 700)) for _ in range(300)]
-    for x in xs:
-        got = list(da._fields(x))
-        assert got == [(x >> da.EXP_BITS * i) & da._MASK for i in range(len(got))], x
-        # at least two fields, and every field of x is there
-        assert len(got) >= 2 and x >> da.EXP_BITS * len(got) == 0
-    # the bytes are written in the host's order, which the view reads; with
-    # the other order each field would come out with its two bytes swapped
-    other = "big" if sys.byteorder == "little" else "little"
-    monkeypatch.setattr(da, "_BYTEORDER", other)
-    assert list(da._fields(0x0102_0304_0506))[:3] == [0x0605, 0x0403, 0x0201]
+def test_jet_masks_hold_each_fields_jets_up_to_the_top_order():
+    # _U_JETS holds the whole field of u, u', ..., u^(MAX_ORDER) and
+    # _V_JETS that of log v and v', ..., v^(MAX_ORDER), each field once;
+    # v, the signed field, lies in neither, and nothing lies above them
+    w = da.EXP_BITS
+    u_slots = {da._slot(U, n) for n in range(da.MAX_ORDER + 1)}
+    v_slots = {da._slot(V, n) for n in range(1, da.MAX_ORDER + 1)} | {da._slot(LOG_VAR, 0)}
+    for mask, slots in ((da._U_JETS, u_slots), (da._V_JETS, v_slots)):
+        assert mask == sum(da._MASK << w * s for s in slots)
+        for s in (0, 1, 2, 3, 2 * da.MAX_ORDER + 1, 2 * da.MAX_ORDER + 2, 2 * da.MAX_ORDER + 3):
+            assert (mask >> w * s) & da._MASK == (da._MASK if s in slots else 0), s
+    assert da._U_JETS & da._V_JETS == 0
+    assert da._U_JETS.bit_length() == da._MAX_BITS
+    assert da._V_JETS.bit_length() == da._MAX_BITS - w
 
 
 def test_long_operands_leave_the_memo_alone(monkeypatch):
@@ -1000,6 +1042,11 @@ def test_subalgebra_tag_rejects_bad_kind_and_power():
             da.SubalgebraTag(kind, power)
     with pytest.raises(MagriError):
         da.SubalgebraTag("affine_scaled", True)
+    for make in (da.scaled_v_minus, da.scaled_v_plus, da.affine_scaled):
+        assert make(1).bounds
+        for k in (0, -1):
+            with pytest.raises(MagriError, match="needs k >= 1"):
+                make(k)
     # the v-nonpositive image of integration: v^1 plus the v^0 scaled space
     tag = da.SubalgebraTag("affine_scaled", 0)
     assert tag.bounds == (None, 0, 1)
@@ -1417,9 +1464,25 @@ def test_dx_mono_reads_through_the_field_loop(monkeypatch):
     assert da._dx_mono(m) is entry and len(calls) == 1
 
 
+# the extremes of each field, and lone jets of the top order
+_EXTREME_MONOS = (
+    ((V, 0, da.MIN_V_EXP),),
+    ((V, 0, da.MAX_V_EXP),),
+    ((LOG_VAR, 0, da.MAX_EXP),),
+    ((LOG_VAR, 0, 3), (V, 0, -2), (U, 0, 1)),
+    ((U, da.MAX_ORDER, 1), (V, 0, 1)),
+    ((V, da.MAX_ORDER, da.MAX_EXP), (U, 0, da.MAX_EXP), (V, 0, da.MIN_V_EXP)),
+    ((U, da.MAX_ORDER, 1),),
+    ((V, da.MAX_ORDER, 1),),
+    ((LOG_VAR, 0, 1),),
+    ((V, da.MAX_ORDER, 2), (LOG_VAR, 0, 1)),
+    ((U, da.MAX_ORDER, 3), (V, da.MAX_ORDER - 1, 1), (V, 0, -1)),
+)
+
+
 def _decoder_monomials():
     # seeded Laurent and log monomials with jets up to order 40, every
-    # monomial of a chain, and the extremes of each field
+    # monomial of a chain, and the extremes of each field (_EXTREME_MONOS)
     rng = random.Random(42)
     monos = set()
     while len(monos) < 20000:
@@ -1433,22 +1496,16 @@ def _decoder_monomials():
     run = magri.run_hierarchy(1, 1, 2)
     for vec in run.gradients + run.flows:
         monos.update(m for f in vec for m, _c in f._t)
-    for mono in (
-        ((V, 0, da.MIN_V_EXP),),
-        ((V, 0, da.MAX_V_EXP),),
-        ((LOG_VAR, 0, da.MAX_EXP),),
-        ((LOG_VAR, 0, 3), (V, 0, -2), (U, 0, 1)),
-        ((U, da.MAX_ORDER, 1), (V, 0, 1)),
-        ((V, da.MAX_ORDER, da.MAX_EXP), (U, 0, da.MAX_EXP), (V, 0, da.MIN_V_EXP)),
-    ):
+    for mono in _EXTREME_MONOS:
         monos.add(da.pack_mono(mono))
     return sorted(monos)
 
 
-def test_decoders_read_one_view_as_the_shift_loops_did():
-    # flat_mono, mono_weight and mono_degree read the fields of a monomial
-    # through _fields, once; the shift-and-mask loops they replaced are the
-    # reference, on every field, sign and jet order
+def test_readers_walk_the_fields_as_the_shift_loops_did():
+    # flat_mono, mono_weight, mono_degree, partial_derivatives and
+    # max_order walk only the nonzero fields of a monomial, or of the OR of
+    # a function's monomials; the loops that stepped through every field
+    # are the reference, on every field, sign and jet order
     monos = _decoder_monomials()
     assert len(monos) > 20000
     for m in monos:
@@ -1456,6 +1513,18 @@ def test_decoders_read_one_view_as_the_shift_loops_did():
         assert da.mono_weight(m) == reference.mono_weight(m), m
         for var in (None, U, V):
             assert da.mono_degree(m, var) == reference.mono_degree(m, var), (m, var)
+    # each monomial alone, and runs of seven of them, as functions
+    ones = [da._df(((m, 1),)) for m in monos]
+    runs = [da._df(tuple((m, c) for c, m in enumerate(monos[i : i + 7], 1))) for i in range(0, len(monos), 7)]
+    for f in ones + runs:
+        for var in (None, U, V):
+            assert da.max_order(f, var) == reference.max_order(f, var), (f, var)
+    for f in runs + [da.DiffFunction([(mono, 1)]) for mono in _EXTREME_MONOS]:
+        for var in (U, V):
+            # by v, the power v^MIN_V_EXP leaves the range in both
+            got = _outcome(lambda f: da.partial_derivatives(f, var), f)
+            assert got == _outcome(lambda f: reference.partial_derivatives(f, var), f), (f, var)
+    assert da.max_order(ZERO) is None
 
 
 def test_one_guard_mask_bounds_every_field():

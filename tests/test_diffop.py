@@ -11,7 +11,7 @@ import helpers
 import oracle
 from magri import diffalg as da
 from magri import diffop as dop
-from magri.errors import DimensionMismatch
+from magri.errors import DimensionMismatch, MagriError
 
 
 def test_composition_matches_application():
@@ -130,6 +130,30 @@ def test_matrix_shape_checks():
         dop.apply(h, (da.ONE,))
     with pytest.raises(DimensionMismatch):
         dop.MatrixDiffOp([[dop.D], [dop.D, dop.D]])
+    d, one = dop.D, dop.multiplication(da.ONE)
+    for entry in (da.u_jet(0), 1, dop.MatrixDiffOp([[d]])):
+        with pytest.raises(MagriError, match="matrix entries must be scalar operators"):
+            dop.MatrixDiffOp([[d, entry]])
+    a = dop.MatrixDiffOp([[d, one]])  # 1 x 2
+    b = dop.MatrixDiffOp([[d], [one]])  # 2 x 1
+    for x, y in ((a, b), (b, a), (a, dop.MatrixDiffOp([[d]]))):
+        with pytest.raises(DimensionMismatch, match="operator shapes differ"):
+            x + y
+        with pytest.raises(DimensionMismatch, match="operator shapes differ"):
+            x - y
+    for x in (a, b):
+        with pytest.raises(DimensionMismatch, match="operator shapes do not compose"):
+            x * x
+    assert (a * b).shape == (1, 1) and (b * a).shape == (2, 2)
+
+
+def test_negative_powers_are_refused():
+    f, op = da.u_jet(0) + da.v_jet(1), dop.D + dop.multiplication(da.v_jet(0))
+    for x, msg in ((f, "powers of differential functions"), (op, "operator powers")):
+        assert x**0 == (da.ONE if x is f else dop.multiplication(da.ONE))
+        for n in (-1, -2, 1.0):
+            with pytest.raises(MagriError, match=msg):
+                x**n
 
 
 def test_matrix_adjoint_transposes():

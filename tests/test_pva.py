@@ -248,6 +248,13 @@ def test_incompatible_pair_detected():
     assert not pva.is_compatible(m1, m2)
 
 
+def test_a_pencil_of_two_shapes_is_refused():
+    h0, _h1 = dop.builtin_pair()
+    for h, k in ((h0, dop.D), (dop.D, h0), (dop.MatrixDiffOp([[dop.D]]), h0)):
+        with pytest.raises(DimensionMismatch, match="pencil needs operators of one shape"):
+            pva.is_compatible(h, k)
+
+
 # -- the bracket table against the per-coefficient jacobiator ----------------
 
 
