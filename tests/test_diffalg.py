@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from math import gcd
 
 import pytest
