@@ -10,12 +10,20 @@ interchangeable solvers are provided: a back-substitution through the
 triangular component identities of the built-in operators (default),
 and a linear solve over a weight-homogeneous candidate space whose
 bounds are read off those same identities.
-Conserved densities are reconstructed by exact integration, and every
-step re-verifies the defining relation before returning.
+Conserved densities are reconstructed by exact integration.
+
+What is checked and what is proved: a certificate of the pair
+(:func:`_certificate`), checked exactly once per process, holds the
+identities of H0, H1, their kernels and the translation identity that
+the steps rest on.  Each step then proves its defining relation from
+that certificate and the exact checks of its own solve (a primitive
+from :func:`diffalg.antiderivative`, or :func:`linsolve.solve`'s
+closing check), with no second application of H_eps.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import diffalg as da
@@ -122,6 +130,46 @@ _KERNELS = {
 }
 
 
+@functools.cache
+def _certificate():
+    """The facts about the built-in pair that the steps and
+    :func:`run_hierarchy` prove from, checked exactly once per process,
+    on first use; returns the checked kernel gradients of H_eps by eps.
+
+    - H0 has no factors, and its rows are [A, v d] and [d v, 0], where A
+      is the entry :func:`_step_recursion` applies as it stands;
+    - H1's factors are W, [[0, d], [d, -Q]] and W, with W = diag(1, v^-2)
+      and Q the ``_Q`` that :func:`_step_recursion` applies, and H1 is
+      their product;
+    - both kernel gradients of each structure lie in its kernel;
+    - H0 and H1 are skew-adjoint;
+    - H0 c = (u', v') for c = (1, 0), the first kernel gradient of H1:
+      the translation identity.
+
+    :func:`diffop.apply` goes through H1's factors and H0's entries, so
+    these are facts about the operators that the steps apply.  A fact
+    that fails raises MagriError naming it; nothing is proved without it.
+    """
+    d = dop.D
+    zero = dop.ScalarDiffOp()
+    mv = dop.multiplication(da.v_jet(0))
+    if H0.factors is not None or H0.entries[0][1] != mv * d or H0.entries[1] != (d * mv, zero):
+        raise MagriError("pair certificate: the rows of H0 are not [A, v d] and [d v, 0]")
+    w = dop.MatrixDiffOp([[dop.multiplication(ONE), zero], [zero, dop.multiplication(da.v_pow(-2))]])
+    factors = (w, dop.MatrixDiffOp([[zero, d], [d, -_Q]]), w)
+    if H1.factors != factors or H1 != factors[0] * factors[1] * factors[2]:
+        raise MagriError("pair certificate: H1 is not W [[0, d], [d, -Q]] W with W = diag(1, v^-2)")
+    kernels = {eps: _KERNELS[eps] for eps in (0, 1)}
+    for eps, pair in kernels.items():
+        if not all(dop.kernel_verify(structure(eps), ker) for ker in pair):
+            raise MagriError(f"pair certificate: a kernel gradient of H{eps} is not in its kernel")
+    if not (dop.is_skew_adjoint(H0) and dop.is_skew_adjoint(H1)):
+        raise MagriError("pair certificate: H0 or H1 is not skew-adjoint")
+    if kernels[1][0] != (ONE, ZERO) or dop.apply(H0, kernels[1][0]) != (da.u_jet(1), da.v_jet(1)):
+        raise MagriError("pair certificate: H0 (1, 0) is not (u', v')")
+    return kernels
+
+
 def _marker(vec):
     """The first component of a kernel gradient that is nonzero, with its
     first term in the packed order: (index, packed monomial, coefficient)."""
@@ -131,9 +179,10 @@ def _marker(vec):
 
 
 def _normalize_kernel(eps, vec):
-    """Zero the kernel marker coefficients by subtracting kernel gradients."""
+    """Zero the kernel marker coefficients by subtracting kernel gradients,
+    the ones :func:`_certificate` checked, so H_eps vec is unchanged."""
     out = list(vec)
-    for ker in _KERNELS[eps]:
+    for ker in _certificate()[eps]:
         i, m, kc = _marker(ker)
         c = dict(da.packed_terms(out[i])).get(m)
         if c:
@@ -257,12 +306,13 @@ def _check_method(method):
 def lm_step(eps, grad, method="recursion"):
     """One recursion step: the next gradient xi' with H_eps xi' = H_{1-eps} xi.
 
-    The input must be a variational gradient (closed); the output is
-    normalized against the kernel of H_eps and verified exactly before
-    being returned.  The "ansatz" method solves once over the candidate
-    spaces of the two components, whose bounds :func:`_space_bounds`
-    reads off the right side.  An eps other than 0 or 1, or an unknown
-    ``method``, raises MagriError.
+    The input must be a variational gradient (closed), which is checked;
+    the output is normalized against the kernel of H_eps, and its
+    relation is proved, not recomputed, as :func:`_lm_step` states.  The
+    "ansatz" method solves once over the candidate spaces of the two
+    components, whose bounds :func:`_space_bounds` reads off the right
+    side.  An eps other than 0 or 1, or an unknown ``method``, raises
+    MagriError, and so does a pair that fails :func:`_certificate`.
     """
     return _lm_step(eps, grad, method)[0]
 
@@ -270,9 +320,28 @@ def lm_step(eps, grad, method="recursion"):
 def _lm_step(eps, grad, method, closed=False):
     """:func:`lm_step`'s next gradient xi', with the flow b = H_{1-eps} xi it
     solved for; ``closed`` says that the caller has already proved xi closed,
-    and skips that test."""
-    h = structure(eps)
+    and skips that test.
+
+    H_eps xi' = b holds by proof, from :func:`_certificate` and the exact
+    checks of the solve, so H_eps is never applied to xi':
+
+    - recursion, eps = 0: a = integral(b1), f = a/v and g =
+      integral((b0 - A f)/v).  :func:`diffalg.antiderivative` returns a
+      primitive only when its derivative is its input, and H0's rows are
+      [A, v d] and [d v, 0], so H0 (f, g) = (A f + v g', D(v f)) = (b0, b1);
+    - recursion, eps = 1: a = integral(b0), g = v^2 a and f =
+      integral(v^2 b1 + Q a).  H1 is W [[0, d], [d, -Q]] W, W =
+      diag(1, v^-2), so H1 (f, g) = (D(v^-2 g), v^-2 (D f - Q(v^-2 g)))
+      = (D a, v^-2 (v^2 b1)) = (b0, b1);
+    - ansatz: :func:`linsolve.solve` returns x only after checking
+      sum_j x_j col_j == b exactly, where col_j is H_eps applied to the
+      candidate e_j, so H_eps (sum_j x_j e_j) = b by linearity;
+    - :func:`_normalize_kernel` subtracts only kernel gradients of H_eps
+      that the certificate checked, which leaves H_eps xi' unchanged.
+    """
+    structure(eps)  # refuses an eps other than the int 0 or 1
     _check_method(method)
+    _certificate()
     grad = tuple(grad)
     if len(grad) != 2:
         raise MagriError("gradients here have two components")
@@ -284,10 +353,7 @@ def _lm_step(eps, grad, method, closed=False):
     if not any(b):
         return (ZERO, ZERO), b
     nxt = (_step_recursion if method == "recursion" else _step_ansatz)(eps, b)
-    nxt = _normalize_kernel(eps, nxt)
-    if dop.apply(h, nxt) != b:
-        raise NoSolution("candidate gradient fails the defining relation")
-    return nxt, b
+    return _normalize_kernel(eps, nxt), b
 
 
 # -- whole hierarchies -------------------------------------------------------
@@ -313,15 +379,31 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True):
     """Iterate the recursion from a seed and package the verified chain.
 
     Returns gradients xi_0 .. xi_N, densities integral(h_n) with
-    variational gradient xi_n, and flows P_n = H_{1-eps} xi_n (each also
-    equal to H_eps xi_{n+1}, which lm_step verifies).  ``checks`` holds
-    three verdicts: "memberships", that each gradient lies in the
-    subspaces of its chain; "densities", that on the eps = 0 chains no
-    density holds log v (a density whose gradient is not xi_n never gets
-    this far, as :func:`varcalc.integrate_exact` raises); and
-    "casimir_pairing", that on the alpha = 1 chains each flow conserves
-    the alpha = 0 Casimir, whose gradient :func:`seed` checks to lie in
-    the kernel of H_eps.  With densities, each
+    variational gradient xi_n, and flows P_n = H_{1-eps} xi_n.  For n < N
+    each flow also equals H_eps xi_{n+1}: :func:`_lm_step` proves that
+    relation from :func:`_certificate` and the exact checks of its solve.
+    ``checks`` holds three verdicts: "memberships", that each gradient
+    lies in the subspaces of its chain (checked); "densities", that on
+    the eps = 0 chains no density holds log v (checked; a density whose
+    gradient is not xi_n never gets this far, as
+    :func:`varcalc.integrate_exact` raises); and "casimir_pairing", that
+    on the alpha = 1 chains each flow conserves the alpha = 0 Casimir c,
+    the kernel gradient of H_eps that the certificate checked, that is,
+    integral(c . P_n) = 0.  That is proved where it can be, and checked
+    by :func:`diffalg.is_total_derivative` where it cannot:
+
+    - n < N: integral(c . P_n) = integral(c . H_eps xi_{n+1}) =
+      -integral((H_eps c) . xi_{n+1}) = 0, as H_eps is skew-adjoint and
+      H_eps c = 0, both checked by the certificate;
+    - n = N, eps = 1, with densities: c = (1, 0) and H0 is skew, so
+      integral(c . H0 xi_N) = -integral((u', v') . E(h_N)) =
+      -integral(D(h_N)) = 0, by the translation identity H0 (1, 0) =
+      (u', v') of the certificate and the gradient E(h_N) = xi_N that
+      integrate_exact checked;
+    - otherwise, the last flow of an eps = 0 chain, or of a run without
+      densities, is checked.
+
+    With densities, each
     gradient is proved closed once, before it is stepped from: xi_0 by
     :func:`seed`, and every later xi_n by the closing check
     variational_derivative(h) == xi_n of :func:`varcalc.integrate_exact`;
@@ -337,6 +419,7 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True):
     if steps < 0:
         raise MagriError(f"steps must be nonnegative, got {steps}")
     _check_method(method)
+    kernels = _certificate()
     s = seed(eps, alpha)
     gradients = [s.gradient]
     densities = [s.density] if with_densities else []
@@ -356,9 +439,10 @@ def run_hierarchy(eps, alpha, steps, method="recursion", with_densities=True):
                 okd = not da.partial_derivative(dens.rep, (LOG_VAR, 0))
                 checks["densities"] = checks["densities"] and okd
     flows.append(dop.apply(structure(1 - eps), gradients[-1]))
-    if alpha == 1:
-        other = seed(eps, 0).gradient
-        checks["casimir_pairing"] = all(da.is_total_derivative(da.dot(other, p)) for p in flows)
+    if alpha == 1 and not (eps == 1 and with_densities):
+        # every flow but the last is proved, as the docstring shows
+        c = kernels[eps][0]
+        checks["casimir_pairing"] = da.is_total_derivative(da.dot(c, flows[-1]))
     orders = [
         (da.differential_order(g[0]), da.differential_order(g[1])) for g in gradients
     ]

@@ -11,9 +11,10 @@ import helpers
 from magri import diffalg as da
 from magri import diffop as dop
 from magri import lenard
+from magri import linsolve
 from magri import pva
 from magri import varcalc as vc
-from magri.diffalg import QQ, ZERO, LocalFunctional
+from magri.diffalg import ONE, QQ, ZERO, LocalFunctional
 from magri.errors import MagriError, NotClosed
 
 
@@ -599,3 +600,188 @@ def test_lm_step_on_the_other_structures_casimir_is_zero(method):
     for grad in ((one, ZERO, ZERO), (one,)):
         with pytest.raises(MagriError, match="gradients here have two components"):
             lenard.lm_step(0, grad, method)
+
+
+# -- the pair certificate and what is proved from it -----------------------
+
+
+@pytest.fixture
+def fresh_certificate(monkeypatch):
+    """Check the pair anew in this test, and again after its doctoring is undone."""
+    lenard._certificate.cache_clear()
+    yield monkeypatch
+    lenard._certificate.cache_clear()
+
+
+@pytest.mark.parametrize("method", ["recursion", "ansatz"])
+def test_each_solve_meets_its_right_side_on_seeded_closed_gradients(method):
+    # the relation that _lm_step no longer recomputes, H_eps xi' == b, on
+    # b = H_eps zeta for closed zeta = E(h), h a seeded density with
+    # negative powers of v and log v; the solution is zeta up to the
+    # kernel, so it normalizes to zeta's normal form.  The ansatz path is
+    # asked where its spaces hold the answer (_space_bounds): b of one
+    # weight, and zeta in the tags of the chain; and only up to weight 10,
+    # as one solve of weight 15 takes 50 s (ROADMAP item 8)
+    rng = random.Random(45)
+    solve = lenard._step_recursion if method == "recursion" else lenard._step_ansatz
+    seen = {0: 0, 1: 0}
+    for _ in range(200):
+        h = rng.choice(da.homogeneous_parts(helpers.rand_function(rng, 3, 2, 2)))[1]
+        zeta = vc.variational_derivative(h)
+        for eps in (0, 1):
+            heps = lenard.structure(eps)
+            b = dop.apply(heps, zeta)
+            want = lenard._normalize_kernel(eps, zeta)
+            if not any(b) or method == "ansatz" and (
+                da.weight(h) > 10 or not all(map(da.subalgebra_member, want, lenard._GRADIENT_TAGS[eps]))
+            ):
+                continue
+            got = lenard._normalize_kernel(eps, solve(eps, b))
+            assert dop.apply(heps, got) == b and got == want, (eps, h)
+            seen[eps] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("method", ["recursion", "ansatz"])
+def test_each_step_meets_its_relation_on_closed_combinations_of_the_chains(method):
+    # xi = q xi_k + r kappa, closed, with xi_k a gradient of a chain and
+    # kappa a Casimir gradient of H_{1-eps}: H_eps xi' == H_{1-eps} xi.
+    # The ansatz path steps from xi_0 of (0,0) alone on eps = 0: the next
+    # eps = 0 solves take minutes (ROADMAP item 8)
+    rng = random.Random(46)
+    chains = [(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)]
+    if method == "ansatz":
+        chains[:2] = [(0, 0, 1)]
+    for eps, alpha, steps in chains:
+        # xi_0 .. xi_{steps-1}, the gradients to step from
+        run = lenard.run_hierarchy(eps, alpha, steps - 1, with_densities=False)
+        for xi_k in run.gradients:
+            kappa = rng.choice(lenard._KERNELS[1 - eps])
+            q, r = helpers.rand_coeff(rng), helpers.rand_coeff(rng)
+            xi = tuple(q * a + r * c for a, c in zip(xi_k, kappa))
+            nxt = lenard.lm_step(eps, xi, method)
+            lhs = dop.apply(lenard.structure(eps), nxt)
+            assert lhs == dop.apply(lenard.structure(1 - eps), xi), (eps, alpha)
+
+
+@pytest.mark.parametrize("method", ["recursion", "ansatz"])
+def test_a_step_never_applies_h_eps_after_solving(monkeypatch, method):
+    # the step's relation is proved, not recomputed: once the solve has
+    # returned, nothing applies H_eps (the ansatz path applies it to its
+    # candidates, before the solve)
+    lenard._certificate()  # its own applications come once per process
+    grads = {(eps, alpha): lenard.seed(eps, alpha).gradient for eps in (0, 1) for alpha in (0, 1)}
+    events = []
+    apply, solve = dop.apply, linsolve.solve
+
+    def counted_apply(h, vec):
+        events.append(h)
+        return apply(h, vec)
+
+    def marked_solve(cols, rhs):
+        xs = solve(cols, rhs)
+        events.append("solved")
+        return xs
+
+    monkeypatch.setattr(dop, "apply", counted_apply)
+    monkeypatch.setattr(linsolve, "solve", marked_solve)
+    for (eps, alpha), grad in grads.items():
+        if (eps, alpha, method) == (0, 1, "ansatz"):
+            continue  # a minute of elimination (ROADMAP item 8)
+        del events[:]
+        lenard.lm_step(eps, grad, method)
+        heps = lenard.structure(eps)
+        solved = len(events) - events[::-1].index("solved") if "solved" in events else 0
+        assert (method == "ansatz") == (solved > 0)
+        assert not any(h is heps for h in events[solved:]), (eps, alpha)
+
+
+def _pair_doctors():
+    """One doctored hypothesis of the certificate each: (name, attribute of
+    lenard, doctored value, the message it must raise)."""
+    d, zero, mult = dop.D, dop.ScalarDiffOp(), dop.multiplication
+    v = da.v_jet(0)
+    a, vd = lenard.H0.entries[0]
+    w = dop.MatrixDiffOp([[mult(ONE), zero], [zero, mult(da.v_pow(-2))]])
+    w1 = dop.MatrixDiffOp([[mult(ONE), zero], [zero, mult(da.v_pow(-1))]])
+    mid = dop.MatrixDiffOp([[zero, d], [d, -lenard._Q]])
+    mid2 = dop.MatrixDiffOp([[zero, d * 2], [d * 2, -lenard._Q]])
+    xi11 = lenard._KERNELS[1][1]
+    # d v^2 + v^2 d is skew, and kills v^-1 as H0's kernels need, but not 1
+    mv2 = mult(v * v)
+    return [
+        ("H0 row", "H0", dop.MatrixDiffOp([[a, d * mult(v)], lenard.H0.entries[1]]), "rows of H0"),
+        ("H1 factor", "H1", dop.factored(w, mid2, w), "H1 is not W"),
+        ("Q", "_Q", lenard._Q + d, "H1 is not W"),
+        ("W", "H1", dop.factored(w1, mid, w1), "H1 is not W"),
+        (
+            "kernel vector",
+            "_KERNELS",
+            {0: lenard._KERNELS[0], 1: (lenard._KERNELS[1][0], (xi11[0], xi11[1] * 2))},
+            "kernel gradient of H1",
+        ),
+        (
+            "translation identity",
+            "H0",
+            dop.MatrixDiffOp([[a + d * mv2 + mv2 * d, vd], lenard.H0.entries[1]]),
+            r"H0 \(1, 0\) is not \(u', v'\)",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("doctor", _pair_doctors(), ids=lambda d: d[0])
+def test_a_doctored_pair_fails_its_certificate(fresh_certificate, doctor):
+    _, name, value, message = doctor
+    assert lenard._certificate() is lenard._certificate()  # one value per process
+    fresh_certificate.setattr(lenard, name, value)
+    lenard._certificate.cache_clear()
+    for eps, alpha, densities in ((1, 1, True), (0, 1, False)):
+        with pytest.raises(MagriError, match=f"pair certificate: .*{message}"):
+            lenard.run_hierarchy(eps, alpha, 1, with_densities=densities)
+    with pytest.raises(MagriError, match="pair certificate"):
+        lenard.lm_step(1, lenard._KERNELS[1][0])
+
+
+def test_the_casimir_pairing_holds_on_every_flow():
+    # the oracle of the pairing that run_hierarchy proves: every flow's
+    # integral(c . P_n) is checked in full
+    for eps, alpha, steps in ((1, 1, 4), (0, 1, 2)):
+        run = lenard.run_hierarchy(eps, alpha, steps, with_densities=False)
+        c = lenard.seed(eps, 0).gradient
+        assert len(run.flows) == steps + 1
+        assert all(da.is_total_derivative(da.dot(c, p)) for p in run.flows), (eps, alpha)
+
+
+def test_run_hierarchy_checks_only_the_pairings_it_cannot_prove(monkeypatch):
+    # with densities, the eps = 1 chain proves every pairing; the eps = 0
+    # chain, and a run without densities, check only their last flow
+    calls = []
+    is_exact = da.is_total_derivative
+
+    def counted(f):
+        calls.append(f)
+        return is_exact(f)
+
+    monkeypatch.setattr(da, "is_total_derivative", counted)
+    for eps, densities, want in ((1, True, 0), (1, False, 1), (0, True, 1), (0, False, 1)):
+        del calls[:]
+        run = lenard.run_hierarchy(eps, 1, 2, with_densities=densities)
+        assert len(calls) == want and run.checks["casimir_pairing"] is True, (eps, densities)
+        if want:
+            assert calls == [da.dot(lenard.seed(eps, 0).gradient, run.flows[-1])]
+    del calls[:]
+    lenard.run_hierarchy(1, 0, 2)
+    assert calls == []
+
+
+def test_the_translation_identity_pairs_every_gradient_to_zero():
+    # integral((1, 0) . H0 E(h)) = -integral((u', v') . E(h)) = -integral(D h) = 0,
+    # on seeded densities with negative powers of v and log v
+    rng = random.Random(47)
+    seen_log = False
+    for _ in range(40):
+        h = helpers.rand_function(rng, 3, 2, 2)
+        flow = dop.apply(lenard.H0, vc.variational_derivative(h))
+        assert da.is_total_derivative(da.dot((ONE, ZERO), flow)), h
+        seen_log = seen_log or da.partial_derivative(h, (da.LOG_VAR, 0)) != ZERO
+    assert seen_log
