@@ -159,8 +159,8 @@ def _certificate():
     factors = (w, dop.MatrixDiffOp([[zero, d], [d, -_Q]]), w)
     if H1.factors != factors or H1 != factors[0] * factors[1] * factors[2]:
         raise MagriError("pair certificate: H1 is not W [[0, d], [d, -Q]] W with W = diag(1, v^-2)")
-    kernels = {eps: _KERNELS[eps] for eps in (0, 1)}
-    for eps, pair in kernels.items():
+    kernels = (_KERNELS[0], _KERNELS[1])
+    for eps, pair in enumerate(kernels):
         if not all(dop.kernel_verify(structure(eps), ker) for ker in pair):
             raise MagriError(f"pair certificate: a kernel gradient of H{eps} is not in its kernel")
     if not (dop.is_skew_adjoint(H0) and dop.is_skew_adjoint(H1)):

@@ -621,7 +621,7 @@ def test_each_solve_meets_its_right_side_on_seeded_closed_gradients(method):
     # kernel, so it normalizes to zeta's normal form.  The ansatz path is
     # asked where its spaces hold the answer (_space_bounds): b of one
     # weight, and zeta in the tags of the chain; and only up to weight 10,
-    # as one solve of weight 15 takes 50 s (ROADMAP item 8)
+    # as one exact elimination of weight 15 takes 50 s
     rng = random.Random(45)
     solve = lenard._step_recursion if method == "recursion" else lenard._step_ansatz
     seen = {0: 0, 1: 0}
@@ -647,7 +647,7 @@ def test_each_step_meets_its_relation_on_closed_combinations_of_the_chains(metho
     # xi = q xi_k + r kappa, closed, with xi_k a gradient of a chain and
     # kappa a Casimir gradient of H_{1-eps}: H_eps xi' == H_{1-eps} xi.
     # The ansatz path steps from xi_0 of (0,0) alone on eps = 0: the next
-    # eps = 0 solves take minutes (ROADMAP item 8)
+    # eps = 0 eliminations take minutes
     rng = random.Random(46)
     chains = [(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)]
     if method == "ansatz":
@@ -687,7 +687,7 @@ def test_a_step_never_applies_h_eps_after_solving(monkeypatch, method):
     monkeypatch.setattr(linsolve, "solve", marked_solve)
     for (eps, alpha), grad in grads.items():
         if (eps, alpha, method) == (0, 1, "ansatz"):
-            continue  # a minute of elimination (ROADMAP item 8)
+            continue  # a minute of exact elimination
         del events[:]
         lenard.lm_step(eps, grad, method)
         heps = lenard.structure(eps)
