@@ -110,22 +110,20 @@ derivative, and g'/g is one packed int per slot: ``_DX_V`` for v,
 a jet.  The factors of m are read off m + ``_OFF`` by one loop,
 :func:`_dx_fields_into`: v and log v by a shift and a mask, and the jets
 by the walk of the fields above them, one step per jet.
-Every total derivative, those of :func:`antiderivative` included, is
-taken by one kernel, :func:`add_derivative_into`, which picks one of
-two ways by the length of the operand.  An operand of more than
-``MEMO_TERMS`` terms (a tower level, a gradient, a partial sum of a
-Horner chain) goes through that loop term by term: its monomials
-seldom recur, so a memo of them would mostly grow.  A shorter one, as
-the Poisson checks and the one-shot queries differentiate, looks each
-monomial up in the memo ``_DX_MONO``, whose entry is the tuple of its
-(g'/g, e) pairs, one per factor, read back off the derivative that the
-same loop takes of the monomial alone, once; those monomials recur.  A
-pair is one object, kept in ``_DX_PAIRS`` and shared by every entry
-with that factor, so an entry costs its key, its tuple and its dict
-slot: about 160 bytes for a monomial of the chains.  Both tables are
-cleared together when the memo's bytes would pass ``MEMO_CAP``, each
-entry counting its key's bytes and a fixed ``_DX_ENTRY``, so lone
-high jets, whose keys are long, clear it sooner.
+Every total derivative that no tower keeps, those of the Horner chains
+and of :func:`antiderivative`, is taken by one kernel,
+:func:`add_derivative_into`, through that loop term by term, with no
+memo: the monomials of its partial sums and primitives seldom recur.
+Only the tower step of :func:`total_derivative` reads the memo
+``_DX_MONO``, and only for an operand of at most ``MEMO_TERMS`` terms,
+as the Poisson checks and the one-shot queries differentiate; a longer
+one (a tower level of a flow or a gradient) goes through the kernel.
+An entry of the memo is the tuple of a monomial's (g'/g, e) pairs, one
+per factor, read back off the derivative that the same loop takes of
+the monomial alone, once; those monomials recur.  The memo is cleared
+when its bytes would pass ``MEMO_CAP``, each entry counting its key's
+bytes and a fixed ``_DX_ENTRY``, so lone high jets, whose keys are
+long, clear it sooner.
 
 Each value keeps its own derivative tower.  The ``_d`` slot of a
 :class:`DiffFunction` is None until :func:`total_derivative` first
@@ -216,26 +214,31 @@ _LOG = 1 << EXP_BITS  # log v to the first power
 # a monomial (_U_JETS, _V_JETS), so reading is linear in its jets.
 MAX_ORDER = 4096
 
-# The memo of total derivatives of monomials, _DX_MONO, and its pair table
-# are cleared when the memo's entries would pass this many bytes, each
-# counting the bytes of its key and _DX_ENTRY for its tuple and dict slot
-# (an entry of the chains takes about 160 bytes in all).  As counted here,
-# the calculus benchmark's queries (seed 1) leave 10,282 entries in it,
-# 1.7 MB, and the hierarchy's four chains 5,842, 1.0 MB; a key holds at
-# most the 16 KB of a monomial of jet order MAX_ORDER, and the Euler
-# derivative of u^(4096)*v alone filled 36 MB when the cap counted 2^18
-# entries.
+# The memo of total derivatives of monomials, _DX_MONO, is cleared when its
+# entries would pass this many bytes, each counting the bytes of its key and
+# _DX_ENTRY for the rest: its tuple, its own (g'/g, exponent) pairs and its
+# dict slot, which took 324-413 bytes per entry beyond the key on the
+# benchmark's workloads (seed 1, about three pairs each).  A high jet's
+# g'/g is as long as its key and is not counted, so a memo of lone high
+# jets holds up to twice its count.  Only tower steps fill the memo, and
+# one pass of the benchmark leaves 2,518 entries in it (calculus, seed 7),
+# 1,311 (hierarchy), 599 (involution) and 491 (poisson), 0.2-1.1 MB as
+# counted here: the cap is never reached there.  It stays for short
+# operands of high jets, whose keys never recur: a key holds at most the
+# 16 KB of a monomial of jet order MAX_ORDER, and the tower of u^(4000)*v
+# to order 70 counts 44 MB of entries, which the cap holds to 8 MiB.
 MEMO_CAP = 1 << 23
-_DX_ENTRY = 120
+_DX_ENTRY = 400
 
-# An operand of more than this many terms is differentiated straight off
-# its packed fields, and one of at most this many through the memo.  When
-# every operand went through the memo, 78% of the 41,339 terms that the
-# hierarchy benchmark differentiated (seed 1) and 88% of the involution
-# report's 24,718 lay in longer operands, whose lookups missed 57% and 45%
-# of the time and filled the memo; none of the Poisson checks' 30,503,
-# whose ~500 monomials recur across pencil members, did, nor any of the
-# one-shot queries' 23,338.
+# A tower step on an operand of more than this many terms goes through
+# add_derivative_into, and one on an operand of at most this many through
+# the memo.  Of the 21,897 terms that the hierarchy benchmark's tower steps
+# differentiate (seed 1), 19,916 lie in longer operands (flows and
+# gradients), whose monomials seldom recur; the Poisson checks' 29,647,
+# whose ~500 monomials recur across pencil members, and the one-shot
+# queries' 8,511 all lie in shorter ones.  With no bound, every tower step
+# read the memo: the hierarchy pass took 25% longer and peaked 9.5 MB
+# higher, with 16,964 entries left (seed 11, medians of 7 passes).
 MEMO_TERMS = 128
 
 # The jet fields of each field, in closed form from the repunit of
@@ -836,7 +839,6 @@ _DX_LOG = _DX_V - _LOG
 _DX_STEP = (1 << 2 * EXP_BITS) - 1
 
 _DX_MONO = {}
-_DX_PAIRS = {}  # each (g'/g, exponent) pair of the _DX_MONO entries, stored once
 _dx_bytes = 0  # the bytes of the _DX_MONO entries, as MEMO_CAP counts them
 
 
@@ -879,58 +881,39 @@ def _dx_mono(m):
     g'/g, exponent) pairs of its factors g^e, in increasing order of g'/g,
     so the monomials m + g'/g are distinct and sorted.  A miss reads them
     back off the derivative that :func:`_dx_fields_into` takes of m
-    alone, as (m + g'/g - m, e) in the reverse of the order it adds them.
-    Each pair is the one object of ``_DX_PAIRS`` for its value, shared by
-    every entry that holds it.  Both tables are cleared when the entry would take the
-    memo past ``MEMO_CAP`` bytes.
+    alone, as (m + g'/g - m, e) in the reverse of the order it adds them,
+    and first clears the memo if the entry would take it past
+    ``MEMO_CAP`` bytes.  Only the tower step of :func:`total_derivative`
+    calls it.
     """
     global _dx_bytes
     t = _DX_MONO.get(m)
     if t is None:
-        pairs = _DX_PAIRS
         size = sys.getsizeof(m) + _DX_ENTRY
         if _dx_bytes + size > MEMO_CAP:
             _DX_MONO.clear()
-            pairs.clear()
             _dx_bytes = 0
         _dx_bytes += size
         d = {}
         _dx_fields_into(d, ((m, 1),), 1)
-        t = [(dm - m, e) for dm, e in reversed(d.items())]
         # total_derivative checks the exponents of the m + g'/g
-        t = _DX_MONO[m] = tuple([pairs.setdefault(p, p) for p in t])
+        t = _DX_MONO[m] = tuple([(dm - m, e) for dm, e in reversed(d.items())])
     return t
 
 
 def add_derivative_into(acc, f, k=1):
     """Add k times the total derivative of f into ``acc``, an
     :class:`Accumulator`, as :func:`add_into` adds k*f; k is an int.
-    This is the one kernel of total derivatives, and it keeps nothing on
-    f: :func:`total_derivative` keeps its result in the tower of f, and a
-    Horner sum differentiates each partial sum once, into the next one.
-
-    An f of at most ``MEMO_TERMS`` terms reads the factors of each
-    monomial from the memo ``_DX_MONO``, filling it on a miss; a longer
-    f reads them off the packed fields (:func:`_dx_fields_into`) and
-    leaves the memo as it is.
+    This is the one kernel of total derivatives: it reads the factors of
+    each monomial off the packed fields (:func:`_dx_fields_into`), keeps
+    nothing on f and neither reads nor fills the memo ``_DX_MONO``.  A
+    Horner sum differentiates each partial sum once, into the next one,
+    and :func:`total_derivative` differentiates an operand of more than
+    ``MEMO_TERMS`` terms so.
     """
     if f._den != acc.den:
         k *= acc.fit(f._den)
-    d = acc.d
-    if len(f._t) > MEMO_TERMS:
-        _dx_fields_into(d, f._t, k)
-        return
-    get = d.get
-    memo = _DX_MONO
-    for m, c in f._t:
-        if k != 1:
-            c = c * k
-        t = memo.get(m)
-        if t is None:
-            t = _dx_mono(m)
-        for step, e in t:
-            dm = m + step
-            d[dm] = get(dm, 0) + c * e
+    _dx_fields_into(acc.d, f._t, k)
 
 
 def total_derivative(f, n=1):
@@ -938,8 +921,11 @@ def total_derivative(f, n=1):
 
     Walks the chain f, f', f'', ... of ``_d`` slots, computing and
     keeping each derivative not yet there; a zero derivative is ZERO
-    itself, which ends the walk.  An ``n`` that is not a nonnegative int
-    (a bool included) raises MagriError.
+    itself, which ends the walk.  A step on an operand of at most
+    ``MEMO_TERMS`` terms reads the factors of each monomial from the memo
+    ``_DX_MONO`` (:func:`_dx_mono` on a miss), and one on a longer
+    operand goes through :func:`add_derivative_into`.  An ``n`` that is
+    not a nonnegative int (a bool included) raises MagriError.
     """
     f = as_function(f)
     if type(n) is not int or n < 0:
@@ -947,8 +933,20 @@ def total_derivative(f, n=1):
     for _ in range(n):
         d = f._d
         if d is None:
-            acc = Accumulator()
-            add_derivative_into(acc, f)
+            acc = Accumulator((), f._den)
+            if len(f._t) > MEMO_TERMS:
+                add_derivative_into(acc, f)
+            else:
+                dd = acc.d
+                get = dd.get
+                memo = _DX_MONO
+                for m, c in f._t:
+                    t = memo.get(m)
+                    if t is None:  # the constant monomial's entry is (), which is false
+                        t = _dx_mono(m)
+                    for step, e in t:
+                        dm = m + step
+                        dd[dm] = get(dm, 0) + c * e
             d = f._d = DiffFunction.from_acc(acc) or ZERO
         if d is ZERO:
             return d
@@ -1455,8 +1453,8 @@ def antiderivative(f, tag=None):
     The remainder is one :class:`Accumulator` for the whole loop, with
     an index from jet order to its monomials.  Only the monomials of the
     top order can hold v^(n) or u^(n), so a round reads those alone.  It
-    differentiates its primitive by :func:`add_derivative_into`, as every
-    total derivative is taken, so a long primitive leaves the memo alone; the
+    differentiates its primitive by :func:`add_derivative_into`, which
+    reads no memo, since a primitive's monomials seldom recur; the
     derivative goes into a dict of its own, whose monomials are checked
     for range before it is subtracted from the remainder, and each term
     that cancels is dropped, so the remainder never holds a zero.

@@ -388,9 +388,11 @@ def apply(h, vec):
     through the accumulator, the rows of W and d took H1 6% longer on
     2-term vectors and 9% longer on the gradients of the benchmark's
     hierarchy chains, and copied vec[0], whose derivative H0 had built.
+    Each component is a function or a constant (see
+    :func:`diffalg.as_function`), so a function passes as itself.
     """
     h = as_matrix(h)
-    vec = tuple(vec)
+    vec = tuple(map(da.as_function, vec))
     n, m = h.shape
     if len(vec) != m:
         raise DimensionMismatch(f"operator takes {m} components, got {len(vec)}")

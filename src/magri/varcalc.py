@@ -114,8 +114,9 @@ def commutator_from_adjoints(p, p_star, q, q_star):
     """D_Q(P) - D_P(Q), as :func:`evolutionary_commutator` gives it, from
     the adjoints p_star = D_P* and q_star = D_Q* of the Frechet
     derivatives of the fields, which a caller that commutates one field
-    with many others builds once for it."""
-    p, q = tuple(p), tuple(q)
+    with many others builds once for it.  Each component is a function or
+    a constant (see :func:`diffalg.as_function`)."""
+    p, q = tuple(map(da.as_function, p)), tuple(map(da.as_function, q))
     if not len(p) == len(q) == p_star.shape[0] == q_star.shape[0]:
         raise DimensionMismatch("commutated fields have different numbers of components")
     minus_q = [-f for f in q]

@@ -10,12 +10,26 @@ from magri import diffalg as da
 from magri.diffalg import LOG_VAR, QQ, U, V
 
 
+class LookupLog(dict):
+    """A derivative memo that records each monomial looked up in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = []
+
+    def get(self, m, default=None):
+        self.lookups.append(m)
+        return super().get(m, default)
+
+
 def fresh_dx_memo(monkeypatch):
-    """Give the derivative memo of diffalg, its pair table and its byte
-    count fresh empty values for the rest of one test."""
-    monkeypatch.setattr(da, "_DX_MONO", {})
-    monkeypatch.setattr(da, "_DX_PAIRS", {})
+    """Give the derivative memo of diffalg and its byte count fresh empty
+    values for the rest of one test, and return the memo, a
+    :class:`LookupLog`."""
+    memo = LookupLog()
+    monkeypatch.setattr(da, "_DX_MONO", memo)
     monkeypatch.setattr(da, "_dx_bytes", 0)
+    return memo
 
 
 def dx_memo_bytes():

@@ -9,7 +9,9 @@ read :attr:`DiffFunction.terms`, which :func:`magri.diffalg.to_text` and
 that built each round's primitive from jets, products and the recursive
 v-integral.  The tower form of the flow commutator, which
 :func:`magri.varcalc.evolutionary_commutator` used before it went
-through the higher Euler operators.  The shift-and-mask readers of
+through the higher Euler operators, and of the Euler derivative and the
+sum of adjoints, which :func:`magri.diffalg.euler_derivative` and
+:func:`magri.diffop.apply_adjoints` take as Horner chains.  The shift-and-mask readers of
 packed monomials, one step per field: the decoders that
 :func:`magri.diffalg.flat_mono`, :func:`magri.diffalg.mono_weight` and
 :func:`magri.diffalg.mono_degree` were, the stride loop that sorted the
@@ -357,6 +359,24 @@ def integrate_in_generator(b, var, order):
             da.addmul_into(acc, da._integrate_v_monomial(k, j), rest)
         return DiffFunction.from_acc(acc)
     return da.divide_terms(b, lambda m: da.mono_exp(m, var, order) + 1) * da.jet(var, order)
+
+
+def euler_derivative(f, var):
+    """sum_n (-d)^n df/dx^(n) in tower form, each partial differentiated
+    n times by :func:`magri.diffalg.total_derivative`."""
+    acc = da.Accumulator()
+    for n, fn in enumerate(da.partial_derivatives(f, var)):
+        da.add_into(acc, da.total_derivative(fn, n), (-1) ** n)
+    return DiffFunction.from_acc(acc)
+
+
+def apply_adjoints(pairs):
+    """The sum of B*(x) over (B, x) pairs, each adjoint built in tower
+    form by :func:`magri.diffop.adjoint_scalar` and applied to x."""
+    acc = da.Accumulator()
+    for b, x in pairs:
+        da.add_into(acc, dop.apply_scalar(dop.adjoint_scalar(b), x))
+    return DiffFunction.from_acc(acc)
 
 
 def evolutionary_commutator(p, q):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -324,17 +325,27 @@ def test_high_jet_orders_differentiate_in_linear_time(capsys):
 
 
 def test_high_jet_memo_stays_within_its_byte_budget(capsys, monkeypatch):
-    # the Euler derivative of a lone high jet memoizes monomials with long
-    # keys that never recur: when MEMO_CAP counted 2^18 entries, the memo
-    # held 4,113 of them after this command, with 36 MB of keys
+    # the Euler derivative of a lone high jet is a Horner chain and leaves
+    # the memo alone; when it went through the memo and MEMO_CAP counted
+    # 2^18 entries, the memo held 4,113 of them after this command, with
+    # 36 MB of keys
     helpers.fresh_dx_memo(monkeypatch)
-    want = _run(capsys, "varder", "u^(4096)*v")
-    assert want == (0, "[1] v^(4096)\n[2] u^(4096)\n", "")
-    assert 0 < helpers.dx_memo_bytes() == da._dx_bytes <= da.MEMO_CAP
-    for budget in (1 << 20, 1 << 17):
+    assert _run(capsys, "varder", "u^(4096)*v") == (0, "[1] v^(4096)\n[2] u^(4096)\n", "")
+    assert da._DX_MONO == {} and da._dx_bytes == 0
+    # the tower of a short high-jet operand goes through the memo, and its
+    # 70 levels hold 2,485 monomials whose long keys pass the budget
+    want = sum((da.u_jet(4000 + j) * da.v_jet(70 - j) * comb(70, j) for j in range(71)), da.ZERO)
+    cap = da.MEMO_CAP
+    for budget in (cap, 1 << 20, 1 << 17):
         helpers.fresh_dx_memo(monkeypatch)
         monkeypatch.setattr(da, "MEMO_CAP", budget)
-        assert _run(capsys, "varder", "u^(4096)*v") == want
+        f = da.u_jet(4000) * da.v_jet(0)
+        assert da.total_derivative(f, 70) == want
+        levels = [f]
+        while len(levels) < 70:
+            levels.append(levels[-1]._d)
+        filled = sum(sys.getsizeof(m) + da._DX_ENTRY for g in levels for m, _c in da.packed_terms(g))
+        assert filled > cap >= budget
         assert 0 < helpers.dx_memo_bytes() == da._dx_bytes <= budget
 
 

@@ -14,6 +14,8 @@ import oracle
 import magri
 import reference
 from magri import diffalg as da
+from magri import diffop as dop
+from magri import varcalc as vc
 from magri.diffalg import (
     LOG_VAR,
     LocalFunctional,
@@ -91,6 +93,9 @@ def test_total_derivative_is_a_derivation(a, b):
 
 
 def test_total_derivative_keeps_the_tower_on_the_value(monkeypatch):
+    # each tower step differentiates its operand once: one of at most
+    # MEMO_TERMS terms by one memo lookup per monomial, and a longer one
+    # (every operand, with MEMO_TERMS = 0) by one call of add_derivative_into
     calls = []
     dx_into = da.add_derivative_into
 
@@ -100,22 +105,25 @@ def test_total_derivative_keeps_the_tower_on_the_value(monkeypatch):
 
     monkeypatch.setattr(da, "add_derivative_into", counting)
     u, v = da.u_jet(0), da.v_jet(0)
-    f = u * u * da.v_pow(-1) + da.log_v() * v
-    d3 = da.total_derivative(f, 3)
-    assert len(calls) == 3
-    calls.clear()
-    assert da.total_derivative(f, 2) == da.total_derivative(da.total_derivative(f), 1)
-    assert da.total_derivative(f, 3) is d3
-    assert da.total_derivative(f, 0) is f
-    assert calls == []
-    # an equal value built elsewhere has its own tower, with the same derivatives
-    assert da.total_derivative(-(-f), 3) == d3
-    assert len(calls) == 3
-    # a zero derivative is ZERO itself and ends the walk
-    calls.clear()
-    assert da.total_derivative(u, 5) == da.u_jet(5)
-    assert da.total_derivative(da.const(7), 1000) is ZERO
-    assert len(calls) == 5 + 1
+    for memo_terms in (da.MEMO_TERMS, 0):
+        monkeypatch.setattr(da, "MEMO_TERMS", memo_terms)
+        memo = helpers.fresh_dx_memo(monkeypatch)
+        calls.clear()
+        f = u * u * da.v_pow(-1) + da.log_v() * v
+        d3 = da.total_derivative(f, 3)
+        steps = [f, f._d, f._d._d]
+        if memo_terms:
+            assert calls == []
+            assert set(memo.lookups) == {m for g in steps for m, _c in g._t}
+        else:
+            assert calls == steps
+            assert memo.lookups == []
+        calls.clear()
+        memo.lookups.clear()
+        assert da.total_derivative(f, 2) == da.total_derivative(da.total_derivative(f), 1)
+        assert da.total_derivative(f, 3) is d3
+        assert da.total_derivative(f, 0) is f
+        assert calls == [] and memo.lookups == []
 
 
 def test_total_derivative_on_special_generators():
@@ -702,22 +710,36 @@ def test_long_operands_leave_the_memo_alone(monkeypatch):
     assert len(da._DX_MONO) == 10
 
 
-def test_dx_entries_share_their_pairs(monkeypatch):
-    helpers.fresh_dx_memo(monkeypatch)
-    # u'^2*v^-1*log(v), u'^2*u''*v^-1 and u'^3*v^-1*log(v)
-    a = da.pack_mono(((U, 1, 2), (V, 0, -1), (LOG_VAR, 0, 1)))
-    b = da.pack_mono(((U, 1, 2), (U, 2, 1), (V, 0, -1)))
-    c = da.pack_mono(((U, 1, 3), (V, 0, -1), (LOG_VAR, 0, 1)))
-    # an entry lists its pairs by increasing g'/g: log v, v, then the jets
-    log_a, v_a, u1_a = da._dx_mono(a)
-    v_b, u1_b, _u2_b = da._dx_mono(b)
-    log_c, v_c, u1_c = da._dx_mono(c)
-    assert v_a == (da._DX_V, -1) and log_a == (da._DX_LOG, 1) and u1_a[1] == 2
-    assert v_a is v_b is v_c
-    assert log_a is log_c
-    assert u1_a is u1_b
-    assert u1_c == (u1_a[0], 3)  # the same g'/g with another exponent is another pair
-    assert len(da._DX_PAIRS) == 5
+def test_only_the_tower_step_reads_the_memo(monkeypatch):
+    # the Horner chains, the antiderivative and the commutator take their
+    # derivatives through add_derivative_into, which reads no memo
+    rng = random.Random(47)
+    fs = [helpers.rand_function(rng, terms=4, max_order=3) for _ in range(30)]
+    hs = [helpers.rand_function(rng, terms=3, max_order=2) for _ in range(30)]
+    assert any(da.min_v_exponent(f) < 0 for f in fs)
+    assert any(da.mono_exp(m, LOG_VAR, 0) for f in fs for m, _c in f._t)
+    dhs = [da.total_derivative(h) for h in hs]
+    ops = [helpers.rand_scalar_op(rng, max_deg=3) for _ in range(30)]
+    fields = [helpers.rand_vector(rng, terms=2, max_order=2) for _ in range(6)]
+    stars = [dop.adjoint(vc.frechet(p)) for p in fields]
+    want_euler = [reference.euler_derivative(f, var) for f in fs for var in (U, V)]
+    want_adjoints = [reference.apply_adjoints(list(zip(ops[k : k + 3], fs[k : k + 3]))) for k in range(0, 30, 3)]
+    pairs = list(zip(range(0, 6, 2), range(1, 6, 2)))
+    want_commutators = [reference.evolutionary_commutator(fields[a], fields[b]) for a, b in pairs]
+
+    memo = helpers.fresh_dx_memo(monkeypatch)
+
+    def refuse(m):
+        raise AssertionError("the memo was filled")
+
+    monkeypatch.setattr(da, "_dx_mono", refuse)
+    assert [da.euler_derivative(f, var) for f in fs for var in (U, V)] == want_euler
+    for h, dh in zip(hs, dhs):
+        assert da.antiderivative(-(-dh)) == h - h.constant_term()
+    assert [dop.apply_adjoints(list(zip(ops[k : k + 3], fs[k : k + 3]))) for k in range(0, 30, 3)] == want_adjoints
+    got = [vc.commutator_from_adjoints(fields[a], stars[a], fields[b], stars[b]) for a, b in pairs]
+    assert got == want_commutators
+    assert memo == {} and memo.lookups == [] and da._dx_bytes == 0
 
 
 def test_total_derivative_takes_only_nonnegative_int_orders():

@@ -88,6 +88,10 @@ def test_apply_differentiates_each_vector_once(monkeypatch):
         return dx_into(acc, f)
 
     monkeypatch.setattr(da, "add_derivative_into", counting)
+    # with MEMO_TERMS = 0 every tower step is one call of add_derivative_into
+    # on the value it differentiates, and no step reads the memo
+    monkeypatch.setattr(da, "MEMO_TERMS", 0)
+    memo = helpers.fresh_dx_memo(monkeypatch)
     # through its entries, a second application reads every derivative of
     # v from the towers kept on its components
     assert dop.apply(expanded, v) == first
@@ -102,6 +106,7 @@ def test_apply_differentiates_each_vector_once(monkeypatch):
     assert not any(f is c for f in calls for c in v)
     assert calls[0] == da.v_pow(-2) * v[1]
     assert all(calls[k + 1] is calls[k]._d for k in range(4))
+    assert memo.lookups == []
 
 
 def test_adjoint_involution_and_antihomomorphism():
