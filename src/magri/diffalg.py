@@ -221,7 +221,7 @@ MAX_ORDER = 4096
 # benchmark's workloads (seed 1, about three pairs each).  A high jet's
 # g'/g is as long as its key and is not counted, so a memo of lone high
 # jets holds up to twice its count.  Only tower steps fill the memo, and
-# one pass of the benchmark leaves 2,518 entries in it (calculus, seed 7),
+# one pass of the benchmark (seed 1) leaves 2,493 entries in it (calculus),
 # 1,311 (hierarchy), 599 (involution) and 491 (poisson), 0.2-1.1 MB as
 # counted here: the cap is never reached there.  It stays for short
 # operands of high jets, whose keys never recur: a key holds at most the

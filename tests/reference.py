@@ -11,9 +11,10 @@ v-integral.  The tower form of the flow commutator, which
 :func:`magri.varcalc.evolutionary_commutator` used before it went
 through the higher Euler operators, and of the Euler derivative and the
 sum of adjoints, which :func:`magri.diffalg.euler_derivative` and
-:func:`magri.diffop.apply_adjoints` take as Horner chains.  The shift-and-mask readers of
-packed monomials, one step per field: the decoders that
-:func:`magri.diffalg.flat_mono`, :func:`magri.diffalg.mono_weight` and
+:func:`magri.diffop.apply_adjoints` take as Horner chains.  The
+shift-and-mask readers of packed monomials, one step per field: the
+decoders that :func:`magri.diffalg.flat_mono`,
+:func:`magri.diffalg.mono_weight` and
 :func:`magri.diffalg.mono_degree` were, the stride loop that sorted the
 terms of :func:`magri.diffalg.partial_derivatives` and the scan of
 :func:`magri.diffalg.max_order`, before each walked only the nonzero
