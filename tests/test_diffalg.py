@@ -104,11 +104,11 @@ def test_total_derivative_keeps_the_tower_on_the_value(monkeypatch):
         return dx_into(acc, f)
 
     monkeypatch.setattr(da, "add_derivative_into", counting)
-    u, v = da.u_jet(0), da.v_jet(0)
     for memo_terms in (da.MEMO_TERMS, 0):
         monkeypatch.setattr(da, "MEMO_TERMS", memo_terms)
         memo = helpers.fresh_dx_memo(monkeypatch)
         calls.clear()
+        u, v = da.u_jet(0), da.v_jet(0)
         f = u * u * da.v_pow(-1) + da.log_v() * v
         d3 = da.total_derivative(f, 3)
         steps = [f, f._d, f._d._d]
@@ -124,6 +124,29 @@ def test_total_derivative_keeps_the_tower_on_the_value(monkeypatch):
         assert da.total_derivative(f, 3) is d3
         assert da.total_derivative(f, 0) is f
         assert calls == [] and memo.lookups == []
+        # an equal value built elsewhere has its own tower, with the same derivatives
+        g = -(-f)
+        assert da.total_derivative(g, 3) == d3
+        steps = [g, g._d, g._d._d]
+        if memo_terms:
+            assert calls == []
+            assert memo.lookups == [m for h in steps for m, _c in h._t]
+        else:
+            assert calls == steps
+            assert memo.lookups == []
+        # a zero derivative is ZERO itself and ends the walk
+        calls.clear()
+        memo.lookups.clear()
+        entries = len(memo)
+        assert da.total_derivative(u, 5) == da.u_jet(5)
+        assert da.total_derivative(da.const(7), 1000) is ZERO
+        if memo_terms:
+            # a miss is looked up again by _dx_mono, which fills the entry
+            assert calls == []
+            assert len(set(memo.lookups)) == len(memo) - entries == 5 + 1
+        else:
+            assert len(calls) == 5 + 1
+            assert memo.lookups == []
 
 
 def test_total_derivative_on_special_generators():
